@@ -21,8 +21,8 @@ from .moduli import (MilnorData, Representative, ReductionTrace,
 from .orbit_geometry import (MeanCurvatureResult, OrbitData, congruence_check,
                              dpi, mean_curvature, orbit_at, orbit_data,
                              second_fundamental_form, sym_basis, trace_form)
-from .soliton import (SolitonCertificate, SolitonVerdict, einstein_check,
-                      soliton_from_frame, solvsoliton_check)
+from .soliton import (SolitonCertificate, SolitonVerdict, soliton_from_frame,
+                      solvsoliton_check)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "reduce", "rep_matrix", "frame_constants", "milnor_data", "same_class",
     "witness_residual",
     "SolitonCertificate", "SolitonVerdict", "solvsoliton_check",
-    "einstein_check", "soliton_from_frame",
+    "soliton_from_frame",
     "OrbitData", "MeanCurvatureResult", "sym_basis", "dpi", "trace_form",
     "orbit_data", "second_fundamental_form", "mean_curvature", "orbit_at",
     "congruence_check",

@@ -43,11 +43,7 @@ class RunConfig:
 
     family: Family
     grid: tuple
-    soliton_tol: float = 1e-8
-    minimal_tol: float = 1e-8
-    reduce_tol: float = 1e-7
-    fmt: str = "table"
-    out: str | None = None
+    tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,9 +84,9 @@ def verify_main_theorem(cfg: RunConfig):
     fam = cfg.family
     a = None if fam.a is None else float(fam.a)
     for lam in cfg.grid:
-        verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.soliton_tol)
+        verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.tol)
         mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
-        minimal = mc.norm < cfg.minimal_tol
+        minimal = mc.norm < cfg.tol
         rows.append(VerifyRow(family=fam.label(), a=a, lam=float(lam),
                               is_soliton=verdict.is_soliton,
                               soliton_residual=verdict.certificate.residual,
@@ -341,11 +337,8 @@ def _cmd_verify(args):
         grid = _parse_grid(args.grid)
     else:
         grid = default_grid(fam)
-    cfg = RunConfig(family=fam, grid=grid, soliton_tol=args.tol,
-                    minimal_tol=args.tol, fmt=args.format, out=args.out)
-    rows, status = verify_main_theorem(cfg)
-    text = emit_report(rows, cfg.fmt)
-    _write(text, cfg.out)
+    rows, status = verify_main_theorem(RunConfig(family=fam, grid=grid, tol=args.tol))
+    _write(emit_report(rows, args.format), args.out)
     return None, status
 
 

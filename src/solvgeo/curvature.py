@@ -41,17 +41,31 @@ def metric_data(sc: StructureConstants, gram: np.ndarray) -> MetricData:
     Raises NonSPDMetricError unless ``gram`` is symmetric positive
     definite.  The frame satisfies B^T G B = I, with B upper triangular.
     """
+    gram, chol = _gram_cholesky(gram)
+    return MetricData(sc=sc, gram=gram, frame=np.linalg.inv(chol).T)
+
+
+def _gram_cholesky(gram: np.ndarray):
+    """Validate a Gram matrix and return it with its Cholesky factor L.
+
+    The one SPD check of the package: raises NonSPDMetricError unless
+    ``gram`` is a finite, symmetric (to 1e-12 of its largest entry, no
+    relative slack), positive definite 3x3 matrix.  G = L L^T with L
+    lower triangular.
+    """
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
         raise NonSPDMetricError("Gram matrix must be 3x3")
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(gram).max())):
+    if not np.isfinite(gram).all():
+        i, j = np.argwhere(~np.isfinite(gram))[0]
+        raise NonSPDMetricError(f"Gram matrix entry ({i + 1}, {j + 1}) is not finite: "
+                                f"{gram[i, j]}")
+    if np.abs(gram - gram.T).max() > 1e-12 * max(1.0, np.abs(gram).max()):
         raise NonSPDMetricError("Gram matrix is not symmetric")
     try:
-        chol = np.linalg.cholesky(gram)
+        return gram, np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise NonSPDMetricError("Gram matrix is not positive definite") from None
-    frame = np.linalg.inv(chol).T
-    return MetricData(sc=sc, gram=gram, frame=frame)
 
 
 def connection_coeffs(c: np.ndarray) -> np.ndarray:

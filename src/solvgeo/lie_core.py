@@ -20,6 +20,7 @@ Structure constants are stored as a dense (3,3,3) array ``c`` with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -50,6 +51,8 @@ class Family:
                 raise InvalidFamilyError(f"{self.tag} takes no parameter")
         elif self.a is None:
             raise InvalidFamilyError(f"{self.tag} requires a parameter a")
+        elif not math.isfinite(self.a):
+            raise InvalidFamilyError(f"{self.tag} requires a finite parameter a, got {self.a}")
         elif self.tag == "r3_a" and not -1 <= self.a <= 1:
             raise InvalidFamilyError(f"r3_a requires -1 <= a <= 1, got {self.a}")
         elif self.tag == "r3p_a" and not self.a >= 0:

@@ -138,19 +138,12 @@ def lower_triangular_lq(g: np.ndarray, det_tol: float = 1e-9):
     return lower, k
 
 
-def orthonormalize(vectors, tol: float = 1e-12) -> list[np.ndarray]:
-    """Modified Gram-Schmidt on flat float vectors, dropping dependents.
+def orthonormalize(vectors, tol: float = 1e-12) -> np.ndarray:
+    """Orthonormal basis of the span of flat float vectors, one per row.
 
-    Two projection passes per vector keep the basis orthonormal to machine
-    precision even when the input is badly conditioned.
+    The rows are the right singular vectors whose singular values exceed
+    ``tol``, so dependent inputs are dropped.
     """
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = np.asarray(v, dtype=float).copy()
-        for _ in range(2):
-            for b in basis:
-                w -= (w @ b) * b
-        nrm = np.linalg.norm(w)
-        if nrm > tol:
-            basis.append(w / nrm)
-    return basis
+    a = np.asarray(vectors, dtype=float)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    return vt[:int(np.sum(s > tol))]

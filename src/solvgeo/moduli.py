@@ -14,13 +14,15 @@ whose factors are recorded step by step in a :class:`ReductionTrace`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .errors import InvalidFamilyError, NonSPDMetricError
+from .curvature import _gram_cholesky
+from .errors import InvalidFamilyError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
 
@@ -49,14 +51,7 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
     g is upper triangular with positive diagonal; any other solution
     differs by an orthogonal factor on the right.
     """
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != (3, 3) or not np.allclose(gram, gram.T, atol=1e-12 * max(1.0, np.abs(gram).max())):
-        raise NonSPDMetricError("Gram matrix must be symmetric 3x3")
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise NonSPDMetricError("Gram matrix is not positive definite") from None
-    return np.linalg.inv(chol.T)
+    return np.linalg.inv(_gram_cholesky(gram)[1].T)
 
 
 def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
@@ -81,12 +76,12 @@ def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
 
 
 def _check_lambda(family: Family, lam: float) -> None:
+    if not math.isfinite(lam):
+        raise InvalidFamilyError(f"lambda must be finite, got {lam}")
     if family.tag == "r3" and not lam > 0:
         raise InvalidFamilyError(f"r3 requires lambda > 0, got {lam}")
     if family.tag == "r3p_a" and not lam >= 1:
         raise InvalidFamilyError(f"r3p_a requires lambda >= 1, got {lam}")
-    if family.tag == "r3_a" and not np.isfinite(float(lam)):
-        raise InvalidFamilyError("lambda must be finite")
 
 
 def frame_constants(family: Family, lam: float, exact: bool = False) -> StructureConstants:

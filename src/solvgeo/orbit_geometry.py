@@ -18,15 +18,18 @@ import numpy as np
 from . import linalg
 from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra, scalar_plus
 from .lie_core import Family, make_family
-from .moduli import metric_to_group, reduce
+from .moduli import reduce
 
 SYM_DIM = 6
+# rank cutoff on the singular values of dpi restricted to u', which lie in [0, 1]
+RANK_TOL = 1e-9
 
 
 def dpi(x: np.ndarray) -> np.ndarray:
-    """Tangent value of the action of x at the base point."""
+    """Tangent value of the action of x at the base point; x may be a
+    stack of matrices."""
     x = np.asarray(x, dtype=float)
-    return (x + x.T) / 2.0
+    return (x + np.swapaxes(x, -1, -2)) / 2.0
 
 
 def trace_form(x: np.ndarray, y: np.ndarray) -> float:
@@ -62,53 +65,31 @@ class OrbitData:
 def orbit_data(subspace: MatrixSubspace) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
-    The tangent space is an orthonormalization of dpi(u'); the stabilizer
-    is the kernel of dpi restricted to u' (antisymmetric members); each
-    tangent vector gets a lift in u' chosen Frobenius-orthogonal to the
-    stabilizer, which makes the lift unique and the mean curvature
-    well defined on singular orbits.
+    With q an orthonormal basis of u', the matrix P of dpi(q) in sym_basis
+    coordinates has singular values in [0, 1].  Its SVD P = U S W^T with
+    rank r gives everything at once: the tangent space U[:, :r], the
+    normal space U[:, r:], the stabilizer (the kernel of dpi on u', its
+    antisymmetric members) W^T[r:] on q, and the lifts W^T[:r] / S[:r] on
+    q, which map onto the tangent basis and are Frobenius-orthogonal to
+    the stabilizer, so the mean curvature is well defined on singular
+    orbits too.
     """
-    b = subspace.basis
-    sym = sym_basis()
-    # coordinates of dpi(B_i) in the orthonormal sym basis
-    p = np.array([[trace_form(dpi(bi), s) for bi in b] for s in sym])
-    stab_coords = linalg.nullspace(p)
-    stab_vecs = linalg.orthonormalize(
-        [sum(x[i] * b[i] for i in range(len(b))).ravel() for x in stab_coords])
-    stabilizer = tuple(v.reshape(3, 3) for v in stab_vecs)
+    q = linalg.orthonormalize(subspace.stacked()).reshape(-1, 3, 3)
+    sym = np.array(sym_basis())
+    p = np.einsum("sab,kab->sk", sym, dpi(q))
+    u, sigma, wt = np.linalg.svd(p)
+    r = int(np.sum(sigma > RANK_TOL))
+    # sign convention: the first sizable sym coordinate of a normal is positive
+    normal_coords = [-c if c[np.abs(c) > 1e-12][0] < 0 else c for c in u[:, r:].T]
+    return OrbitData(subspace=subspace, tangent=_combine(u[:, :r].T, sym),
+                     normals=_combine(normal_coords, sym),
+                     lifts=_combine(wt[:r] / sigma[:r, None], q),
+                     stabilizer=_combine(wt[r:], q), orbit_dim=r, stab_dim=len(q) - r)
 
-    tangent_vecs = linalg.orthonormalize([dpi(bi).ravel() for bi in b])
-    tangent = tuple(v.reshape(3, 3) for v in tangent_vecs)
 
-    collected = list(tangent_vecs)
-    normals = []
-    for s in sym:
-        w = s.ravel().copy()
-        for _ in range(2):
-            for v in collected:
-                w -= (w @ v) * v
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-9:
-            w = w / nrm
-            collected.append(w)
-            normals.append(w.reshape(3, 3))
-
-    lifts = []
-    for t in tangent:
-        coords = np.array([trace_form(t, s) for s in sym])
-        x, *_ = np.linalg.lstsq(p, coords, rcond=None)
-        lift = sum(x[i] * b[i] for i in range(len(b)))
-        for s in stabilizer:
-            lift = lift - np.sum(lift * s) * s
-        lifts.append(lift)
-
-    od = OrbitData(subspace=subspace, tangent=tangent, normals=tuple(normals),
-                   lifts=tuple(lifts), stabilizer=stabilizer,
-                   orbit_dim=len(tangent), stab_dim=len(stabilizer))
-    if od.orbit_dim + od.stab_dim != subspace.dim or od.orbit_dim + len(normals) != SYM_DIM:
-        raise ArithmeticError("tangent/stabilizer split does not add up; "
-                              "the input basis is likely ill conditioned")
-    return od
+def _combine(coeffs, basis: np.ndarray) -> tuple:
+    """The matrices sum_k c[k] basis[k], one per coefficient row c."""
+    return tuple(np.einsum("k,kab->ab", c, basis) for c in coeffs)
 
 
 def second_fundamental_form(od: OrbitData) -> np.ndarray:
@@ -118,15 +99,10 @@ def second_fundamental_form(od: OrbitData) -> np.ndarray:
     basis T_j and A_n runs over the orthonormal normals.  Symmetry in
     (i, j) reflects closure of u' under the matrix commutator.
     """
-    n_norm = len(od.normals)
-    k = od.orbit_dim
-    h = np.zeros((n_norm, k, k))
-    for n, a in enumerate(od.normals):
-        for i, x in enumerate(od.lifts):
-            da = dpi(a @ x - x @ a)
-            for j, t in enumerate(od.tangent):
-                h[n, i, j] = -trace_form(da, t)
-    return h
+    a = np.reshape(od.normals, (-1, 1, 3, 3))
+    x = np.reshape(od.lifts, (1, -1, 3, 3))
+    t = np.reshape(od.tangent, (-1, 3, 3))
+    return -np.einsum("niab,jba->nij", dpi(a @ x - x @ a), t)
 
 
 @dataclass(frozen=True)
@@ -151,14 +127,11 @@ def mean_curvature(subspace: MatrixSubspace) -> MeanCurvatureResult:
     if od.orbit_dim == 0:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
     shape = second_fundamental_form(od)
-    per_normal = []
-    h = np.zeros((3, 3))
-    for n, a in enumerate(od.normals):
-        val = float(np.trace(shape[n]) / od.orbit_dim)
-        per_normal.append((a, val))
-        h = h + val * a
+    vals = np.trace(shape, axis1=1, axis2=2) / od.orbit_dim
+    h = np.einsum("n,nab->ab", vals, np.reshape(od.normals, (-1, 3, 3)))
     return MeanCurvatureResult(h=h, norm=float(np.linalg.norm(h)),
-                               per_normal=tuple(per_normal),
+                               per_normal=tuple((a, float(v))
+                                                for a, v in zip(od.normals, vals)),
                                orbit_dim=od.orbit_dim, stab_dim=od.stab_dim)
 
 

@@ -64,15 +64,6 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     return _project(ric, derivation_algebra(sc), tol)
 
 
-def einstein_check(sc: StructureConstants, gram: np.ndarray,
-                   tol: float = DEFAULT_TOL):
-    """Returns (is_einstein, c) for Ric = c*I, c = scalar/3."""
-    ric = ricci_operator(metric_data(sc, gram)).ric_frame
-    c = float(np.trace(ric) / 3.0)
-    residual = float(np.linalg.norm(ric - c * np.eye(3)))
-    return residual <= tol, c
-
-
 def soliton_from_frame(family: Family, lam: float,
                        tol: float = DEFAULT_TOL) -> SolitonVerdict:
     """Solvsoliton test at the canonical representative g_lambda.

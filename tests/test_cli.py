@@ -166,6 +166,14 @@ def test_verify_explicit_lambdas(capsys):
     assert rows[1]["is_soliton"] == "false" and rows[1]["orbit_dim"] == "5"
 
 
+def test_verify_near_round_point(capsys):
+    code, out = run(capsys, ["verify", "--family", "r3pa:a=1.0",
+                             "--lambda", "1.00000000001", "--format", "csv"])
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["orbit_dim"] == "4" and row["agrees"] == "true"
+
+
 def test_verify_grid_flag(capsys):
     code, out = run(capsys, ["verify", "--family", "h3", "--grid", "1:1:1",
                              "--format", "csv"])
@@ -210,6 +218,20 @@ def test_verify_disagreement_exit_code(capsys):
 def test_invalid_configurations_exit_2(capsys, argv):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--family", "r3pa:a=inf", "--lambda", "2"], "requires a finite parameter"),
+    (["verify", "--family", "r3", "--lambda", "inf"], "lambda must be finite"),
+    (["ricci", "--family", "h3", "--gram", "1", "0", "0", "0", "nan", "0", "0", "0", "1"],
+     "entry (2, 2) is not finite: nan"),
+    (["reduce", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "inf"],
+     "entry (3, 3) is not finite: inf"),
+])
+def test_non_finite_input_named(capsys, argv, message):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_unknown_format_rejected_by_argparse(capsys):

@@ -18,6 +18,8 @@ def test_metric_data_validation():
         metric_data(sc, np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
     with pytest.raises(NonSPDMetricError):
         metric_data(sc, np.eye(2))
+    with pytest.raises(NonSPDMetricError, match=r"entry \(2, 2\) is not finite: nan"):
+        metric_data(sc, np.diag([1.0, np.nan, 1.0]))
 
 
 def test_frame_orthonormalizes_metric():

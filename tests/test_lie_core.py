@@ -42,6 +42,7 @@ def test_parse_family_separate_parameter():
     lambda: Family("r3_a", 1.5),                 # out of range
     lambda: Family("r3_a", -2.0),
     lambda: Family("r3p_a", -0.1),
+    lambda: Family("r3p_a", float("inf")),       # not finite
     lambda: Family("r3p_a"),
     lambda: Family("h3", 1.0),                   # no parameter allowed
     lambda: Family("bogus"),

@@ -34,6 +34,11 @@ def test_metric_to_group_rejects_non_spd():
         metric_to_group(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(NonSPDMetricError):
         metric_to_group(np.array([[1, 0.3, 0], [0, 1, 0], [0, 0, 1.0]]))
+    # the symmetry test has no relative slack, as in metric_data
+    with pytest.raises(NonSPDMetricError, match="not symmetric"):
+        metric_to_group(np.array([[1, 1e-7, 0], [0, 1, 0], [0, 0, 1.0]]))
+    with pytest.raises(NonSPDMetricError, match=r"entry \(1, 2\) is not finite"):
+        metric_to_group(np.array([[1, np.inf, 0], [0, 1, 0], [0, 0, 1.0]]))
 
 
 def test_rep_matrix_shapes():
@@ -55,6 +60,13 @@ def test_rep_matrix_lambda_ranges():
         rep_matrix(Family("r3p_a", 1.0), 0.99)
     with pytest.raises(InvalidFamilyError):
         rep_matrix(Family("r3_a", 0.5), float("nan"))
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+@pytest.mark.parametrize("lam", [float("inf"), float("-inf"), float("nan")])
+def test_rep_matrix_rejects_non_finite_lambda(fam, lam):
+    with pytest.raises(InvalidFamilyError, match="lambda must be finite"):
+        rep_matrix(fam, lam)
 
 
 def test_frame_constants_shapes():

@@ -141,6 +141,16 @@ def test_r3p_a_round_point_orbit_degenerates(a):
     assert r.norm < 1e-12
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0])
+@pytest.mark.parametrize("lam", [1 + 1e-10, 1 + 1e-11, 1 + 1e-12])
+def test_r3p_a_near_round_point_one_rank_decision(a, lam):
+    # dpi on u' has one singular value of about lam - 1, below the rank cutoff
+    fam = Family("r3p_a", a)
+    r = orbit_at(fam, rep_matrix(fam, lam))
+    assert r.orbit_dim == 4 and r.stab_dim == 1
+    assert r.norm < 1e-12
+
+
 @pytest.mark.parametrize("tag", ["h3", "r3_1"])
 def test_transitive_orbits_fill_sym(tag):
     rng = np.random.default_rng(29)

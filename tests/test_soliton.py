@@ -7,7 +7,7 @@ from solvgeo.derivations import derivation_algebra, derivation_residual
 from solvgeo.errors import InvalidFamilyError
 from solvgeo.lie_core import Family, make_family
 from solvgeo.moduli import milnor_data
-from solvgeo.soliton import einstein_check, soliton_from_frame, solvsoliton_check
+from solvgeo.soliton import soliton_from_frame, solvsoliton_check
 
 
 @pytest.mark.parametrize("a", [-1.0, -0.5, 0.0, 0.5])
@@ -34,8 +34,6 @@ def test_r3p_a_identity_is_einstein(a):
     verdict = solvsoliton_check(make_family(Family("r3p_a", a)), np.eye(3))
     assert verdict.is_soliton and verdict.is_einstein
     assert verdict.certificate.c == pytest.approx(-2 * a * a, abs=1e-10)
-    ok, c = einstein_check(make_family(Family("r3p_a", a)), np.eye(3))
-    assert ok and c == pytest.approx(-2 * a * a, abs=1e-10)
 
 
 def test_h3_identity_certificate():
