@@ -8,6 +8,7 @@ subgroup of GL(3) whose orbits are studied in :mod:`solvgeo.orbit_geometry`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +32,26 @@ def _normalize(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return -mat if lead < 0 else mat
 
 
-@dataclass(frozen=True)
+# conjugating matrices with a larger 2-norm condition number count as singular
+COND_LIMIT = 1e12
+# float Der(g) and span{I} + Der results kept per input content
+MEMO_SIZE = 128
+
+
+@dataclass(frozen=True, eq=False)
 class MatrixSubspace:
-    """A subspace of 3x3 matrices given by a normalized, independent basis."""
+    """A subspace of 3x3 matrices given by a normalized, independent basis.
+
+    The basis arrays are read-only, so one instance can be shared.  ``==``
+    and ``hash`` are by identity; ``subspace_equal`` compares spans.
+    """
 
     basis: tuple
 
     def __post_init__(self):
         normalized = tuple(_normalize(b) for b in self.basis)
+        for b in normalized:
+            b.setflags(write=False)
         object.__setattr__(self, "basis", normalized)
         if normalized:
             stacked = np.array([b.ravel() for b in normalized])
@@ -60,10 +73,23 @@ def derivation_algebra(sc: StructureConstants, tol: float = linalg.PIVOT_TOL) ->
     The identity D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over all basis pairs
     i < j is a linear system in the 9 entries of D; the kernel of the
     resulting coefficient matrix is computed exactly when ``sc`` is exact
-    and in float64 with pivot threshold ``tol`` otherwise.
+    and in float64 with pivot threshold ``tol`` otherwise.  Float results
+    are memoized on the content of the tensor, so an edited tensor is
+    solved afresh; the exact lane always solves.
     """
-    n = sc.dim
-    c = sc.c
+    if sc.exact:
+        return _derivation_kernel(sc.c, tol)
+    c = np.ascontiguousarray(sc.c, dtype=float)
+    return _float_derivations(c.tobytes(), c.shape, tol)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _float_derivations(data: bytes, shape: tuple, tol: float) -> MatrixSubspace:
+    return _derivation_kernel(np.frombuffer(data).reshape(shape), tol)
+
+
+def _derivation_kernel(c: np.ndarray, tol: float) -> MatrixSubspace:
+    n = c.shape[0]
     zero = c[0, 0, 0] * 0
     rows = []
     for i in range(n):
@@ -79,7 +105,7 @@ def derivation_algebra(sc: StructureConstants, tol: float = linalg.PIVOT_TOL) ->
                             entry = entry - c[i, m, l]
                         row.append(entry)
                 rows.append(row)
-    a = np.array(rows, dtype=object if sc.exact else float)
+    a = np.array(rows, dtype=object if linalg.is_exact(c) else float)
     kernel = linalg.nullspace(a, tol)
     return MatrixSubspace(tuple(v.reshape(n, n) for v in kernel))
 
@@ -100,19 +126,32 @@ def derivation_residual(sc: StructureConstants, d: np.ndarray) -> float:
 
 
 def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspace:
-    """The subspace g^-1 S g; the basis is re-normalized, dimension preserved."""
+    """The subspace g^-1 S g; the basis is re-normalized, dimension preserved.
+
+    Singularity is judged by the condition number, so g and s*g are
+    accepted or rejected together, as they give the same subspace.
+    """
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) < 1e-12:
+    if not np.isfinite(g).all():
+        raise SingularMatrixError("conjugating matrix is not finite")
+    if np.linalg.cond(g) > COND_LIMIT:
         raise SingularMatrixError("conjugating matrix is singular")
     ginv = np.linalg.inv(g)
     return MatrixSubspace(tuple(ginv @ b @ g for b in subspace.basis))
 
 
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:
-    """span(S + R*I), reduced back to a normalized independent basis."""
-    rows = list(subspace.stacked())
-    rows.append(np.eye(3).ravel())
-    basis = linalg.row_space_basis(np.array(rows))
+    """span(S + R*I), reduced back to a normalized independent basis.
+
+    Memoized on the content of the basis.
+    """
+    return _scalar_plus(subspace.stacked().tobytes())
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _scalar_plus(data: bytes) -> MatrixSubspace:
+    rows = np.vstack([np.frombuffer(data).reshape(-1, 9), np.eye(3).ravel()])
+    basis = linalg.row_space_basis(rows)
     return MatrixSubspace(tuple(v.reshape(3, 3) for v in basis))
 
 

@@ -49,6 +49,11 @@ def sym_basis() -> list[np.ndarray]:
     return basis
 
 
+# sym_basis() as one read-only (6, 3, 3) stack, built once
+SYM_BASIS = np.array(sym_basis())
+SYM_BASIS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class OrbitData:
     """Tangent/normal split of an orbit with stabilizer and lifts."""
@@ -75,14 +80,13 @@ def orbit_data(subspace: MatrixSubspace) -> OrbitData:
     orbits too.
     """
     q = linalg.orthonormalize(subspace.stacked()).reshape(-1, 3, 3)
-    sym = np.array(sym_basis())
-    p = np.einsum("sab,kab->sk", sym, dpi(q))
+    p = np.einsum("sab,kab->sk", SYM_BASIS, dpi(q))
     u, sigma, wt = np.linalg.svd(p)
     r = int(np.sum(sigma > RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
     normal_coords = [-c if c[np.abs(c) > 1e-12][0] < 0 else c for c in u[:, r:].T]
-    return OrbitData(subspace=subspace, tangent=_combine(u[:, :r].T, sym),
-                     normals=_combine(normal_coords, sym),
+    return OrbitData(subspace=subspace, tangent=_combine(u[:, :r].T, SYM_BASIS),
+                     normals=_combine(normal_coords, SYM_BASIS),
                      lifts=_combine(wt[:r] / sigma[:r, None], q),
                      stabilizer=_combine(wt[r:], q), orbit_dim=r, stab_dim=len(q) - r)
 

@@ -126,6 +126,21 @@ def test_orbit_dims(capsys):
     assert data["H_norm"] == 0.0
 
 
+def test_orbit_gram_scale_invariant(capsys):
+    # conjugating by s*g is conjugating by g, so |H| cannot depend on scale
+    def h_norm(scale):
+        gram = [repr(scale * x) for x in (1, 0, 0, 0, 1, 0.5, 0, 0.5, 1)]
+        code, out = run(capsys, ["orbit", "--family", "r3a:a=0.5", "--gram"]
+                        + gram + ["--format", "json"])
+        assert code == 0
+        return json.loads(out)["H_norm"]
+
+    base = h_norm(1.0)
+    assert base == pytest.approx(np.sqrt(2) / 10, abs=1e-12)
+    for scale in (1e9, 1e12):
+        assert h_norm(scale) == pytest.approx(base, abs=1e-12)
+
+
 def test_verify_csv_header_and_fields(capsys):
     code, out = run(capsys, ["verify", "--family", "r3", "--format", "csv"])
     assert code == 0

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import FAMILIES, unit
 from oracles import derivation_basis_sympy, pattern_subspace
+from solvgeo import cli, derivations, linalg
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, derivation_residual,
                                  scalar_plus, subspace_equal,
@@ -143,6 +144,22 @@ def test_conjugate_singular_raises():
     der = derivation_algebra(make_family(Family("r3")))
     with pytest.raises(SingularMatrixError):
         conjugate_subspace(der, np.zeros((3, 3)))
+    with pytest.raises(SingularMatrixError):
+        conjugate_subspace(der, np.diag([1.0, 1.0, 1e-13]))
+    for bad in (np.nan, np.inf):
+        g = np.eye(3)
+        g[1, 2] = bad
+        with pytest.raises(SingularMatrixError, match="not finite"):
+            conjugate_subspace(der, g)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+def test_conjugation_is_scale_invariant(scale):
+    # g and s*g conjugate to the same subspace, so both must be accepted
+    der = derivation_algebra(make_family(Family("r3_a", 0.5)))
+    g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.8]])
+    assert subspace_equal(conjugate_subspace(der, scale * g),
+                          conjugate_subspace(der, g), tol=1e-9)
 
 
 def test_membership_residual_lower_bound():
@@ -201,3 +218,109 @@ def test_matrix_subspace_rejects_dependent_basis():
         MatrixSubspace((np.eye(3), 2 * np.eye(3)))
     with pytest.raises(ValueError):
         MatrixSubspace((np.zeros((3, 3)),))
+
+
+def test_matrix_subspace_equality_is_identity():
+    s1 = derivation_algebra(make_family(Family("r3")))
+    s2 = MatrixSubspace(s1.basis)
+    assert s1 == s1
+    assert s1 != s2
+    assert len({s1, s2, s1}) == 2
+    assert subspace_equal(s1, s2)
+
+
+# ---------------------------------------------------------- float-lane memo
+
+def _clear_memos():
+    derivations._float_derivations.cache_clear()
+    derivations._scalar_plus.cache_clear()
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_memo_cold_and_warm_results_byte_identical(fam):
+    _clear_memos()
+    cold = derivation_algebra(make_family(fam))
+    cold_plus = scalar_plus(cold)
+    warm = derivation_algebra(make_family(fam))  # an equal, distinct tensor
+    warm_plus = scalar_plus(warm)
+    assert derivations._float_derivations.cache_info().hits == 1
+    assert derivations._scalar_plus.cache_info().hits == 1
+    assert warm.stacked().tobytes() == cold.stacked().tobytes()
+    assert warm_plus.stacked().tobytes() == cold_plus.stacked().tobytes()
+    # and both equal a computation that bypasses the memo
+    fresh = derivations._derivation_kernel(make_family(fam).c, linalg.PIVOT_TOL)
+    assert fresh.stacked().tobytes() == cold.stacked().tobytes()
+
+
+def test_memo_verify_json_cold_and_warm_identical(capsys):
+    argv = ["verify", "--family", "r3pa:a=2.0", "--format", "json"]
+    _clear_memos()
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    warm = capsys.readouterr().out
+    assert derivations._float_derivations.cache_info().hits > 0
+    assert cold == warm
+
+
+def test_memo_results_are_read_only():
+    der = derivation_algebra(make_family(Family("r3")))
+    for sub in (der, scalar_plus(der)):
+        with pytest.raises(ValueError):
+            sub.basis[0][0, 0] = 5.0
+    assert not der.basis[0].flags.writeable
+
+
+def test_memo_sees_in_place_edit():
+    sc = make_family(Family("r3_a", 0.5))
+    assert derivation_algebra(sc).dim == 4
+    sc.c[0, 2, 2], sc.c[2, 0, 2] = 1.0, -1.0  # now the brackets of r3_1
+    der = derivation_algebra(sc)
+    assert der.dim == 6
+    assert subspace_equal(der, derivation_algebra(make_family(Family("r3_1"))))
+    assert scalar_plus(der).dim == 7
+
+
+def test_memo_is_bounded():
+    _clear_memos()
+    for a in np.linspace(-0.99, 0.99, 200):
+        scalar_plus(derivation_algebra(make_family(Family("r3_a", float(a)))))
+    assert derivations._float_derivations.cache_info().misses == 200
+    assert derivations._float_derivations.cache_info().currsize <= derivations.MEMO_SIZE
+    assert derivations._scalar_plus.cache_info().currsize <= derivations.MEMO_SIZE
+    assert derivations.MEMO_SIZE == 128
+
+
+def test_exact_lane_bypasses_memo():
+    before = derivations._float_derivations.cache_info()
+    der = derivation_algebra(make_family(Family("r3p_a", 0.5), exact=True))
+    assert der.dim == 4
+    after = derivations._float_derivations.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_warm_verify_sweeps_do_no_row_reduction(monkeypatch):
+    # once each family is warm, the 8 acceptance sweeps (377 rows) solve no
+    # derivation system and reduce no span{I} + Der
+    families = [Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
+    families += [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)]
+    for fam in families:
+        scalar_plus(derivation_algebra(make_family(fam)))
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "nullspace", counting(linalg.nullspace))
+    monkeypatch.setattr(linalg, "row_space_basis", counting(linalg.row_space_basis))
+    rows = 0
+    for fam in families:
+        out, status = cli.verify_main_theorem(
+            cli.RunConfig(family=fam, grid=cli.default_grid(fam)))
+        assert status == 0
+        rows += len(out)
+    assert rows == 377
+    assert calls == []
