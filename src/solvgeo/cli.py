@@ -27,6 +27,7 @@ from .errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
 from .lie_core import FAMILY_TAGS, Family, jacobi_residual, make_family, parse_family
 
 _FAMILY_HELP = "family string: h3, r3, r3_1, r3a:a=<float>, r3pa:a=<float>"
+_EXACT_HELP = "build structure constants in exact rationals"
 
 _DESCRIPTIONS = {
     "h3": "[e1,e2] = e3 (Heisenberg)",
@@ -351,7 +352,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
-                exact: bool = False, family_required: bool = True):
+                exact: str | None = None, family_required: bool = True):
     p.add_argument("--family", required=family_required, help=_FAMILY_HELP)
     p.add_argument("--a", type=float, default=None,
                    help="family parameter, if not embedded in --family")
@@ -366,8 +367,7 @@ def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
         p.add_argument("--tol", type=float, default=1e-8,
                        help="tolerance (default 1e-8)")
     if exact:
-        p.add_argument("--exact", action="store_true",
-                       help="build structure constants in exact rationals")
+        p.add_argument("--exact", action="store_true", help=exact)
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table", help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
@@ -381,15 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("families", help="list the classified families")
-    _add_common(p, exact=True, family_required=False)
+    _add_common(p, exact=_EXACT_HELP, family_required=False)
     p.set_defaults(fn=_cmd_families)
 
     p = sub.add_parser("ricci", help="Ricci operator of a metric")
-    _add_common(p, gram=True, exact=True)
+    _add_common(p, gram=True, exact=_EXACT_HELP + "; the Ricci operator itself "
+                "is still computed in float64")
     p.set_defaults(fn=_cmd_ricci)
 
     p = sub.add_parser("der", help="derivation algebra of a family")
-    _add_common(p, lam=True, exact=True)
+    _add_common(p, lam=True, exact=_EXACT_HELP)
     p.set_defaults(fn=_cmd_der)
 
     p = sub.add_parser("reduce", help="canonical representative of a metric")

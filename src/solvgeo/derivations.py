@@ -72,13 +72,15 @@ def derivation_algebra(sc: StructureConstants, tol: float = linalg.PIVOT_TOL) ->
 
     The identity D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over all basis pairs
     i < j is a linear system in the 9 entries of D; the kernel of the
-    resulting coefficient matrix is computed exactly when ``sc`` is exact
+    resulting coefficient matrix is computed exactly (on the integer
+    multiple of ``c`` that clears its denominators) when ``sc`` is exact
     and in float64 with pivot threshold ``tol`` otherwise.  Float results
     are memoized on the content of the tensor, so an edited tensor is
     solved afresh; the exact lane always solves.
     """
     if sc.exact:
-        return _derivation_kernel(sc.c, tol)
+        # the identity is linear and homogeneous in c: Der(t c) = Der(c)
+        return _derivation_kernel(linalg.integer_numerators(sc.c)[0], tol)
     c = np.ascontiguousarray(sc.c, dtype=float)
     return _float_derivations(c.tobytes(), c.shape, tol)
 
@@ -90,7 +92,9 @@ def _float_derivations(data: bytes, shape: tuple, tol: float) -> MatrixSubspace:
 
 def _derivation_kernel(c: np.ndarray, tol: float) -> MatrixSubspace:
     n = c.shape[0]
-    zero = c[0, 0, 0] * 0
+    dtype = object if linalg.is_exact(c) else float
+    c = c.tolist()
+    zero = c[0][0][0] * 0
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -98,15 +102,14 @@ def _derivation_kernel(c: np.ndarray, tol: float) -> MatrixSubspace:
                 row = []
                 for m in range(n):
                     for k in range(n):
-                        entry = c[i, j, k] if m == l else zero
+                        entry = c[i][j][k] if m == l else zero
                         if k == i:
-                            entry = entry - c[m, j, l]
+                            entry = entry - c[m][j][l]
                         if k == j:
-                            entry = entry - c[i, m, l]
+                            entry = entry - c[i][m][l]
                         row.append(entry)
                 rows.append(row)
-    a = np.array(rows, dtype=object if linalg.is_exact(c) else float)
-    kernel = linalg.nullspace(a, tol)
+    kernel = linalg.nullspace(np.array(rows, dtype=dtype), tol)
     return MatrixSubspace(tuple(v.reshape(n, n) for v in kernel))
 
 

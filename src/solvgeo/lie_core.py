@@ -107,7 +107,7 @@ class StructureConstants:
         return self.c.dtype == object
 
     def to_float(self) -> "StructureConstants":
-        return StructureConstants(linalg.to_float(self.c).reshape(self.c.shape))
+        return StructureConstants(linalg.to_float(self.c))
 
     def nonzero(self) -> list[tuple[int, int, int, float | Fraction]]:
         """Entries (i, j, k, c_ij^k) with i < j and nonzero value."""
@@ -172,28 +172,54 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     """Structure constants on the new basis x_i = h e_i.
 
     c'_ij^k = sum_r (h^-1)[k,r] * sum_pq h[p,i] h[q,j] c[p,q,r].  The result
-    is exact only when both the constants and h are exact.
+    is exact only when both the constants and h are exact; the exact lane
+    contracts integer numerators (h^-1 through the adjugate of h's) and
+    divides once per entry.
     """
     h = np.asarray(h)
     n = sc.dim
     if h.shape != (n, n):
         raise ValueError(f"basis matrix must be {n}x{n}")
-    exact = sc.exact and h.dtype == object
-    c = sc.c
-    if not exact:
-        h = linalg.to_float(h)
-        c = linalg.to_float(c).reshape(n, n, n)
-        if abs(np.linalg.det(h)) < 1e-12:
+    if sc.exact and h.dtype == object:
+        c, dc = linalg.integer_numerators(sc.c)
+        h, dh = linalg.integer_numerators(h)
+        hinv, det = _adjugate(h)
+        if det == 0:
             raise SingularMatrixError("basis change matrix is singular")
-    hinv = linalg.inv(h)
+        # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
+        return StructureConstants(_ratios(_contract(c, h, hinv), dc * dh * det))
+    h = linalg.to_float(h)
+    c = linalg.to_float(sc.c)
+    if abs(np.linalg.det(h)) < 1e-12:
+        raise SingularMatrixError("basis change matrix is singular")
+    return StructureConstants(_contract(c, h, np.linalg.inv(h)))
+
+
+def _contract(c: np.ndarray, h: np.ndarray, hinv: np.ndarray) -> np.ndarray:
+    n = c.shape[0]
     w = [np.dot(np.dot(h.T, c[:, :, r]), h) for r in range(n)]
-    cprime = _zeros(exact)
+    cprime = np.zeros((n, n, n), dtype=c.dtype)
     for k in range(n):
         acc = hinv[k, 0] * w[0]
         for r in range(1, n):
             acc = acc + hinv[k, r] * w[r]
         cprime[:, :, k] = acc
-    return StructureConstants(cprime)
+    return cprime
+
+
+def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Adjugate and determinant of a 3x3 integer matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    adj = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
+                    [f * g - d * i, a * i - c * g, c * d - a * f],
+                    [d * h - e * g, b * g - a * h, a * e - b * d]], dtype=object)
+    return adj, a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
+
+
+def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
+    """Object array of the Fractions nums / den, zeros shared."""
+    return np.array([Fraction(x, den) if x else linalg.ZERO for x in nums.ravel()],
+                    dtype=object).reshape(nums.shape)
 
 
 def antisymmetry_residual(sc: StructureConstants) -> float:

@@ -255,6 +255,19 @@ def test_unknown_format_rejected_by_argparse(capsys):
     assert exc.value.code == 2
 
 
+def test_ricci_exact_help_says_float64(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ricci", "--help"])
+    assert exc.value.code == 0
+    assert "computed in float64" in " ".join(capsys.readouterr().out.split())
+
+
+def test_ricci_exact_output_equals_float_output(capsys):
+    argv = ["ricci", "--family", "r3pa:a=0.375", "--gram", "2", "0", "0", "0", "1", "0.5",
+            "0", "0.5", "1", "--format", "json"]
+    assert run(capsys, argv + ["--exact"]) == run(capsys, argv)
+
+
 def test_table_output_aligned(capsys):
     code, out = run(capsys, ["verify", "--family", "h3"])
     assert code == 0

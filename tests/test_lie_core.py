@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import FAMILIES
+from solvgeo.curvature import ricci_closed_form
 from solvgeo.errors import InvalidFamilyError, SingularMatrixError
 from solvgeo.lie_core import (Family, StructureConstants, antisymmetry_residual,
                               bracket, change_basis, jacobi_residual,
@@ -135,6 +136,57 @@ def test_change_basis_exact_lane():
     assert out.c[0, 1, 2] == Fraction(-3, 2)
     assert out.c[0, 2, 2] == Fraction(1, 2)
     assert jacobi_residual(out) == 0.0
+
+
+def _exact(rows):
+    return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
+
+@pytest.mark.parametrize("h", [
+    [[Fraction(1, 3), 2, 0], [0, 0, 0], [Fraction(-5, 7), 1, 4]],
+    [[Fraction(1, 3), 2, 0], [Fraction(2, 3), 4, 0], [Fraction(-5, 7), 1, 4]],
+], ids=["zero_row", "rank_2"])
+def test_change_basis_exact_singular(h):
+    sc = make_family(Family("r3p_a", Fraction(3, 8)), exact=True)
+    with pytest.raises(SingularMatrixError):
+        change_basis(sc, _exact(h))
+
+
+LAMBDAS = (Fraction(-7, 3), Fraction(1, 8), Fraction(37, 5), Fraction(32))
+
+
+def _frame_tensor(x12, x13):
+    """[x1,x2] = x12 . x, [x1,x3] = x13 . x, [x2,x3] = 0, as a (3,3,3) list."""
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1], c[0][2] = list(x12), list(x13)
+    c[1][0], c[2][0] = [-x for x in x12], [-x for x in x13]
+    return c
+
+
+@pytest.mark.parametrize("tag,k", [("r3_a", k) for k in (-8, -3, 0, 5, 8)]
+                         + [("r3p_a", k) for k in (0, 3, 8, 21)])
+@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+def test_change_basis_exact_frame_closed_forms(tag, k, lam):
+    # the frame x_i = g_lambda e_i, with g_lambda's shape for any lambda != 0
+    a = Fraction(k, 8)
+    one, zero = Fraction(1), Fraction(0)
+    if tag == "r3_a":
+        h = _exact([[1, 0, 0], [0, 1, 0], [0, lam, 1]])
+        want = _frame_tensor((zero, one, lam * (a - 1)), (zero, zero, a))
+        t = lam * lam * (a - 1) ** 2 / 2
+        off = -lam * a * (a - 1)
+        ric = [[-(1 + a * a + t), 0, 0], [0, -(1 + a + t), off], [0, off, -(a + a * a - t)]]
+    else:
+        h = _exact([[1, 0, 0], [0, 1, 0], [0, 0, 1 / lam]])
+        want = _frame_tensor((zero, a, -lam), (zero, 1 / lam, a))
+        s, u = lam - 1 / lam, lam * lam - 1 / (lam * lam)
+        ric = [[-(4 * a * a + s * s) / 2, 0, 0], [0, -(4 * a * a + u) / 2, a * s],
+               [0, a * s, -(4 * a * a - u) / 2]]
+    out = change_basis(make_family(Family(tag, a), exact=True), h)
+    assert all(type(x) is Fraction for x in out.c.ravel())
+    assert out.c.tolist() == want
+    c = out.c
+    assert ricci_closed_form(c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2]).tolist() == ric
 
 
 def test_change_basis_lower_triangular_frame_shape():

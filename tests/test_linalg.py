@@ -1,0 +1,188 @@
+"""The exact lane of linalg against sympy, and the integer-only guard.
+
+Every exact result is compared with sympy's ``Matrix.rref()``,
+``nullspace()`` and ``inv()`` on seeded random rational matrices: dense
+and sparse, rank deficient, with zero rows and columns, 9x9 systems like
+the derivation identity's, and numerators up to 1e20.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from solvgeo import linalg
+from solvgeo.derivations import derivation_algebra
+from solvgeo.errors import SingularMatrixError
+from solvgeo.lie_core import change_basis, make_family
+from solvgeo.moduli import rep_matrix
+
+from helpers import FAMILIES
+
+KINDS = ("dense", "sparse", "low_rank", "zero_lines", "nine")
+
+
+def _entry(rng, big):
+    return Fraction(rng.randint(-big, big), rng.randint(1, 12))
+
+
+def random_rational_matrix(seed):
+    """A seeded rational matrix; the kind cycles through KINDS."""
+    rng = random.Random(seed)
+    kind = KINDS[seed % len(KINDS)]
+    big = 10 ** 20 if seed % 3 == 0 else 9
+    if kind == "nine":
+        m = n = 9
+    else:
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+    if kind == "low_rank":
+        k = rng.randint(0, max(0, min(m, n) - 1))
+        left = [[_entry(rng, big) for _ in range(k)] for _ in range(m)]
+        right = [[_entry(rng, big) for _ in range(n)] for _ in range(k)]
+        rows = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+                 for j in range(n)] for i in range(m)]
+    else:
+        density = 0.4 if kind in ("sparse", "nine") else 1.0
+        rows = [[_entry(rng, big) if rng.random() < density else Fraction(0)
+                 for _ in range(n)] for _ in range(m)]
+    if kind in ("zero_lines", "nine") and rng.random() < 0.7:
+        rows[rng.randrange(m)] = [Fraction(0)] * n
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = Fraction(0)
+    a = np.empty((m, n), dtype=object)
+    a[:] = rows
+    return a
+
+
+def to_sympy(a):
+    return sp.Matrix(a.shape[0], a.shape[1],
+                     lambda i, j: sp.Rational(a[i, j].numerator, a[i, j].denominator))
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def assert_fractions(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_exact_lane_matches_sympy(seed):
+    a = random_rational_matrix(seed)
+    m, n = a.shape
+    want = to_sympy(a)
+    want_rref, want_pivots = want.rref()
+
+    rref, pivots = linalg.row_echelon(a)
+    assert pivots == list(want_pivots)
+    assert_fractions(rref.ravel())
+    assert [list(row) for row in rref] == [
+        [from_sympy(want_rref[i, j]) for j in range(n)] for i in range(m)]
+
+    kernel = linalg.nullspace(a)
+    want_kernel = want.nullspace()
+    assert len(kernel) == len(want_kernel)
+    for v, w in zip(kernel, want_kernel):
+        assert_fractions(v)
+        assert list(v) == [from_sympy(x) for x in w]
+
+    rows = linalg.row_space_basis(a)
+    assert len(rows) == len(want_pivots)
+    for r, row in enumerate(rows):
+        assert_fractions(row)
+        assert list(row) == [from_sympy(want_rref[r, j]) for j in range(n)]
+
+    if m == n:
+        if len(want_pivots) < n:
+            with pytest.raises(SingularMatrixError):
+                linalg.exact_inv(a)
+        else:
+            inv = linalg.exact_inv(a)
+            want_inv = want.inv()
+            assert_fractions(inv.ravel())
+            assert [list(row) for row in inv] == [
+                [from_sympy(want_inv[i, j]) for j in range(n)] for i in range(n)]
+
+
+def test_oracle_matrices_cover_the_cases():
+    mats = [random_rational_matrix(seed) for seed in range(200)]
+    ranks = [len(linalg.row_echelon(a)[1]) for a in mats]
+    assert any(r < min(a.shape) for a, r in zip(mats, ranks))
+    assert any(a.shape == (9, 9) and r == 9 for a, r in zip(mats, ranks))
+    assert any(a.shape == (9, 9) and r < 9 for a, r in zip(mats, ranks))
+    assert any(a.shape[0] == a.shape[1] and r < a.shape[0] for a, r in zip(mats, ranks))
+    assert any(all(x == 0 for x in a[:, j]) for a in mats for j in range(a.shape[1]))
+    assert any(all(x == 0 for x in a[i]) for a in mats for i in range(a.shape[0]))
+    assert max(abs(x.numerator) for a in mats for x in a.ravel()) > 10 ** 19
+
+
+def test_exact_inv_singular_rational():
+    a = np.array([[Fraction(1, 3), Fraction(2, 5), Fraction(-7, 2)],
+                  [Fraction(2, 3), Fraction(4, 5), Fraction(-7)],
+                  [Fraction(5), Fraction(0), Fraction(1, 9)]], dtype=object)
+    with pytest.raises(SingularMatrixError):
+        linalg.exact_inv(a)
+
+
+def test_integer_numerators():
+    a = np.array([Fraction(1, 6), Fraction(-3, 4), 2, Fraction(0)], dtype=object)
+    nums, d = linalg.integer_numerators(a)
+    assert d == 12
+    assert list(nums) == [2, -9, 24, 0]
+    assert all(type(x) is int for x in nums)
+    mixed = np.array([np.int64(3), 0.25, Fraction(1, 3)], dtype=object)
+    nums, d = linalg.integer_numerators(mixed)
+    assert (list(nums), d) == ([36, 3, 4], 12)
+    assert all(type(x) is int for x in nums)
+
+
+def test_to_float_matches_float_of_each_entry():
+    c = np.empty((3, 3, 3), dtype=object)
+    c[...] = Fraction(0)
+    c[0, 1, 2] = Fraction(10 ** 30 + 7, 3)
+    c[2, 0, 1] = Fraction(-1, 7)
+    flt = linalg.to_float(c)
+    assert flt.dtype == float and flt.shape == (3, 3, 3)
+    assert flt.tobytes() == np.array([float(x) for x in c.ravel()]).reshape(3, 3, 3).tobytes()
+
+
+# ------------------------------------------------- no Fraction arithmetic
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def count_fraction_ops(monkeypatch):
+    """Count calls of Fraction's arithmetic operators while the test runs."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_exact_lane_does_no_fraction_arithmetic(monkeypatch):
+    # inputs first: rep_matrix(exact=True) itself divides Fractions
+    lams = (Fraction(37, 5), Fraction(5, 3), Fraction(32))
+    cases = [(make_family(fam, exact=True), [rep_matrix(fam, lam, exact=True) for lam in lams])
+             for fam in FAMILIES]
+    calls = count_fraction_ops(monkeypatch)
+    for sc, hs in cases:
+        der = derivation_algebra(sc)
+        assert der.dim in (4, 6)
+        for h in hs:
+            assert change_basis(sc, h).exact
+            assert linalg.exact_inv(h).shape == (3, 3)
+    assert calls == []
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
+    assert calls == ["__add__"]  # the counters are live
