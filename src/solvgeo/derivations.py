@@ -18,18 +18,22 @@ from .errors import SingularMatrixError
 from .lie_core import StructureConstants, bracket
 
 
-def _normalize(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Unit Frobenius norm, first nonzero entry positive."""
+# entries of a basis matrix at or below this size count as zero
+ZERO_TOL = 1e-12
+
+
+def _normalize(mat: np.ndarray) -> np.ndarray:
+    """Unit Frobenius norm, first nonzero entry positive, zeros all +0.0."""
     mat = linalg.to_float(np.asarray(mat))
     if mat.shape != (3, 3):
         raise ValueError("subspace elements must be 3x3 matrices")
     nrm = np.linalg.norm(mat)
-    if nrm <= tol:
+    if nrm <= ZERO_TOL:
         raise ValueError("cannot normalize a zero matrix")
     mat = mat / nrm
     flat = mat.ravel()
-    lead = flat[np.abs(flat) > tol][0]
-    return -mat if lead < 0 else mat
+    lead = flat[np.abs(flat) > ZERO_TOL][0]
+    return (-mat if lead < 0 else mat) + 0.0
 
 
 # conjugating matrices with a larger 2-norm condition number count as singular
@@ -67,30 +71,31 @@ class MatrixSubspace:
         return np.array([b.ravel() for b in self.basis]).reshape(self.dim, 9)
 
 
-def derivation_algebra(sc: StructureConstants, tol: float = linalg.PIVOT_TOL) -> MatrixSubspace:
+def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     """Kernel of the derivation-identity operator as a matrix subspace.
 
     The identity D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over all basis pairs
-    i < j is a linear system in the 9 entries of D; the kernel of the
-    resulting coefficient matrix is computed exactly (on the integer
-    multiple of ``c`` that clears its denominators) when ``sc`` is exact
-    and in float64 with pivot threshold ``tol`` otherwise.  Float results
-    are memoized on the content of the tensor, so an edited tensor is
-    solved afresh; the exact lane always solves.
+    i < j is a linear system in the 9 entries of D.  Its kernel is computed
+    exactly in both lanes: exact ``sc`` is solved on the integer multiple of
+    ``c`` that clears its denominators, float ``sc`` on its float entries,
+    which are dyadic rationals.  So the dimension has no pivot threshold,
+    and a float tensor gives the same basis as its exact twin.  Float
+    results are memoized on the content of the tensor, so an edited tensor
+    is solved afresh; the exact lane always solves.
     """
     if sc.exact:
         # the identity is linear and homogeneous in c: Der(t c) = Der(c)
-        return _derivation_kernel(linalg.integer_numerators(sc.c)[0], tol)
+        return _derivation_kernel(linalg.integer_numerators(sc.c)[0])
     c = np.ascontiguousarray(sc.c, dtype=float)
-    return _float_derivations(c.tobytes(), c.shape, tol)
+    return _float_derivations(c.tobytes(), c.shape)
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _float_derivations(data: bytes, shape: tuple, tol: float) -> MatrixSubspace:
-    return _derivation_kernel(np.frombuffer(data).reshape(shape), tol)
+def _float_derivations(data: bytes, shape: tuple) -> MatrixSubspace:
+    return _derivation_kernel(np.frombuffer(data).reshape(shape))
 
 
-def _derivation_kernel(c: np.ndarray, tol: float) -> MatrixSubspace:
+def _derivation_kernel(c: np.ndarray) -> MatrixSubspace:
     n = c.shape[0]
     dtype = object if linalg.is_exact(c) else float
     c = c.tolist()
@@ -109,7 +114,7 @@ def _derivation_kernel(c: np.ndarray, tol: float) -> MatrixSubspace:
                             entry = entry - c[i][m][l]
                         row.append(entry)
                 rows.append(row)
-    kernel = linalg.nullspace(np.array(rows, dtype=dtype), tol)
+    kernel = linalg.nullspace(np.array(rows, dtype=dtype))
     return MatrixSubspace(tuple(v.reshape(n, n) for v in kernel))
 
 

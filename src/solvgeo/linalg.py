@@ -1,30 +1,32 @@
 """Small dense linear algebra helpers.
 
-Everything here works on 3x3-ish arrays and comes in two arithmetic lanes:
-float64, and exact rationals stored as ``fractions.Fraction`` (or int)
-objects in object-dtype arrays.  The lane is chosen by the dtype of the
-input.
-
-The exact lane computes on Python ints: a rational input becomes integer
-numerators over one common denominator, elimination is fraction free, and
-a ``Fraction`` is built only for each entry of a result.  The reduced row
-echelon form is unique, so this gives the same rationals as elimination
-in ``Fraction`` arithmetic would.
+Everything here works on 3x3-ish arrays.  There is one elimination, and it
+is exact: every float is a dyadic rational, so float64 input and exact
+rationals (``fractions.Fraction`` or int objects in object-dtype arrays)
+are both turned into integer numerators over one common denominator and
+reduced fraction free.  The dtype of the input picks only the type of the
+output entries: a ``Fraction`` for exact input, and the correctly rounded
+float ``num / den`` for float input.  The reduced row echelon form is
+unique, so this gives the same rationals as elimination in ``Fraction``
+arithmetic would, and no rank decision depends on a pivot threshold.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import SingularMatrixError
 
-PIVOT_TOL = 1e-10
+# |det g| below which lower_triangular_lq calls g singular
+LQ_DET_TOL = 1e-9
+# singular values at or below which orthonormalize drops a direction
+SVD_TOL = 1e-12
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def is_exact(arr: np.ndarray) -> bool:
@@ -40,7 +42,8 @@ def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """Integer numerators ``n`` and common denominator ``d`` with arr = n / d.
 
     ``n`` is an object array of Python ints shaped like ``arr``; ``d`` is
-    the least common multiple of the entries' denominators.
+    the least common multiple of the entries' denominators.  A float entry
+    converts exactly (a non-finite one raises).
     """
     values = arr.ravel().tolist()
     try:
@@ -59,12 +62,13 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of an exact matrix.
+    """Fraction-free Gauss-Jordan elimination of a rational or float matrix.
 
     Returns (rows, pivot_columns).  Row r < rank holds integers whose
     quotient by ``rows[r][pivots[r]]`` is row r of the reduced row echelon
     form; the remaining rows are zero.  A pivot column is cleared by
-    ``p*row_i - q*row_r`` and each row is kept primitive.
+    ``p*row_i - q*row_r``, each row is kept primitive, and each pivot is
+    made positive, so a zero quotient is never a float -0.0.
     """
     m, n = a.shape
     # scaling a row leaves the RREF unchanged
@@ -77,8 +81,8 @@ def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
         k = next((i for i in range(r, m) if rows[i][c]), None)
         if k is None:
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        pivot_row = rows[r]
+        pivot_row = rows[k] if rows[k][c] > 0 else [-x for x in rows[k]]
+        rows[k], rows[r] = rows[r], pivot_row
         p = pivot_row[c]
         for i in range(m):
             q = rows[i][c]
@@ -95,73 +99,48 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else ZERO
 
 
-def row_echelon(a: np.ndarray, tol: float = PIVOT_TOL):
-    """Reduce a copy of ``a`` to reduced row echelon form.
+def _entry_type(a: np.ndarray):
+    """(dtype, num/den -> entry) of the output lane of ``a``."""
+    return (object, _ratio) if is_exact(a) else (float, operator.truediv)
 
-    Returns (rref, pivot_columns).  Partial pivoting with threshold ``tol``
-    in the float lane; in the exact lane the RREF is an object array of
-    Fractions.
+
+def row_echelon(a: np.ndarray):
+    """The reduced row echelon form of ``a`` and its pivot columns.
+
+    The elimination is exact in both lanes; the entries are Fractions for
+    exact input and the correctly rounded floats for float input.
     """
-    if is_exact(a):
-        rows, pivots = _integer_echelon(a)
-        rref = np.full(a.shape, ZERO, dtype=object)
-        for r, c in enumerate(pivots):
-            rref[r] = [_ratio(x, rows[r][c]) for x in rows[r]]
-        return rref, pivots
-    a = a.copy()
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        k = int(np.argmax(np.abs(a[r:, c])))
-        if not abs(a[r + k, c]) > tol:
-            continue
-        k += r
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        a[r] = a[r] / a[r, c]
-        for i in range(m):
-            if i != r and abs(a[i, c]) > 0.0:
-                a[i] = a[i] - a[i, c] * a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+    rows, pivots = _integer_echelon(a)
+    dtype, ratio = _entry_type(a)
+    rref = np.full(a.shape, ratio(0, 1), dtype=dtype)
+    for r, c in enumerate(pivots):
+        rref[r] = [ratio(x, rows[r][c]) for x in rows[r]]
+    return rref, pivots
 
 
-def nullspace(a: np.ndarray, tol: float = PIVOT_TOL) -> list[np.ndarray]:
-    """Basis of the kernel of ``a``, exact or float depending on dtype.
+def nullspace(a: np.ndarray) -> list[np.ndarray]:
+    """Basis of the kernel of ``a``, Fractions or floats following its dtype.
 
     Vector f has a 1 at free column f and minus the RREF's column f at the
     pivot columns.
     """
     n = a.shape[1]
-    exact = is_exact(a)
-    if exact:
-        rows, pivots = _integer_echelon(a)
-    else:
-        rref, pivots = row_echelon(a, tol)
-    free = [c for c in range(n) if c not in pivots]
+    rows, pivots = _integer_echelon(a)
+    dtype, ratio = _entry_type(a)
+    zero, one = ratio(0, 1), ratio(1, 1)
     basis = []
-    for f in free:
-        if exact:
-            v = np.full(n, ZERO, dtype=object)
-            v[f] = ONE
-            for r, c in enumerate(pivots):
-                v[c] = _ratio(-rows[r][f], rows[r][c])
-        else:
-            v = np.zeros(n)
-            v[f] = 1.0
-            for r, c in enumerate(pivots):
-                v[c] = -rref[r, f]
+    for f in (c for c in range(n) if c not in pivots):
+        v = np.full(n, zero, dtype=dtype)
+        v[f] = one
+        for r, c in enumerate(pivots):
+            v[c] = ratio(-rows[r][f], rows[r][c])
         basis.append(v)
     return basis
 
 
-def row_space_basis(a: np.ndarray, tol: float = PIVOT_TOL) -> list[np.ndarray]:
+def row_space_basis(a: np.ndarray) -> list[np.ndarray]:
     """Basis of the row space of ``a`` (the nonzero rows of its RREF)."""
-    rref, pivots = row_echelon(a, tol)
+    rref, pivots = row_echelon(a)
     return [rref[r].copy() for r in range(len(pivots))]
 
 
@@ -181,7 +160,7 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     return rref[:, n:].copy()
 
 
-def lower_triangular_lq(g: np.ndarray, det_tol: float = 1e-9):
+def lower_triangular_lq(g: np.ndarray):
     """Factor ``g = L @ k.T`` with k orthogonal and L lower triangular.
 
     The diagonal of L is positive.  Equivalently ``g @ k`` is lower
@@ -189,7 +168,7 @@ def lower_triangular_lq(g: np.ndarray, det_tol: float = 1e-9):
     rows of g, taken top-down, with one re-orthogonalization pass.
     """
     g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) < det_tol:
+    if abs(np.linalg.det(g)) < LQ_DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
     n = g.shape[0]
     q = np.zeros((n, n))
@@ -204,12 +183,12 @@ def lower_triangular_lq(g: np.ndarray, det_tol: float = 1e-9):
     return lower, k
 
 
-def orthonormalize(vectors, tol: float = 1e-12) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis of the span of flat float vectors, one per row.
 
     The rows are the right singular vectors whose singular values exceed
-    ``tol``, so dependent inputs are dropped.
+    ``SVD_TOL``, so dependent inputs are dropped.
     """
     a = np.asarray(vectors, dtype=float)
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    return vt[:int(np.sum(s > tol))]
+    return vt[:int(np.sum(s > SVD_TOL))]

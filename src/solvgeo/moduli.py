@@ -94,7 +94,7 @@ def _transitive(family: Family) -> bool:
     return family.tag in ("h3", "r3_1") or (family.tag == "r3_a" and family.a == 1)
 
 
-def reduce(family: Family, g: np.ndarray, det_tol: float = 1e-9):
+def reduce(family: Family, g: np.ndarray):
     """Canonical representative and witness factorization of g's coset.
 
     Steps: an LQ-type factorization g k1 = L (lower triangular, positive
@@ -112,7 +112,7 @@ def reduce(family: Family, g: np.ndarray, det_tol: float = 1e-9):
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("group element must be a 3x3 matrix")
-    lower, k1 = linalg.lower_triangular_lq(g, det_tol)
+    lower, k1 = linalg.lower_triangular_lq(g)
     steps = [("lq_orthogonal", k1)]
 
     if _transitive(family):

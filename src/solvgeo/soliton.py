@@ -38,6 +38,9 @@ class SolitonVerdict:
 
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Least-squares split of ric over [I | derivation basis]."""
+    if not np.isfinite(ric).all():
+        raise ValueError("Ricci operator is not finite: the curvature "
+                         "overflows float64 for this metric")
     columns = [np.eye(3).ravel()]
     columns.extend(b.ravel() for b in der.basis)
     a = np.array(columns).T

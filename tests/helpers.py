@@ -12,6 +12,17 @@ FAMILY_STRINGS = ["h3", "r3", "r3_1",
 
 FAMILIES = [parse_family(s) for s in FAMILY_STRINGS]
 
+# every branch, r3_a and r3p_a at 41 parameters each, and r3_a a hair below
+# r3_1: dim Der is 4 there, against 6 at a = 1, so a rank decided with a
+# tolerance goes wrong
+DER_GRID_STRINGS = list(dict.fromkeys(
+    FAMILY_STRINGS
+    + [f"r3a:a={k / 20!r}" for k in range(-20, 21)]
+    + [f"r3pa:a={k / 8!r}" for k in range(41)]
+    + [f"r3a:a={1 - 1e-12!r}"]))
+
+DER_GRID = [parse_family(s) for s in DER_GRID_STRINGS]
+
 
 def random_spd(rng, scale: float = 1.0) -> np.ndarray:
     m = rng.normal(size=(3, 3))

@@ -7,6 +7,8 @@ import pytest
 
 from solvgeo import cli
 
+from helpers import DER_GRID_STRINGS
+
 CSV_HEADER = "family,a,lambda,is_soliton,soliton_residual,H_norm,orbit_dim,agrees"
 
 
@@ -247,6 +249,26 @@ def test_non_finite_input_named(capsys, argv, message):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["soliton", "--family", "r3pa:a=1e200"],
+    ["verify", "--family", "r3pa:a=1e200", "--lambda", "2"],
+])
+def test_non_finite_ricci_rejected(capsys, argv):
+    # the curvature of a finite but huge parameter overflows to inf and NaN
+    assert cli.main(argv + ["--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Ricci operator is not finite")
+
+
+def test_der_exact_prints_float_output(capsys):
+    for family in DER_GRID_STRINGS:
+        for fmt in ("json", "table"):
+            argv = ["der", "--family", family, "--format", fmt]
+            assert run(capsys, argv + ["--exact"]) == run(capsys, argv), (family, fmt)
 
 
 def test_unknown_format_rejected_by_argparse(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import FAMILIES, unit
+from helpers import DER_GRID, FAMILIES, unit
 from oracles import derivation_basis_sympy, pattern_subspace
 from solvgeo import cli, derivations, linalg
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
@@ -37,11 +37,14 @@ def test_dimension_and_basis_match_sympy_oracle(fam):
     assert subspace_equal(ours, MatrixSubspace(tuple(basis)), tol=1e-9)
 
 
-@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+@pytest.mark.parametrize("fam", DER_GRID, ids=[f.label() for f in DER_GRID])
 def test_float_lane_agrees_with_exact(fam):
+    # one exact elimination: the float tensor's basis is its exact twin's
     exact = derivation_algebra(make_family(fam, exact=True))
     flt = derivation_algebra(make_family(fam))
-    assert subspace_equal(exact, flt, tol=1e-9)
+    r3_1 = fam.tag == "r3_1" or (fam.tag == "r3_a" and fam.a == 1)
+    assert flt.dim == exact.dim == (6 if r3_1 else EXPECTED_DIMS[fam.tag])
+    assert flt.stacked().tobytes() == exact.stacked().tobytes()
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
@@ -248,7 +251,7 @@ def test_memo_cold_and_warm_results_byte_identical(fam):
     assert warm.stacked().tobytes() == cold.stacked().tobytes()
     assert warm_plus.stacked().tobytes() == cold_plus.stacked().tobytes()
     # and both equal a computation that bypasses the memo
-    fresh = derivations._derivation_kernel(make_family(fam).c, linalg.PIVOT_TOL)
+    fresh = derivations._derivation_kernel(make_family(fam).c)
     assert fresh.stacked().tobytes() == cold.stacked().tobytes()
 
 

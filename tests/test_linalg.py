@@ -3,7 +3,9 @@
 Every exact result is compared with sympy's ``Matrix.rref()``,
 ``nullspace()`` and ``inv()`` on seeded random rational matrices: dense
 and sparse, rank deficient, with zero rows and columns, 9x9 systems like
-the derivation identity's, and numerators up to 1e20.
+the derivation identity's, and numerators up to 1e20.  Each matrix is also
+run as floats, whose results must be the exact lane's on the same dyadic
+rationals, rounded entry by entry.
 """
 
 import random
@@ -70,6 +72,13 @@ def assert_fractions(values):
     assert all(type(x) is Fraction for x in values)
 
 
+def assert_rounded(flt, exact):
+    """The float result is the exact one rounded entry by entry."""
+    assert flt.dtype == float
+    want = np.array([float(x) for x in exact.ravel()]).reshape(exact.shape)
+    assert flt.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(200))
 def test_exact_lane_matches_sympy(seed):
     a = random_rational_matrix(seed)
@@ -95,6 +104,23 @@ def test_exact_lane_matches_sympy(seed):
     for r, row in enumerate(rows):
         assert_fractions(row)
         assert list(row) == [from_sympy(want_rref[r, j]) for j in range(n)]
+
+    # the float lane reduces the same matrix, read as the dyadic rationals
+    # of its float entries, and rounds the result
+    flt = a.astype(float)
+    twin = np.array([Fraction(x) for x in flt.ravel()], dtype=object).reshape(a.shape)
+    rref, pivots = linalg.row_echelon(flt)
+    twin_rref, twin_pivots = linalg.row_echelon(twin)
+    assert pivots == twin_pivots
+    assert_rounded(rref, twin_rref)
+    kernel, twin_kernel = linalg.nullspace(flt), linalg.nullspace(twin)
+    assert len(kernel) == len(twin_kernel)
+    for v, w in zip(kernel, twin_kernel):
+        assert_rounded(v, w)
+    rows, twin_rows = linalg.row_space_basis(flt), linalg.row_space_basis(twin)
+    assert len(rows) == len(twin_rows)
+    for v, w in zip(rows, twin_rows):
+        assert_rounded(v, w)
 
     if m == n:
         if len(want_pivots) < n:
