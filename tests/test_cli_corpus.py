@@ -1,4 +1,4 @@
-"""CLI output corpus: every subcommand's JSON output on fixed inputs.
+"""CLI output corpus: every subcommand's output on fixed inputs.
 
 Each case reruns ``solvgeo <argv> --format json`` and compares the output
 with the stored fixture ``data/cli_corpus.json``.  The output must be
@@ -6,22 +6,29 @@ byte-identical, except for the float entries of the mean curvature fields
 ``H``, ``H_norm`` and ``per_normal``, which are the last digits of an
 orthonormalization and must agree to ``FLOAT_TOL`` absolute (keys, lengths,
 orbit and stabilizer dimensions and every boolean still match exactly).
+The same cases rerun with ``--format csv`` and ``--format table`` and
+compare with ``data/cli_corpus_text.json`` under the same rule: the text
+is byte-identical outside the numbers of those three fields.
 
-To regenerate the fixture after a deliberate output change, run
+To regenerate the fixtures after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_corpus.py`` and say in the change
 which fields moved.
 """
 
 import contextlib
+import csv
 import io
 import json
 import pathlib
+import re
 
 import pytest
 
 from solvgeo import cli
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "cli_corpus.json"
+TEXT_FIXTURE = FIXTURE.with_name("cli_corpus_text.json")
+TEXT_FORMATS = ("csv", "table")
 FLOAT_TOL = 1e-12
 TOLERANT_KEYS = ("H", "H_norm", "per_normal")
 
@@ -55,8 +62,13 @@ CASES = (
 )
 
 
-def _run(capsys, argv):
-    code = cli.main(argv + ["--format", "json"])
+# a number together with the blanks that pad it to its column
+_NUMBER = re.compile(r"\s*-?\d+(?:\.\d*)?(?:e[+-]?\d+)?")
+_CASE_IDS = [" ".join(a[:3]) + f"#{i}" for i, a in enumerate(CASES)]
+
+
+def _run(capsys, argv, fmt="json"):
+    code = cli.main(argv + ["--format", fmt])
     return code, capsys.readouterr().out
 
 
@@ -98,8 +110,7 @@ def test_corpus_covers_every_case():
     assert sorted(_load()) == sorted(tuple(argv) for argv in CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=[" ".join(a[:3]) + f"#{i}"
-                                              for i, a in enumerate(CASES)])
+@pytest.mark.parametrize("argv", CASES, ids=_CASE_IDS)
 def test_cli_output_matches_corpus(capsys, argv):
     case = _load()[tuple(argv)]
     code, text = _run(capsys, argv)
@@ -112,15 +123,89 @@ def test_cli_output_matches_corpus(capsys, argv):
     assert json.dumps(actual, indent=2) == json.dumps(case["output"], indent=2)
 
 
+def _mask(text):
+    """Replace each number in ``text`` by '#'; return it and the numbers."""
+    return _NUMBER.sub("#", text), [float(x) for x in _NUMBER.findall(text)]
+
+
+def _mask_tolerant(fmt, text):
+    """Mask the numbers of the tolerant fields in csv or table output.
+
+    Returns the masked lines (csv: cell lists) and the masked numbers in
+    order.  Key/value output is tolerant on the lines of a tolerant key,
+    row output in the ``H_norm`` column.
+    """
+    numbers = []
+
+    def mask(piece):
+        masked, found = _mask(piece)
+        numbers.extend(found)
+        return masked
+
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))
+        if rows[0] == ["key", "value"]:
+            lines = [[k, mask(v) if k in TOLERANT_KEYS else v] for k, v in rows]
+        else:
+            cols = [i for i, name in enumerate(rows[0]) if name in TOLERANT_KEYS]
+            lines = [rows[0]] + [[mask(c) if i in cols else c for i, c in enumerate(r)]
+                                 for r in rows[1:]]
+        return lines, numbers
+    lines = text.split("\n")
+    header = lines[0]
+    if ":" not in header:  # rows: a column header, then one line per row
+        start, stop = header.index("H_norm"), header.index("orbit_dim")
+        return [header] + [ln[:start] + mask(ln[start:stop]) + ln[stop:]
+                           for ln in lines[1:]], numbers
+    out, key = [], None
+    for ln in lines:  # key/value: "key: value", or "key:" and indented lines
+        if ln.startswith(" "):
+            head, tail = "", ln
+        else:
+            key, colon, tail = ln.partition(":")
+            head = key + colon
+        out.append(head + mask(tail) if key in TOLERANT_KEYS else ln)
+    return out, numbers
+
+
+def _load_text():
+    return {tuple(case["argv"]): case for case in json.loads(TEXT_FIXTURE.read_text())}
+
+
+def test_text_corpus_covers_every_case():
+    assert sorted(_load_text()) == sorted(tuple(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("fmt", TEXT_FORMATS)
+@pytest.mark.parametrize("argv", CASES, ids=_CASE_IDS)
+def test_cli_text_output_matches_corpus(capsys, argv, fmt):
+    case = _load_text()[tuple(argv)]
+    code, text = _run(capsys, argv, fmt)
+    assert code == _load()[tuple(argv)]["code"]
+    actual, numbers = _mask_tolerant(fmt, text)
+    expected, want = _mask_tolerant(fmt, case[fmt])
+    assert actual == expected
+    assert len(numbers) == len(want)
+    for i, (x, y) in enumerate(zip(numbers, want)):
+        assert abs(x - y) <= FLOAT_TOL, (i, x, y)
+
+
+def _capture(argv, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv + ["--format", fmt])
+    return code, buf.getvalue()
+
+
 def _regenerate():
-    cases = []
+    cases, texts = [], []
     for argv in CASES:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(argv + ["--format", "json"])
-        cases.append({"argv": argv, "code": code, "output": json.loads(buf.getvalue())})
+        code, out = _capture(argv, "json")
+        cases.append({"argv": argv, "code": code, "output": json.loads(out)})
+        texts.append({"argv": argv, **{fmt: _capture(argv, fmt)[1] for fmt in TEXT_FORMATS}})
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(cases, indent=1) + "\n")
+    TEXT_FIXTURE.write_text(json.dumps(texts, indent=1) + "\n")
 
 
 if __name__ == "__main__":
