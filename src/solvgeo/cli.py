@@ -110,46 +110,8 @@ def _row_dict(row: VerifyRow) -> dict:
     }
 
 
-def emit_report(rows, fmt: str) -> str:
-    """Render verify rows as json, csv, or an aligned table."""
-    if not rows:
-        raise ValueError("no rows to report")
-    if fmt == "json":
-        return json.dumps([_row_dict(r) for r in rows], indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["family", "a", "lambda", "is_soliton",
-                         "soliton_residual", "H_norm", "orbit_dim", "agrees"])
-        for r in rows:
-            writer.writerow([
-                r.family,
-                "" if r.a is None else repr(r.a),
-                repr(r.lam),
-                "true" if r.is_soliton else "false",
-                repr(r.soliton_residual),
-                repr(r.h_norm),
-                r.orbit_dim,
-                "true" if r.agrees else "false",
-            ])
-        return buf.getvalue()
-    if fmt == "table":
-        header = ["family", "a", "lambda", "is_soliton", "soliton_residual",
-                  "H_norm", "orbit_dim", "agrees"]
-        body = [[r.family,
-                 "" if r.a is None else f"{r.a:g}",
-                 f"{r.lam:.6g}",
-                 str(r.is_soliton),
-                 f"{r.soliton_residual:.3e}",
-                 f"{r.h_norm:.3e}",
-                 str(r.orbit_dim),
-                 str(r.agrees)] for r in rows]
-        widths = [max(len(header[i]), *(len(b[i]) for b in body)) for i in range(len(header))]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-        lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(b))
-                     for b in body)
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+# table formats of the verify columns; the other cells print with str()
+_TABLE_FORMATS = {"a": "g", "lambda": ".6g", "soliton_residual": ".3e", "H_norm": ".3e"}
 
 
 def _jsonable(obj):
@@ -164,20 +126,32 @@ def _jsonable(obj):
     return obj
 
 
-def _render_payload(payload: dict, fmt: str) -> str:
-    payload = _jsonable(payload)
+def emit_report(payload, fmt: str) -> str:
+    """Render a payload as json, csv, or a table.
+
+    A payload is a dict, printed as key/value pairs, or a list of
+    VerifyRow, printed one row per line.
+    """
+    if isinstance(payload, dict):
+        data = _jsonable(payload)
+    elif payload:
+        data = [_row_dict(r) for r in payload]
+    else:
+        raise ValueError("no rows to report")
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(data, indent=2) + "\n"
     if fmt == "csv":
+        if isinstance(data, dict):
+            data = [{"key": k, "value": json.dumps(v)} for k, v in data.items()]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for k, v in payload.items():
-            writer.writerow([k, json.dumps(v)])
+        writer.writerow(data[0])
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v for v in r.values()]
+                         for r in data)
         return buf.getvalue()
-    if fmt == "table":
+    if fmt == "table" and isinstance(data, dict):
         lines = []
-        for k, v in payload.items():
+        for k, v in data.items():
             if isinstance(v, list) and v and isinstance(v[0], list):
                 lines.append(f"{k}:")
                 lines.extend("  " + "  ".join(f"{x:12.8g}" if isinstance(x, float) else str(x)
@@ -185,6 +159,13 @@ def _render_payload(payload: dict, fmt: str) -> str:
             else:
                 lines.append(f"{k}: {v}")
         return "\n".join(lines) + "\n"
+    if fmt == "table":
+        body = [["" if v is None else format(v, _TABLE_FORMATS.get(k, ""))
+                 for k, v in r.items()] for r in data]
+        lines = [list(data[0]), *body]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n"
+                       for line in lines)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -201,25 +182,35 @@ def _read_gram(args) -> np.ndarray | None:
     return None
 
 
+def _gram_or_lambda(args) -> np.ndarray | None:
+    """The Gram matrix given, if any; rejects one given with --lambda."""
+    gram = _read_gram(args)
+    if args.lam is not None and gram is not None:
+        raise ValueError("give either --lambda or a Gram matrix, not both")
+    return gram
+
+
 def _family_from(args) -> Family:
     return parse_family(args.family, args.a)
 
 
+def _listing(sc) -> list:
+    """Nonzero structure constants c_ij^k as 1-based [i, j, k, value]."""
+    return [[i + 1, j + 1, k + 1, float(v)] for i, j, k, v in sc.nonzero()]
+
+
 def _cmd_families(args):
-    if args.family is not None:
-        fam = _family_from(args)
-        sc = make_family(fam, exact=args.exact)
-        payload = {
-            "family": fam.label(),
-            "brackets": _DESCRIPTIONS[fam.tag],
-            "a": None if fam.a is None else float(fam.a),
-            "structure_constants": [[i + 1, j + 1, k + 1, float(v)]
-                                    for i, j, k, v in sc.nonzero()],
-            "jacobi_residual": jacobi_residual(sc),
-        }
-        return payload, 0
-    payload = {tag: _DESCRIPTIONS[tag] for tag in FAMILY_TAGS}
-    return payload, 0
+    if args.family is None:
+        return {tag: _DESCRIPTIONS[tag] for tag in FAMILY_TAGS}, 0
+    fam = _family_from(args)
+    sc = make_family(fam)
+    return {
+        "family": fam.label(),
+        "brackets": _DESCRIPTIONS[fam.tag],
+        "a": None if fam.a is None else float(fam.a),
+        "structure_constants": _listing(sc),
+        "jacobi_residual": jacobi_residual(sc),
+    }, 0
 
 
 def _cmd_ricci(args):
@@ -229,14 +220,13 @@ def _cmd_ricci(args):
         gram = np.eye(3)
     sc = make_family(fam, exact=args.exact)
     res = ricci_operator(metric_data(sc, gram))
-    payload = {
+    return {
         "family": fam.label(),
         "gram": gram,
         "ric_frame": res.ric_frame,
         "ric_canonical": res.ric_canonical,
         "scalar": res.scalar,
-    }
-    return payload, 0
+    }, 0
 
 
 def _cmd_der(args):
@@ -258,7 +248,7 @@ def _cmd_reduce(args):
     g = moduli.metric_to_group(gram)
     rep, trace = moduli.reduce(fam, g)
     data = moduli.milnor_data(fam, gram)
-    payload = {
+    return {
         "family": fam.label(),
         "lambda": rep.lam,
         "k_scale": data.k_scale,
@@ -266,17 +256,13 @@ def _cmd_reduce(args):
         "scalar": trace.scalar,
         "witness_residual": moduli.witness_residual(rep, trace, g),
         "steps": [name for name, _ in trace.steps],
-        "frame_brackets": [[i + 1, j + 1, k + 1, float(v)]
-                           for i, j, k, v in data.frame_brackets.nonzero()],
-    }
-    return payload, 0
+        "frame_brackets": _listing(data.frame_brackets),
+    }, 0
 
 
 def _cmd_soliton(args):
     fam = _family_from(args)
-    gram = _read_gram(args)
-    if args.lam is not None and gram is not None:
-        raise ValueError("give either --lambda or a Gram matrix, not both")
+    gram = _gram_or_lambda(args)
     if args.lam is not None:
         verdict = soliton.soliton_from_frame(fam, args.lam, tol=args.tol)
         mode = {"mode": "frame", "lambda": args.lam}
@@ -285,21 +271,18 @@ def _cmd_soliton(args):
             gram = np.eye(3)
         verdict = soliton.solvsoliton_check(make_family(fam), gram, tol=args.tol)
         mode = {"mode": "gram", "gram": gram}
-    payload = {"family": fam.label(), **mode,
-               "is_soliton": verdict.is_soliton,
-               "is_einstein": verdict.is_einstein,
-               "c": verdict.certificate.c,
-               "D": verdict.certificate.d,
-               "residual": verdict.certificate.residual,
-               "tol": args.tol}
-    return payload, 0
+    return {"family": fam.label(), **mode,
+            "is_soliton": verdict.is_soliton,
+            "is_einstein": verdict.is_einstein,
+            "c": verdict.certificate.c,
+            "D": verdict.certificate.d,
+            "residual": verdict.certificate.residual,
+            "tol": args.tol}, 0
 
 
 def _cmd_orbit(args):
     fam = _family_from(args)
-    gram = _read_gram(args)
-    if args.lam is not None and gram is not None:
-        raise ValueError("give either --lambda or a Gram matrix, not both")
+    gram = _gram_or_lambda(args)
     if args.lam is not None:
         g = moduli.rep_matrix(fam, args.lam)
     elif gram is not None:
@@ -307,14 +290,12 @@ def _cmd_orbit(args):
     else:
         g = np.eye(3)
     mc = orbit_geometry.orbit_at(fam, g)
-    payload = {"family": fam.label(),
-               "orbit_dim": mc.orbit_dim,
-               "stab_dim": mc.stab_dim,
-               "H": mc.h,
-               "H_norm": mc.norm,
-               "per_normal": [{"normal": a, "component": v}
-                              for a, v in mc.per_normal]}
-    return payload, 0
+    return {"family": fam.label(),
+            "orbit_dim": mc.orbit_dim,
+            "stab_dim": mc.stab_dim,
+            "H": mc.h,
+            "H_norm": mc.norm,
+            "per_normal": [{"normal": a, "component": v} for a, v in mc.per_normal]}, 0
 
 
 def _parse_grid(text: str) -> tuple:
@@ -338,17 +319,7 @@ def _cmd_verify(args):
         grid = _parse_grid(args.grid)
     else:
         grid = default_grid(fam)
-    rows, status = verify_main_theorem(RunConfig(family=fam, grid=grid, tol=args.tol))
-    _write(emit_report(rows, args.format), args.out)
-    return None, status
-
-
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    return verify_main_theorem(RunConfig(family=fam, grid=grid, tol=args.tol))
 
 
 def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
@@ -381,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("families", help="list the classified families")
-    _add_common(p, exact=_EXACT_HELP, family_required=False)
+    _add_common(p, family_required=False)
     p.set_defaults(fn=_cmd_families)
 
     p = sub.add_parser("ricci", help="Ricci operator of a metric")
@@ -421,12 +392,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, status = args.fn(args)
+        text = emit_report(payload, args.format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except (InvalidFamilyError, NonSPDMetricError, SingularMatrixError,
             ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if payload is not None:
-        _write(_render_payload(payload, args.format), args.out)
     return status
 
 

@@ -94,11 +94,19 @@ def ricci_operator(m: MetricData) -> RicciResult:
     riem = (np.einsum("jkl,ilm->ijkm", gamma, gamma)
             - np.einsum("ikl,jlm->ijkm", gamma, gamma)
             - np.einsum("ijl,lkm->ijkm", c, gamma))
-    ric_frame = np.einsum("jiim->mj", riem)
-    ric_canonical = m.frame @ ric_frame @ np.linalg.inv(m.frame)
+    ric_frame = require_finite(np.einsum("jiim->mj", riem))
+    ric_canonical = require_finite(m.frame @ ric_frame @ np.linalg.inv(m.frame))
     return RicciResult(ric_frame=ric_frame,
                        ric_canonical=ric_canonical,
                        scalar=float(np.trace(ric_frame)))
+
+
+def require_finite(ric: np.ndarray) -> np.ndarray:
+    """Return ``ric``; raises ValueError if an entry overflowed to inf or NaN."""
+    if not np.isfinite(ric).all():
+        raise ValueError("Ricci operator is not finite: the curvature "
+                         "overflows float64 for this metric")
+    return ric
 
 
 def ricci_closed_form(a, b, c, d) -> np.ndarray:

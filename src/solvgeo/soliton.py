@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import metric_data, ricci_closed_form, ricci_operator
+from .curvature import metric_data, require_finite, ricci_closed_form, ricci_operator
 from .derivations import MatrixSubspace, derivation_algebra, conjugate_subspace
 from .lie_core import Family, StructureConstants, make_family
 from .moduli import frame_constants, rep_matrix
@@ -38,9 +38,7 @@ class SolitonVerdict:
 
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Least-squares split of ric over [I | derivation basis]."""
-    if not np.isfinite(ric).all():
-        raise ValueError("Ricci operator is not finite: the curvature "
-                         "overflows float64 for this metric")
+    require_finite(ric)
     columns = [np.eye(3).ravel()]
     columns.extend(b.ravel() for b in der.basis)
     a = np.array(columns).T

@@ -231,6 +231,7 @@ def test_verify_disagreement_exit_code(capsys):
     ["verify", "--family", "r3a:a=0.5", "--a", "0.5"],
     ["ricci", "--family", "h3", "--gram",
      "1", "0", "0", "0", "-1", "0", "0", "0", "1"],
+    ["families", "--out", "."],
 ])
 def test_invalid_configurations_exit_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -255,6 +256,7 @@ def test_non_finite_input_named(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ["soliton", "--family", "r3pa:a=1e200"],
     ["verify", "--family", "r3pa:a=1e200", "--lambda", "2"],
+    ["ricci", "--family", "r3pa:a=1e200"],
 ])
 def test_non_finite_ricci_rejected(capsys, argv):
     # the curvature of a finite but huge parameter overflows to inf and NaN
@@ -296,3 +298,58 @@ def test_table_output_aligned(capsys):
     lines = out.strip().split("\n")
     assert lines[0].split() == CSV_HEADER.split(",")
     assert len(lines) == 2
+
+
+REPORT_ROWS = [
+    cli.VerifyRow(family="r3a:a=0.5", a=0.5, lam=-0.7, is_soliton=False,
+                  soliton_residual=0.25, h_norm=0.1414, orbit_dim=5, agrees=True),
+    cli.VerifyRow(family="h3", a=None, lam=1.0, is_soliton=True,
+                  soliton_residual=0.0, h_norm=0.0, orbit_dim=6, agrees=True),
+]
+REPORT_DICT = {"family": "h3", "dim": np.int64(2), "H": np.array([[1.0, 0.0], [0.0, -0.5]]),
+               "ok": True, "a": None}
+
+
+@pytest.mark.parametrize("payload,fmt,expected", [
+    (REPORT_ROWS, "csv",
+     CSV_HEADER + "\n"
+     "r3a:a=0.5,0.5,-0.7,false,0.25,0.1414,5,true\n"
+     "h3,,1.0,true,0.0,0.0,6,true\n"),
+    (REPORT_ROWS, "table",
+     "family     a    lambda  is_soliton  soliton_residual  H_norm     orbit_dim  agrees\n"
+     "r3a:a=0.5  0.5  -0.7    False       2.500e-01         1.414e-01  5          True  \n"
+     "h3              1       True        0.000e+00         0.000e+00  6          True  \n"),
+    (REPORT_DICT, "csv",
+     'key,value\nfamily,"""h3"""\ndim,2\nH,"[[1.0, 0.0], [0.0, -0.5]]"\nok,true\na,null\n'),
+    (REPORT_DICT, "table",
+     "family: h3\ndim: 2\nH:\n"
+     "             1             0\n"
+     "             0          -0.5\n"
+     "ok: True\na: None\n"),
+], ids=["rows-csv", "rows-table", "dict-csv", "dict-table"])
+def test_emit_report_text(payload, fmt, expected):
+    assert cli.emit_report(payload, fmt) == expected
+
+
+def test_emit_report_json():
+    rows = json.loads(cli.emit_report(REPORT_ROWS, "json"))
+    assert rows == [
+        {"family": "r3a:a=0.5", "a": 0.5, "lambda": -0.7, "is_soliton": False,
+         "soliton_residual": 0.25, "H_norm": 0.1414, "orbit_dim": 5, "agrees": True},
+        {"family": "h3", "a": None, "lambda": 1.0, "is_soliton": True,
+         "soliton_residual": 0.0, "H_norm": 0.0, "orbit_dim": 6, "agrees": True}]
+    text = cli.emit_report(REPORT_DICT, "json")
+    data = json.loads(text)
+    assert data == {"family": "h3", "dim": 2, "H": [[1.0, 0.0], [0.0, -0.5]],
+                    "ok": True, "a": None}
+    assert text == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload,fmt,message", [
+    ([], "json", "no rows to report"),
+    (REPORT_ROWS, "yaml", "unknown format 'yaml'"),
+    (REPORT_DICT, "yaml", "unknown format 'yaml'"),
+], ids=["empty", "rows-yaml", "dict-yaml"])
+def test_emit_report_rejects(payload, fmt, message):
+    with pytest.raises(ValueError, match=message):
+        cli.emit_report(payload, fmt)
