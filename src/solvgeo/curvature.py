@@ -91,11 +91,12 @@ def ricci_operator(m: MetricData) -> RicciResult:
     scf = change_basis(m.sc.to_float(), m.frame)
     c = scf.c
     gamma = connection_coeffs(c)
-    riem = (np.einsum("jkl,ilm->ijkm", gamma, gamma)
-            - np.einsum("ikl,jlm->ijkm", gamma, gamma)
-            - np.einsum("ijl,lkm->ijkm", c, gamma))
-    ric_frame = require_finite(np.einsum("jiim->mj", riem))
-    ric_canonical = require_finite(m.frame @ ric_frame @ np.linalg.inv(m.frame))
+    with np.errstate(over="ignore", invalid="ignore"):
+        riem = (np.einsum("jkl,ilm->ijkm", gamma, gamma)
+                - np.einsum("ikl,jlm->ijkm", gamma, gamma)
+                - np.einsum("ijl,lkm->ijkm", c, gamma))
+        ric_frame = require_finite(np.einsum("jiim->mj", riem))
+        ric_canonical = require_finite(m.frame @ ric_frame @ np.linalg.inv(m.frame))
     return RicciResult(ric_frame=ric_frame,
                        ric_canonical=ric_canonical,
                        scalar=float(np.trace(ric_frame)))
@@ -114,12 +115,14 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
 
     The frame x1, x2, x3 is orthonormal and [x2,x3] = 0; every bracket in
     this package's families takes this shape on its Milnor frame.  Exact
-    when the inputs are exact.
+    when the inputs are exact.  Float overflow gives inf or NaN entries
+    silently, for ``require_finite`` to reject, as in ``ricci_operator``.
     """
-    half = (b + c) * (b + c) / 2
-    skew = (b * b - c * c) / 2
-    return np.array([
-        [-(a * a + d * d + half), 0 * a, 0 * a],
-        [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
-        [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (b + c) * (b + c) / 2
+        skew = (b * b - c * c) / 2
+        return np.array([
+            [-(a * a + d * d + half), 0 * a, 0 * a],
+            [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
+            [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
+        ])

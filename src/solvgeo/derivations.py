@@ -22,18 +22,16 @@ from .lie_core import StructureConstants, bracket
 ZERO_TOL = 1e-12
 
 
-def _normalize(mat: np.ndarray) -> np.ndarray:
-    """Unit Frobenius norm, first nonzero entry positive, zeros all +0.0."""
-    mat = linalg.to_float(np.asarray(mat))
-    if mat.shape != (3, 3):
-        raise ValueError("subspace elements must be 3x3 matrices")
-    nrm = np.linalg.norm(mat)
-    if nrm <= ZERO_TOL:
+def _normalize(stack) -> np.ndarray:
+    """d 3x3 matrices (or their flat 9-vectors) as one (d, 3, 3) float
+    array, each at unit Frobenius norm, first nonzero entry positive, zeros
+    all +0.0."""
+    flat = linalg.to_float(np.reshape(stack, (len(stack), 9)))
+    # the batched row dot is the dot np.linalg.norm takes, bit for bit
+    nrm = np.sqrt(flat[:, None, :] @ flat[:, :, None])[:, 0]
+    if (nrm <= ZERO_TOL).any():
         raise ValueError("cannot normalize a zero matrix")
-    mat = mat / nrm
-    flat = mat.ravel()
-    lead = flat[np.abs(flat) > ZERO_TOL][0]
-    return (-mat if lead < 0 else mat) + 0.0
+    return (linalg.lead_positive(flat / nrm, ZERO_TOL) + 0.0).reshape(-1, 3, 3)
 
 
 # conjugating matrices with a larger 2-norm condition number count as singular
@@ -46,29 +44,28 @@ MEMO_SIZE = 128
 class MatrixSubspace:
     """A subspace of 3x3 matrices given by a normalized, independent basis.
 
-    The basis arrays are read-only, so one instance can be shared.  ``==``
-    and ``hash`` are by identity; ``subspace_equal`` compares spans.
+    ``basis`` is one read-only float array of shape (dim, 3, 3), so one
+    instance can be shared and each ``basis[i]`` is a read-only 3x3 view.
+    ``==`` and ``hash`` are by identity; ``subspace_equal`` compares spans.
     """
 
-    basis: tuple
+    basis: np.ndarray
 
     def __post_init__(self):
-        normalized = tuple(_normalize(b) for b in self.basis)
-        for b in normalized:
-            b.setflags(write=False)
-        object.__setattr__(self, "basis", normalized)
-        if normalized:
-            stacked = np.array([b.ravel() for b in normalized])
-            if np.linalg.matrix_rank(stacked, tol=1e-10) < len(normalized):
-                raise ValueError("subspace basis is linearly dependent")
+        basis = _normalize(self.basis)
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        # the rank np.linalg.matrix_rank(stacked, tol=1e-10) computes
+        if np.sum(np.linalg.svd(self.stacked(), compute_uv=False) > 1e-10) < self.dim:
+            raise ValueError("subspace basis is linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def stacked(self) -> np.ndarray:
-        """The basis vectorized row-wise, shape (dim, 9)."""
-        return np.array([b.ravel() for b in self.basis]).reshape(self.dim, 9)
+        """The basis vectorized row-wise, a read-only (dim, 9) view."""
+        return self.basis.reshape(self.dim, 9)
 
 
 def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
@@ -114,8 +111,7 @@ def _derivation_kernel(c: np.ndarray) -> MatrixSubspace:
                             entry = entry - c[i][m][l]
                         row.append(entry)
                 rows.append(row)
-    kernel = linalg.nullspace(np.array(rows, dtype=dtype))
-    return MatrixSubspace(tuple(v.reshape(n, n) for v in kernel))
+    return MatrixSubspace(linalg.nullspace(np.array(rows, dtype=dtype)))
 
 
 def derivation_residual(sc: StructureConstants, d: np.ndarray) -> float:
@@ -142,10 +138,12 @@ def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspac
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise SingularMatrixError("conjugating matrix is not finite")
-    if np.linalg.cond(g) > COND_LIMIT:
-        raise SingularMatrixError("conjugating matrix is singular")
-    ginv = np.linalg.inv(g)
-    return MatrixSubspace(tuple(ginv @ b @ g for b in subspace.basis))
+    s = np.linalg.svd(g, compute_uv=False)
+    # np.linalg.cond(g) = s[0] / s[-1], which it turns from NaN (g = 0) into inf
+    with np.errstate(all="ignore"):
+        if not s[0] / s[-1] <= COND_LIMIT:
+            raise SingularMatrixError("conjugating matrix is singular")
+    return MatrixSubspace(np.linalg.inv(g) @ subspace.basis @ g)
 
 
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:
@@ -159,8 +157,7 @@ def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _scalar_plus(data: bytes) -> MatrixSubspace:
     rows = np.vstack([np.frombuffer(data).reshape(-1, 9), np.eye(3).ravel()])
-    basis = linalg.row_space_basis(rows)
-    return MatrixSubspace(tuple(v.reshape(3, 3) for v in basis))
+    return MatrixSubspace(linalg.row_space_basis(rows))
 
 
 def subspace_membership(subspace: MatrixSubspace, mat: np.ndarray,
@@ -172,9 +169,6 @@ def subspace_membership(subspace: MatrixSubspace, mat: np.ndarray,
     expand the projection in the stored basis.
     """
     mat = linalg.to_float(np.asarray(mat))
-    if subspace.dim == 0:
-        res = float(np.linalg.norm(mat))
-        return res <= tol, np.zeros(0), res
     a = subspace.stacked().T
     coeffs, *_ = np.linalg.lstsq(a, mat.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - mat.ravel()))

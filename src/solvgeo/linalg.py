@@ -38,6 +38,13 @@ def to_float(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
+def lead_positive(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Each row negated where its first entry larger than ``tol`` in size
+    is negative."""
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > tol).argmax(axis=1)]
+    return np.where(lead[:, None] < 0, -rows, rows)
+
+
 def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
     """Integer numerators ``n`` and common denominator ``d`` with arr = n / d.
 

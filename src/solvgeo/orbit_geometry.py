@@ -56,13 +56,13 @@ SYM_BASIS.setflags(write=False)
 
 @dataclass(frozen=True)
 class OrbitData:
-    """Tangent/normal split of an orbit with stabilizer and lifts."""
+    """Tangent/normal split of an orbit; the matrices come as (k, 3, 3) stacks."""
 
     subspace: MatrixSubspace
-    tangent: tuple
-    normals: tuple
-    lifts: tuple
-    stabilizer: tuple
+    tangent: np.ndarray
+    normals: np.ndarray
+    lifts: np.ndarray
+    stabilizer: np.ndarray
     orbit_dim: int
     stab_dim: int
 
@@ -84,16 +84,16 @@ def orbit_data(subspace: MatrixSubspace) -> OrbitData:
     u, sigma, wt = np.linalg.svd(p)
     r = int(np.sum(sigma > RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
-    normal_coords = [-c if c[np.abs(c) > 1e-12][0] < 0 else c for c in u[:, r:].T]
+    normal_coords = linalg.lead_positive(u[:, r:].T, 1e-12)
     return OrbitData(subspace=subspace, tangent=_combine(u[:, :r].T, SYM_BASIS),
                      normals=_combine(normal_coords, SYM_BASIS),
                      lifts=_combine(wt[:r] / sigma[:r, None], q),
                      stabilizer=_combine(wt[r:], q), orbit_dim=r, stab_dim=len(q) - r)
 
 
-def _combine(coeffs, basis: np.ndarray) -> tuple:
-    """The matrices sum_k c[k] basis[k], one per coefficient row c."""
-    return tuple(np.einsum("k,kab->ab", c, basis) for c in coeffs)
+def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The (m, 3, 3) stack of sum_k c[k] basis[k], one per coefficient row c."""
+    return (coeffs @ basis.reshape(len(basis), 9)).reshape(-1, 3, 3)
 
 
 def second_fundamental_form(od: OrbitData) -> np.ndarray:
@@ -103,10 +103,8 @@ def second_fundamental_form(od: OrbitData) -> np.ndarray:
     basis T_j and A_n runs over the orthonormal normals.  Symmetry in
     (i, j) reflects closure of u' under the matrix commutator.
     """
-    a = np.reshape(od.normals, (-1, 1, 3, 3))
-    x = np.reshape(od.lifts, (1, -1, 3, 3))
-    t = np.reshape(od.tangent, (-1, 3, 3))
-    return -np.einsum("niab,jba->nij", dpi(a @ x - x @ a), t)
+    a, x = od.normals[:, None], od.lifts[None]
+    return -np.einsum("niab,jba->nij", dpi(a @ x - x @ a), od.tangent)
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def mean_curvature(subspace: MatrixSubspace) -> MeanCurvatureResult:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
     shape = second_fundamental_form(od)
     vals = np.trace(shape, axis1=1, axis2=2) / od.orbit_dim
-    h = np.einsum("n,nab->ab", vals, np.reshape(od.normals, (-1, 3, 3)))
+    h = np.einsum("n,nab->ab", vals, od.normals)
     return MeanCurvatureResult(h=h, norm=float(np.linalg.norm(h)),
                                per_normal=tuple((a, float(v))
                                                 for a, v in zip(od.normals, vals)),

@@ -14,8 +14,8 @@ import numpy as np
 
 from .curvature import metric_data, require_finite, ricci_closed_form, ricci_operator
 from .derivations import MatrixSubspace, derivation_algebra, conjugate_subspace
-from .lie_core import Family, StructureConstants, make_family
-from .moduli import frame_constants, rep_matrix
+from .lie_core import Family, StructureConstants, change_basis, make_family
+from .moduli import rep_matrix
 
 DEFAULT_TOL = 1e-8
 
@@ -39,9 +39,7 @@ class SolitonVerdict:
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Least-squares split of ric over [I | derivation basis]."""
     require_finite(ric)
-    columns = [np.eye(3).ravel()]
-    columns.extend(b.ravel() for b in der.basis)
-    a = np.array(columns).T
+    a = np.concatenate([np.eye(3).reshape(1, 9), der.stacked()]).T
     coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - ric.ravel()))
     c = float(coeffs[0])
@@ -74,9 +72,9 @@ def soliton_from_frame(family: Family, lam: float,
     the derivation algebra conjugated by g_lambda.  Equivalent to
     ``solvsoliton_check`` at the Gram matrix of the representative.
     """
-    scf = frame_constants(family, lam)
-    c = scf.c
+    sc = make_family(family)
+    g = rep_matrix(family, lam)
+    c = change_basis(sc, g).c
     ric = ricci_closed_form(c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2])
-    der = conjugate_subspace(derivation_algebra(make_family(family)),
-                             rep_matrix(family, lam))
+    der = conjugate_subspace(derivation_algebra(sc), g)
     return _project(np.asarray(ric, dtype=float), der, tol)

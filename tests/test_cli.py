@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,7 +256,6 @@ def test_non_finite_input_named(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["soliton", "--family", "r3pa:a=1e200"],
     ["verify", "--family", "r3pa:a=1e200", "--lambda", "2"],
@@ -264,6 +267,24 @@ def test_non_finite_ricci_rejected(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: Ricci operator is not finite")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ricci", "--family", "r3pa:a=1e200"],
+    ["soliton", "--family", "r3pa:a=1e200"],
+    ["verify", "--family", "r3pa:a=1e200", "--lambda", "2"],
+])
+def test_non_finite_ricci_writes_one_stderr_line(argv):
+    # a fresh interpreter prints any numpy RuntimeWarning, which pytest would hide
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "solvgeo.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: Ricci operator is not finite: the curvature overflows float64 for this metric"]
 
 
 def test_der_exact_prints_float_output(capsys):

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from helpers import DER_GRID, FAMILIES, unit
 from oracles import derivation_basis_sympy, pattern_subspace
-from solvgeo import cli, derivations, linalg
+from solvgeo import cli, derivations, linalg, moduli
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, derivation_residual,
                                  scalar_plus, subspace_equal,
@@ -149,6 +151,21 @@ def test_conjugate_singular_raises():
         conjugate_subspace(der, np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
         conjugate_subspace(der, np.diag([1.0, 1.0, 1e-13]))
+    # the boundary sits where np.linalg.cond puts it: cond <= COND_LIMIT passes
+    limit = derivations.COND_LIMIT
+    for s in (np.nextafter(limit, 0.0), limit, np.nextafter(limit, np.inf), 2 * limit):
+        for g in (np.diag([s, 1.0, 1.0]), np.diag([1e-3 * s, 1e-3, 1e-3])):
+            if np.linalg.cond(g) <= limit:
+                assert conjugate_subspace(der, g).dim == der.dim
+            else:
+                with pytest.raises(SingularMatrixError, match="singular"):
+                    conjugate_subspace(der, g)
+    assert np.linalg.cond(np.diag([limit, 1.0, 1.0])) == limit
+    # a zero or subnormal singular value: cond is inf, with no warning on the way
+    for tiny in (0.0, 5e-324, 1e-310):
+        with pytest.raises(SingularMatrixError, match="singular"):
+            conjugate_subspace(der, np.diag([1.0, 1.0, tiny]))
+    assert np.linalg.cond(np.diag([np.nextafter(limit, np.inf), 1.0, 1.0])) > limit
     for bad in (np.nan, np.inf):
         g = np.eye(3)
         g[1, 2] = bad
@@ -327,3 +344,92 @@ def test_warm_verify_sweeps_do_no_row_reduction(monkeypatch):
         rows += len(out)
     assert rows == 377
     assert calls == []
+
+
+# ---------------------------------------------------- stacked basis layout
+
+def _normalize_one(mat) -> np.ndarray:
+    """The per-matrix normalization that the stacked one replaced."""
+    mat = np.asarray(mat, dtype=float)
+    mat = mat / np.linalg.norm(mat)
+    flat = mat.ravel()
+    lead = flat[np.abs(flat) > derivations.ZERO_TOL][0]
+    return (-mat if lead < 0 else mat) + 0.0
+
+
+def _seeded_stacks(count: int, seed: int = 8):
+    """Float stacks with sign flips, zero and -0.0 entries, tiny leads and
+    every tenth stack as exact Fractions."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = int(rng.integers(1, 7))
+        if k % 10 == 0:
+            nums = rng.integers(-9, 10, size=(d, 3, 3))
+            nums[:, 2, 2] = np.where((nums == 0).all(axis=(1, 2)), 1, nums[:, 2, 2])
+            dens = rng.integers(1, 12, size=(d, 3, 3))
+            yield np.array([[[Fraction(int(p), int(q)) for p, q in zip(pr, qr)]
+                             for pr, qr in zip(pm, qm)] for pm, qm in zip(nums, dens)],
+                           dtype=object)
+            continue
+        stack = rng.normal(size=(d, 3, 3)) * 10.0 ** rng.integers(-6, 7, size=(d, 1, 1))
+        stack[rng.random(stack.shape) < 0.4] = 0.0
+        stack[rng.random(stack.shape) < 0.1] = -0.0
+        stack[:, 2, 2] += 1.0  # no zero matrix
+        # a first entry at or below ZERO_TOL after scaling is skipped for the sign
+        tiny = rng.random(d) < 0.2
+        stack[tiny, 0, 0] = rng.choice([-1e-14, 1e-14], size=int(tiny.sum()))
+        yield stack * rng.choice([-1.0, 1.0], size=(d, 1, 1))
+
+
+def test_stacked_normalize_matches_per_matrix_loop():
+    stacks = list(_seeded_stacks(200))
+    assert any(s.dtype == object for s in stacks)
+    assert any(np.signbit(s[s == 0]).any() for s in stacks if s.dtype == float)
+    for stack in stacks:
+        want = np.array([_normalize_one(m) for m in stack])
+        got = derivations._normalize(stack)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # a tuple of matrices and a stack of flat vectors give the same bytes
+        assert derivations._normalize(tuple(stack)).tobytes() == want.tobytes()
+        assert derivations._normalize(stack.reshape(-1, 9)).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="zero matrix"):
+        derivations._normalize(np.stack([np.eye(3), np.zeros((3, 3))]))
+
+
+# the eight acceptance verify sweeps, 377 rows on their default grids
+VERIFY_SWEEPS = ([Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
+                 + [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)])
+
+
+def test_conjugate_matches_per_matrix_loop_on_verify_rows():
+    rows = 0
+    for fam in VERIFY_SWEEPS:
+        der = derivation_algebra(make_family(fam))
+        for lam in cli.default_grid(fam):
+            g = moduli.rep_matrix(fam, lam)
+            ginv = np.linalg.inv(g)
+            for sub in (der, scalar_plus(der)):
+                want = np.array([_normalize_one(ginv @ b @ g) for b in sub.basis])
+                assert conjugate_subspace(sub, g).basis.tobytes() == want.tobytes(), (fam, lam)
+            rows += 1
+    assert rows == 377
+
+
+def test_basis_is_one_read_only_stack():
+    der = derivation_algebra(make_family(Family("r3p_a", 0.5)))
+    subspaces = (der, scalar_plus(der), conjugate_subspace(der, np.diag([1.0, 2.0, 3.0])),
+                 MatrixSubspace(tuple(np.eye(3)[None] + unit(0, 1)[None])),
+                 MatrixSubspace(()))
+    for sub in subspaces:
+        assert isinstance(sub.basis, np.ndarray)
+        assert sub.basis.dtype == float and sub.basis.shape == (sub.dim, 3, 3)
+        assert not sub.basis.flags.writeable
+        for b in sub.basis:
+            assert b.shape == (3, 3) and np.shares_memory(b, sub.basis)
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[0, 0] = 1.0
+        stacked = sub.stacked()
+        assert stacked.shape == (sub.dim, 9) and not stacked.flags.writeable
+        assert sub.dim == 0 or np.shares_memory(stacked, sub.basis)
