@@ -166,7 +166,7 @@ def congruence_check(family: Family, g1: np.ndarray, g2: np.ndarray,
     g1 = np.asarray(g1, dtype=float)
     for _ in range(samples):
         coeffs = rng.uniform(-0.5, 0.5, size=u.dim)
-        alpha = expm(sum(coeffs[i] * u.basis[i] for i in range(u.dim)))
+        alpha = expm(np.tensordot(coeffs, u.basis, axes=1))
         lam = reduce(family, iso @ alpha @ g1)[0].lam
         if abs(lam - lam2) > tol:
             return False
