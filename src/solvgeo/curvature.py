@@ -115,14 +115,12 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
 
     The frame x1, x2, x3 is orthonormal and [x2,x3] = 0; every bracket in
     this package's families takes this shape on its Milnor frame.  Exact
-    when the inputs are exact.  Float overflow gives inf or NaN entries
-    silently, for ``require_finite`` to reject, as in ``ricci_operator``.
+    when the inputs are exact.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        half = (b + c) * (b + c) / 2
-        skew = (b * b - c * c) / 2
-        return np.array([
-            [-(a * a + d * d + half), 0 * a, 0 * a],
-            [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
-            [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
-        ])
+    half = (b + c) * (b + c) / 2
+    skew = (b * b - c * c) / 2
+    return np.array([
+        [-(a * a + d * d + half), 0 * a, 0 * a],
+        [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
+        [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
+    ])

@@ -31,7 +31,7 @@ def _normalize(stack) -> np.ndarray:
     nrm = np.sqrt(flat[:, None, :] @ flat[:, :, None])[:, 0]
     if (nrm <= ZERO_TOL).any():
         raise ValueError("cannot normalize a zero matrix")
-    return (linalg.lead_positive(flat / nrm, ZERO_TOL) + 0.0).reshape(-1, 3, 3)
+    return (linalg.lead_positive(flat / nrm) + 0.0).reshape(-1, 3, 3)
 
 
 # conjugating matrices with a larger 2-norm condition number count as singular
@@ -55,8 +55,7 @@ class MatrixSubspace:
         basis = _normalize(self.basis)
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
-        # the rank np.linalg.matrix_rank(stacked, tol=1e-10) computes
-        if np.sum(np.linalg.svd(self.stacked(), compute_uv=False) > 1e-10) < self.dim:
+        if np.linalg.matrix_rank(self.stacked(), tol=1e-10) < self.dim:
             raise ValueError("subspace basis is linearly dependent")
 
     @property
@@ -138,11 +137,8 @@ def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspac
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise SingularMatrixError("conjugating matrix is not finite")
-    s = np.linalg.svd(g, compute_uv=False)
-    # np.linalg.cond(g) = s[0] / s[-1], which it turns from NaN (g = 0) into inf
-    with np.errstate(all="ignore"):
-        if not s[0] / s[-1] <= COND_LIMIT:
-            raise SingularMatrixError("conjugating matrix is singular")
+    if np.linalg.cond(g) > COND_LIMIT:
+        raise SingularMatrixError("conjugating matrix is singular")
     return MatrixSubspace(np.linalg.inv(g) @ subspace.basis @ g)
 
 

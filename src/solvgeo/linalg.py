@@ -25,6 +25,8 @@ from .errors import SingularMatrixError
 LQ_DET_TOL = 1e-9
 # singular values at or below which orthonormalize drops a direction
 SVD_TOL = 1e-12
+# entries at or below which lead_positive skips to the next one
+LEAD_TOL = 1e-12
 
 ZERO = Fraction(0)
 
@@ -38,10 +40,10 @@ def to_float(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def lead_positive(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Each row negated where its first entry larger than ``tol`` in size
-    is negative."""
-    lead = rows[np.arange(len(rows)), (np.abs(rows) > tol).argmax(axis=1)]
+def lead_positive(rows: np.ndarray) -> np.ndarray:
+    """Each row negated where its first entry larger than ``LEAD_TOL`` in
+    size is negative."""
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > LEAD_TOL).argmax(axis=1)]
     return np.where(lead[:, None] < 0, -rows, rows)
 
 

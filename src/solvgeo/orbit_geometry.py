@@ -84,7 +84,7 @@ def orbit_data(subspace: MatrixSubspace) -> OrbitData:
     u, sigma, wt = np.linalg.svd(p)
     r = int(np.sum(sigma > RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
-    normal_coords = linalg.lead_positive(u[:, r:].T, 1e-12)
+    normal_coords = linalg.lead_positive(u[:, r:].T)
     return OrbitData(subspace=subspace, tangent=_combine(u[:, :r].T, SYM_BASIS),
                      normals=_combine(normal_coords, SYM_BASIS),
                      lifts=_combine(wt[:r] / sigma[:r, None], q),

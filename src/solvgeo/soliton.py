@@ -75,6 +75,8 @@ def soliton_from_frame(family: Family, lam: float,
     sc = make_family(family)
     g = rep_matrix(family, lam)
     c = change_basis(sc, g).c
-    ric = ricci_closed_form(c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2])
+    # as Python floats (a, b, c, d) overflow to inf or NaN without a warning,
+    # and _project rejects the result
+    ric = ricci_closed_form(*c[0, 1:, 1:].ravel().tolist())
     der = conjugate_subspace(derivation_algebra(sc), g)
     return _project(np.asarray(ric, dtype=float), der, tol)
