@@ -10,9 +10,11 @@ follows from finite sums over the frame structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import NonSPDMetricError
 from .lie_core import StructureConstants, change_basis
 
@@ -115,8 +117,13 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
 
     The frame x1, x2, x3 is orthonormal and [x2,x3] = 0; every bracket in
     this package's families takes this shape on its Milnor frame.  Exact
-    when the inputs are exact.
+    (an object array of Fractions) when all four inputs are ``int`` or
+    ``Fraction``: then it runs on the integer numerators over one common
+    denominator q, and each entry is one integer over 2 q^2.
     """
+    # a float first argument skips the scan: the float lane runs this per verify row
+    if not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d)):
+        return _exact_ricci_closed_form(a, b, c, d)
     half = (b + c) * (b + c) / 2
     skew = (b * b - c * c) / 2
     return np.array([
@@ -124,3 +131,16 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
         [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
         [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
     ])
+
+
+def _exact_ricci_closed_form(a, b, c, d) -> np.ndarray:
+    (A, B, C, D), q = linalg.integer_numerators(np.array([a, b, c, d], dtype=object))
+    den = 2 * q * q
+    skew = B * B - C * C
+    off = linalg.ratio(-2 * (A * C + B * D), den)
+    zero = linalg.ZERO
+    return linalg.object_array([
+        linalg.ratio(-(2 * (A * A + D * D) + (B + C) * (B + C)), den), zero, zero,
+        zero, linalg.ratio(-(2 * A * (A + D) + skew), den), off,
+        zero, off, linalg.ratio(-(2 * D * (A + D) - skew), den),
+    ], (3, 3))

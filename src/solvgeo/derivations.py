@@ -92,25 +92,48 @@ def _float_derivations(data: bytes, shape: tuple) -> MatrixSubspace:
 
 
 def _derivation_kernel(c: np.ndarray) -> MatrixSubspace:
-    n = c.shape[0]
-    dtype = object if linalg.is_exact(c) else float
-    c = c.tolist()
-    zero = c[0][0][0] * 0
-    rows = []
+    return MatrixSubspace(linalg.nullspace(_derivation_system(c)))
+
+
+def _derivation_system(c: np.ndarray) -> np.ndarray:
+    """The derivation identity as a linear system in the entries of D.
+
+    One gather from ``_derivation_template``; each entry is
+    ``(plus - minus1) - minus2``.  An absent positive term reads
+    ``c[0,0,0] * 0`` and an absent subtracted one reads +0, so the entries
+    are bit for bit those of the entry-by-entry construction that
+    ``tests/test_derivations.py`` keeps as the reference, signed zeros
+    included.
+    """
+    plus, minus1, minus2 = _derivation_template(c.shape[0])
+    flat = np.concatenate([c.ravel(), [c[0, 0, 0] * 0, 0]])
+    return (flat[plus] - flat[minus1]) - flat[minus2]
+
+
+@functools.lru_cache(maxsize=None)
+def _derivation_template(n: int) -> tuple:
+    """Indices of the derivation-identity system into the padded flat ``c``.
+
+    Row (i<j, l), column (m, k) of the system is
+    (c_ij^k [m = l]) - (c_mj^l [k = i]) - (c_im^l [k = j]): the coefficient
+    of D[m, k] in component l of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
+    Index n^3 holds the signed zero, n^3 + 1 the +0.
+    """
+    signed_zero, plus_zero = n ** 3, n ** 3 + 1
+
+    def at(p, q, r):
+        return (p * n + q) * n + r
+
+    plus, minus1, minus2 = [], [], []
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(n):
-                row = []
                 for m in range(n):
                     for k in range(n):
-                        entry = c[i][j][k] if m == l else zero
-                        if k == i:
-                            entry = entry - c[m][j][l]
-                        if k == j:
-                            entry = entry - c[i][m][l]
-                        row.append(entry)
-                rows.append(row)
-    return MatrixSubspace(linalg.nullspace(np.array(rows, dtype=dtype)))
+                        plus.append(at(i, j, k) if m == l else signed_zero)
+                        minus1.append(at(m, j, l) if k == i else plus_zero)
+                        minus2.append(at(i, m, l) if k == j else plus_zero)
+    return tuple(np.array(t).reshape(-1, n * n) for t in (plus, minus1, minus2))
 
 
 def derivation_residual(sc: StructureConstants, d: np.ndarray) -> float:

@@ -173,8 +173,8 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
 
     c'_ij^k = sum_r (h^-1)[k,r] * sum_pq h[p,i] h[q,j] c[p,q,r].  The result
     is exact only when both the constants and h are exact; the exact lane
-    contracts integer numerators (h^-1 through the adjugate of h's) and
-    divides once per entry.
+    contracts integer numerators (h^-1 through the adjugate of h's) in
+    Python ints, over the nonzero terms only, and divides once per entry.
     """
     h = np.asarray(h)
     n = sc.dim
@@ -183,11 +183,12 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     if sc.exact and h.dtype == object:
         c, dc = linalg.integer_numerators(sc.c)
         h, dh = linalg.integer_numerators(h)
+        h = h.tolist()
         hinv, det = _adjugate(h)
         if det == 0:
             raise SingularMatrixError("basis change matrix is singular")
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
-        return StructureConstants(_ratios(_contract(c, h, hinv), dc * dh * det))
+        return StructureConstants(_ratios(_integer_contract(c.tolist(), h, hinv), dc * dh * det))
     h = linalg.to_float(h)
     c = linalg.to_float(sc.c)
     if abs(np.linalg.det(h)) < 1e-12:
@@ -207,19 +208,44 @@ def _contract(c: np.ndarray, h: np.ndarray, hinv: np.ndarray) -> np.ndarray:
     return cprime
 
 
-def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
+def _integer_contract(c: list, h: list, hinv: list) -> list:
+    """``_contract`` on nested lists of Python ints.
+
+    Only nonzero terms are summed: a bracket has few nonzero constants and
+    a canonical group element few nonzero entries.
+    """
+    n = len(h)
+    cols = [[(i, x) for i, x in enumerate(row) if x] for row in h]
+    rows = [[(k, hinv[k][r]) for k in range(n) if hinv[k][r]] for r in range(n)]
+    out = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for p, plane in enumerate(c):
+        for q, line in enumerate(plane):
+            for r, x in enumerate(line):
+                if not x:
+                    continue
+                for i, hpi in cols[p]:
+                    for j, hqj in cols[q]:
+                        t = x * hpi * hqj
+                        acc = out[i][j]
+                        for k, hkr in rows[r]:
+                            acc[k] += hkr * t
+    return out
+
+
+def _adjugate(m: list) -> tuple[list, int]:
     """Adjugate and determinant of a 3x3 integer matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    adj = np.array([[e * i - f * h, c * h - b * i, b * f - c * e],
-                    [f * g - d * i, a * i - c * g, c * d - a * f],
-                    [d * h - e * g, b * g - a * h, a * e - b * d]], dtype=object)
-    return adj, a * adj[0, 0] + b * adj[1, 0] + c * adj[2, 0]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
-def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
-    """Object array of the Fractions nums / den, zeros shared."""
-    return np.array([Fraction(x, den) if x else linalg.ZERO for x in nums.ravel()],
-                    dtype=object).reshape(nums.shape)
+def _ratios(nums: list, den: int) -> np.ndarray:
+    """(n,n,n) object array of the Fractions nums / den, zeros shared."""
+    n = len(nums)
+    return linalg.object_array([linalg.ratio(x, den) for plane in nums for row in plane
+                                for x in row], (n, n, n))
 
 
 def antisymmetry_residual(sc: StructureConstants) -> float:

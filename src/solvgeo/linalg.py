@@ -37,6 +37,14 @@ def is_exact(arr: np.ndarray) -> bool:
 
 
 def to_float(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as float64.  A rational entry becomes ``numerator /
+    denominator``, the correctly rounded float that ``float()`` gives."""
+    if isinstance(arr, np.ndarray) and is_exact(arr):
+        try:
+            flat = [x.numerator / x.denominator for x in arr.ravel().tolist()]
+        except AttributeError:  # float entries
+            return np.asarray(arr, dtype=float)
+        return np.array(flat, dtype=float).reshape(arr.shape)
     return np.asarray(arr, dtype=float)
 
 
@@ -54,14 +62,22 @@ def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
     the least common multiple of the entries' denominators.  A float entry
     converts exactly (a non-finite one raises).
     """
-    values = arr.ravel().tolist()
-    try:
-        pairs = [x.as_integer_ratio() for x in values]
-    except AttributeError:  # numpy integer scalars
-        pairs = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
-    d = math.lcm(*{q for _, q in pairs})
-    nums = [p * (d // q) for p, q in pairs]
+    nums, d = _numerators(arr.ravel().tolist())
     return np.array(nums, dtype=object).reshape(arr.shape), d
+
+
+def _numerators(values: list) -> tuple[list[int], int]:
+    """``integer_numerators`` of a flat list, as a list; zeros are skipped."""
+    try:
+        nonzero = [(i, x.as_integer_ratio()) for i, x in enumerate(values) if x]
+    except AttributeError:  # numpy integer scalars
+        nonzero = [(i, (int(f.numerator), int(f.denominator)))
+                   for i, f in enumerate(map(Fraction, values)) if f]
+    d = math.lcm(*{q for _, (_, q) in nonzero})
+    nums = [0] * len(values)
+    for i, (p, q) in nonzero:
+        nums[i] = p * (d // q)
+    return nums, d
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -80,8 +96,9 @@ def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
     made positive, so a zero quotient is never a float -0.0.
     """
     m, n = a.shape
+    nums = _numerators(a.ravel().tolist())[0]
     # scaling a row leaves the RREF unchanged
-    rows = [_primitive(row) for row in integer_numerators(a)[0].tolist()]
+    rows = [_primitive(nums[i * n:(i + 1) * n]) for i in range(m)]
     pivots = []
     r = 0
     for c in range(n):
@@ -104,13 +121,23 @@ def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def _ratio(num: int, den: int) -> Fraction:
+def object_array(values: list, shape: tuple) -> np.ndarray:
+    """Object array of the given shape holding ``values`` in row-major order.
+
+    ``np.fromiter`` stores each value as it is; ``np.array`` would first
+    probe every Fraction for the sequence and array protocols.
+    """
+    return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
+
+
+def ratio(num: int, den: int) -> Fraction:
+    """The Fraction num / den; a zero is the shared ``ZERO``."""
     return Fraction(num, den) if num else ZERO
 
 
 def _entry_type(a: np.ndarray):
     """(dtype, num/den -> entry) of the output lane of ``a``."""
-    return (object, _ratio) if is_exact(a) else (float, operator.truediv)
+    return (object, ratio) if is_exact(a) else (float, operator.truediv)
 
 
 def row_echelon(a: np.ndarray):

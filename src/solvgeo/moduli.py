@@ -71,7 +71,7 @@ def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
     if family.tag == "r3_a":
         mat[2, 1] = lam
     else:
-        mat[2, 2] = one / lam
+        mat[2, 2] = Fraction(lam.denominator, lam.numerator) if exact else one / lam
     return mat
 
 

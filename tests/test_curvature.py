@@ -1,3 +1,5 @@
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -175,3 +177,63 @@ def test_pipeline_spectrum_matches_frame_matrix_r3_a():
     printed = ricci_closed_form(1.0, lam * (a - 1), 0.0, a)
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(res.ric_frame)),
                                np.sort(np.linalg.eigvalsh(printed)), atol=1e-10)
+
+
+# ------------------------------------------- closed form against its formula
+
+def _fraction_closed_form(a, b, c, d):
+    """The closed form in plain arithmetic, as the float lane computes it."""
+    half = (b + c) * (b + c) / 2
+    skew = (b * b - c * c) / 2
+    return np.array([
+        [-(a * a + d * d + half), 0 * a, 0 * a],
+        [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
+        [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
+    ])
+
+
+def _random_rational(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return rng.randint(-9, 9)  # a plain int
+    big = 10 ** 20 if kind == 2 else 40
+    return Fraction(rng.randint(-big, big), rng.choice((1, 2, 3, 7, 8, 12, 10 ** 20 + 39)))
+
+
+def test_closed_form_int_input_is_exact():
+    got = ricci_closed_form(1, 0, 0, 1)
+    assert all(type(x) is Fraction for x in got.ravel())
+    assert got.tolist() == [[-2, 0, 0], [0, -2, 0], [0, 0, -2]]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_closed_form_exact_matches_fraction_formula(seed):
+    rng = random.Random(seed)
+    args = [_random_rational(rng) for _ in range(4)]
+    got = ricci_closed_form(*args)
+    assert got.shape == (3, 3)
+    assert all(type(x) is Fraction for x in got.ravel())
+    assert got.tolist() == _fraction_closed_form(*map(Fraction, args)).tolist()
+
+
+def test_closed_form_float_lane_is_the_formula_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for scale in (1e-200, 1e-3, 1.0, 1e5, 1e150):
+        for _ in range(50):
+            args = [float(x) for x in rng.normal(size=4) * scale]
+            args[rng.integers(4)] *= -0.0 if rng.random() < 0.3 else 1.0
+            got = ricci_closed_form(*args)
+            want = _fraction_closed_form(*args)
+            assert got.dtype == want.dtype == float
+            assert got.tobytes() == want.tobytes()
+
+
+def test_closed_form_float_overflow_gives_inf_and_nan_without_warning():
+    # the r3pa:a=1e200 frame at lambda = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ricci_closed_form(1e200, -2.0, 0.5, 1e200)
+    assert got.dtype == float
+    assert np.isinf(got).any()

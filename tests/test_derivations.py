@@ -424,3 +424,57 @@ def test_basis_is_one_read_only_stack():
         stacked = sub.stacked()
         assert stacked.shape == (sub.dim, 9) and not stacked.flags.writeable
         assert sub.dim == 0 or np.shares_memory(stacked, sub.basis)
+
+
+# ------------------------------------------- the gathered derivation system
+
+def _loop_system(c):
+    """The derivation-identity system built entry by entry, as a reference."""
+    n = c.shape[0]
+    dtype = object if linalg.is_exact(c) else float
+    c = c.tolist()
+    zero = c[0][0][0] * 0
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(n):
+                row = []
+                for m in range(n):
+                    for k in range(n):
+                        entry = c[i][j][k] if m == l else zero
+                        if k == i:
+                            entry = entry - c[m][j][l]
+                        if k == j:
+                            entry = entry - c[i][m][l]
+                        row.append(entry)
+                rows.append(row)
+    return np.array(rows, dtype=dtype)
+
+
+def _same_system(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape == (9, 9)
+    if want.dtype == object:
+        assert got.tolist() == want.tolist()
+        assert all(type(x) is int for x in got.ravel())
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fam", DER_GRID, ids=[f.label() for f in DER_GRID])
+def test_gathered_system_matches_loop(fam):
+    c = make_family(fam).c
+    _same_system(derivations._derivation_system(c), _loop_system(c))
+    ints = linalg.integer_numerators(make_family(fam, exact=True).c)[0]
+    _same_system(derivations._derivation_system(ints), _loop_system(ints))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_gathered_system_matches_loop_on_random_floats(seed):
+    # signed zeros (c_000 among them) and terms of very different size,
+    # whose differences round
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.integers(-20, 20, size=(3, 3, 3))
+    c[rng.random((3, 3, 3)) < 0.3] = 0.0
+    c[rng.random((3, 3, 3)) < 0.3] = -0.0
+    c[0, 0, 0] = (-0.0, 0.0, -1.5, 2.0)[seed % 4]
+    _same_system(derivations._derivation_system(c), _loop_system(c))

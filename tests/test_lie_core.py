@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import FAMILIES
+from solvgeo import lie_core, linalg
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.errors import InvalidFamilyError, SingularMatrixError
 from solvgeo.lie_core import (Family, StructureConstants, antisymmetry_residual,
@@ -140,6 +142,33 @@ def test_change_basis_exact_lane():
 
 def _exact(rows):
     return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_change_basis_exact_matches_fraction_contraction(seed):
+    # dense and sparse rational tensors and basis matrices, against the
+    # float lane's contraction run in Fraction arithmetic on h's exact inverse
+    rng = random.Random(seed)
+    big = 10 ** 20 if seed % 2 else 9
+
+    def entry(density):
+        if rng.random() > density:
+            return Fraction(0)
+        return Fraction(rng.randint(-big, big), rng.choice((1, 2, 3, 7, 10 ** 20 + 39)))
+
+    density = (0.2, 0.6, 1.0)[seed % 3]
+    c = np.array([entry(density) for _ in range(27)], dtype=object).reshape(3, 3, 3)
+    while True:
+        h = np.array([entry(density) for _ in range(9)], dtype=object).reshape(3, 3)
+        h[range(3), range(3)] += 1 + (seed % 2)
+        try:
+            hinv = linalg.exact_inv(h)
+            break
+        except SingularMatrixError:
+            continue
+    out = change_basis(StructureConstants(c), h)
+    assert all(type(x) is Fraction for x in out.c.ravel())
+    assert out.c.tolist() == lie_core._contract(c, h, hinv).tolist()
 
 
 @pytest.mark.parametrize("h", [

@@ -18,8 +18,9 @@ import sympy as sp
 from solvgeo import linalg
 from solvgeo.derivations import derivation_algebra
 from solvgeo.errors import SingularMatrixError
-from solvgeo.lie_core import change_basis, make_family
-from solvgeo.moduli import rep_matrix
+from solvgeo.curvature import ricci_closed_form
+from solvgeo.lie_core import Family, change_basis, make_family
+from solvgeo.moduli import frame_constants, rep_matrix
 
 from helpers import FAMILIES
 
@@ -174,6 +175,12 @@ def test_to_float_matches_float_of_each_entry():
     flt = linalg.to_float(c)
     assert flt.dtype == float and flt.shape == (3, 3, 3)
     assert flt.tobytes() == np.array([float(x) for x in c.ravel()]).reshape(3, 3, 3).tobytes()
+    # ints, numpy integers and floats (a signed zero and a NaN among them)
+    mixed = np.array([[3, np.int64(-2 ** 62 - 1), Fraction(2 ** 80 + 1, 3)],
+                      [0.25, -0.0, np.nan]], dtype=object)
+    for arr in (mixed[0], mixed):
+        want = np.array([float(x) for x in arr.ravel()]).reshape(arr.shape)
+        assert linalg.to_float(arr).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- no Fraction arithmetic
@@ -198,17 +205,22 @@ def count_fraction_ops(monkeypatch):
 
 
 def test_exact_lane_does_no_fraction_arithmetic(monkeypatch):
-    # inputs first: rep_matrix(exact=True) itself divides Fractions
+    # a whole exact item: Der, the frame constants (rep_matrix and
+    # change_basis) and the closed-form Ricci operator on them
     lams = (Fraction(37, 5), Fraction(5, 3), Fraction(32))
-    cases = [(make_family(fam, exact=True), [rep_matrix(fam, lam, exact=True) for lam in lams])
-             for fam in FAMILIES]
+    fams = [Family(fam.tag, None if fam.a is None else Fraction(fam.a)) for fam in FAMILIES]
+    cases = [(fam, make_family(fam, exact=True)) for fam in fams]
     calls = count_fraction_ops(monkeypatch)
-    for sc, hs in cases:
+    for fam, sc in cases:
         der = derivation_algebra(sc)
         assert der.dim in (4, 6)
-        for h in hs:
+        for lam in lams:
+            h = rep_matrix(fam, lam, exact=True)
             assert change_basis(sc, h).exact
             assert linalg.exact_inv(h).shape == (3, 3)
+            c = frame_constants(fam, lam, exact=True).c
+            ric = ricci_closed_form(c[0, 1, 1], c[0, 1, 2], c[0, 2, 1], c[0, 2, 2])
+            assert all(type(x) is Fraction for x in ric.ravel())
     assert calls == []
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert calls == ["__add__"]  # the counters are live
