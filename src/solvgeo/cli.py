@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -260,7 +261,13 @@ def _cmd_reduce(args):
     }, 0
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {tol}")
+
+
 def _cmd_soliton(args):
+    _check_tol(args.tol)
     fam = _family_from(args)
     gram = _gram_or_lambda(args)
     if args.lam is not None:
@@ -310,6 +317,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _cmd_verify(args):
+    _check_tol(args.tol)
     fam = _family_from(args)
     if args.lam is not None and args.grid is not None:
         raise ValueError("give either --lambda or --grid, not both")

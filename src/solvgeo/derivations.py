@@ -36,7 +36,7 @@ def _normalize(stack) -> np.ndarray:
 
 # conjugating matrices with a larger 2-norm condition number count as singular
 COND_LIMIT = 1e12
-# float Der(g) and span{I} + Der results kept per input content
+# float Der(g), kernel subspace and span{I} + Der results kept per input content
 MEMO_SIZE = 128
 
 
@@ -75,9 +75,16 @@ def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     exactly in both lanes: exact ``sc`` is solved on the integer multiple of
     ``c`` that clears its denominators, float ``sc`` on its float entries,
     which are dyadic rationals.  So the dimension has no pivot threshold,
-    and a float tensor gives the same basis as its exact twin.  Float
-    results are memoized on the content of the tensor, so an edited tensor
-    is solved afresh; the exact lane always solves.
+    and a float tensor gives the same basis as its exact twin.
+
+    Of the three memo levels (tensor -> kernel -> ``span{I} + Der``, the
+    last in ``scalar_plus``), two are here.  Float results are kept per
+    content of the tensor, so an edited tensor is solved afresh.  The
+    float subspace is kept per content of the RREF kernel, which is
+    canonical, so a new parameter whose kernel is known builds no new
+    subspace.  The exact lane always eliminates but shares the float
+    subspace of its kernel: an exact tensor and its float twin get the
+    same object.
     """
     if sc.exact:
         # the identity is linear and homogeneous in c: Der(t c) = Der(c)
@@ -92,7 +99,15 @@ def _float_derivations(data: bytes, shape: tuple) -> MatrixSubspace:
 
 
 def _derivation_kernel(c: np.ndarray) -> MatrixSubspace:
-    return MatrixSubspace(linalg.nullspace(_derivation_system(c)))
+    system = _derivation_system(c)
+    kernel = linalg.nullspace(system)
+    flat = linalg.to_float(np.reshape(kernel, (len(kernel), system.shape[1])))
+    return _kernel_subspace(flat.tobytes(), flat.shape)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _kernel_subspace(data: bytes, shape: tuple) -> MatrixSubspace:
+    return MatrixSubspace(np.frombuffer(data).reshape(shape))
 
 
 def _derivation_system(c: np.ndarray) -> np.ndarray:

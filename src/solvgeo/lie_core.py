@@ -21,6 +21,7 @@ Structure constants are stored as a dense (3,3,3) array ``c`` with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -117,45 +118,42 @@ class StructureConstants:
                 if self.c[i, j, k] != 0]
 
 
-def _zeros(exact: bool) -> np.ndarray:
-    if exact:
-        c = np.empty((3, 3, 3), dtype=object)
-        c[...] = Fraction(0)
-        return c
-    return np.zeros((3, 3, 3))
+# each family's tensor c flattened row-major, a space between rows of a
+# plane c[i] and two between planes: "0" is zero, "1" one, "-" minus one,
+# "a" the parameter and "A" its negative (so a zero parameter gives a -0.0
+# in the float lane where an absent bracket gives +0.0).  Each is kept as
+# the getter of its 27 symbols from a symbol -> entry mapping.
+_TENSORS = {tag: operator.itemgetter(*"".join(text.split())) for tag, text in {
+    "h3": "000 001 000  00- 000 000  000 000 000",
+    "r3": "000 011 001  0-- 000 000  00- 000 000",
+    "r3_a": "000 010 00a  0-0 000 000  00A 000 000",
+    "r3_1": "000 010 001  0-0 000 000  00- 000 000",
+    "r3p_a": "000 0a- 01a  0A1 000 000  0-A 000 000",
+}.items()}
 
-
-def _set(c: np.ndarray, i: int, j: int, k: int, value) -> None:
-    c[i, j, k] = value
-    c[j, i, k] = -value
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def make_family(family: Family, exact: bool = False) -> StructureConstants:
     """Structure constants of a classified family.
 
     With ``exact=True`` the entries are Fractions (the parameter is
-    converted exactly; binary floats are dyadic rationals).
+    converted exactly; binary floats are dyadic rationals).  Zeros and
+    the entries +-1 are shared Fraction objects.
     """
     a = family.a
-    if exact and a is not None:
-        a = Fraction(a)
-    one = Fraction(1) if exact else 1.0
-    c = _zeros(exact)
-    if family.tag == "h3":
-        _set(c, 0, 1, 2, one)
-    elif family.tag == "r3":
-        _set(c, 0, 1, 1, one)
-        _set(c, 0, 1, 2, one)
-        _set(c, 0, 2, 2, one)
-    elif family.tag in ("r3_a", "r3_1"):
-        _set(c, 0, 1, 1, one)
-        _set(c, 0, 2, 2, one if family.tag == "r3_1" else a)
-    else:  # r3p_a
-        _set(c, 0, 1, 1, a)
-        _set(c, 0, 1, 2, -one)
-        _set(c, 0, 2, 1, one)
-        _set(c, 0, 2, 2, a)
-    return StructureConstants(c)
+    if exact:
+        entries = {"0": linalg.ZERO, "1": _ONE, "-": _MINUS_ONE}
+        if a is not None:
+            a = Fraction(a)
+    else:
+        entries = {"0": 0.0, "1": 1.0, "-": -1.0}
+    if a is not None:
+        entries.update(a=a, A=-a)
+    flat = _TENSORS[family.tag](entries)
+    if exact:
+        return StructureConstants(linalg.object_array(flat, (3, 3, 3)))
+    return StructureConstants(np.array(flat, dtype=float).reshape(3, 3, 3))
 
 
 def bracket(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:

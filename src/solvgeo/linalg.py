@@ -166,12 +166,16 @@ def nullspace(a: np.ndarray) -> list[np.ndarray]:
     zero, one = ratio(0, 1), ratio(1, 1)
     basis = []
     for f in (c for c in range(n) if c not in pivots):
-        v = np.full(n, zero, dtype=dtype)
+        v = [zero] * n
         v[f] = one
         for r, c in enumerate(pivots):
             v[c] = ratio(-rows[r][f], rows[r][c])
         basis.append(v)
-    return basis
+    if dtype is object:
+        stack = object_array([x for v in basis for x in v], (len(basis), n))
+    else:
+        stack = np.array(basis, dtype=float).reshape(len(basis), n)
+    return list(stack)
 
 
 def row_space_basis(a: np.ndarray) -> list[np.ndarray]:

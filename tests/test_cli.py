@@ -249,6 +249,10 @@ def test_invalid_configurations_exit_2(capsys, argv):
      "entry (2, 2) is not finite: nan"),
     (["reduce", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "inf"],
      "entry (3, 3) is not finite: inf"),
+] + [
+    ([cmd, "--family", "r3pa:a=1.0", "--lambda", "1", "--tol", tol],
+     f"--tol must be finite and > 0, got {float(tol)}")
+    for cmd in ("verify", "soliton") for tol in ("nan", "inf", "0", "-1")
 ])
 def test_non_finite_input_named(capsys, argv, message):
     assert cli.main(argv) == 2

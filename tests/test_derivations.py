@@ -244,6 +244,7 @@ def test_matrix_subspace_equality_is_identity():
 
 def _clear_memos():
     derivations._float_derivations.cache_clear()
+    derivations._kernel_subspace.cache_clear()
     derivations._scalar_plus.cache_clear()
 
 
@@ -298,6 +299,7 @@ def test_memo_is_bounded():
         scalar_plus(derivation_algebra(make_family(Family("r3_a", float(a)))))
     assert derivations._float_derivations.cache_info().misses == 200
     assert derivations._float_derivations.cache_info().currsize <= derivations.MEMO_SIZE
+    assert derivations._kernel_subspace.cache_info().currsize <= derivations.MEMO_SIZE
     assert derivations._scalar_plus.cache_info().currsize <= derivations.MEMO_SIZE
     assert derivations.MEMO_SIZE == 128
 
@@ -335,6 +337,72 @@ def test_warm_verify_sweeps_do_no_row_reduction(monkeypatch):
         rows += len(out)
     assert rows == 377
     assert calls == []
+
+
+# ---------------------------------------------------------- kernel memo
+
+def _uncached_der(c) -> MatrixSubspace:
+    return MatrixSubspace(linalg.nullspace(derivations._derivation_system(c)))
+
+
+def test_kernel_memo_one_entry_per_distinct_kernel():
+    _clear_memos()
+    for a in np.linspace(-0.99, 0.99, 200):
+        assert derivation_algebra(make_family(Family("r3_a", float(a)))).dim == 4
+    info = derivations._kernel_subspace.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 199, 1)
+    assert derivation_algebra(make_family(Family("r3_a", 1.0))).dim == 6
+    info = derivations._kernel_subspace.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+@pytest.mark.parametrize("fam", DER_GRID, ids=[f.label() for f in DER_GRID])
+def test_kernel_memo_matches_uncached(fam):
+    _clear_memos()
+    c = make_family(fam).c
+    want = _uncached_der(c).stacked().tobytes()
+    assert derivation_algebra(make_family(fam)).stacked().tobytes() == want
+    # warm, and through a parameter that shares the kernel
+    assert derivations._derivation_kernel(c).stacked().tobytes() == want
+    exact = make_family(fam, exact=True)
+    assert _uncached_der(linalg.integer_numerators(exact.c)[0]).stacked().tobytes() == want
+    # the exact twin shares the float lane's object
+    assert derivation_algebra(exact) is derivation_algebra(make_family(fam))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_kernel_memo_matches_uncached_on_random_floats(seed):
+    # dense tensors that are not brackets have small kernels, often {0};
+    # zeroed planes give larger ones
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(3, 3, 3)) * 10.0 ** rng.integers(-8, 8, size=(3, 3, 3))
+    c[rng.random((3, 3, 3)) < 0.5] = 0.0
+    c[:, :, rng.integers(0, 3)] *= seed % 2
+    want = _uncached_der(c)
+    for _ in range(2):
+        got = derivation_algebra(StructureConstants(c.copy()))
+        assert got.dim == want.dim
+        assert got.stacked().tobytes() == want.stacked().tobytes()
+
+
+def test_new_parameters_build_no_subspace(monkeypatch):
+    for fam in (Family("r3_a", 0.5), Family("r3p_a", 0.5)):
+        derivation_algebra(make_family(fam))
+    built = []
+    init = MatrixSubspace.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(MatrixSubspace, "__post_init__", counting)
+    rng = np.random.default_rng(11)
+    for a in rng.uniform(-0.999, 0.999, 100):
+        assert derivation_algebra(make_family(Family("r3_a", float(a)))).dim == 4
+    for a in rng.uniform(0.0, 100.0, 100):
+        fam = Family("r3p_a", float(a))
+        assert derivation_algebra(make_family(fam, exact=bool(a < 50))).dim == 4
+    assert built == []
 
 
 # ---------------------------------------------------- stacked basis layout

@@ -246,3 +246,60 @@ def test_structure_constants_to_float():
     flt = sc.to_float()
     assert not flt.exact
     np.testing.assert_allclose(flt.c[0, 2, 2], 0.5)
+
+
+def _make_family_by_assignment(family: Family, exact: bool) -> np.ndarray:
+    """The entry-by-entry construction that ``make_family`` replaced."""
+    a = family.a
+    if exact and a is not None:
+        a = Fraction(a)
+    one = Fraction(1) if exact else 1.0
+    if exact:
+        c = np.empty((3, 3, 3), dtype=object)
+        c[...] = Fraction(0)
+    else:
+        c = np.zeros((3, 3, 3))
+
+    def put(i, j, k, value):
+        c[i, j, k] = value
+        c[j, i, k] = -value
+
+    if family.tag == "h3":
+        put(0, 1, 2, one)
+    elif family.tag == "r3":
+        put(0, 1, 1, one)
+        put(0, 1, 2, one)
+        put(0, 2, 2, one)
+    elif family.tag in ("r3_a", "r3_1"):
+        put(0, 1, 1, one)
+        put(0, 2, 2, one if family.tag == "r3_1" else a)
+    else:
+        put(0, 1, 1, a)
+        put(0, 1, 2, -one)
+        put(0, 2, 1, one)
+        put(0, 2, 2, a)
+    return c
+
+
+# every branch, with zero parameters (whose negatives are -0.0 in the float
+# lane), int, Fraction and numpy parameters, and non-dyadic floats
+MAKE_FAMILY_CASES = [Family(tag) for tag in ("h3", "r3", "r3_1")] + [
+    Family(tag, a)
+    for tag, values in (("r3_a", (-1.0, -0.0, 0.0, 0.1, 1 / 3, 1.0, 0, -1, Fraction(-3, 7),
+                                  np.float64(0.5))),
+                        ("r3p_a", (0.0, 0.1, 2.0, 1e300, 0, 3, Fraction(22, 7),
+                                   np.float64(0.0))))
+    for a in values]
+
+
+@pytest.mark.parametrize("fam", MAKE_FAMILY_CASES, ids=[repr(f) for f in MAKE_FAMILY_CASES])
+def test_make_family_matches_entry_assignment(fam):
+    flt = make_family(fam).c
+    want = _make_family_by_assignment(fam, exact=False)
+    assert flt.dtype == float and flt.shape == (3, 3, 3)
+    assert flt.tobytes() == want.tobytes()
+    exact = make_family(fam, exact=True).c
+    want = _make_family_by_assignment(fam, exact=True)
+    assert exact.dtype == object and exact.shape == (3, 3, 3)
+    assert exact.tolist() == want.tolist()
+    assert all(type(x) is Fraction for x in exact.ravel())
