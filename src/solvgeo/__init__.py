@@ -9,18 +9,14 @@ space of inner products.
 from .curvature import (MetricData, RicciResult, connection_coeffs,
                         metric_data, ricci_closed_form, ricci_operator)
 from .derivations import (MatrixSubspace, conjugate_subspace,
-                          derivation_algebra, derivation_residual,
-                          scalar_plus, subspace_equal, subspace_membership)
+                          derivation_algebra, scalar_plus)
 from .errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
-from .lie_core import (FAMILY_TAGS, Family, StructureConstants,
-                       antisymmetry_residual, bracket, change_basis,
+from .lie_core import (FAMILY_TAGS, Family, StructureConstants, change_basis,
                        jacobi_residual, make_family, parse_family)
-from .moduli import (MilnorData, Representative, ReductionTrace,
-                     frame_constants, metric_to_group, milnor_data, reduce,
-                     rep_matrix, same_class, witness_residual)
-from .orbit_geometry import (MeanCurvatureResult, OrbitData, congruence_check,
-                             dpi, mean_curvature, orbit_at, orbit_data,
-                             second_fundamental_form, sym_basis, trace_form)
+from .moduli import (Representative, ReductionTrace, frame_constants,
+                     metric_to_group, reduce, rep_matrix, witness_residual)
+from .orbit_geometry import (MeanCurvatureResult, OrbitData, dpi, mean_curvature,
+                             orbit_at, orbit_data, second_fundamental_form)
 from .soliton import (SolitonCertificate, SolitonVerdict, soliton_from_frame,
                       solvsoliton_check)
 
@@ -28,20 +24,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FAMILY_TAGS", "Family", "StructureConstants", "make_family",
-    "parse_family", "bracket", "change_basis", "jacobi_residual",
-    "antisymmetry_residual",
-    "MatrixSubspace", "derivation_algebra", "derivation_residual",
-    "conjugate_subspace", "scalar_plus", "subspace_membership",
-    "subspace_equal",
+    "parse_family", "change_basis", "jacobi_residual",
+    "MatrixSubspace", "derivation_algebra", "conjugate_subspace", "scalar_plus",
     "MetricData", "RicciResult", "metric_data", "connection_coeffs",
     "ricci_operator", "ricci_closed_form",
-    "Representative", "ReductionTrace", "MilnorData", "metric_to_group",
-    "reduce", "rep_matrix", "frame_constants", "milnor_data", "same_class",
-    "witness_residual",
+    "Representative", "ReductionTrace", "metric_to_group", "reduce",
+    "rep_matrix", "frame_constants", "witness_residual",
     "SolitonCertificate", "SolitonVerdict", "solvsoliton_check",
     "soliton_from_frame",
-    "OrbitData", "MeanCurvatureResult", "sym_basis", "dpi", "trace_form",
-    "orbit_data", "second_fundamental_form", "mean_curvature", "orbit_at",
-    "congruence_check",
+    "OrbitData", "MeanCurvatureResult", "dpi", "orbit_data",
+    "second_fundamental_form", "mean_curvature", "orbit_at",
     "InvalidFamilyError", "NonSPDMetricError", "SingularMatrixError",
 ]

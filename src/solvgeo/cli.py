@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
@@ -248,26 +247,20 @@ def _cmd_reduce(args):
         raise ValueError("reduce requires --gram or --gram-file")
     g = moduli.metric_to_group(gram)
     rep, trace = moduli.reduce(fam, g)
-    data = moduli.milnor_data(fam, gram)
     return {
         "family": fam.label(),
         "lambda": rep.lam,
-        "k_scale": data.k_scale,
+        # the Milnor frame is orthonormal for the metric rescaled by 1/scalar^2
+        "k_scale": float(trace.scalar ** 2),
         "rep_matrix": rep.matrix,
         "scalar": trace.scalar,
         "witness_residual": moduli.witness_residual(rep, trace, g),
         "steps": [name for name, _ in trace.steps],
-        "frame_brackets": _listing(data.frame_brackets),
+        "frame_brackets": _listing(moduli.frame_constants(fam, rep.lam)),
     }, 0
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tol must be finite and > 0, got {tol}")
-
-
 def _cmd_soliton(args):
-    _check_tol(args.tol)
     fam = _family_from(args)
     gram = _gram_or_lambda(args)
     if args.lam is not None:
@@ -317,7 +310,6 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _cmd_verify(args):
-    _check_tol(args.tol)
     fam = _family_from(args)
     if args.lam is not None and args.grid is not None:
         raise ValueError("give either --lambda or --grid, not both")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import SingularMatrixError
-from .lie_core import StructureConstants, bracket
+from .lie_core import StructureConstants
 
 
 # entries of a basis matrix at or below this size count as zero
@@ -46,7 +46,7 @@ class MatrixSubspace:
 
     ``basis`` is one read-only float array of shape (dim, 3, 3), so one
     instance can be shared and each ``basis[i]`` is a read-only 3x3 view.
-    ``==`` and ``hash`` are by identity; ``subspace_equal`` compares spans.
+    ``==`` and ``hash`` are by identity, not by span.
     """
 
     basis: np.ndarray
@@ -151,21 +151,6 @@ def _derivation_template(n: int) -> tuple:
     return tuple(np.array(t).reshape(-1, n * n) for t in (plus, minus1, minus2))
 
 
-def derivation_residual(sc: StructureConstants, d: np.ndarray) -> float:
-    """max-norm violation of the derivation identity over basis pairs."""
-    n = sc.dim
-    d = linalg.to_float(np.asarray(d))
-    eye = np.eye(n)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = d @ linalg.to_float(bracket(sc, eye[i], eye[j]))
-            rhs = (linalg.to_float(bracket(sc, d[:, i], eye[j]))
-                   + linalg.to_float(bracket(sc, eye[i], d[:, j])))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspace:
     """The subspace g^-1 S g; the basis is re-normalized, dimension preserved.
 
@@ -193,25 +178,3 @@ def _scalar_plus(data: bytes) -> MatrixSubspace:
     rows = np.vstack([np.frombuffer(data).reshape(-1, 9), np.eye(3).ravel()])
     return MatrixSubspace(linalg.row_space_basis(rows))
 
-
-def subspace_membership(subspace: MatrixSubspace, mat: np.ndarray,
-                        tol: float = 1e-8):
-    """Least-squares test whether ``mat`` lies in the subspace.
-
-    Returns (is_member, coefficients, residual) where residual is the
-    Frobenius distance from ``mat`` to the subspace and the coefficients
-    expand the projection in the stored basis.
-    """
-    mat = linalg.to_float(np.asarray(mat))
-    a = subspace.stacked().T
-    coeffs, *_ = np.linalg.lstsq(a, mat.ravel(), rcond=None)
-    residual = float(np.linalg.norm(a @ coeffs - mat.ravel()))
-    return residual <= tol, coeffs, residual
-
-
-def subspace_equal(s1: MatrixSubspace, s2: MatrixSubspace, tol: float = 1e-9) -> bool:
-    """Two-way membership of the bases, plus matching dimensions."""
-    if s1.dim != s2.dim:
-        return False
-    return (all(subspace_membership(s2, b, tol)[0] for b in s1.basis)
-            and all(subspace_membership(s1, b, tol)[0] for b in s2.basis))

@@ -156,16 +156,6 @@ def make_family(family: Family, exact: bool = False) -> StructureConstants:
     return StructureConstants(np.array(flat, dtype=float).reshape(3, 3, 3))
 
 
-def bracket(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] in coordinates, for coordinate vectors x, y."""
-    n = sc.dim
-    if len(x) != n or len(y) != n:
-        raise ValueError("coordinate vectors must match the algebra dimension")
-    x = np.asarray(x)
-    y = np.asarray(y)
-    return np.array([np.dot(np.dot(x, sc.c[:, :, k]), y) for k in range(n)])
-
-
 def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     """Structure constants on the new basis x_i = h e_i.
 
@@ -244,13 +234,6 @@ def _ratios(nums: list, den: int) -> np.ndarray:
     n = len(nums)
     return linalg.object_array([linalg.ratio(x, den) for plane in nums for row in plane
                                 for x in row], (n, n, n))
-
-
-def antisymmetry_residual(sc: StructureConstants) -> float:
-    """max |c_ij^k + c_ji^k|; zero for a well-formed bracket."""
-    c = sc.c
-    return float(max(abs(c[i, j, k] + c[j, i, k])
-                     for i in range(sc.dim) for j in range(sc.dim) for k in range(sc.dim)))
 
 
 def jacobi_residual(sc: StructureConstants) -> float:

@@ -178,33 +178,3 @@ def witness_residual(rep: Representative, trace: ReductionTrace, g: np.ndarray) 
     recon = trace.scalar * trace.auto_part @ np.asarray(g, dtype=float) @ trace.orth
     return float(np.max(np.abs(rep.matrix - recon)))
 
-
-@dataclass(frozen=True)
-class MilnorData:
-    """Frame data of a metric: lambda, the frame scale, frame brackets."""
-
-    lam: float
-    k_scale: float
-    frame_brackets: StructureConstants
-
-
-def milnor_data(family: Family, gram: np.ndarray) -> MilnorData:
-    """Reduce the metric with Gram matrix ``gram`` to its Milnor frame.
-
-    ``k_scale`` is the square of the witness scalar c: with
-    rep = c * phi * g * k, the frame {phi^-1 rep e_i} is orthonormal for
-    the metric rescaled by 1/c^2.
-    """
-    g = metric_to_group(gram)
-    rep, trace = reduce(family, g)
-    return MilnorData(lam=rep.lam,
-                      k_scale=float(trace.scalar ** 2),
-                      frame_brackets=frame_constants(family, rep.lam))
-
-
-def same_class(family: Family, gram1: np.ndarray, gram2: np.ndarray,
-               tol: float = 1e-7) -> bool:
-    """Whether two metrics reduce to the same canonical representative."""
-    lam1 = reduce(family, metric_to_group(gram1))[0].lam
-    lam2 = reduce(family, metric_to_group(gram2))[0].lam
-    return abs(lam1 - lam2) <= tol

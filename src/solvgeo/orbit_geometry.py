@@ -18,9 +18,7 @@ import numpy as np
 from . import linalg
 from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra, scalar_plus
 from .lie_core import Family, make_family
-from .moduli import reduce
 
-SYM_DIM = 6
 # rank cutoff on the singular values of dpi restricted to u', which lie in [0, 1]
 RANK_TOL = 1e-9
 
@@ -32,25 +30,11 @@ def dpi(x: np.ndarray) -> np.ndarray:
     return (x + np.swapaxes(x, -1, -2)) / 2.0
 
 
-def trace_form(x: np.ndarray, y: np.ndarray) -> float:
-    """The ambient inner product <X,Y> = tr(XY) on sym(3)."""
-    return float(np.trace(np.asarray(x) @ np.asarray(y)))
-
-
-def sym_basis() -> list[np.ndarray]:
-    """Orthonormal basis of sym(3) for the trace form: E_ii, then
-    (E_ij + E_ji)/sqrt(2) for i < j."""
-    basis = [np.diag([1.0 if k == i else 0.0 for k in range(3)]) for i in range(3)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = np.zeros((3, 3))
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-    return basis
-
-
-# sym_basis() as one read-only (6, 3, 3) stack, built once
-SYM_BASIS = np.array(sym_basis())
+# orthonormal basis of sym(3) for the trace form, as one read-only (6, 3, 3)
+# stack: E_ii, then (E_ij + E_ji)/sqrt(2) for i < j
+SYM_BASIS = np.zeros((6, 3, 3))
+SYM_BASIS[[0, 1, 2], [0, 1, 2], [0, 1, 2]] = 1.0
+SYM_BASIS[[3, 3, 4, 4, 5, 5], [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1]] = 1.0 / np.sqrt(2.0)
 SYM_BASIS.setflags(write=False)
 
 
@@ -70,7 +54,7 @@ class OrbitData:
 def orbit_data(subspace: MatrixSubspace) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
-    With q an orthonormal basis of u', the matrix P of dpi(q) in sym_basis
+    With q an orthonormal basis of u', the matrix P of dpi(q) in SYM_BASIS
     coordinates has singular values in [0, 1].  Its SVD P = U S W^T with
     rank r gives everything at once: the tangent space U[:, :r], the
     normal space U[:, r:], the stabilizer (the kernel of dpi on u', its
@@ -146,28 +130,3 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     u = scalar_plus(derivation_algebra(make_family(family)))
     return mean_curvature(conjugate_subspace(u, g))
 
-
-def congruence_check(family: Family, g1: np.ndarray, g2: np.ndarray,
-                     iso: np.ndarray, samples: int = 8, tol: float = 1e-6,
-                     seed: int = 0) -> bool:
-    """Sampling test that ``iso`` maps the orbit of g1 onto the orbit of g2.
-
-    Random identity-component elements exp(sum t_i B_i) of the
-    scaling-automorphism group are applied to g1, pushed through ``iso``,
-    and reduced; all samples must land in g2's isometry class (equal
-    lambda within ``tol``).
-    """
-    from scipy.linalg import expm
-
-    u = scalar_plus(derivation_algebra(make_family(family)))
-    lam2 = reduce(family, np.asarray(g2, dtype=float))[0].lam
-    rng = np.random.default_rng(seed)
-    iso = np.asarray(iso, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    for _ in range(samples):
-        coeffs = rng.uniform(-0.5, 0.5, size=u.dim)
-        alpha = expm(np.tensordot(coeffs, u.basis, axes=1))
-        lam = reduce(family, iso @ alpha @ g1)[0].lam
-        if abs(lam - lam2) > tol:
-            return False
-    return True

@@ -8,6 +8,7 @@ certificate (c, D, residual) is reported whether or not the test passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ class SolitonVerdict:
     certificate: SolitonCertificate
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Least-squares split of ric over [I | derivation basis]."""
     require_finite(ric)
@@ -57,8 +63,9 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
 
     The Ricci operator on the canonical basis is projected onto
     span{I} + Der(sc); the metric is a solvsoliton when the Frobenius
-    residual is at most ``tol``.
+    residual is at most ``tol``, which must be finite and > 0.
     """
+    _check_tol(tol)
     ric = ricci_operator(metric_data(sc, gram)).ric_canonical
     return _project(ric, derivation_algebra(sc), tol)
 
@@ -72,6 +79,7 @@ def soliton_from_frame(family: Family, lam: float,
     the derivation algebra conjugated by g_lambda.  Equivalent to
     ``solvsoliton_check`` at the Gram matrix of the representative.
     """
+    _check_tol(tol)
     sc = make_family(family)
     g = rep_matrix(family, lam)
     c = change_basis(sc, g).c

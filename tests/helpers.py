@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from oracles import bracket
 from solvgeo import linalg
-from solvgeo.lie_core import StructureConstants, bracket, parse_family
+from solvgeo.lie_core import StructureConstants, parse_family
 
 # one representative per family branch, parameters matching the paper grids
 FAMILY_STRINGS = ["h3", "r3", "r3_1",

@@ -14,13 +14,13 @@ import pytest
 
 from helpers import (FAMILIES, abcd_constants, automorphism_residual,
                      random_group_element, random_spd)
-from oracles import pattern_subspace
+from oracles import pattern_subspace, subspace_equal, trace_form
 from solvgeo import cli
 from solvgeo.curvature import metric_data, ricci_closed_form, ricci_operator
-from solvgeo.derivations import MatrixSubspace, derivation_algebra, subspace_equal
+from solvgeo.derivations import MatrixSubspace, derivation_algebra
 from solvgeo.lie_core import Family, make_family
 from solvgeo.moduli import frame_constants, reduce, rep_matrix, witness_residual
-from solvgeo.orbit_geometry import orbit_at, trace_form
+from solvgeo.orbit_geometry import orbit_at
 from solvgeo.soliton import soliton_from_frame, solvsoliton_check
 
 R3_A_VALUES = (-1.0, -0.5, 0.0, 0.5)

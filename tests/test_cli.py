@@ -251,13 +251,21 @@ def test_invalid_configurations_exit_2(capsys, argv):
      "entry (3, 3) is not finite: inf"),
 ] + [
     ([cmd, "--family", "r3pa:a=1.0", "--lambda", "1", "--tol", tol],
-     f"--tol must be finite and > 0, got {float(tol)}")
+     f"tol must be finite and > 0, got {float(tol)}")
     for cmd in ("verify", "soliton") for tol in ("nan", "inf", "0", "-1")
 ])
 def test_non_finite_input_named(capsys, argv, message):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0])
+def test_verify_main_theorem_rejects_bad_tol(tol):
+    # a NaN tol once gave is_soliton=False, agrees=True and status 0
+    cfg = cli.RunConfig(family=cli.Family("r3p_a", 1.0), grid=(1.0,), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        cli.verify_main_theorem(cfg)
 
 
 @pytest.mark.parametrize("argv", [

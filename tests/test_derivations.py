@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import DER_GRID, FAMILIES, unit
-from oracles import derivation_basis_sympy, pattern_subspace
+from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
+                     subspace_equal, subspace_membership)
 from solvgeo import cli, derivations, linalg, moduli
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
-                                 derivation_algebra, derivation_residual,
-                                 scalar_plus, subspace_equal,
-                                 subspace_membership)
+                                 derivation_algebra, scalar_plus)
 from solvgeo.errors import SingularMatrixError
 from solvgeo.lie_core import Family, StructureConstants, make_family
 

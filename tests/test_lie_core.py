@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import FAMILIES
+from oracles import antisymmetry_residual, bracket
 from solvgeo import lie_core, linalg
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.errors import InvalidFamilyError, SingularMatrixError
-from solvgeo.lie_core import (Family, StructureConstants, antisymmetry_residual,
-                              bracket, change_basis, jacobi_residual,
-                              make_family, parse_family)
+from solvgeo.lie_core import (Family, StructureConstants, change_basis,
+                              jacobi_residual, make_family, parse_family)
 
 
 @pytest.mark.parametrize("text,tag,a", [

@@ -3,11 +3,12 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import FAMILIES, automorphism_residual, random_group_element, random_spd
-from solvgeo.derivations import derivation_algebra, scalar_plus, subspace_equal, conjugate_subspace
+from oracles import same_class, subspace_equal
+from solvgeo.derivations import derivation_algebra, scalar_plus, conjugate_subspace
 from solvgeo.errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
 from solvgeo.lie_core import Family, make_family, parse_family
-from solvgeo.moduli import (frame_constants, metric_to_group, milnor_data,
-                            reduce, rep_matrix, same_class, witness_residual)
+from solvgeo.moduli import (frame_constants, metric_to_group, reduce, rep_matrix,
+                            witness_residual)
 
 REDUCIBLE = [f for f in FAMILIES if f.tag in ("r3", "r3_a", "r3p_a")]
 TRANSITIVE = [Family("h3"), Family("r3_1"), Family("r3_a", 1.0)]
@@ -169,24 +170,28 @@ def test_reduce_rejects_near_singular():
 
 
 def test_milnor_data_examples():
-    md = milnor_data(Family("r3"), np.diag([1.0, 1.0, 16.0]))
-    assert md.lam == pytest.approx(4.0, abs=1e-12)
-    assert md.k_scale == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(md.frame_brackets.c[0, 1], [0, 1, 4], atol=1e-12)
+    # lambda, k_scale = c^2 for the witness scalar c, and the frame brackets,
+    # as ``solvgeo reduce`` reports them
+    fam = Family("r3")
+    rep, trace = reduce(fam, metric_to_group(np.diag([1.0, 1.0, 16.0])))
+    assert rep.lam == pytest.approx(4.0, abs=1e-12)
+    assert float(trace.scalar ** 2) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(frame_constants(fam, rep.lam).c[0, 1], [0, 1, 4], atol=1e-12)
 
-    md = milnor_data(Family("r3_a", 0.5), np.eye(3))
-    assert md.lam == pytest.approx(0.0, abs=1e-12)
+    rep, _ = reduce(Family("r3_a", 0.5), metric_to_group(np.eye(3)))
+    assert rep.lam == pytest.approx(0.0, abs=1e-12)
 
-    md = milnor_data(Family("r3p_a", 1.0), np.diag([1.0, 1.0, 1.0 / 9.0]))
-    assert md.lam == pytest.approx(3.0, abs=1e-10)
+    rep, _ = reduce(Family("r3p_a", 1.0), metric_to_group(np.diag([1.0, 1.0, 1.0 / 9.0])))
+    assert rep.lam == pytest.approx(3.0, abs=1e-10)
 
 
 def test_milnor_k_scale_tracks_metric_scaling():
     gram = np.diag([1.0, 1.0, 16.0])
-    base = milnor_data(Family("r3"), gram)
-    scaled = milnor_data(Family("r3"), 4.0 * gram)
+    base, base_trace = reduce(Family("r3"), metric_to_group(gram))
+    scaled, scaled_trace = reduce(Family("r3"), metric_to_group(4.0 * gram))
     assert scaled.lam == pytest.approx(base.lam, abs=1e-12)
-    assert scaled.k_scale == pytest.approx(4.0 * base.k_scale, abs=1e-10)
+    assert float(scaled_trace.scalar ** 2) == pytest.approx(4.0 * float(base_trace.scalar ** 2),
+                                                           abs=1e-10)
 
 
 def test_same_class():

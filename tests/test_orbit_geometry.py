@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from helpers import FAMILIES, random_group_element, unit
+from oracles import SYM_DIM, congruence_check, sym_basis, trace_form
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
 from solvgeo.lie_core import Family, make_family
 from solvgeo.moduli import rep_matrix
-from solvgeo.orbit_geometry import (SYM_DIM, congruence_check, dpi, mean_curvature,
-                                    orbit_at, orbit_data, second_fundamental_form,
-                                    sym_basis, trace_form)
+from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
+                                    orbit_data, second_fundamental_form)
 
 
 def test_sym_basis_orthonormal():
-    basis = sym_basis()
+    basis = SYM_BASIS
+    # the module constant is the entry-by-entry construction, bit for bit
+    assert basis.tobytes() == np.array(sym_basis()).tobytes()
+    assert not basis.flags.writeable
     assert len(basis) == SYM_DIM
     gram = np.array([[trace_form(x, y) for y in basis] for x in basis])
     np.testing.assert_allclose(gram, np.eye(SYM_DIM), atol=1e-14)

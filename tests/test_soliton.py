@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from helpers import FAMILIES, random_spd
-from solvgeo.derivations import derivation_algebra, derivation_residual
+from oracles import derivation_residual
+from solvgeo.derivations import derivation_algebra
 from solvgeo.errors import InvalidFamilyError
 from solvgeo.lie_core import Family, make_family
-from solvgeo.moduli import milnor_data
+from solvgeo.moduli import metric_to_group, reduce
 from solvgeo.soliton import soliton_from_frame, solvsoliton_check
 
 
@@ -87,7 +90,7 @@ def test_frame_and_metric_checks_agree():
         for _ in range(15):
             gram = random_spd(rng)
             direct = solvsoliton_check(sc, gram)
-            lam = milnor_data(fam, gram).lam
+            lam = reduce(fam, metric_to_group(gram))[0].lam
             framed = soliton_from_frame(fam, lam)
             assert direct.is_soliton == framed.is_soliton
             assert direct.is_einstein == framed.is_einstein
@@ -141,3 +144,15 @@ def test_frame_check_rejects_bad_lambda():
         soliton_from_frame(Family("r3"), -2.0)
     with pytest.raises(InvalidFamilyError):
         soliton_from_frame(Family("r3p_a", 1.0), 0.5)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1])
+def test_tol_must_be_finite_and_positive(tol):
+    message = re.escape(f"tol must be finite and > 0, got {tol}")
+    fam = Family("r3p_a", 1.0)
+    # lambda = 1 is a soliton point, so a bad tol cannot hide behind a verdict
+    with pytest.raises(ValueError, match=message):
+        soliton_from_frame(fam, 1.0, tol=tol)
+    # a non-SPD Gram matrix: tol is checked before any curvature work
+    with pytest.raises(ValueError, match=message):
+        solvsoliton_check(make_family(fam), -np.eye(3), tol=tol)
