@@ -23,7 +23,7 @@ import numpy as np
 from . import moduli, orbit_geometry, soliton
 from .curvature import metric_data, ricci_operator
 from .derivations import conjugate_subspace, derivation_algebra
-from .errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
+from .errors import SingularMatrixError
 from .lie_core import FAMILY_TAGS, Family, jacobi_residual, make_family, parse_family
 
 _FAMILY_HELP = "family string: h3, r3, r3_1, r3a:a=<float>, r3pa:a=<float>"
@@ -85,8 +85,11 @@ def verify_main_theorem(cfg: RunConfig):
     fam = cfg.family
     a = None if fam.a is None else float(fam.a)
     for lam in cfg.grid:
-        verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.tol)
-        mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
+        try:
+            verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.tol)
+            mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{exc} at lambda = {lam!r}") from None
         minimal = mc.norm < cfg.tol
         rows.append(VerifyRow(family=fam.label(), a=a, lam=float(lam),
                               is_soliton=verdict.is_soliton,
@@ -398,8 +401,9 @@ def main(argv=None) -> int:
         else:
             with open(args.out, "w") as fh:
                 fh.write(text)
-    except (InvalidFamilyError, NonSPDMetricError, SingularMatrixError,
-            ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # the package's errors are ValueErrors
+        if isinstance(exc, SingularMatrixError) and isinstance(getattr(args, "lam", None), float):
+            exc = f"{exc} at lambda = {args.lam!r}"  # verify names its row itself
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return status

@@ -36,7 +36,7 @@ def _normalize(stack) -> np.ndarray:
 
 # conjugating matrices with a larger 2-norm condition number count as singular
 COND_LIMIT = 1e12
-# float Der(g), kernel subspace and span{I} + Der results kept per input content
+# Der(g), kernel, span{I} + Der and g^-1 S g results kept per input content
 MEMO_SIZE = 128
 
 
@@ -45,8 +45,8 @@ class MatrixSubspace:
     """A subspace of 3x3 matrices given by a normalized, independent basis.
 
     ``basis`` is one read-only float array of shape (dim, 3, 3), so one
-    instance can be shared and each ``basis[i]`` is a read-only 3x3 view.
-    ``==`` and ``hash`` are by identity, not by span.
+    instance can be shared and each ``basis[i]`` is a read-only 3x3 view;
+    ``np.asarray`` gives it too.  ``==`` and ``hash`` are by identity, not span.
     """
 
     basis: np.ndarray
@@ -61,6 +61,9 @@ class MatrixSubspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.basis, dtype=dtype, copy=copy)
 
     def stacked(self) -> np.ndarray:
         """The basis vectorized row-wise, a read-only (dim, 9) view."""
@@ -77,14 +80,14 @@ def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     which are dyadic rationals.  So the dimension has no pivot threshold,
     and a float tensor gives the same basis as its exact twin.
 
-    Of the three memo levels (tensor -> kernel -> ``span{I} + Der``, the
-    last in ``scalar_plus``), two are here.  Float results are kept per
-    content of the tensor, so an edited tensor is solved afresh.  The
-    float subspace is kept per content of the RREF kernel, which is
-    canonical, so a new parameter whose kernel is known builds no new
-    subspace.  The exact lane always eliminates but shares the float
-    subspace of its kernel: an exact tensor and its float twin get the
-    same object.
+    Two of the four memo levels are here (the others are ``span{I} + Der``
+    in ``scalar_plus`` and ``g^-1 S g`` in ``conjugate_subspace``).  Float
+    results are kept per content of the tensor, so an edited tensor is
+    solved afresh.  The float subspace is kept per content of the RREF
+    kernel, which is canonical, so a new parameter whose kernel is known
+    builds no new subspace.  The exact lane always eliminates but shares
+    the float subspace of its kernel: an exact tensor and its float twin
+    get the same object.
     """
     if sc.exact:
         # the identity is linear and homogeneous in c: Der(t c) = Der(c)
@@ -154,15 +157,21 @@ def _derivation_template(n: int) -> tuple:
 def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspace:
     """The subspace g^-1 S g; the basis is re-normalized, dimension preserved.
 
-    Singularity is judged by the condition number, so g and s*g are
-    accepted or rejected together, as they give the same subspace.
+    Singularity is judged by the condition number: g and s*g give the same
+    subspace, so both pass or both fail.  Results, not errors, are memoized.
     """
     g = np.asarray(g, dtype=float)
+    return _conjugate(subspace.stacked().tobytes(), g.tobytes(), g.shape)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _conjugate(data: bytes, g_data: bytes, g_shape: tuple) -> MatrixSubspace:
+    g = np.frombuffer(g_data).reshape(g_shape)
     if not np.isfinite(g).all():
         raise SingularMatrixError("conjugating matrix is not finite")
     if np.linalg.cond(g) > COND_LIMIT:
         raise SingularMatrixError("conjugating matrix is singular")
-    return MatrixSubspace(np.linalg.inv(g) @ subspace.basis @ g)
+    return MatrixSubspace(np.linalg.inv(g) @ np.frombuffer(data).reshape(-1, 3, 3) @ g)
 
 
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra, scalar_plus
+from .derivations import conjugate_subspace, derivation_algebra
 from .lie_core import Family, make_family
 
 # rank cutoff on the singular values of dpi restricted to u', which lie in [0, 1]
@@ -42,7 +42,6 @@ SYM_BASIS.setflags(write=False)
 class OrbitData:
     """Tangent/normal split of an orbit; the matrices come as (k, 3, 3) stacks."""
 
-    subspace: MatrixSubspace
     tangent: np.ndarray
     normals: np.ndarray
     lifts: np.ndarray
@@ -51,25 +50,25 @@ class OrbitData:
     stab_dim: int
 
 
-def orbit_data(subspace: MatrixSubspace) -> OrbitData:
+def orbit_data(span) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
-    With q an orthonormal basis of u', the matrix P of dpi(q) in SYM_BASIS
-    coordinates has singular values in [0, 1].  Its SVD P = U S W^T with
-    rank r gives everything at once: the tangent space U[:, :r], the
-    normal space U[:, r:], the stabilizer (the kernel of dpi on u', its
-    antisymmetric members) W^T[r:] on q, and the lifts W^T[:r] / S[:r] on
-    q, which map onto the tangent basis and are Frobenius-orthogonal to
-    the stabilizer, so the mean curvature is well defined on singular
-    orbits too.
+    ``span`` is a (k, 3, 3) stack spanning u'.  With q an orthonormal basis
+    of u', the matrix P of dpi(q) in SYM_BASIS coordinates has singular
+    values in [0, 1].  Its SVD P = U S W^T with rank r gives everything at
+    once: the tangent space U[:, :r], the normal space U[:, r:], the
+    stabilizer (the kernel of dpi on u', its antisymmetric members) W^T[r:]
+    on q, and the lifts W^T[:r] / S[:r] on q, which map onto the tangent
+    basis and are Frobenius-orthogonal to the stabilizer, so the mean
+    curvature is well defined on singular orbits too.
     """
-    q = linalg.orthonormalize(subspace.stacked()).reshape(-1, 3, 3)
+    q = linalg.orthonormalize(np.reshape(span, (-1, 9))).reshape(-1, 3, 3)
     p = np.einsum("sab,kab->sk", SYM_BASIS, dpi(q))
     u, sigma, wt = np.linalg.svd(p)
     r = int(np.sum(sigma > RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
     normal_coords = linalg.lead_positive(u[:, r:].T)
-    return OrbitData(subspace=subspace, tangent=_combine(u[:, :r].T, SYM_BASIS),
+    return OrbitData(tangent=_combine(u[:, :r].T, SYM_BASIS),
                      normals=_combine(normal_coords, SYM_BASIS),
                      lifts=_combine(wt[:r] / sigma[:r, None], q),
                      stabilizer=_combine(wt[r:], q), orbit_dim=r, stab_dim=len(q) - r)
@@ -102,14 +101,14 @@ class MeanCurvatureResult:
     stab_dim: int
 
 
-def mean_curvature(subspace: MatrixSubspace) -> MeanCurvatureResult:
+def mean_curvature(span) -> MeanCurvatureResult:
     """Mean curvature vector H = (1/k) trace of the second fundamental form.
 
-    H is a symmetric matrix lying in the span of the normals; its trace
-    norm vanishes exactly when the orbit is minimal.  Raises ValueError
-    for a zero-dimensional orbit.
+    ``span`` spans u' as in ``orbit_data``.  H is a symmetric matrix in the
+    span of the normals; its trace norm vanishes exactly when the orbit is
+    minimal.  Raises ValueError for a zero-dimensional orbit.
     """
-    od = orbit_data(subspace)
+    od = orbit_data(span)
     if od.orbit_dim == 0:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
     shape = second_fundamental_form(od)
@@ -125,8 +124,9 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     """Mean curvature of the scaling-automorphism orbit through g's metric.
 
     The orbit of R* x Aut through the inner product of g is moved to the
-    base point by conjugating span{I} + Der by g.
+    base point by conjugation: u' = g^-1 (RI + Der) g = RI + g^-1 Der g,
+    and g^-1 Der g is the memoized call that the soliton test at g makes.
     """
-    u = scalar_plus(derivation_algebra(make_family(family)))
-    return mean_curvature(conjugate_subspace(u, g))
+    u = conjugate_subspace(derivation_algebra(make_family(family)), g)
+    return mean_curvature(np.concatenate([u.basis, np.eye(3)[None]]))
 

@@ -260,6 +260,42 @@ def test_non_finite_input_named(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--family", "r3pa:a=1", "--lambda", "1e200"],
+     "basis change matrix is singular at lambda = 1e+200"),
+    (["verify", "--family", "r3", "--lambda", "1e-300"],
+     "conjugating matrix is singular at lambda = 1e-300"),
+    (["verify", "--family", "r3a:a=0.5", "--lambda", "1e300"],
+     "conjugating matrix is singular at lambda = 1e+300"),
+    (["verify", "--family", "r3", "--lambda", "1,1e-300,2"],
+     "conjugating matrix is singular at lambda = 1e-300"),
+    (["verify", "--family", "r3", "--grid", "1e-300:1:3"],
+     "conjugating matrix is singular at lambda = 1e-300"),
+    (["soliton", "--family", "r3", "--lambda", "1e-300"],
+     "conjugating matrix is singular at lambda = 1e-300"),
+    (["soliton", "--family", "r3pa:a=1", "--lambda", "1e200"],
+     "basis change matrix is singular at lambda = 1e+200"),
+    (["orbit", "--family", "r3", "--lambda", "1e-300"],
+     "conjugating matrix is singular at lambda = 1e-300"),
+    (["der", "--family", "r3", "--lambda", "1e-300"],
+     "conjugating matrix is singular at lambda = 1e-300"),
+    # no lambda was given, so none is named
+    (["orbit", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-30"],
+     "conjugating matrix is singular"),
+])
+def test_singular_lambda_named(capsys, argv, message):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_main_theorem_names_singular_lambda():
+    cfg = cli.RunConfig(family=cli.Family("r3"), grid=(1.0, 1e-300))
+    with pytest.raises(cli.SingularMatrixError, match=r"at lambda = 1e-300$"):
+        cli.verify_main_theorem(cfg)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), 0.0])
 def test_verify_main_theorem_rejects_bad_tol(tol):
     # a NaN tol once gave is_soliton=False, agrees=True and status 0

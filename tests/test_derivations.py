@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +246,7 @@ def _clear_memos():
     derivations._float_derivations.cache_clear()
     derivations._kernel_subspace.cache_clear()
     derivations._scalar_plus.cache_clear()
+    derivations._conjugate.cache_clear()
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
@@ -336,6 +338,104 @@ def test_warm_verify_sweeps_do_no_row_reduction(monkeypatch):
         rows += len(out)
     assert rows == 377
     assert calls == []
+
+
+# ---------------------------------------------------------- conjugation memo
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Count calls of ``fn`` through every solvgeo namespace that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "solvgeo" or name.startswith("solvgeo."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_verify_row_conjugates_once(monkeypatch):
+    # the soliton half and the orbit half of a row share one g^-1 Der g
+    fam, lam = Family("r3_a", 0.5), 0.3125
+    _clear_memos()
+    derivation_algebra(make_family(fam))  # Der itself is built once per kernel
+    der_calls = _count_calls(monkeypatch, derivation_algebra)
+    plus_calls = _count_calls(monkeypatch, scalar_plus)
+    built = []
+    post_init = MatrixSubspace.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MatrixSubspace, "__post_init__", counted_post_init)
+    rows, status = cli.verify_main_theorem(cli.RunConfig(family=fam, grid=(lam,)))
+    assert status == 0 and len(rows) == 1
+    info = derivations._conjugate.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert len(built) == 1
+    assert len(der_calls) == 2
+    assert plus_calls == []
+
+
+def test_conjugation_memo_matches_uncached():
+    _clear_memos()
+    rng = np.random.default_rng(83)
+    for fam in FAMILIES:
+        der = derivation_algebra(make_family(fam))
+        for g in [rng.normal(size=(3, 3)) + 2 * np.eye(3) for _ in range(3)]:
+            want = MatrixSubspace(np.linalg.inv(g) @ der.basis @ g)
+            for _ in range(2):  # a miss, then a hit on an equal copy of g
+                got = conjugate_subspace(der, g.copy())
+                assert got.basis.tobytes() == want.basis.tobytes()
+                assert not got.basis.flags.writeable
+                with pytest.raises(ValueError):
+                    got.basis[0, 0, 0] = 1.0
+    info = derivations._conjugate.cache_info()
+    assert info.hits == info.misses == 3 * len(FAMILIES)
+    # list input and its float array share one entry
+    assert conjugate_subspace(der, g.tolist()) is conjugate_subspace(der, g)
+
+
+def test_conjugation_memo_keeps_no_error():
+    _clear_memos()
+    der = derivation_algebra(make_family(Family("r3")))
+    inf = np.eye(3)
+    inf[0, 2] = np.inf
+    bad = [(np.zeros((3, 3)), "singular"), (inf, "not finite"),
+           (np.diag([1.0, 1.0, 1e-13]), "singular")]
+    assert np.linalg.cond(bad[2][0]) > derivations.COND_LIMIT
+    for g, message in bad:
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match=message):
+                conjugate_subspace(der, g)
+    info = derivations._conjugate.cache_info()
+    assert (info.misses, info.currsize) == (6, 0)  # each call checked afresh
+
+
+def test_conjugation_memo_is_bounded_and_cleared():
+    _clear_memos()
+    der = derivation_algebra(make_family(Family("r3p_a", 0.5)))
+    for lam in np.linspace(1.0, 5.0, 200):
+        conjugate_subspace(der, moduli.rep_matrix(Family("r3p_a", 0.5), float(lam)))
+    info = derivations._conjugate.cache_info()
+    assert info.misses == 200
+    assert info.currsize <= derivations.MEMO_SIZE
+    _clear_memos()
+    assert derivations._conjugate.cache_info().currsize == 0
+
+
+def test_subspace_as_array_is_its_basis():
+    der = derivation_algebra(make_family(Family("r3")))
+    assert np.asarray(der).tobytes() == der.basis.tobytes()
+    assert np.asarray(der, dtype=np.float32).dtype == np.float32
+    assert np.shares_memory(np.asarray(der), der.basis)
+    copied = np.array(der)  # a writable copy; the shared basis stays read-only
+    assert copied.flags.writeable and not np.shares_memory(copied, der.basis)
 
 
 # ---------------------------------------------------------- kernel memo

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import FAMILIES, random_group_element, unit
+from helpers import FAMILIES, random_group_element, random_spd, unit
 from oracles import SYM_DIM, congruence_check, sym_basis, trace_form
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
 from solvgeo.lie_core import Family, make_family
-from solvgeo.moduli import rep_matrix
+from solvgeo.cli import default_grid
+from solvgeo.moduli import metric_to_group, rep_matrix
 from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
                                     orbit_data, second_fundamental_form)
 
@@ -34,7 +35,7 @@ def test_dpi_is_symmetrization():
 def test_full_matrix_algebra_orbit():
     # gl(3) acts transitively on inner products: orbit dim 6, stabilizer o(3)
     basis = tuple(unit(i, j) for i in range(3) for j in range(3))
-    od = orbit_data(MatrixSubspace(basis))
+    od = orbit_data(MatrixSubspace(basis).basis)
     assert od.orbit_dim == 6 and od.stab_dim == 3
     assert len(od.normals) == 0
     for s in od.stabilizer:
@@ -51,7 +52,7 @@ ORBIT_CASES = [(f, lam) for f in FAMILIES for lam in ((1.0,) if f.tag in ("h3", 
 def test_orbit_data_invariants(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    od = orbit_data(u)
+    od = orbit_data(u.basis)
     assert od.orbit_dim + od.stab_dim == u.dim
     assert od.orbit_dim + len(od.normals) == SYM_DIM
     # lifts map onto the tangent frame and are orthogonal to the stabilizer
@@ -72,7 +73,7 @@ def test_orbit_data_invariants(fam, lam):
 def test_second_fundamental_form_symmetric(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    od = orbit_data(u)
+    od = orbit_data(u.basis)
     shape = second_fundamental_form(od)
     assert shape.shape == (len(od.normals), od.orbit_dim, od.orbit_dim)
     assert np.max(np.abs(shape - shape.transpose(0, 2, 1)), initial=0.0) < 1e-10
@@ -82,8 +83,8 @@ def test_mean_curvature_lies_in_normal_space():
     fam = Family("r3_a", 0.5)
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, 2.0))
-    od = orbit_data(u)
-    r = mean_curvature(u)
+    od = orbit_data(u.basis)
+    r = mean_curvature(u.basis)
     for t in od.tangent:
         assert abs(trace_form(r.h, t)) < 1e-10
     coords = [trace_form(r.h, n) for n in od.normals]
@@ -168,7 +169,7 @@ def test_transitive_orbits_fill_sym(tag):
 def test_zero_dimensional_orbit_rejected():
     skew = unit(0, 1) - unit(1, 0)
     with pytest.raises(ValueError):
-        mean_curvature(MatrixSubspace((skew,)))
+        mean_curvature(MatrixSubspace((skew,)).basis)
 
 
 def test_orbit_at_matches_manual_composition():
@@ -176,7 +177,7 @@ def test_orbit_at_matches_manual_composition():
     fam = Family("r3p_a", 1.0)
     g = random_group_element(rng)
     manual = mean_curvature(conjugate_subspace(
-        scalar_plus(derivation_algebra(make_family(fam))), g))
+        scalar_plus(derivation_algebra(make_family(fam))), g).basis)
     auto = orbit_at(fam, g)
     np.testing.assert_allclose(auto.h, manual.h, atol=1e-12)
     assert auto.orbit_dim == manual.orbit_dim
@@ -191,3 +192,46 @@ def test_congruence_check_examples():
     # transitive family: any invertible map works
     assert congruence_check(Family("h3"), g1, np.diag([2.0, 1.0, 0.2]),
                             np.diag([3.0, 1.0, 0.4]))
+
+
+def _orbit_at_by_span_plus_identity(fam, g):
+    """The construction orbit_at used before: conjugate span{I} + Der by g."""
+    u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))), g)
+    return mean_curvature(u.basis)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_orbit_at_matches_span_plus_identity_construction(fam):
+    # u' = g^-1 (RI + Der) g = RI + g^-1 Der g, so conjugating Der and
+    # appending I spans the same u' as conjugating span{I} + Der
+    rng = np.random.default_rng(61)
+    elements = [rep_matrix(fam, lam) for lam in default_grid(fam)]
+    elements += [metric_to_group(random_spd(rng)) for _ in range(20)]
+    for g in elements:
+        new, old = orbit_at(fam, g), _orbit_at_by_span_plus_identity(fam, g)
+        np.testing.assert_allclose(new.h, old.h, rtol=0, atol=1e-12)
+        assert (new.orbit_dim, new.stab_dim) == (old.orbit_dim, old.stab_dim)
+
+
+@pytest.mark.parametrize("fam", [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
+                         + [Family("h3"), Family("r3_1")], ids=lambda f: f.label())
+def test_orbit_at_soliton_points_exactly_minimal(fam):
+    # test_verify_disagreement_exit_code relies on an exact 0: with a tiny
+    # --tol the flat point is called a non-soliton while its orbit stays minimal
+    r = orbit_at(fam, rep_matrix(fam, 0.0 if fam.tag == "r3_a" else 1.0))
+    assert r.norm == 0.0
+    assert not r.h.any()
+
+
+def test_orbit_data_takes_any_spanning_stack():
+    # orbit_data orthonormalizes its input, so repeated and rescaled
+    # spanning matrices give the same orbit
+    fam = Family("r3p_a", 1.0)
+    g = rep_matrix(fam, 2.0)
+    u = conjugate_subspace(derivation_algebra(make_family(fam)), g).basis
+    span = np.concatenate([u, np.eye(3)[None]])
+    again = np.concatenate([3.0 * span, -span[:2], np.eye(3)[None] + u[0]])
+    for stack in (again, list(again)):
+        r = mean_curvature(stack)
+        np.testing.assert_allclose(r.h, mean_curvature(span).h, rtol=0, atol=1e-12)
+        assert (r.orbit_dim, r.stab_dim) == (5, 0)
