@@ -27,7 +27,6 @@ from .errors import SingularMatrixError
 from .lie_core import FAMILY_TAGS, Family, jacobi_residual, make_family, parse_family
 
 _FAMILY_HELP = "family string: h3, r3, r3_1, r3a:a=<float>, r3pa:a=<float>"
-_EXACT_HELP = "build structure constants in exact rationals"
 
 _DESCRIPTIONS = {
     "h3": "[e1,e2] = e3 (Heisenberg)",
@@ -44,7 +43,7 @@ class RunConfig:
 
     family: Family
     grid: tuple
-    tol: float = 1e-8
+    tol: float = soliton.DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -173,28 +172,16 @@ def emit_report(payload, fmt: str) -> str:
 
 
 def _read_gram(args) -> np.ndarray | None:
-    if getattr(args, "gram", None) is not None:
-        return np.array(args.gram, dtype=float).reshape(3, 3)
-    if getattr(args, "gram_file", None) is not None:
-        with open(args.gram_file) as fh:
-            data = json.load(fh)
-        arr = np.array(data, dtype=float)
-        if arr.shape != (3, 3):
-            raise ValueError(f"gram file must hold a 3x3 array, got shape {arr.shape}")
-        return arr
-    return None
-
-
-def _gram_or_lambda(args) -> np.ndarray | None:
     """The Gram matrix given, if any; rejects one given with --lambda."""
-    gram = _read_gram(args)
-    if args.lam is not None and gram is not None:
+    gram = None
+    if getattr(args, "gram", None) is not None:
+        gram = np.array(args.gram, dtype=float).reshape(3, 3)
+    elif getattr(args, "gram_file", None) is not None:
+        with open(args.gram_file) as fh:
+            gram = np.array(json.load(fh), dtype=float)
+    if gram is not None and getattr(args, "lam", None) is not None:
         raise ValueError("give either --lambda or a Gram matrix, not both")
     return gram
-
-
-def _family_from(args) -> Family:
-    return parse_family(args.family, args.a)
 
 
 def _listing(sc) -> list:
@@ -205,7 +192,7 @@ def _listing(sc) -> list:
 def _cmd_families(args):
     if args.family is None:
         return {tag: _DESCRIPTIONS[tag] for tag in FAMILY_TAGS}, 0
-    fam = _family_from(args)
+    fam = parse_family(args.family, args.a)
     sc = make_family(fam)
     return {
         "family": fam.label(),
@@ -217,12 +204,11 @@ def _cmd_families(args):
 
 
 def _cmd_ricci(args):
-    fam = _family_from(args)
+    fam = parse_family(args.family, args.a)
     gram = _read_gram(args)
     if gram is None:
         gram = np.eye(3)
-    sc = make_family(fam, exact=args.exact)
-    res = ricci_operator(metric_data(sc, gram))
+    res = ricci_operator(metric_data(make_family(fam), gram))
     return {
         "family": fam.label(),
         "gram": gram,
@@ -233,8 +219,8 @@ def _cmd_ricci(args):
 
 
 def _cmd_der(args):
-    fam = _family_from(args)
-    der = derivation_algebra(make_family(fam, exact=args.exact))
+    fam = parse_family(args.family, args.a)
+    der = derivation_algebra(make_family(fam))
     payload = {"family": fam.label(), "dim": der.dim}
     if args.lam is not None:
         der = conjugate_subspace(der, moduli.rep_matrix(fam, args.lam))
@@ -244,7 +230,7 @@ def _cmd_der(args):
 
 
 def _cmd_reduce(args):
-    fam = _family_from(args)
+    fam = parse_family(args.family, args.a)
     gram = _read_gram(args)
     if gram is None:
         raise ValueError("reduce requires --gram or --gram-file")
@@ -264,8 +250,8 @@ def _cmd_reduce(args):
 
 
 def _cmd_soliton(args):
-    fam = _family_from(args)
-    gram = _gram_or_lambda(args)
+    fam = parse_family(args.family, args.a)
+    gram = _read_gram(args)
     if args.lam is not None:
         verdict = soliton.soliton_from_frame(fam, args.lam, tol=args.tol)
         mode = {"mode": "frame", "lambda": args.lam}
@@ -284,8 +270,8 @@ def _cmd_soliton(args):
 
 
 def _cmd_orbit(args):
-    fam = _family_from(args)
-    gram = _gram_or_lambda(args)
+    fam = parse_family(args.family, args.a)
+    gram = _read_gram(args)
     if args.lam is not None:
         g = moduli.rep_matrix(fam, args.lam)
     elif gram is not None:
@@ -313,7 +299,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _cmd_verify(args):
-    fam = _family_from(args)
+    fam = parse_family(args.family, args.a)
     if args.lam is not None and args.grid is not None:
         raise ValueError("give either --lambda or --grid, not both")
     if args.lam is not None:
@@ -326,7 +312,7 @@ def _cmd_verify(args):
 
 
 def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
-                exact: str | None = None, family_required: bool = True):
+                family_required: bool = True):
     p.add_argument("--family", required=family_required, help=_FAMILY_HELP)
     p.add_argument("--a", type=float, default=None,
                    help="family parameter, if not embedded in --family")
@@ -338,10 +324,8 @@ def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="lambda of the canonical representative")
     if tol:
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance (default 1e-8)")
-    if exact:
-        p.add_argument("--exact", action="store_true", help=exact)
+        p.add_argument("--tol", type=float, default=soliton.DEFAULT_TOL,
+                       help="tolerance (default %(default)g)")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table", help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
@@ -359,12 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_families)
 
     p = sub.add_parser("ricci", help="Ricci operator of a metric")
-    _add_common(p, gram=True, exact=_EXACT_HELP + "; the Ricci operator itself "
-                "is still computed in float64")
+    _add_common(p, gram=True)
     p.set_defaults(fn=_cmd_ricci)
 
     p = sub.add_parser("der", help="derivation algebra of a family")
-    _add_common(p, lam=True, exact=_EXACT_HELP)
+    _add_common(p, lam=True)
     p.set_defaults(fn=_cmd_der)
 
     p = sub.add_parser("reduce", help="canonical representative of a metric")

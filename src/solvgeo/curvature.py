@@ -21,10 +21,9 @@ from .lie_core import StructureConstants, change_basis
 
 @dataclass(frozen=True)
 class MetricData:
-    """Structure constants, Gram matrix, and an orthonormal frame matrix."""
+    """Structure constants and an orthonormal frame matrix."""
 
     sc: StructureConstants
-    gram: np.ndarray
     frame: np.ndarray
 
 
@@ -43,12 +42,11 @@ def metric_data(sc: StructureConstants, gram: np.ndarray) -> MetricData:
     Raises NonSPDMetricError unless ``gram`` is symmetric positive
     definite.  The frame satisfies B^T G B = I, with B upper triangular.
     """
-    gram, chol = _gram_cholesky(gram)
-    return MetricData(sc=sc, gram=gram, frame=np.linalg.inv(chol).T)
+    return MetricData(sc=sc, frame=np.linalg.inv(_gram_cholesky(gram)).T)
 
 
-def _gram_cholesky(gram: np.ndarray):
-    """Validate a Gram matrix and return it with its Cholesky factor L.
+def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
+    """Validate a Gram matrix and return its Cholesky factor L.
 
     The one SPD check of the package: raises NonSPDMetricError unless
     ``gram`` is a finite, symmetric (to 1e-12 of its largest entry, no
@@ -57,7 +55,7 @@ def _gram_cholesky(gram: np.ndarray):
     """
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
-        raise NonSPDMetricError("Gram matrix must be 3x3")
+        raise NonSPDMetricError(f"Gram matrix must be 3x3, got shape {gram.shape}")
     if not np.isfinite(gram).all():
         i, j = np.argwhere(~np.isfinite(gram))[0]
         raise NonSPDMetricError(f"Gram matrix entry ({i + 1}, {j + 1}) is not finite: "
@@ -65,7 +63,7 @@ def _gram_cholesky(gram: np.ndarray):
     if np.abs(gram - gram.T).max() > 1e-12 * max(1.0, np.abs(gram).max()):
         raise NonSPDMetricError("Gram matrix is not symmetric")
     try:
-        return gram, np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise NonSPDMetricError("Gram matrix is not positive definite") from None
 
@@ -90,8 +88,7 @@ def ricci_operator(m: MetricData) -> RicciResult:
     nabla_[x,y] z over the frame.  ``ric_canonical`` is the same operator
     conjugated back to the canonical basis.
     """
-    scf = change_basis(m.sc.to_float(), m.frame)
-    c = scf.c
+    c = change_basis(m.sc, m.frame).c
     gamma = connection_coeffs(c)
     with np.errstate(over="ignore", invalid="ignore"):
         riem = (np.einsum("jkl,ilm->ijkm", gamma, gamma)

@@ -36,7 +36,7 @@ def _normalize(stack) -> np.ndarray:
 
 # conjugating matrices with a larger 2-norm condition number count as singular
 COND_LIMIT = 1e12
-# Der(g), kernel, span{I} + Der and g^-1 S g results kept per input content
+# Der(g), kernel and g^-1 S g results kept per input content
 MEMO_SIZE = 128
 
 
@@ -80,14 +80,13 @@ def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     which are dyadic rationals.  So the dimension has no pivot threshold,
     and a float tensor gives the same basis as its exact twin.
 
-    Two of the four memo levels are here (the others are ``span{I} + Der``
-    in ``scalar_plus`` and ``g^-1 S g`` in ``conjugate_subspace``).  Float
-    results are kept per content of the tensor, so an edited tensor is
-    solved afresh.  The float subspace is kept per content of the RREF
-    kernel, which is canonical, so a new parameter whose kernel is known
-    builds no new subspace.  The exact lane always eliminates but shares
-    the float subspace of its kernel: an exact tensor and its float twin
-    get the same object.
+    Two of the three memo levels are here (the third is ``g^-1 S g`` in
+    ``conjugate_subspace``).  Float results are kept per content of the
+    tensor, so an edited tensor is solved afresh.  The float subspace is
+    kept per content of the RREF kernel, which is canonical, so a new
+    parameter whose kernel is known builds no new subspace.  The exact lane
+    always eliminates but shares the float subspace of its kernel: an exact
+    tensor and its float twin get the same object.
     """
     if sc.exact:
         # the identity is linear and homogeneous in c: Der(t c) = Der(c)
@@ -158,7 +157,8 @@ def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspac
     """The subspace g^-1 S g; the basis is re-normalized, dimension preserved.
 
     Singularity is judged by the condition number: g and s*g give the same
-    subspace, so both pass or both fail.  Results, not errors, are memoized.
+    subspace, so both pass or both fail.  A g that shrinks a basis matrix
+    to ``ZERO_TOL`` fails too.  Results, not errors, are memoized.
     """
     g = np.asarray(g, dtype=float)
     return _conjugate(subspace.stacked().tobytes(), g.tobytes(), g.shape)
@@ -171,19 +171,15 @@ def _conjugate(data: bytes, g_data: bytes, g_shape: tuple) -> MatrixSubspace:
         raise SingularMatrixError("conjugating matrix is not finite")
     if np.linalg.cond(g) > COND_LIMIT:
         raise SingularMatrixError("conjugating matrix is singular")
-    return MatrixSubspace(np.linalg.inv(g) @ np.frombuffer(data).reshape(-1, 3, 3) @ g)
+    conjugated = np.linalg.inv(g) @ np.frombuffer(data).reshape(-1, 3, 3) @ g
+    try:
+        return MatrixSubspace(conjugated)
+    except ValueError:  # a basis matrix shrank to ZERO_TOL
+        raise SingularMatrixError("conjugating matrix is singular") from None
 
 
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:
-    """span(S + R*I), reduced back to a normalized independent basis.
-
-    Memoized on the content of the basis.
-    """
-    return _scalar_plus(subspace.stacked().tobytes())
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _scalar_plus(data: bytes) -> MatrixSubspace:
-    rows = np.vstack([np.frombuffer(data).reshape(-1, 9), np.eye(3).ravel()])
+    """span(S + R*I), reduced back to a normalized independent basis."""
+    rows = np.vstack([subspace.stacked(), np.eye(3).ravel()])
     return MatrixSubspace(linalg.row_space_basis(rows))
 

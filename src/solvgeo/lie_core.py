@@ -107,9 +107,6 @@ class StructureConstants:
     def exact(self) -> bool:
         return self.c.dtype == object
 
-    def to_float(self) -> "StructureConstants":
-        return StructureConstants(linalg.to_float(self.c))
-
     def nonzero(self) -> list[tuple[int, int, int, float | Fraction]]:
         """Entries (i, j, k, c_ij^k) with i < j and nonzero value."""
         n = self.dim

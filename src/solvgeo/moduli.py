@@ -30,7 +30,6 @@ from .lie_core import Family, StructureConstants, change_basis, make_family
 class Representative:
     """Canonical group element of an isometry class within a family."""
 
-    family: Family
     lam: float
     matrix: np.ndarray
 
@@ -51,7 +50,7 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
     g is upper triangular with positive diagonal; any other solution
     differs by an orthogonal factor on the right.
     """
-    return np.linalg.inv(_gram_cholesky(gram)[1].T)
+    return np.linalg.inv(_gram_cholesky(gram).T)
 
 
 def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
@@ -123,7 +122,7 @@ def reduce(family: Family, g: np.ndarray):
         else:
             scalar = m[0, 0]
         phi = m / scalar
-        rep = Representative(family, 1.0, np.eye(3))
+        rep = Representative(1.0, np.eye(3))
         return rep, ReductionTrace(float(scalar), phi, k1, tuple(steps))
 
     l11, l21, l22 = lower[0, 0], lower[1, 0], lower[1, 1]
@@ -169,7 +168,7 @@ def reduce(family: Family, g: np.ndarray):
 
     scalar = left[0, 0]
     phi = left / scalar
-    rep = Representative(family, float(lam), rep_matrix(family, float(lam)))
+    rep = Representative(float(lam), rep_matrix(family, float(lam)))
     return rep, ReductionTrace(float(scalar), phi, orth, tuple(steps))
 
 

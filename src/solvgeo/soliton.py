@@ -19,6 +19,8 @@ from .lie_core import Family, StructureConstants, change_basis, make_family
 from .moduli import rep_matrix
 
 DEFAULT_TOL = 1e-8
+# the squares of a vector with a larger entry may overflow float64
+_SCALE_ABOVE = 1e150
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,26 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)``, taken of v / max|v| when its squares may overflow."""
+    big = float(np.abs(v).max())
+    if big <= _SCALE_ABOVE:
+        return float(np.linalg.norm(v))
+    return big * float(np.linalg.norm(v / big))
+
+
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Least-squares split of ric over [I | derivation basis]."""
     require_finite(ric)
     a = np.concatenate([np.eye(3).reshape(1, 9), der.stacked()]).T
     coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
-    residual = float(np.linalg.norm(a @ coeffs - ric.ravel()))
+    residual = _norm(a @ coeffs - ric.ravel())
+    if residual == math.inf:
+        raise ValueError("soliton residual is not finite: its norm overflows float64")
     c = float(coeffs[0])
     d = sum((coeffs[1 + i] * b for i, b in enumerate(der.basis)),
             start=np.zeros((3, 3)))
-    ein_res = float(np.linalg.norm(ric - (np.trace(ric) / 3.0) * np.eye(3)))
+    ein_res = _norm(ric - (np.trace(ric) / 3.0) * np.eye(3))
     return SolitonVerdict(is_soliton=residual <= tol,
                           is_einstein=ein_res <= tol,
                           certificate=SolitonCertificate(c, d, residual))

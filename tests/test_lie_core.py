@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import FAMILIES
+from helpers import DER_GRID, FAMILIES
 from oracles import antisymmetry_residual, bracket
 from solvgeo import lie_core, linalg
-from solvgeo.curvature import ricci_closed_form
+from solvgeo.curvature import metric_data, ricci_closed_form, ricci_operator
 from solvgeo.errors import InvalidFamilyError, SingularMatrixError
 from solvgeo.lie_core import (Family, StructureConstants, change_basis,
                               jacobi_residual, make_family, parse_family)
@@ -241,11 +241,18 @@ def test_nonzero_listing():
                             (0, 2, 1, 1.0), (0, 2, 2, 2.0)]
 
 
-def test_structure_constants_to_float():
-    sc = make_family(Family("r3_a", 0.5), exact=True)
-    flt = sc.to_float()
-    assert not flt.exact
-    np.testing.assert_allclose(flt.c[0, 2, 2], 0.5)
+@pytest.mark.parametrize("gram", [np.eye(3), np.array([[2, 0.3, -0.4],
+                                                        [0.3, 1.5, 0.2],
+                                                        [-0.4, 0.2, 0.8]])],
+                         ids=["identity", "corpus"])
+def test_ricci_operator_exact_tensor_matches_float_twin(gram):
+    # the float lane of change_basis converts an exact tensor itself
+    for fam in DER_GRID:
+        exact = ricci_operator(metric_data(make_family(fam, exact=True), gram))
+        flt = ricci_operator(metric_data(make_family(fam), gram))
+        assert exact.ric_frame.tobytes() == flt.ric_frame.tobytes(), fam
+        assert exact.ric_canonical.tobytes() == flt.ric_canonical.tobytes(), fam
+        assert exact.scalar == flt.scalar, fam
 
 
 def _make_family_by_assignment(family: Family, exact: bool) -> np.ndarray:

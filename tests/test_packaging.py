@@ -1,11 +1,14 @@
-"""The package's declared runtime dependencies and its README example."""
+"""The package's declared runtime dependencies and its README examples."""
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from solvgeo import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +41,27 @@ def test_readme_quick_start_runs(capsys):
     assert block is not None, "README.md has no Quick start python block"
     exec(compile(block.group(1), "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 5
+
+
+def _readme_command_line() -> str:
+    """The "Command line" section of README.md."""
+    text = (ROOT / "README.md").read_text()
+    return text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_run(capsys):
+    block = re.search(r"```sh\n(.*?)```", _readme_command_line(), re.S)
+    assert block is not None, "README.md has no Command line sh block"
+    commands = [shlex.split(line, comments=True) for line in block.group(1).splitlines()]
+    assert len(commands) == 7 and all(argv[0] == "solvgeo" for argv in commands)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out, argv
+
+
+def test_readme_cli_transcripts_match(capsys):
+    transcripts = re.findall(r"```\n\$ (solvgeo .*?)\n(.*?)```", _readme_command_line(), re.S)
+    assert len(transcripts) == 2
+    for command, shown in transcripts:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == shown, command

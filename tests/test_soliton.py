@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import expm
 
 from helpers import FAMILIES, random_spd
 from oracles import derivation_residual
+from solvgeo import soliton
 from solvgeo.derivations import derivation_algebra
 from solvgeo.errors import InvalidFamilyError
 from solvgeo.lie_core import Family, make_family
@@ -144,6 +146,23 @@ def test_frame_check_rejects_bad_lambda():
         soliton_from_frame(Family("r3"), -2.0)
     with pytest.raises(InvalidFamilyError):
         soliton_from_frame(Family("r3p_a", 1.0), 0.5)
+
+
+def test_norm_scales_only_huge_vectors():
+    rng = np.random.default_rng(7)
+    for v in rng.normal(size=(100, 9)) * 10.0 ** rng.integers(-300, 149, (100, 1)):
+        assert soliton._norm(v) == np.linalg.norm(v)
+    assert soliton._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert soliton._norm(np.array([1.5e308, 1.5e308])) == math.inf
+
+
+def test_overflowed_residual_rejected():
+    ric = np.zeros((3, 3))
+    ric[0, 2] = ric[1, 2] = 1.5e308  # orthogonal to span{I} + Der(h3)
+    der = derivation_algebra(make_family(Family("h3")))
+    with pytest.raises(ValueError, match="^soliton residual is not finite: "
+                                         "its norm overflows float64$"):
+        soliton._project(ric, der, 1e-8)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1])
