@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -370,6 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start:stop:count linear grid (default grid is "
                         "family specific; log-spaced for r3)")
     p.set_defaults(fn=_cmd_verify)
+    # argparse takes -1e-05, -0.5,1 and -5:5:3 for options; no option here
+    # begins with "-" and a digit or ".", so each such token is a value
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -95,7 +95,10 @@ def ricci_operator(m: MetricData) -> RicciResult:
                 - np.einsum("ikl,jlm->ijkm", gamma, gamma)
                 - np.einsum("ijl,lkm->ijkm", c, gamma))
         ric_frame = require_finite(np.einsum("jiim->mj", riem))
-        ric_canonical = require_finite(m.frame @ ric_frame @ np.linalg.inv(m.frame))
+        # frame 2^-e, inv(frame) 2^e: exact, and frame @ ric_frame cannot overflow
+        e = np.frexp(np.abs(m.frame).max())[1]
+        ric_canonical = require_finite(np.ldexp(m.frame, -e) @ ric_frame
+                                       @ np.ldexp(np.linalg.inv(m.frame), e))
     return RicciResult(ric_frame=ric_frame,
                        ric_canonical=ric_canonical,
                        scalar=float(np.trace(ric_frame)))

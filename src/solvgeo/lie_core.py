@@ -34,7 +34,8 @@ from .errors import InvalidFamilyError, SingularMatrixError
 FAMILY_TAGS = ("h3", "r3", "r3_a", "r3_1", "r3p_a")
 
 _TAG_TO_TEXT = {"h3": "h3", "r3": "r3", "r3_1": "r3_1", "r3_a": "r3a", "r3p_a": "r3pa"}
-_TEXT_TO_TAG = {v: k for k, v in _TAG_TO_TEXT.items()}
+# --family takes the CLI text and the tag itself (the spelling ``families`` lists)
+_TEXT_TO_TAG = {**{tag: tag for tag in FAMILY_TAGS}, **{v: k for k, v in _TAG_TO_TEXT.items()}}
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,8 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
 
     c'_ij^k = sum_r (h^-1)[k,r] * sum_pq h[p,i] h[q,j] c[p,q,r].  The result
     is exact only when both the constants and h are exact; the exact lane
-    contracts integer numerators (h^-1 through the adjugate of h's) in
-    Python ints, over the nonzero terms only, and divides once per entry.
+    runs the same contraction on integer numerators (h^-1 through the
+    adjugate of h's), in Python ints, and divides once per entry.
     """
     h = np.asarray(h)
     n = sc.dim
@@ -168,12 +169,11 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     if sc.exact and h.dtype == object:
         c, dc = linalg.integer_numerators(sc.c)
         h, dh = linalg.integer_numerators(h)
-        h = h.tolist()
-        hinv, det = _adjugate(h)
+        adj, det = _adjugate(h)
         if det == 0:
             raise SingularMatrixError("basis change matrix is singular")
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
-        return StructureConstants(_ratios(_integer_contract(c.tolist(), h, hinv), dc * dh * det))
+        return StructureConstants(_ratios(_contract(c, h, adj), dc * dh * det))
     h = linalg.to_float(h)
     c = linalg.to_float(sc.c)
     if abs(np.linalg.det(h)) < 1e-12:
@@ -182,66 +182,38 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
 
 
 def _contract(c: np.ndarray, h: np.ndarray, hinv: np.ndarray) -> np.ndarray:
-    n = c.shape[0]
-    w = [np.dot(np.dot(h.T, c[:, :, r]), h) for r in range(n)]
-    cprime = np.zeros((n, n, n), dtype=c.dtype)
-    for k in range(n):
-        acc = hinv[k, 0] * w[0]
-        for r in range(1, n):
-            acc = acc + hinv[k, r] * w[r]
-        cprime[:, :, k] = acc
-    return cprime
+    """``change_basis``'s sum, on float arrays or object arrays of ints.
 
-
-def _integer_contract(c: list, h: list, hinv: list) -> list:
-    """``_contract`` on nested lists of Python ints.
-
-    Only nonzero terms are summed: a bracket has few nonzero constants and
-    a canonical group element few nonzero entries.
+    w[r] = h^T c[:,:,r] h, and slice k of the result sums hinv[k,r] w[r]
+    over r from left to right.
     """
-    n = len(h)
-    cols = [[(i, x) for i, x in enumerate(row) if x] for row in h]
-    rows = [[(k, hinv[k][r]) for k in range(n) if hinv[k][r]] for r in range(n)]
-    out = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for p, plane in enumerate(c):
-        for q, line in enumerate(plane):
-            for r, x in enumerate(line):
-                if not x:
-                    continue
-                for i, hpi in cols[p]:
-                    for j, hqj in cols[q]:
-                        t = x * hpi * hqj
-                        acc = out[i][j]
-                        for k, hkr in rows[r]:
-                            acc[k] += hkr * t
-    return out
+    w = h.T @ c.transpose(2, 0, 1) @ h
+    acc = hinv[:, 0, None, None] * w[0]
+    for r in range(1, len(h)):
+        acc = acc + hinv[:, r, None, None] * w[r]
+    return acc.transpose(1, 2, 0)
 
 
-def _adjugate(m: list) -> tuple[list, int]:
-    """Adjugate and determinant of a 3x3 integer matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
-           [f * g - d * i, a * i - c * g, c * d - a * f],
-           [d * h - e * g, b * g - a * h, a * e - b * d]]
-    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Adjugate and determinant of a 3x3 integer matrix (Python ints)."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    adj = [e * i - f * h, c * h - b * i, b * f - c * e,
+           f * g - d * i, a * i - c * g, c * d - a * f,
+           d * h - e * g, b * g - a * h, a * e - b * d]
+    return linalg.object_array(adj, (3, 3)), a * adj[0] + b * adj[3] + c * adj[6]
 
 
-def _ratios(nums: list, den: int) -> np.ndarray:
-    """(n,n,n) object array of the Fractions nums / den, zeros shared."""
-    n = len(nums)
-    return linalg.object_array([linalg.ratio(x, den) for plane in nums for row in plane
-                                for x in row], (n, n, n))
+def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
+    """Object array of the Fractions nums / den, zeros shared."""
+    return linalg.object_array([linalg.ratio(x, den) for x in nums.ravel().tolist()],
+                               nums.shape)
 
 
 def jacobi_residual(sc: StructureConstants) -> float:
     """max abs component of the Jacobi cyclic sum over basis triples."""
-    n = sc.dim
     c = sc.c
-    worst = 0.0
-    for i, j, k in combinations(range(n), 3):
-        for l in range(n):
-            s = sum(c[j, k, m] * c[i, m, l]
-                    + c[k, i, m] * c[j, m, l]
-                    + c[i, j, m] * c[k, m, l] for m in range(n))
-            worst = max(worst, abs(float(s)))
-    return worst
+    # t[i,j,k,l] = sum_m c[j,k,m] c[i,m,l]; the cyclic sum adds t[j,k,i] and t[k,i,j]
+    t = np.einsum("jkm,iml->ijkl", c, c)
+    s = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+    i, j, k = np.array(list(combinations(range(sc.dim), 3))).T
+    return float(np.abs(linalg.to_float(s[i, j, k])).max(initial=0.0))

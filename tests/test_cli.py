@@ -363,6 +363,50 @@ def test_huge_soliton_residual_is_finite(argv, key, norm):
     assert row["is_soliton"] is False
 
 
+@pytest.mark.parametrize("argv,key,value", [
+    (["ricci", "--family", "r3", "--gram", "1e-290", "0", "0", "0", "1", "0", "0", "0", "1"],
+     "scalar", -6.499999999999999e290),
+    (["soliton", "--family", "r3", "--gram", "1e-290", "0", "0", "0", "1", "0", "0", "0", "1"],
+     "residual", 1.2247448713915887e290),
+])
+def test_huge_frame_ricci_is_finite(argv, key, value):
+    # the frame has entries near 1e145: frame @ ric_frame overflows float64
+    # unless the frame is scaled down before inv(frame) scales it back
+    proc = _run_fresh(argv + ["--format", "json"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    data = json.loads(proc.stdout)
+    assert data[key] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv,twin", [
+    ("soliton --family r3 --gram 1 0 0 0 1 -1e-05 0 -1e-05 1",
+     "soliton --family r3 --gram 1 0 0 0 1 -0.00001 0 -0.00001 1"),
+    ("soliton --family r3a:a=0.5 --lambda -1e-9", "soliton --family r3a:a=0.5 --lambda=-1e-9"),
+    ("orbit --family r3a --a -5e-1 --lambda 1", "orbit --family r3a --a=-5e-1 --lambda 1"),
+    ("verify --family r3a:a=0.5 --lambda -0.5,1", "verify --family r3a:a=0.5 --lambda=-0.5,1"),
+    ("verify --family r3a:a=0.5 --grid -5:5:3", "verify --family r3a:a=0.5 --grid=-5:5:3"),
+    ("verify --family r3a:a=0.5 --grid -5:5:51", "verify --family r3a:a=0.5"),
+])
+def test_negative_values_read_as_values(capsys, argv, twin):
+    # argparse alone takes -1e-05, -0.5,1 and -5:5:3 for options
+    code, out = run(capsys, argv.split())
+    assert (code, out) == run(capsys, twin.split())
+    assert code == 0 and out
+
+
+def test_listed_family_names_accepted(capsys):
+    # the names ``families`` lists are the tags; --family takes them too
+    cli_spelling = {"h3": "h3", "r3": "r3", "r3_1": "r3_1", "r3_a": "r3a", "r3p_a": "r3pa"}
+    code, out = run(capsys, ["families", "--format", "json"])
+    assert code == 0
+    for tag in json.loads(out):
+        a = ":a=0.5" if tag in ("r3_a", "r3p_a") else ""
+        want = run(capsys, ["der", "--family", cli_spelling[tag] + a])
+        assert want[0] == 0
+        assert run(capsys, ["der", "--family", tag + a]) == want, tag
+
+
 @pytest.mark.parametrize("command", ["der", "ricci"])
 def test_exact_flag_rejected(capsys, command):
     # the flag changed no output, so it is gone until an exact lane stands behind it

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from helpers import DER_GRID, FAMILIES
+from helpers import DER_GRID, FAMILIES, random_spd
 from oracles import antisymmetry_residual, bracket
-from solvgeo import lie_core, linalg
+from solvgeo import linalg
 from solvgeo.curvature import metric_data, ricci_closed_form, ricci_operator
 from solvgeo.errors import InvalidFamilyError, SingularMatrixError
 from solvgeo.lie_core import (Family, StructureConstants, change_basis,
                               jacobi_residual, make_family, parse_family)
+from solvgeo.moduli import rep_matrix
 
 
 @pytest.mark.parametrize("text,tag,a", [
@@ -144,10 +146,71 @@ def _exact(rows):
     return np.array([[Fraction(x) for x in row] for row in rows], dtype=object)
 
 
+def _per_slice_contract(c, h, hinv):
+    """``change_basis``'s sum slice by slice: w[r] = h^T c[:,:,r] h, then
+    slice k of the result is hinv[k,0] w[0] + hinv[k,1] w[1] + ..."""
+    n = c.shape[0]
+    w = [np.dot(np.dot(h.T, c[:, :, r]), h) for r in range(n)]
+    cprime = np.zeros((n, n, n), dtype=c.dtype)
+    for k in range(n):
+        acc = hinv[k, 0] * w[0]
+        for r in range(1, n):
+            acc = acc + hinv[k, r] * w[r]
+        cprime[:, :, k] = acc
+    return cprime
+
+
+def _basis_cases(rng):
+    """(c, h) pairs: random tensors and matrices, g_lambda of each family,
+    and Cholesky frames of Gram matrices at scales 1e-6..1e6."""
+    for fam in FAMILIES:
+        sc = make_family(fam)
+        for _ in range(60):
+            lam = {"r3": 10 ** rng.uniform(-1, 1), "r3_a": rng.uniform(-5, 5),
+                   "r3p_a": rng.uniform(1, 5)}.get(fam.tag, 1.0)
+            yield sc.c, rep_matrix(fam, lam)
+            yield sc.c, metric_data(sc, random_spd(rng, 10 ** rng.uniform(-6, 6))).frame
+    for _ in range(400):
+        yield rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3)) + 2 * np.eye(3)
+
+
+def test_change_basis_float_matches_per_slice_contraction():
+    rng = np.random.default_rng(15)
+    cases = list(_basis_cases(rng))
+    assert len(cases) >= 1000
+    for c, h in cases:
+        want = _per_slice_contract(c, h, np.linalg.inv(h))
+        assert change_basis(StructureConstants(c), h).c.tobytes() == want.tobytes()
+
+
+def _jacobi_by_loop(c):
+    """The Jacobi cyclic sum over i < j < k, term by term."""
+    worst = 0.0
+    for i, j, k in combinations(range(3), 3):
+        for l in range(3):
+            s = sum(c[j, k, m] * c[i, m, l] + c[k, i, m] * c[j, m, l]
+                    + c[i, j, m] * c[k, m, l] for m in range(3))
+            worst = max(worst, abs(float(s)))
+    return worst
+
+
+def test_jacobi_residual_matches_loop():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        c = rng.normal(size=(3, 3, 3))
+        c = c - c.transpose(1, 0, 2)
+        assert jacobi_residual(StructureConstants(c)) == pytest.approx(_jacobi_by_loop(c),
+                                                                       abs=1e-12)
+        exact = np.array([Fraction(int(x * 8), 3) for x in c.ravel()],
+                         dtype=object).reshape(3, 3, 3)
+        exact = exact - exact.transpose(1, 0, 2)
+        assert jacobi_residual(StructureConstants(exact)) == _jacobi_by_loop(exact)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_change_basis_exact_matches_fraction_contraction(seed):
     # dense and sparse rational tensors and basis matrices, against the
-    # float lane's contraction run in Fraction arithmetic on h's exact inverse
+    # per-slice contraction run in Fraction arithmetic on h's exact inverse
     rng = random.Random(seed)
     big = 10 ** 20 if seed % 2 else 9
 
@@ -168,7 +231,7 @@ def test_change_basis_exact_matches_fraction_contraction(seed):
             continue
     out = change_basis(StructureConstants(c), h)
     assert all(type(x) is Fraction for x in out.c.ravel())
-    assert out.c.tolist() == lie_core._contract(c, h, hinv).tolist()
+    assert out.c.tolist() == _per_slice_contract(c, h, hinv).tolist()
 
 
 @pytest.mark.parametrize("h", [

@@ -1,6 +1,9 @@
-"""The package's declared runtime dependencies and its README examples."""
+"""The package's declared runtime dependencies, its README examples and
+the names that the benchmark traces."""
 
 import ast
+import importlib
+import inspect
 import re
 import shlex
 import sys
@@ -65,3 +68,17 @@ def test_readme_cli_transcripts_match(capsys):
     for command, shown in transcripts:
         assert cli.main(shlex.split(command)[1:]) == 0, command
         assert capsys.readouterr().out == shown, command
+
+
+def test_bench_traced_names_exist():
+    # the benchmark wraps each function named in bench/spans.py LAYERS; read
+    # the table from the source so that bench/ need not be importable here
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"])
+    layers = ast.literal_eval(value)
+    assert layers
+    for module, names in layers.items():
+        mod = importlib.import_module(f"solvgeo.{module}")
+        for name in names:
+            assert inspect.isfunction(getattr(mod, name, None)), f"solvgeo.{module}.{name}"
