@@ -6,8 +6,8 @@ the mean curvature of the matching scaling-automorphism orbits in the
 space of inner products.
 """
 
-from .curvature import (MetricData, RicciResult, connection_coeffs,
-                        metric_data, ricci_closed_form, ricci_operator)
+from .curvature import (MetricData, RicciResult, metric_data, ricci_canonical,
+                        ricci_closed_form, ricci_operator)
 from .derivations import (MatrixSubspace, conjugate_subspace,
                           derivation_algebra, scalar_plus)
 from .errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
@@ -26,7 +26,7 @@ __all__ = [
     "FAMILY_TAGS", "Family", "StructureConstants", "make_family",
     "parse_family", "change_basis", "jacobi_residual",
     "MatrixSubspace", "derivation_algebra", "conjugate_subspace", "scalar_plus",
-    "MetricData", "RicciResult", "metric_data", "connection_coeffs",
+    "MetricData", "RicciResult", "metric_data", "ricci_canonical",
     "ricci_operator", "ricci_closed_form",
     "Representative", "ReductionTrace", "metric_to_group", "reduce",
     "rep_matrix", "frame_constants", "witness_residual",

@@ -1,10 +1,10 @@
 """Left-invariant curvature from structure constants and a Gram matrix.
 
-The metric is determined by its Gram matrix G on the fixed basis e1,e2,e3.
-An orthonormal frame is x_i = B e_i with B = L^-T from the Cholesky
-factorization G = L L^T; on that frame the Levi-Civita connection has
-constant coefficients given by the Koszul formula, and the Ricci operator
-follows from finite sums over the frame structure constants.
+Koszul on the canonical basis e1,e2,e3 (Milnor 1976; Besse, *Einstein
+Manifolds*, ch. 7), with no orthonormal frame: C = c G, so C_ijm =
+<[e_i,e_j], e_m>; 2<nabla_{e_i} e_j, e_m> = C_ijm - C_jmi + C_mij, raised
+by G^-1; and Ric(e_j) = sum_ab (G^-1)_ab R(e_j, e_a) e_b, where R(X,Y)Z =
+nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 """
 
 from __future__ import annotations
@@ -16,14 +16,15 @@ import numpy as np
 
 from . import linalg
 from .errors import NonSPDMetricError
-from .lie_core import StructureConstants, change_basis
+from .lie_core import StructureConstants
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Structure constants and an orthonormal frame matrix."""
+    """Structure constants, a validated Gram matrix and an orthonormal frame."""
 
     sc: StructureConstants
+    gram: np.ndarray
     frame: np.ndarray
 
 
@@ -42,7 +43,7 @@ def metric_data(sc: StructureConstants, gram: np.ndarray) -> MetricData:
     Raises NonSPDMetricError unless ``gram`` is symmetric positive
     definite.  The frame satisfies B^T G B = I, with B upper triangular.
     """
-    return MetricData(sc=sc, frame=np.linalg.inv(_gram_cholesky(gram)).T)
+    return MetricData(sc, np.asarray(gram, dtype=float), np.linalg.inv(_gram_cholesky(gram)).T)
 
 
 def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
@@ -68,40 +69,41 @@ def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
         raise NonSPDMetricError("Gram matrix is not positive definite") from None
 
 
-def connection_coeffs(c: np.ndarray) -> np.ndarray:
-    """Koszul coefficients Gamma[i,j,k] on an orthonormal frame.
+def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
+    """Ricci operator on the canonical basis; raises NonSPDMetricError unless SPD.
 
-    For constant structure constants c on an orthonormal frame the Koszul
-    formula collapses to Gamma_ij^k = (c_ij^k + c_ki^j + c_kj^i) / 2, where
-    nabla_{x_i} x_j = sum_k Gamma[i,j,k] x_k.
+    The sums run on the basis P e_i, P = diag(2^e) with P G P's diagonal in
+    [1/4, 2): no product underflows on a badly scaled diagonal.  e moves
+    uniformly when G is scaled by 2^k, and P and P Ric' P^-1 are exact, so
+    t Ric(tG) == Ric(G) bit for bit at t = 2^k.
     """
-    c = np.asarray(c, dtype=float)
-    return (c + np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c)) / 2.0
+    _gram_cholesky(gram)
+    gram = np.asarray(gram, dtype=float)
+    d = np.frexp(gram.diagonal())[1]
+    e = (d.max() - d) // 2 - d.max() // 2
+    eg = e[:, None] + e
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.ldexp(gram, eg)
+        c = np.ldexp(linalg.to_float(sc.c), eg[:, :, None] - e)
+        ginv = np.linalg.inv(g)
+        cg = c @ g
+        gamma = (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)) / 2 @ ginv
+        # sum_ab (G^-1)_ab [Gamma_ab^l Gamma_jl^m - Gamma_jb^l Gamma_al^m - c_ja^l Gamma_lb^m]
+        mix = (ginv @ gamma + c.transpose(0, 2, 1) @ ginv).reshape(3, 9)
+        ric = ginv.ravel() @ gamma.reshape(9, 3) @ gamma - mix @ gamma.reshape(9, 3)
+        return require_finite(np.ldexp(ric.T, e[:, None] - e))
 
 
 def ricci_operator(m: MetricData) -> RicciResult:
-    """Ricci operator of the left-invariant metric.
-
-    Computed by (i) rewriting the structure constants on the orthonormal
-    frame, (ii) forming the connection coefficients, (iii) contracting the
-    curvature tensor R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z -
-    nabla_[x,y] z over the frame.  ``ric_canonical`` is the same operator
-    conjugated back to the canonical basis.
-    """
-    c = change_basis(m.sc, m.frame).c
-    gamma = connection_coeffs(c)
+    """``ricci_canonical`` of the metric, and on its orthonormal frame
+    ``ric_frame`` = frame^-1 ric_canonical frame."""
+    ric_canonical = ricci_canonical(m.sc, m.gram)
+    # frame 2^-e, inv(frame) 2^e: exact, and ric_canonical @ frame cannot overflow
+    e = np.frexp(np.abs(m.frame).max())[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        riem = (np.einsum("jkl,ilm->ijkm", gamma, gamma)
-                - np.einsum("ikl,jlm->ijkm", gamma, gamma)
-                - np.einsum("ijl,lkm->ijkm", c, gamma))
-        ric_frame = require_finite(np.einsum("jiim->mj", riem))
-        # frame 2^-e, inv(frame) 2^e: exact, and frame @ ric_frame cannot overflow
-        e = np.frexp(np.abs(m.frame).max())[1]
-        ric_canonical = require_finite(np.ldexp(m.frame, -e) @ ric_frame
-                                       @ np.ldexp(np.linalg.inv(m.frame), e))
-    return RicciResult(ric_frame=ric_frame,
-                       ric_canonical=ric_canonical,
-                       scalar=float(np.trace(ric_frame)))
+        ric_frame = require_finite(np.ldexp(np.linalg.inv(m.frame), e)
+                                   @ (ric_canonical @ np.ldexp(m.frame, -e)))
+    return RicciResult(ric_frame, ric_canonical, float(np.trace(ric_canonical)))
 
 
 def require_finite(ric: np.ndarray) -> np.ndarray:

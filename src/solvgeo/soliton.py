@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import metric_data, require_finite, ricci_closed_form, ricci_operator
+from .curvature import require_finite, ricci_canonical, ricci_closed_form
 from .derivations import MatrixSubspace, derivation_algebra, conjugate_subspace
 from .lie_core import Family, StructureConstants, change_basis, make_family
 from .moduli import rep_matrix
@@ -21,6 +21,7 @@ from .moduli import rep_matrix
 DEFAULT_TOL = 1e-8
 # the squares of a vector with a larger entry may overflow float64
 _SCALE_ABOVE = 1e150
+_EYE_ROW = np.eye(3).reshape(1, 9)
 
 
 @dataclass(frozen=True)
@@ -53,20 +54,17 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
-    """Least-squares split of ric over [I | derivation basis]."""
-    require_finite(ric)
-    a = np.concatenate([np.eye(3).reshape(1, 9), der.stacked()]).T
+    """Least-squares split of a finite ric over [I | derivation basis]."""
+    a = np.concatenate([_EYE_ROW, der.stacked()]).T
     coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
     residual = _norm(a @ coeffs - ric.ravel())
     if residual == math.inf:
         raise ValueError("soliton residual is not finite: its norm overflows float64")
-    c = float(coeffs[0])
-    d = sum((coeffs[1 + i] * b for i, b in enumerate(der.basis)),
-            start=np.zeros((3, 3)))
+    d = (coeffs[1:] @ der.stacked()).reshape(3, 3)
     ein_res = _norm(ric - (np.trace(ric) / 3.0) * np.eye(3))
     return SolitonVerdict(is_soliton=residual <= tol,
                           is_einstein=ein_res <= tol,
-                          certificate=SolitonCertificate(c, d, residual))
+                          certificate=SolitonCertificate(float(coeffs[0]), d, residual))
 
 
 def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
@@ -78,8 +76,7 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     residual is at most ``tol``, which must be finite and > 0.
     """
     _check_tol(tol)
-    ric = ricci_operator(metric_data(sc, gram)).ric_canonical
-    return _project(ric, derivation_algebra(sc), tol)
+    return _project(ricci_canonical(sc, gram), derivation_algebra(sc), tol)
 
 
 def soliton_from_frame(family: Family, lam: float,
@@ -88,15 +85,16 @@ def soliton_from_frame(family: Family, lam: float,
 
     Works entirely on the Milnor frame: the Ricci operator comes from the
     closed form on the frame brackets, and membership is tested against
-    the derivation algebra conjugated by g_lambda.  Equivalent to
-    ``solvsoliton_check`` at the Gram matrix of the representative.
+    the derivation algebra conjugated by g_lambda.  The verdict is
+    ``solvsoliton_check``'s at the representative's Gram matrix; the
+    residual is not, as it is the Frobenius norm on the Milnor frame.
     """
     _check_tol(tol)
     sc = make_family(family)
     g = rep_matrix(family, lam)
     c = change_basis(sc, g).c
     # as Python floats (a, b, c, d) overflow to inf or NaN without a warning,
-    # and _project rejects the result
+    # and require_finite rejects the result
     ric = ricci_closed_form(*c[0, 1:, 1:].ravel().tolist())
     der = conjugate_subspace(derivation_algebra(sc), g)
-    return _project(np.asarray(ric, dtype=float), der, tol)
+    return _project(require_finite(np.asarray(ric, dtype=float)), der, tol)

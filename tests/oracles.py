@@ -2,6 +2,10 @@
 
 The derivation-algebra oracle goes through sympy's symbolic nullspace,
 a completely separate code path from the package's own row reduction.
+Two Ricci references check ``curvature.ricci_canonical``: the same
+Koszul sums on the canonical basis evaluated entry by entry in
+``Fraction`` arithmetic, and the Cholesky-frame pipeline the package
+used before (Koszul on an orthonormal frame, then conjugation back).
 The others are the residuals, span tests, sym(3) basis and sampling
 checks that the tests apply to library output; the package itself needs
 none of them.
@@ -14,8 +18,9 @@ import sympy as sp
 from scipy.linalg import expm
 
 from solvgeo import linalg
+from solvgeo.curvature import metric_data, require_finite
 from solvgeo.derivations import MatrixSubspace, derivation_algebra, scalar_plus
-from solvgeo.lie_core import Family, StructureConstants, make_family
+from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family
 from solvgeo.moduli import metric_to_group, reduce
 
 SYM_DIM = 6
@@ -163,3 +168,62 @@ def congruence_check(family: Family, g1: np.ndarray, g2: np.ndarray,
         if abs(lam - lam2) > tol:
             return False
     return True
+
+
+def koszul_ricci_exact(c, gram) -> list:
+    """Ricci operator on the canonical basis, exactly, as nested lists of
+    Fractions: ``ricci_canonical``'s Koszul sums written out index by index.
+
+    C_ijm = sum_k c_ij^k G_km, Gamma_ij^k = sum_m (C_ijm - C_jmi + C_mij)/2
+    (G^-1)_mk, and Ric[m][j] = sum_ab (G^-1)_ab R(e_j, e_a) e_b in e_m.
+    Every float is a dyadic rational, so float input is read exactly.
+    """
+    r = range(3)
+    c = [[[Fraction(c[i][j][k]) for k in r] for j in r] for i in r]
+    g = [[Fraction(gram[i][j]) for j in r] for i in r]
+    inv = sp.Matrix(3, 3, [sp.Rational(x.numerator, x.denominator) for row in g for x in row]).inv()
+    gi = [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in r] for i in r]
+    cg = [[[sum(c[i][j][k] * g[k][m] for k in r) for m in r] for j in r] for i in r]
+    gam = [[[sum((cg[i][j][m] - cg[j][m][i] + cg[m][i][j]) / 2 * gi[m][k] for m in r)
+             for k in r] for j in r] for i in r]
+
+    def riem(j, a, b, m):  # e_m component of R(e_j, e_a) e_b
+        return sum(gam[a][b][l] * gam[j][l][m] - gam[j][b][l] * gam[a][l][m]
+                   - c[j][a][l] * gam[l][b][m] for l in r)
+
+    return [[sum(gi[a][b] * riem(j, a, b, m) for a in r for b in r) for j in r] for m in r]
+
+
+def connection_coeffs(c: np.ndarray) -> np.ndarray:
+    """Koszul coefficients Gamma[i,j,k] on an orthonormal frame.
+
+    For constant structure constants c on an orthonormal frame the Koszul
+    formula collapses to Gamma_ij^k = (c_ij^k + c_ki^j + c_kj^i) / 2, where
+    nabla_{x_i} x_j = sum_k Gamma[i,j,k] x_k.
+    """
+    c = np.asarray(c, dtype=float)
+    return (c + np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c)) / 2.0
+
+
+def frame_ricci(sc: StructureConstants, gram: np.ndarray) -> tuple:
+    """(ric_frame, ric_canonical) by the Cholesky-frame pipeline.
+
+    Computed by (i) rewriting the structure constants on the orthonormal
+    frame, (ii) forming the connection coefficients, (iii) contracting the
+    curvature tensor R(x,y)z = nabla_x nabla_y z - nabla_y nabla_x z -
+    nabla_[x,y] z over the frame.  ``ric_canonical`` is the same operator
+    conjugated back to the canonical basis.
+    """
+    frame = metric_data(sc, gram).frame
+    c = change_basis(sc, frame).c
+    gamma = connection_coeffs(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        riem = (np.einsum("jkl,ilm->ijkm", gamma, gamma)
+                - np.einsum("ikl,jlm->ijkm", gamma, gamma)
+                - np.einsum("ijl,lkm->ijkm", c, gamma))
+        ric_frame = require_finite(np.einsum("jiim->mj", riem))
+        # frame 2^-e, inv(frame) 2^e: exact, and frame @ ric_frame cannot overflow
+        e = np.frexp(np.abs(frame).max())[1]
+        ric_canonical = require_finite(np.ldexp(frame, -e) @ ric_frame
+                                       @ np.ldexp(np.linalg.inv(frame), e))
+    return ric_frame, ric_canonical

@@ -379,6 +379,16 @@ def test_huge_frame_ricci_is_finite(argv, key, value):
     assert data[key] == pytest.approx(value, rel=1e-12)
 
 
+def test_scaled_identity_ricci_is_read():
+    # the Cholesky frame 1e-150 I failed change_basis's absolute determinant test
+    gram = ["1e300", "0", "0", "0", "1e300", "0", "0", "0", "1e300"]
+    proc = _run_fresh(["ricci", "--family", "r3", "--gram"] + gram + ["--format", "json"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    # r3 at the identity metric has scalar curvature -6.5
+    assert json.loads(proc.stdout)["scalar"] == pytest.approx(-6.5 / 1e300, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv,twin", [
     ("soliton --family r3 --gram 1 0 0 0 1 -1e-05 0 -1e-05 1",
      "soliton --family r3 --gram 1 0 0 0 1 -0.00001 0 -0.00001 1"),

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import FAMILIES, abcd_constants, random_spd
-from solvgeo.curvature import (connection_coeffs, metric_data,
-                               ricci_closed_form, ricci_operator)
+from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
+from solvgeo.curvature import (metric_data, ricci_canonical, ricci_closed_form,
+                               ricci_operator)
 from solvgeo.errors import NonSPDMetricError
-from solvgeo.lie_core import Family, make_family
+from solvgeo.lie_core import Family, make_family, parse_family
 
 
 def test_metric_data_validation():
@@ -74,9 +76,11 @@ def test_ricci_pipeline_matches_closed_form():
     worst = 0.0
     for _ in range(300):
         a, b, c, d = rng.uniform(-2, 2, 4)
-        res = ricci_operator(metric_data(abcd_constants(a, b, c, d), np.eye(3)))
+        sc = abcd_constants(a, b, c, d)
         closed = ricci_closed_form(a, b, c, d)
-        worst = max(worst, float(np.max(np.abs(res.ric_frame - closed))))
+        for ric_frame in (frame_ricci(sc, np.eye(3))[0],
+                          ricci_operator(metric_data(sc, np.eye(3))).ric_frame):
+            worst = max(worst, float(np.max(np.abs(ric_frame - closed))))
     assert worst < 1e-10
 
 
@@ -155,6 +159,74 @@ def test_ricci_canonical_is_conjugate_and_symmetric_with_metric():
         assert np.trace(res.ric_canonical) == pytest.approx(res.scalar)
         # ric_frame is symmetric on an orthonormal frame
         np.testing.assert_allclose(res.ric_frame, res.ric_frame.T, atol=1e-10)
+
+
+def _rel_err(got, want) -> float:
+    """max |got - want| over max |want|, for a float or Fraction ``want``."""
+    want = np.array([[float(x) for x in row] for row in want])
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+# one family of each tag, r3_a and r3p_a at two parameters
+ORACLE_FAMILIES = [parse_family(s) for s in
+                   ("h3", "r3", "r3_1", "r3a:a=0.5", "r3a:a=-0.75", "r3pa:a=0.5", "r3pa:a=2.0")]
+
+
+def test_ricci_canonical_matches_frame_pipeline():
+    rng = np.random.default_rng(21)
+    worst = 0.0
+    for fam in ORACLE_FAMILIES:
+        sc = make_family(fam)
+        for _ in range(60):
+            gram = random_spd(rng, 10 ** rng.uniform(-5, 5))
+            worst = max(worst, _rel_err(ricci_canonical(sc, gram), frame_ricci(sc, gram)[1]))
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("fam", ORACLE_FAMILIES, ids=str)
+def test_ricci_canonical_matches_exact_koszul_at_dyadic_scales(fam):
+    rng = np.random.default_rng(22)
+    sc = make_family(fam)
+    for k in range(-27, 28, 6):
+        gram = np.ldexp(random_spd(rng), k)
+        assert _rel_err(ricci_canonical(sc, gram), koszul_ricci_exact(sc.c, gram)) < 1e-12
+
+
+# the last two give a wrong Ricci operator on every family unless the
+# diagonal is equilibrated: products of the raw entries underflow
+EXTREME_DIAGONALS = ([[1e290, 1, 1], [1, 1e290, 1], [1, 1, 1e290],
+                      [1e-290, 1, 1], [1, 1e-290, 1], [1, 1, 1e-290],
+                      [1e300] * 3, [1e-300] * 3, [1e200, 1, 1e-100],
+                      [1e200, 1e-200, 1e-200], [1e-200, 1e200, 1e150]])
+
+
+@pytest.mark.parametrize("diag", EXTREME_DIAGONALS, ids=lambda d: "_".join(map(repr, d)))
+def test_ricci_canonical_matches_exact_koszul_on_extreme_diagonals(diag):
+    for fam in ORACLE_FAMILIES:
+        sc = make_family(fam)
+        gram = np.diag(np.array(diag, dtype=float))
+        assert _rel_err(ricci_canonical(sc, gram), koszul_ricci_exact(sc.c, gram)) < 1e-12, fam
+
+
+@pytest.mark.parametrize("tag", ["r3", "r3a:a=0.5", "r3pa:a=0.5", "h3"])
+def test_frame_free_ricci_reads_a_wide_diagonal(tag):
+    # the frame path raised "basis change matrix is singular" here
+    sc = make_family(parse_family(tag))
+    gram = np.diag([1e200, 1.0, 1e-100])
+    res = ricci_operator(metric_data(sc, gram))
+    assert _rel_err(res.ric_canonical, koszul_ricci_exact(sc.c, gram)) < 1e-12
+    assert np.isfinite(res.ric_frame).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fam=st.sampled_from(ORACLE_FAMILIES), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(-60, 60))
+def test_ricci_canonical_scales_exactly_by_powers_of_two(fam, seed, k):
+    sc = make_family(fam)
+    gram = random_spd(np.random.default_rng(seed), 10 ** (seed % 7 - 3))
+    base = ricci_canonical(sc, gram)
+    scaled = ricci_canonical(sc, np.ldexp(gram, k))
+    assert np.ldexp(scaled, k).tobytes() == base.tobytes()
 
 
 def test_ricci_scales_inversely_with_metric():

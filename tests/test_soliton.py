@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import expm
 
 from helpers import FAMILIES, random_spd
 from oracles import derivation_residual
-from solvgeo import soliton
+from solvgeo import curvature, derivations, lie_core, soliton
 from solvgeo.derivations import derivation_algebra
 from solvgeo.errors import InvalidFamilyError
 from solvgeo.lie_core import Family, make_family
@@ -175,3 +176,48 @@ def test_tol_must_be_finite_and_positive(tol):
     # a non-SPD Gram matrix: tol is checked before any curvature work
     with pytest.raises(ValueError, match=message):
         solvsoliton_check(make_family(fam), -np.eye(3), tol=tol)
+
+
+# r3_a a=0.5 at G below is not a soliton, at any scale; the absolute tol
+# says it is from 1e8 G on (ROADMAP item 4)
+_ITEM4_GRAM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+
+
+def test_item4_gram_is_not_a_soliton_at_unit_scale():
+    assert not solvsoliton_check(make_family(Family("r3_a", 0.5)), _ITEM4_GRAM).is_soliton
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("fam,gram", [
+    (Family("r3_a", 0.5), 1e8 * _ITEM4_GRAM),
+    (Family("r3_a", 0.5), 1e12 * _ITEM4_GRAM),
+    (Family("r3"), 1e300 * np.eye(3)),
+], ids=["r3a-1e8", "r3a-1e12", "r3-1e300"])
+def test_scaled_metric_is_not_a_soliton(fam, gram):
+    assert not solvsoliton_check(make_family(fam), gram).is_soliton
+
+
+def test_solvsoliton_check_builds_no_frame(monkeypatch):
+    # wrap each name in every solvgeo namespace that binds it, since a
+    # from-import copies the binding
+    calls = []
+    for home, name in ((lie_core, "change_basis"), (curvature, "metric_data"),
+                       (curvature, "ricci_operator"), (derivations, "conjugate_subspace")):
+        original = getattr(home, name)
+
+        def spy(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod in [m for key, m in list(sys.modules.items())
+                    if key == "solvgeo" or key.startswith("solvgeo.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    rng = np.random.default_rng(23)
+    for fam in FAMILIES:
+        solvsoliton_check(make_family(fam), random_spd(rng))
+    assert calls == []
+    # the spies see the frame path's calls
+    soliton_from_frame(Family("r3_a", 0.5), 2.0)
+    assert {"change_basis", "conjugate_subspace"} <= set(calls)
