@@ -47,16 +47,19 @@ class MatrixSubspace:
     ``basis`` is one read-only float array of shape (dim, 3, 3), so one
     instance can be shared and each ``basis[i]`` is a read-only 3x3 view;
     ``np.asarray`` gives it too.  ``==`` and ``hash`` are by identity, not span.
+    ``frame`` is the read-only orthonormal (dim, 9) basis from the rank check.
     """
 
     basis: np.ndarray
 
     def __post_init__(self):
         basis = _normalize(self.basis)
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        if np.linalg.matrix_rank(self.stacked(), tol=1e-10) < self.dim:
+        _, s, frame = np.linalg.svd(basis.reshape(len(basis), 9), full_matrices=False)
+        if (s <= 1e-10).any():  # the cutoff of matrix_rank(tol=1e-10)
             raise ValueError("subspace basis is linearly dependent")
+        for name, value in (("basis", basis), ("frame", frame)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -76,9 +79,9 @@ def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     The identity D[e_i,e_j] = [De_i,e_j] + [e_i,De_j] over all basis pairs
     i < j is a linear system in the 9 entries of D.  Its kernel is computed
     exactly in both lanes: exact ``sc`` is solved on the integer multiple of
-    ``c`` that clears its denominators, float ``sc`` on its float entries,
-    which are dyadic rationals.  So the dimension has no pivot threshold,
-    and a float tensor gives the same basis as its exact twin.
+    ``c`` that clears its denominators, float ``sc`` on the system formed in
+    float, which can round (``2**-60 - 1``).  So the dimension has no pivot
+    threshold, but a float tensor and its exact twin can differ, even in dim.
 
     Two of the three memo levels are here (the third is ``g^-1 S g`` in
     ``conjugate_subspace``).  Float results are kept per content of the
@@ -176,6 +179,14 @@ def _conjugate(data: bytes, g_data: bytes, g_shape: tuple) -> MatrixSubspace:
         return MatrixSubspace(conjugated)
     except ValueError:  # a basis matrix shrank to ZERO_TOL
         raise SingularMatrixError("conjugating matrix is singular") from None
+
+
+def scalar_frame(subspace: MatrixSubspace) -> np.ndarray:
+    """Orthonormal rows of S + R*I: ``subspace.frame``, then I's unit part orthogonal to S."""
+    q, eye = subspace.frame, np.eye(3).ravel()
+    perp = eye - (q @ eye) @ q
+    norm = np.linalg.norm(perp)  # I lies in S at ZERO_TOL, a relative 6e-13 of |I| = sqrt(3)
+    return q if norm <= ZERO_TOL else np.vstack([q, perp / norm])
 
 
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:

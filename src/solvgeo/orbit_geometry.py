@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .derivations import conjugate_subspace, derivation_algebra
+from .derivations import conjugate_subspace, derivation_algebra, scalar_frame
 from .lie_core import Family, make_family
 
 # rank cutoff on the singular values of dpi restricted to u', which lie in [0, 1]
@@ -50,11 +50,11 @@ class OrbitData:
     stab_dim: int
 
 
-def orbit_data(span) -> OrbitData:
+def orbit_data(frame) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
-    ``span`` is a (k, 3, 3) stack spanning u'.  With q an orthonormal basis
-    of u', the matrix P of dpi(q) in SYM_BASIS coordinates has singular
+    ``frame`` is a (k, 3, 3) or (k, 9) stack q of orthonormal matrices
+    spanning u', so the matrix P of dpi(q) in SYM_BASIS coordinates has singular
     values in [0, 1].  Its SVD P = U S W^T with rank r gives everything at
     once: the tangent space U[:, :r], the normal space U[:, r:], the
     stabilizer (the kernel of dpi on u', its antisymmetric members) W^T[r:]
@@ -62,7 +62,7 @@ def orbit_data(span) -> OrbitData:
     basis and are Frobenius-orthogonal to the stabilizer, so the mean
     curvature is well defined on singular orbits too.
     """
-    q = linalg.orthonormalize(np.reshape(span, (-1, 9))).reshape(-1, 3, 3)
+    q = np.reshape(np.asarray(frame, dtype=float), (-1, 3, 3))
     p = np.einsum("sab,kab->sk", SYM_BASIS, dpi(q))
     u, sigma, wt = np.linalg.svd(p)
     r = int(np.sum(sigma > RANK_TOL))
@@ -104,11 +104,14 @@ class MeanCurvatureResult:
 def mean_curvature(span) -> MeanCurvatureResult:
     """Mean curvature vector H = (1/k) trace of the second fundamental form.
 
-    ``span`` spans u' as in ``orbit_data``.  H is a symmetric matrix in the
-    span of the normals; its trace norm vanishes exactly when the orbit is
-    minimal.  Raises ValueError for a zero-dimensional orbit.
+    ``span`` is any stack spanning u', orthonormalized for ``orbit_data``.  H
+    is a symmetric matrix in the span of the normals; its trace norm vanishes
+    exactly when the orbit is minimal.  Raises ValueError for a 0-dim orbit.
     """
-    od = orbit_data(span)
+    return _mean_curvature(orbit_data(linalg.orthonormalize(np.reshape(span, (-1, 9)))))
+
+
+def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
     if od.orbit_dim == 0:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
     shape = second_fundamental_form(od)
@@ -125,8 +128,8 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
 
     The orbit of R* x Aut through the inner product of g is moved to the
     base point by conjugation: u' = g^-1 (RI + Der) g = RI + g^-1 Der g,
-    and g^-1 Der g is the memoized call that the soliton test at g makes.
+    and g^-1 Der g, with its frame, is the soliton test's memoized call at g.
     """
     u = conjugate_subspace(derivation_algebra(make_family(family)), g)
-    return mean_curvature(np.concatenate([u.basis, np.eye(3)[None]]))
+    return _mean_curvature(orbit_data(scalar_frame(u)))
 

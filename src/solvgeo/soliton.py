@@ -1,9 +1,9 @@
 """Solvsoliton certificates.
 
 A left-invariant metric is a solvsoliton exactly when its Ricci operator
-splits as c*I + D with D a derivation of the algebra.  The check is a
-least-squares projection of the Ricci operator onto span{I} + Der; the
-certificate (c, D, residual) is reported whether or not the test passes.
+splits as c*I + D with D a derivation of the algebra.  The check splits
+the Ricci operator orthogonally over an orthonormal frame of span{I} + Der;
+the certificate (c, D, residual) is reported whether or not the test passes.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import require_finite, ricci_canonical, ricci_closed_form
-from .derivations import MatrixSubspace, derivation_algebra, conjugate_subspace
+from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra, scalar_frame
 from .lie_core import Family, StructureConstants, change_basis, make_family
 from .moduli import rep_matrix
 
 DEFAULT_TOL = 1e-8
 # the squares of a vector with a larger entry may overflow float64
 _SCALE_ABOVE = 1e150
-_EYE_ROW = np.eye(3).reshape(1, 9)
 
 
 @dataclass(frozen=True)
@@ -54,17 +53,19 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
-    """Least-squares split of a finite ric over [I | derivation basis]."""
-    a = np.concatenate([_EYE_ROW, der.stacked()]).T
-    coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
-    residual = _norm(a @ coeffs - ric.ravel())
+    """Orthogonal split of a finite ric as c*I + D + rest, D in der: c = <ric, e>/<I, e>
+    for e the last row of ``scalar_frame`` (c = 0 when I lies in der)."""
+    r, eye, frame = ric.ravel(), np.eye(3).ravel(), scalar_frame(der)
+    c = float(frame[-1] @ r / (frame[-1] @ eye)) if len(frame) > der.dim else 0.0
+    rest = r - c * eye
+    d = (rest @ der.frame.T) @ der.frame
+    residual = _norm(rest - d)
     if residual == math.inf:
         raise ValueError("soliton residual is not finite: its norm overflows float64")
-    d = (coeffs[1:] @ der.stacked()).reshape(3, 3)
     ein_res = _norm(ric - (np.trace(ric) / 3.0) * np.eye(3))
     return SolitonVerdict(is_soliton=residual <= tol,
                           is_einstein=ein_res <= tol,
-                          certificate=SolitonCertificate(float(coeffs[0]), d, residual))
+                          certificate=SolitonCertificate(c, d.reshape(3, 3), residual))
 
 
 def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,

@@ -8,7 +8,8 @@ Koszul sums on the canonical basis evaluated entry by entry in
 used before (Koszul on an orthonormal frame, then conjugation back).
 The others are the residuals, span tests, sym(3) basis and sampling
 checks that the tests apply to library output; the package itself needs
-none of them.
+none of them.  ``lstsq_soliton_split`` keeps the package's earlier
+least-squares soliton split as the reference for its orthogonal one.
 """
 
 from fractions import Fraction
@@ -111,6 +112,18 @@ def subspace_membership(subspace: MatrixSubspace, mat: np.ndarray,
     coeffs, *_ = np.linalg.lstsq(a, mat.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - mat.ravel()))
     return residual <= tol, coeffs, residual
+
+
+def lstsq_soliton_split(ric: np.ndarray, der: MatrixSubspace) -> tuple:
+    """(c, D, residual) of the least-squares fit ric ~ c*I + D, D in ``der``.
+
+    The split the package made before its orthogonal one: ``lstsq`` over
+    the columns [I | derivation basis].
+    """
+    a = np.concatenate([np.eye(3).reshape(1, 9), der.stacked()]).T
+    coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
+    residual = float(np.linalg.norm(a @ coeffs - ric.ravel()))
+    return float(coeffs[0]), (coeffs[1:] @ der.stacked()).reshape(3, 3), residual
 
 
 def subspace_equal(s1: MatrixSubspace, s2: MatrixSubspace, tol: float = 1e-9) -> bool:

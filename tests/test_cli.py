@@ -214,10 +214,11 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_verify_disagreement_exit_code(capsys):
-    # an absurdly small tolerance classifies the flat point as non-soliton
-    # while its orbit norm is exactly zero, forcing a disagreement row
+    # near the flat point the soliton residual is about 5.6e-10 and |H|
+    # about 2.8e-10, so a tolerance between them calls the metric a
+    # non-soliton with a minimal orbit
     code, out = run(capsys, ["verify", "--family", "r3a:a=0.5",
-                             "--lambda", "0", "--tol", "1e-300",
+                             "--lambda", "1e-9", "--tol", "4e-10",
                              "--format", "csv"])
     assert code == 1
     row = list(csv.DictReader(io.StringIO(out)))[0]

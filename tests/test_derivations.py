@@ -9,7 +9,7 @@ from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspa
                      subspace_equal, subspace_membership)
 from solvgeo import cli, derivations, linalg, moduli
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
-                                 derivation_algebra, scalar_plus)
+                                 derivation_algebra, scalar_frame, scalar_plus)
 from solvgeo.errors import SingularMatrixError
 from solvgeo.lie_core import Family, StructureConstants, make_family
 
@@ -239,6 +239,33 @@ def test_matrix_subspace_rejects_dependent_basis():
         MatrixSubspace((np.eye(3), 2 * np.eye(3)))
     with pytest.raises(ValueError):
         MatrixSubspace((np.zeros((3, 3)),))
+
+
+def test_frame_is_a_read_only_orthonormal_basis():
+    rng = np.random.default_rng(61)
+    der = derivation_algebra(make_family(Family("r3p_a", 0.5)))
+    for sub in (der, scalar_plus(der), conjugate_subspace(der, rng.normal(size=(3, 3))),
+                MatrixSubspace(rng.normal(size=(5, 3, 3))), MatrixSubspace(())):
+        assert sub.frame.shape == (sub.dim, 9) and not sub.frame.flags.writeable
+        np.testing.assert_allclose(sub.frame @ sub.frame.T, np.eye(sub.dim), atol=1e-14)
+        # the frame and the basis span the same space
+        assert np.linalg.matrix_rank(np.vstack([sub.frame, sub.stacked()])) == sub.dim
+    with pytest.raises(TypeError):
+        MatrixSubspace(der.basis, der.frame)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_scalar_frame_is_an_orthonormal_basis_of_s_plus_i(fam):
+    g = np.array([[1.0, 0.5, -2.0], [0.25, 3.0, 0.0], [1.0, 0.0, 0.5]])
+    der = conjugate_subspace(derivation_algebra(make_family(fam)), g)
+    rows = scalar_frame(der)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(der.dim + 1), atol=1e-14)
+    assert (rows[:der.dim] == der.frame).all()
+    spanning = np.vstack([der.stacked(), np.eye(3).ravel()])
+    assert np.linalg.matrix_rank(np.vstack([rows, spanning])) == der.dim + 1
+    # I in S: the frame alone, with no 0/0 row
+    gl3 = MatrixSubspace(np.eye(9).reshape(9, 3, 3))
+    assert scalar_frame(gl3) is gl3.frame
 
 
 def test_matrix_subspace_equality_is_identity():

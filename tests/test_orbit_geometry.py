@@ -5,6 +5,7 @@ from helpers import FAMILIES, random_group_element, random_spd, unit
 from oracles import SYM_DIM, congruence_check, sym_basis, trace_form
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
+from solvgeo import orbit_geometry
 from solvgeo.lie_core import Family, make_family
 from solvgeo.cli import default_grid
 from solvgeo.moduli import metric_to_group, rep_matrix
@@ -52,7 +53,7 @@ ORBIT_CASES = [(f, lam) for f in FAMILIES for lam in ((1.0,) if f.tag in ("h3", 
 def test_orbit_data_invariants(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    od = orbit_data(u.basis)
+    od = orbit_data(u.frame)
     assert od.orbit_dim + od.stab_dim == u.dim
     assert od.orbit_dim + len(od.normals) == SYM_DIM
     # lifts map onto the tangent frame and are orthogonal to the stabilizer
@@ -73,7 +74,7 @@ def test_orbit_data_invariants(fam, lam):
 def test_second_fundamental_form_symmetric(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    od = orbit_data(u.basis)
+    od = orbit_data(u.frame)
     shape = second_fundamental_form(od)
     assert shape.shape == (len(od.normals), od.orbit_dim, od.orbit_dim)
     assert np.max(np.abs(shape - shape.transpose(0, 2, 1)), initial=0.0) < 1e-10
@@ -83,7 +84,7 @@ def test_mean_curvature_lies_in_normal_space():
     fam = Family("r3_a", 0.5)
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, 2.0))
-    od = orbit_data(u.basis)
+    od = orbit_data(u.frame)
     r = mean_curvature(u.basis)
     for t in od.tangent:
         assert abs(trace_form(r.h, t)) < 1e-10
@@ -216,11 +217,30 @@ def test_orbit_at_matches_span_plus_identity_construction(fam):
 @pytest.mark.parametrize("fam", [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
                          + [Family("h3"), Family("r3_1")], ids=lambda f: f.label())
 def test_orbit_at_soliton_points_exactly_minimal(fam):
-    # test_verify_disagreement_exit_code relies on an exact 0: with a tiny
-    # --tol the flat point is called a non-soliton while its orbit stays minimal
+    # at the soliton points H is exactly 0, not rounding noise, so any
+    # --tol calls these orbits minimal
     r = orbit_at(fam, rep_matrix(fam, 0.0 if fam.tag == "r3_a" else 1.0))
     assert r.norm == 0.0
     assert not r.h.any()
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+def test_orbit_at_passes_orthonormal_rows_of_u(monkeypatch, fam):
+    # orbit_data no longer orthonormalizes: orbit_at hands it the frame of
+    # g^-1 Der g with the unit part of I orthogonal to it appended
+    seen = []
+    original = orbit_geometry.orbit_data
+    monkeypatch.setattr(orbit_geometry, "orbit_data",
+                        lambda frame: seen.append(frame) or original(frame))
+    g = random_group_element(np.random.default_rng(17))
+    r = orbit_at(fam, g)
+    (rows,) = seen
+    der = conjugate_subspace(derivation_algebra(make_family(fam)), g)
+    np.testing.assert_allclose(rows @ rows.T, np.eye(der.dim + 1), atol=1e-14)
+    spanning = np.vstack([der.stacked(), np.eye(3).ravel()])
+    assert np.linalg.matrix_rank(np.vstack([rows, spanning])) == der.dim + 1
+    np.testing.assert_allclose(r.h, mean_curvature(spanning.reshape(-1, 3, 3)).h,
+                               rtol=0, atol=1e-12)
 
 
 def test_orbit_data_takes_any_spanning_stack():

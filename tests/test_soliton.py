@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import FAMILIES, random_spd
-from oracles import derivation_residual
-from solvgeo import curvature, derivations, lie_core, soliton
-from solvgeo.derivations import derivation_algebra
+from helpers import FAMILIES, random_group_element, random_spd
+from oracles import derivation_residual, lstsq_soliton_split
+from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometry, soliton
+from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
-from solvgeo.lie_core import Family, make_family
+from solvgeo.lie_core import Family, StructureConstants, make_family
 from solvgeo.moduli import metric_to_group, reduce
 from solvgeo.soliton import soliton_from_frame, solvsoliton_check
 
@@ -221,3 +221,66 @@ def test_solvsoliton_check_builds_no_frame(monkeypatch):
     # the spies see the frame path's calls
     soliton_from_frame(Family("r3_a", 0.5), 2.0)
     assert {"change_basis", "conjugate_subspace"} <= set(calls)
+
+
+def test_scalar_line_inside_der_gives_zero_c():
+    # the zero tensor has Der = gl(3), which holds I: there is no unit part
+    # of I orthogonal to Der to divide by, and c is 0; a 0/0 would raise a
+    # RuntimeWarning, which fails the run
+    gram = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    verdict = solvsoliton_check(StructureConstants(np.zeros((3, 3, 3))), gram)
+    assert verdict.is_soliton
+    assert verdict.certificate.c == 0.0
+    assert verdict.certificate.residual == 0.0
+    assert not verdict.certificate.d.any()
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_orthogonal_split_matches_lstsq(fam):
+    # the conjugated Der of each family at random g, with the Ricci operator
+    # on the frame g and a random matrix, each scaled through 1e-150..1e150
+    rng = np.random.default_rng(47)
+    sc = make_family(fam)
+    for _ in range(5):
+        g = random_group_element(rng)
+        der = conjugate_subspace(derivation_algebra(sc), g)
+        g_inv = np.linalg.inv(g)
+        frame_ric = g_inv @ curvature.ricci_canonical(sc, g_inv.T @ g_inv) @ g
+        for ric in (frame_ric, rng.normal(size=(3, 3))):
+            for scale in 10.0 ** np.arange(-150, 151, 30):
+                scaled = scale * ric
+                want_c, want_d, want_res = lstsq_soliton_split(scaled, der)
+                got = soliton._project(scaled, der, 1e-8).certificate
+                big = np.abs(scaled).max()
+                assert abs(got.c - want_c) <= 1e-12 * big
+                assert np.abs(got.d - want_d).max() <= 1e-12 * big
+                assert abs(got.residual - want_res) <= 1e-12 * big
+
+
+def test_verify_and_gram_paths_call_no_lstsq_or_orthonormalize(monkeypatch):
+    # both soliton paths split over the frame that Der's independence check
+    # already holds, and the orbit half reuses it: nothing factors u' again
+    calls = []
+
+    def counting(home, name):
+        original = getattr(home, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(home, name, wrapper)
+
+    counting(np.linalg, "lstsq")
+    counting(linalg, "orthonormalize")
+    families = [Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
+    families += [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)]
+    for fam in families:
+        cli.verify_main_theorem(cli.RunConfig(family=fam, grid=cli.default_grid(fam)))
+    rng = np.random.default_rng(29)
+    for fam in FAMILIES:
+        solvsoliton_check(make_family(fam), random_spd(rng))
+    assert calls == []
+    # the counters see calls that do factor a span
+    orbit_geometry.mean_curvature(np.eye(9).reshape(9, 3, 3))
+    lstsq_soliton_split(np.eye(3), derivation_algebra(make_family(Family("h3"))))
+    assert calls == ["orthonormalize", "lstsq"]
