@@ -47,7 +47,10 @@ class MatrixSubspace:
     ``basis`` is one read-only float array of shape (dim, 3, 3), so one
     instance can be shared and each ``basis[i]`` is a read-only 3x3 view;
     ``np.asarray`` gives it too.  ``==`` and ``hash`` are by identity, not span.
-    ``frame`` is the read-only orthonormal (dim, 9) basis from the rank check.
+    ``frame`` is the read-only orthonormal (dim, 9) basis from the rank check,
+    and ``scalar_frame`` the read-only orthonormal rows of S + R*I: ``frame``,
+    then the unit part of I orthogonal to S unless I lies in S at ``ZERO_TOL``
+    (a relative 6e-13 of |I| = sqrt(3)).
     """
 
     basis: np.ndarray
@@ -57,7 +60,11 @@ class MatrixSubspace:
         _, s, frame = np.linalg.svd(basis.reshape(len(basis), 9), full_matrices=False)
         if (s <= 1e-10).any():  # the cutoff of matrix_rank(tol=1e-10)
             raise ValueError("subspace basis is linearly dependent")
-        for name, value in (("basis", basis), ("frame", frame)):
+        eye = np.eye(3).ravel()
+        perp = eye - (frame @ eye) @ frame
+        norm = np.linalg.norm(perp)
+        scalar = frame if norm <= ZERO_TOL else np.vstack([frame, perp / norm])
+        for name, value in (("basis", basis), ("frame", frame), ("scalar_frame", scalar)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -181,16 +188,6 @@ def _conjugate(data: bytes, g_data: bytes, g_shape: tuple) -> MatrixSubspace:
         raise SingularMatrixError("conjugating matrix is singular") from None
 
 
-def scalar_frame(subspace: MatrixSubspace) -> np.ndarray:
-    """Orthonormal rows of S + R*I: ``subspace.frame``, then I's unit part orthogonal to S."""
-    q, eye = subspace.frame, np.eye(3).ravel()
-    perp = eye - (q @ eye) @ q
-    norm = np.linalg.norm(perp)  # I lies in S at ZERO_TOL, a relative 6e-13 of |I| = sqrt(3)
-    return q if norm <= ZERO_TOL else np.vstack([q, perp / norm])
-
-
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:
-    """span(S + R*I), reduced back to a normalized independent basis."""
-    rows = np.vstack([subspace.stacked(), np.eye(3).ravel()])
-    return MatrixSubspace(linalg.row_space_basis(rows))
-
+    """span(S + R*I), with ``subspace.scalar_frame`` as its basis."""
+    return MatrixSubspace(subspace.scalar_frame)

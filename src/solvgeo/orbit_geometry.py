@@ -4,9 +4,9 @@ The ambient space is GL(3)/O(3) realized at the base point as sym(3) with
 the trace form <X,Y> = tr(XY); a matrix X in gl(3) acts with value
 dpi(X) = (X + X^T)/2 there.  For a Lie subalgebra u' of gl(3) the orbit of
 its group through the base point has tangent space dpi(u'), and its mean
-curvature vector is computed from the trace of the second fundamental
-form using lifts of an orthonormal tangent basis chosen orthogonal to the
-stabilizer.
+curvature vector, the trace of the second fundamental form, is one
+commutator sum over lifts of an orthonormal tangent basis chosen
+orthogonal to the stabilizer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .derivations import conjugate_subspace, derivation_algebra, scalar_frame
+from .derivations import conjugate_subspace, derivation_algebra
 from .lie_core import Family, make_family
 
 # rank cutoff on the singular values of dpi restricted to u', which lie in [0, 1]
@@ -54,29 +54,26 @@ def orbit_data(frame) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
     ``frame`` is a (k, 3, 3) or (k, 9) stack q of orthonormal matrices
-    spanning u', so the matrix P of dpi(q) in SYM_BASIS coordinates has singular
-    values in [0, 1].  Its SVD P = U S W^T with rank r gives everything at
+    spanning u'.  As <S, dpi(x)> = <S, x> for symmetric S, the matrix P of
+    dpi(q) in SYM_BASIS coordinates is SYM_BASIS @ q^T, with singular values
+    in [0, 1].  Its SVD P = U S W^T with rank r gives everything at
     once: the tangent space U[:, :r], the normal space U[:, r:], the
     stabilizer (the kernel of dpi on u', its antisymmetric members) W^T[r:]
     on q, and the lifts W^T[:r] / S[:r] on q, which map onto the tangent
     basis and are Frobenius-orthogonal to the stabilizer, so the mean
     curvature is well defined on singular orbits too.
     """
-    q = np.reshape(np.asarray(frame, dtype=float), (-1, 3, 3))
-    p = np.einsum("sab,kab->sk", SYM_BASIS, dpi(q))
-    u, sigma, wt = np.linalg.svd(p)
+    q = np.reshape(np.asarray(frame, dtype=float), (-1, 9))
+    sym = SYM_BASIS.reshape(6, 9)
+    u, sigma, wt = np.linalg.svd(sym @ q.T)
     r = int(np.sum(sigma > RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
     normal_coords = linalg.lead_positive(u[:, r:].T)
-    return OrbitData(tangent=_combine(u[:, :r].T, SYM_BASIS),
-                     normals=_combine(normal_coords, SYM_BASIS),
-                     lifts=_combine(wt[:r] / sigma[:r, None], q),
-                     stabilizer=_combine(wt[r:], q), orbit_dim=r, stab_dim=len(q) - r)
-
-
-def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The (m, 3, 3) stack of sum_k c[k] basis[k], one per coefficient row c."""
-    return (coeffs @ basis.reshape(len(basis), 9)).reshape(-1, 3, 3)
+    return OrbitData(tangent=(u[:, :r].T @ sym).reshape(-1, 3, 3),
+                     normals=(normal_coords @ sym).reshape(-1, 3, 3),
+                     lifts=((wt[:r] / sigma[:r, None]) @ q).reshape(-1, 3, 3),
+                     stabilizer=(wt[r:] @ q).reshape(-1, 3, 3),
+                     orbit_dim=r, stab_dim=len(q) - r)
 
 
 def second_fundamental_form(od: OrbitData) -> np.ndarray:
@@ -114,9 +111,12 @@ def mean_curvature(span) -> MeanCurvatureResult:
 def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
     if od.orbit_dim == 0:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
-    shape = second_fundamental_form(od)
-    vals = np.trace(shape, axis1=1, axis2=2) / od.orbit_dim
-    h = np.einsum("n,nab->ab", vals, od.normals)
+    # for symmetric A and T, tr(dpi([A, X]) T) = tr([A, X] T) = <A, [X, T]>, so
+    # the trace of the shape tensor at A_n is -<A_n, K> with K = sum_i [X_i, T_i]
+    x, t = od.lifts, od.tangent
+    normals = od.normals.reshape(-1, 9)
+    vals = -(normals @ (x @ t - t @ x).sum(axis=0).ravel()) / od.orbit_dim
+    h = (vals @ normals).reshape(3, 3)
     return MeanCurvatureResult(h=h, norm=float(np.linalg.norm(h)),
                                per_normal=tuple((a, float(v))
                                                 for a, v in zip(od.normals, vals)),
@@ -128,8 +128,9 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
 
     The orbit of R* x Aut through the inner product of g is moved to the
     base point by conjugation: u' = g^-1 (RI + Der) g = RI + g^-1 Der g,
-    and g^-1 Der g, with its frame, is the soliton test's memoized call at g.
+    and g^-1 Der g, with its ``scalar_frame``, is the soliton test's memoized
+    call at g.
     """
     u = conjugate_subspace(derivation_algebra(make_family(family)), g)
-    return _mean_curvature(orbit_data(scalar_frame(u)))
+    return _mean_curvature(orbit_data(u.scalar_frame))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import require_finite, ricci_canonical, ricci_closed_form
-from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra, scalar_frame
+from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra
 from .lie_core import Family, StructureConstants, change_basis, make_family
 from .moduli import rep_matrix
 
@@ -54,8 +54,8 @@ def _norm(v: np.ndarray) -> float:
 
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Orthogonal split of a finite ric as c*I + D + rest, D in der: c = <ric, e>/<I, e>
-    for e the last row of ``scalar_frame`` (c = 0 when I lies in der)."""
-    r, eye, frame = ric.ravel(), np.eye(3).ravel(), scalar_frame(der)
+    for e the last row of ``der.scalar_frame`` (c = 0 when I lies in der)."""
+    r, eye, frame = ric.ravel(), np.eye(3).ravel(), der.scalar_frame
     c = float(frame[-1] @ r / (frame[-1] @ eye)) if len(frame) > der.dim else 0.0
     rest = r - c * eye
     d = (rest @ der.frame.T) @ der.frame

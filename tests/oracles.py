@@ -9,7 +9,9 @@ used before (Koszul on an orthonormal frame, then conjugation back).
 The others are the residuals, span tests, sym(3) basis and sampling
 checks that the tests apply to library output; the package itself needs
 none of them.  ``lstsq_soliton_split`` keeps the package's earlier
-least-squares soliton split as the reference for its orthogonal one.
+least-squares soliton split as the reference for its orthogonal one, and
+``shape_trace_mean_curvature`` its earlier mean curvature, the traces of
+the whole shape tensor, as the reference for the commutator sum.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ import numpy as np
 import sympy as sp
 from scipy.linalg import expm
 
-from solvgeo import linalg
+from solvgeo import linalg, orbit_geometry
 from solvgeo.curvature import metric_data, require_finite
 from solvgeo.derivations import MatrixSubspace, derivation_algebra, scalar_plus
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family
@@ -124,6 +126,23 @@ def lstsq_soliton_split(ric: np.ndarray, der: MatrixSubspace) -> tuple:
     coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - ric.ravel()))
     return float(coeffs[0]), (coeffs[1:] @ der.stacked()).reshape(3, 3), residual
+
+
+def shape_trace_mean_curvature(od: orbit_geometry.OrbitData
+                               ) -> orbit_geometry.MeanCurvatureResult:
+    """Mean curvature from the traces of the whole (m, r, r) shape tensor.
+
+    The package's computation before the commutator sum.  The call goes
+    through the module attribute, so a test that counts
+    ``second_fundamental_form`` there sees it.
+    """
+    shape = orbit_geometry.second_fundamental_form(od)
+    vals = np.trace(shape, axis1=1, axis2=2) / od.orbit_dim
+    h = np.einsum("n,nab->ab", vals, od.normals)
+    return orbit_geometry.MeanCurvatureResult(
+        h=h, norm=float(np.linalg.norm(h)),
+        per_normal=tuple((a, float(v)) for a, v in zip(od.normals, vals)),
+        orbit_dim=od.orbit_dim, stab_dim=od.stab_dim)
 
 
 def subspace_equal(s1: MatrixSubspace, s2: MatrixSubspace, tol: float = 1e-9) -> bool:

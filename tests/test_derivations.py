@@ -7,9 +7,9 @@ import pytest
 from helpers import DER_GRID, FAMILIES, unit
 from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
                      subspace_equal, subspace_membership)
-from solvgeo import cli, derivations, linalg, moduli
+from solvgeo import cli, derivations, linalg, moduli, orbit_geometry, soliton
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
-                                 derivation_algebra, scalar_frame, scalar_plus)
+                                 derivation_algebra, scalar_plus)
 from solvgeo.errors import SingularMatrixError
 from solvgeo.lie_core import Family, StructureConstants, make_family
 
@@ -250,22 +250,32 @@ def test_frame_is_a_read_only_orthonormal_basis():
         np.testing.assert_allclose(sub.frame @ sub.frame.T, np.eye(sub.dim), atol=1e-14)
         # the frame and the basis span the same space
         assert np.linalg.matrix_rank(np.vstack([sub.frame, sub.stacked()])) == sub.dim
+        # scalar_frame extends the frame by at most one row, and is read-only too
+        rows = sub.scalar_frame
+        assert not rows.flags.writeable and (rows[:sub.dim] == sub.frame).all()
+        np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-14)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 5.0
     with pytest.raises(TypeError):
         MatrixSubspace(der.basis, der.frame)
+    for name in ("frame", "scalar_frame"):
+        with pytest.raises(AttributeError):  # frozen: no attribute can be rebound
+            setattr(der, name, np.eye(9))
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
 def test_scalar_frame_is_an_orthonormal_basis_of_s_plus_i(fam):
     g = np.array([[1.0, 0.5, -2.0], [0.25, 3.0, 0.0], [1.0, 0.0, 0.5]])
     der = conjugate_subspace(derivation_algebra(make_family(fam)), g)
-    rows = scalar_frame(der)
+    rows = der.scalar_frame
+    assert rows is der.scalar_frame  # an attribute, built once with the frame
     np.testing.assert_allclose(rows @ rows.T, np.eye(der.dim + 1), atol=1e-14)
     assert (rows[:der.dim] == der.frame).all()
     spanning = np.vstack([der.stacked(), np.eye(3).ravel()])
     assert np.linalg.matrix_rank(np.vstack([rows, spanning])) == der.dim + 1
     # I in S: the frame alone, with no 0/0 row
     gl3 = MatrixSubspace(np.eye(9).reshape(9, 3, 3))
-    assert scalar_frame(gl3) is gl3.frame
+    assert gl3.scalar_frame is gl3.frame
 
 
 def test_matrix_subspace_equality_is_identity():
@@ -327,6 +337,17 @@ def test_memo_sees_in_place_edit():
     assert der.dim == 6
     assert subspace_equal(der, derivation_algebra(make_family(Family("r3_1"))))
     assert scalar_plus(der).dim == 7
+
+
+def test_scalar_plus_of_a_conjugated_subspace():
+    # an exact elimination of the float rows [basis; I] read rounding noise as
+    # exact and gave rows too close to dependent; the frame gives S + RI at once
+    g = np.array([[1.0, 0.5, -2.0], [0.25, 3.0, 0.0], [1.0, 0.0, 0.5]])
+    der = conjugate_subspace(derivation_algebra(make_family(Family("h3"))), g)
+    plus = scalar_plus(der)
+    assert plus.dim == 7
+    spanning = np.vstack([der.stacked(), np.eye(3).ravel()])
+    assert np.linalg.matrix_rank(np.vstack([plus.stacked(), spanning])) == 7
 
 
 def test_memo_is_bounded():
@@ -407,6 +428,12 @@ def test_verify_row_conjugates_once(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(MatrixSubspace, "__post_init__", counted_post_init)
+    frames = []
+    project, orbit_data = soliton._project, orbit_geometry.orbit_data
+    monkeypatch.setattr(soliton, "_project", lambda ric, der, tol: frames.append(
+        der.scalar_frame) or project(ric, der, tol))
+    monkeypatch.setattr(orbit_geometry, "orbit_data",
+                        lambda frame: frames.append(frame) or orbit_data(frame))
     rows, status = cli.verify_main_theorem(cli.RunConfig(family=fam, grid=(lam,)))
     assert status == 0 and len(rows) == 1
     info = derivations._conjugate.cache_info()
@@ -414,6 +441,9 @@ def test_verify_row_conjugates_once(monkeypatch):
     assert len(built) == 1
     assert len(der_calls) == 2
     assert plus_calls == []
+    # both halves read one S + RI frame, built with the conjugated subspace
+    (soliton_frame, orbit_frame) = frames
+    assert soliton_frame is orbit_frame is built[0].scalar_frame
 
 
 def test_conjugation_memo_matches_uncached():

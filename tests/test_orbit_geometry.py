@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import FAMILIES, random_group_element, random_spd, unit
-from oracles import SYM_DIM, congruence_check, sym_basis, trace_form
+from helpers import DER_GRID, FAMILIES, random_group_element, random_spd, unit
+from oracles import (SYM_DIM, congruence_check, shape_trace_mean_curvature, sym_basis,
+                     trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
-from solvgeo import orbit_geometry
+from solvgeo import cli, orbit_geometry
 from solvgeo.lie_core import Family, make_family
 from solvgeo.cli import default_grid
 from solvgeo.moduli import metric_to_group, rep_matrix
+from solvgeo.soliton import soliton_from_frame
 from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
                                     orbit_data, second_fundamental_form)
 
@@ -244,8 +246,8 @@ def test_orbit_at_passes_orthonormal_rows_of_u(monkeypatch, fam):
 
 
 def test_orbit_data_takes_any_spanning_stack():
-    # orbit_data orthonormalizes its input, so repeated and rescaled
-    # spanning matrices give the same orbit
+    # mean_curvature orthonormalizes its input before orbit_data, so
+    # repeated and rescaled spanning matrices give the same orbit
     fam = Family("r3p_a", 1.0)
     g = rep_matrix(fam, 2.0)
     u = conjugate_subspace(derivation_algebra(make_family(fam)), g).basis
@@ -255,3 +257,50 @@ def test_orbit_data_takes_any_spanning_stack():
         r = mean_curvature(stack)
         np.testing.assert_allclose(r.h, mean_curvature(span).h, rtol=0, atol=1e-12)
         assert (r.orbit_dim, r.stab_dim) == (5, 0)
+
+
+@pytest.mark.parametrize("fam", DER_GRID, ids=[f.label() for f in DER_GRID])
+def test_commutator_sum_matches_shape_tensor_trace(fam):
+    # sum_i h(A; X_i, X_i) = -<A, sum_i [X_i, T_i]>: the same H and the same
+    # component per normal as the traces of the whole shape tensor, at
+    # random g and at every soliton point of the family's verify grid
+    rng = np.random.default_rng(71)
+    elements = [random_group_element(rng) for _ in range(3)]
+    elements += [rep_matrix(fam, lam) for lam in default_grid(fam)
+                 if soliton_from_frame(fam, lam).is_soliton]
+    if fam.tag == "r3p_a":
+        elements.append(np.eye(3))  # the round point, where the stabilizer jumps
+    assert len(elements) > 3 or fam.tag == "r3"
+    der = derivation_algebra(make_family(fam))
+    for g in elements:
+        got = orbit_at(fam, g)
+        want = shape_trace_mean_curvature(orbit_data(conjugate_subspace(der, g).scalar_frame))
+        tol = 1e-12 * max(1.0, want.norm)
+        np.testing.assert_allclose(got.h, want.h, rtol=0, atol=tol)
+        assert abs(got.norm - want.norm) <= tol
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+        assert len(got.per_normal) == len(want.per_normal)
+        for (a, v), (b, w) in zip(got.per_normal, want.per_normal):
+            assert (a == b).all() and abs(v - w) <= tol
+
+
+def test_verify_sweeps_build_no_shape_tensor(monkeypatch):
+    # the trace of the shape tensor is one commutator sum: the 8 acceptance
+    # sweeps (377 rows) never form the (m, r, r) tensor
+    calls = []
+    original = orbit_geometry.second_fundamental_form
+    monkeypatch.setattr(orbit_geometry, "second_fundamental_form",
+                        lambda od: calls.append(od) or original(od))
+    families = [Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
+    families += [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)]
+    rows = 0
+    for fam in families:
+        out, status = cli.verify_main_theorem(cli.RunConfig(family=fam,
+                                                            grid=default_grid(fam)))
+        assert status == 0
+        rows += len(out)
+    assert rows == 377 and calls == []
+    # the counter sees a call that does build it
+    od = orbit_data(np.eye(9))
+    shape_trace_mean_curvature(od)
+    assert calls == [od]
