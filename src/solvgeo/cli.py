@@ -178,11 +178,24 @@ def _read_gram(args) -> np.ndarray | None:
     if getattr(args, "gram", None) is not None:
         gram = np.array(args.gram, dtype=float).reshape(3, 3)
     elif getattr(args, "gram_file", None) is not None:
-        with open(args.gram_file) as fh:
-            gram = np.array(json.load(fh), dtype=float)
+        gram = _read_gram_file(args.gram_file)
     if gram is not None and getattr(args, "lam", None) is not None:
         raise ValueError("give either --lambda or a Gram matrix, not both")
     return gram
+
+
+def _read_gram_file(path: str) -> np.ndarray:
+    """The JSON array of numbers in ``path`` as a float array."""
+    with open(path) as fh:
+        try:
+            entries = np.array(json.load(fh), dtype=object)
+            bad = [x for x in entries.ravel() if type(x) not in (int, float)]
+            if bad:  # null, a string, a boolean, an object, or a ragged list's row
+                raise ValueError(f"Gram matrix entries must be JSON numbers, found "
+                                 f"{json.dumps(bad[0])}")
+            return entries.astype(float)
+        except (ValueError, OverflowError) as exc:  # not JSON, or an int past float64
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _listing(sc) -> list:

@@ -176,6 +176,7 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
         return StructureConstants(_ratios(_contract(c, h, adj), dc * dh * det))
     h = linalg.to_float(h)
     c = linalg.to_float(sc.c)
+    # absolute: |det h| scales as t^3 under h -> t h (ROADMAP item 4)
     if abs(np.linalg.det(h)) < 1e-12:
         raise SingularMatrixError("basis change matrix is singular")
     return StructureConstants(_contract(c, h, np.linalg.inv(h)))

@@ -21,11 +21,14 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# |det g| below which lower_triangular_lq calls g singular
+# |det g| below which lower_triangular_lq calls g singular.  Absolute: it
+# scales as t^3 under g -> t g, so reduce rejects 1e-4 g (ROADMAP item 4)
 LQ_DET_TOL = 1e-9
-# singular values at or below which orthonormalize drops a direction
+# singular values at or below which orthonormalize drops a direction.
+# Absolute, in the units of the input rows, not relative (ROADMAP item 4)
 SVD_TOL = 1e-12
-# entries at or below which lead_positive skips to the next one
+# entries at or below which lead_positive skips to the next one, relative to
+# its callers' rows, which are unit vectors
 LEAD_TOL = 1e-12
 
 ZERO = Fraction(0)
@@ -201,26 +204,14 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
 
 
 def lower_triangular_lq(g: np.ndarray):
-    """Factor ``g = L @ k.T`` with k orthogonal and L lower triangular.
-
-    The diagonal of L is positive.  Equivalently ``g @ k`` is lower
-    triangular: k's columns are the Gram-Schmidt orthonormalization of the
-    rows of g, taken top-down, with one re-orthogonalization pass.
-    """
-    g = np.asarray(g, dtype=float)
-    if abs(np.linalg.det(g)) < LQ_DET_TOL:
+    """``g = L @ k.T`` with ``L = R.T``, ``k = Q`` from numpy's QR ``g.T = Q R``, signs
+    flipped so that L's diagonal, whose product is ``|det g|``, is positive."""
+    q, r = np.linalg.qr(np.asarray(g, dtype=float).T)
+    diag = np.diag(r)
+    if abs(np.prod(diag)) < LQ_DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
-    n = g.shape[0]
-    q = np.zeros((n, n))
-    for i in range(n):
-        v = g[i].copy()
-        for _ in range(2):
-            for j in range(i):
-                v -= (v @ q[j]) * q[j]
-        q[i] = v / np.linalg.norm(v)
-    k = q.T
-    lower = g @ k
-    return lower, k
+    sign = np.where(diag < 0, -1.0, 1.0)
+    return r.T * sign, q * sign
 
 
 def orthonormalize(vectors) -> np.ndarray:

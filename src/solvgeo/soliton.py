@@ -18,9 +18,10 @@ from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra
 from .lie_core import Family, StructureConstants, change_basis, make_family
 from .moduli import rep_matrix
 
+# absolute bound on the soliton and Einstein residuals (and on |H| in verify),
+# not relative to |Ric|, so a verdict can change with the metric's scale
+# (ROADMAP item 4)
 DEFAULT_TOL = 1e-8
-# the squares of a vector with a larger entry may overflow float64
-_SCALE_ABOVE = 1e150
 
 
 @dataclass(frozen=True)
@@ -44,14 +45,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)``, taken of v / max|v| when its squares may overflow."""
-    big = float(np.abs(v).max())
-    if big <= _SCALE_ABOVE:
-        return float(np.linalg.norm(v))
-    return big * float(np.linalg.norm(v / big))
-
-
 def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
     """Orthogonal split of a finite ric as c*I + D + rest, D in der: c = <ric, e>/<I, e>
     for e the last row of ``der.scalar_frame`` (c = 0 when I lies in der)."""
@@ -59,10 +52,11 @@ def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict
     c = float(frame[-1] @ r / (frame[-1] @ eye)) if len(frame) > der.dim else 0.0
     rest = r - c * eye
     d = (rest @ der.frame.T) @ der.frame
-    residual = _norm(rest - d)
+    # hypot scales by a power of two, so no square overflows or underflows
+    residual = math.hypot(*(rest - d).tolist())
     if residual == math.inf:
         raise ValueError("soliton residual is not finite: its norm overflows float64")
-    ein_res = _norm(ric - (np.trace(ric) / 3.0) * np.eye(3))
+    ein_res = math.hypot(*(r - (np.trace(ric) / 3.0) * eye).tolist())
     return SolitonVerdict(is_soliton=residual <= tol,
                           is_einstein=ein_res <= tol,
                           certificate=SolitonCertificate(c, d.reshape(3, 3), residual))

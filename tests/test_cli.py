@@ -97,12 +97,33 @@ def test_gram_file_round_trip(tmp_path, capsys):
 
 
 def test_gram_file_wrong_shape(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps([[1, 0], [0, 1]]))
-    for command in ("reduce", "ricci", "soliton", "orbit"):
-        assert cli.main([command, "--family", "r3", "--gram-file", str(path)]) == 2
-        assert capsys.readouterr().err == \
-            "error: Gram matrix must be 3x3, got shape (2, 2)\n", command
+    # numbers of the wrong shape get the SPD check's message; an entry that
+    # is not a JSON number is reported with the file
+    cases = [("[[1, 0], [0, 1]]", "Gram matrix must be 3x3, got shape (2, 2)")]
+    for found, text in [('{"a": 1}', '{"a": 1}'),
+                        ("null", "[[1, 0, 0], [0, 1, 0], [0, 0, null]]"),
+                        ('"x"', '[[1, 0, 0], [0, "x", 0], [0, 0, 1]]'),
+                        ("true", "[[1, 0, 0], [0, true, 0], [0, 0, 1]]"),
+                        ("{}", "[[1, 0, 0], [0, 1, {}], [0, 0, 1]]")]:
+        cases.append((text, f"Gram matrix entries must be JSON numbers, found {found}"))
+    for i, (text, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text)
+        if i:
+            message = f"{path}: {message}"
+        for command in ("reduce", "ricci", "soliton", "orbit"):
+            assert cli.main([command, "--family", "r3", "--gram-file", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n", (command, text)
+
+
+def test_gram_file_unreadable_as_floats(tmp_path, capsys):
+    # not JSON, a ragged list, and an integer past float64
+    for text in ("nope", "[[1, 0], [0]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1%s]]" % ("0" * 400)):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["soliton", "--family", "r3", "--gram-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
 def test_soliton_certificate(capsys):
@@ -378,6 +399,14 @@ def test_huge_frame_ricci_is_finite(argv, key, value):
     assert proc.stderr == ""
     data = json.loads(proc.stdout)
     assert data[key] == pytest.approx(value, rel=1e-12)
+
+
+def test_tiny_soliton_residual_is_read(capsys):
+    # the squares of this residual's entries underflow float64; its norm does not
+    gram = ["1e200", "0", "0", "0", "1e200", "0", "0", "0", "1e200"]
+    code, out = run(capsys, ["soliton", "--family", "r3", "--gram"] + gram + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out)["residual"] == 1.224744871391589e-200
 
 
 def test_scaled_identity_ricci_is_read():

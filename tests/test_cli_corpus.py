@@ -11,14 +11,18 @@ compare with ``data/cli_corpus_text.json`` under the same rule: the text
 is byte-identical outside the numbers of those three fields.
 
 To regenerate the fixtures after a deliberate output change, run
-``PYTHONPATH=src python tests/test_cli_corpus.py`` and say in the change
-which fields moved.
+``PYTHONPATH=src python tests/test_cli_corpus.py``.  Before it writes, it
+prints the largest absolute and relative change of each JSON field against
+the old fixture, and every change that is not a float's (exit code,
+verdict, dimension, boolean, string, key or length); say those in the
+change.
 """
 
 import contextlib
 import csv
 import io
 import json
+import math
 import pathlib
 import re
 
@@ -197,12 +201,70 @@ def _capture(argv, fmt):
     return code, buf.getvalue()
 
 
+def _changes(old, new, field, where, floats, others):
+    """Collect the float changes per field and every other change from old to new."""
+    if type(old) is float and type(new) is float:
+        if old != new:
+            delta = abs(new - old)
+            floats.setdefault(field, []).append(
+                (delta, delta / abs(old) if old else math.inf, where))
+    elif type(old) is list and type(new) is list and len(old) == len(new):
+        for x, y in zip(old, new):
+            _changes(x, y, field, where, floats, others)
+    elif type(old) is dict and type(new) is dict and list(old) == list(new):
+        for k in old:
+            _changes(old[k], new[k], k, where, floats, others)
+    elif type(old) is not type(new) or old != new:
+        others.append(f"{where}: {field} {json.dumps(old)} -> {json.dumps(new)}")
+
+
+def _change_report(old_cases, new_cases) -> str:
+    """The largest float change per JSON field, then every non-float change."""
+    old = {tuple(c["argv"]): c for c in old_cases}
+    floats, others = {}, []
+    for case in new_cases:
+        argv = tuple(case["argv"])
+        if argv in old:
+            _changes(old.pop(argv), case, "case", " ".join(argv), floats, others)
+        else:
+            others.append(f"{' '.join(argv)}: new case")
+    others += [f"{' '.join(argv)}: case removed" for argv in old]
+    lines = ["largest float change per field (absolute, relative):"]
+    for field, found in sorted(floats.items()):
+        big, rel = max(found), max(found, key=lambda x: x[1])
+        lines.append(f"  {field}: {big[0]:.3g} at {big[2]!r}, {rel[1]:.3g} at {rel[2]!r}"
+                     f" ({len(found)} values)")
+    if not floats:
+        lines.append("  none")
+    lines.append("non-float changes:")
+    lines += [f"  {x}" for x in others] or ["  none"]
+    return "\n".join(lines) + "\n"
+
+
+def test_change_report_names_every_change():
+    old = [{"argv": ["a"], "code": 0, "output": {"x": [1.0, 2.0], "ok": True, "dim": 4}},
+           {"argv": ["b"], "code": 0, "output": {"x": [0.0]}}]
+    new = [{"argv": ["a"], "code": 1, "output": {"x": [1.0, 2.5], "ok": False, "dim": 4.0}},
+           {"argv": ["c"], "code": 0, "output": {}}]
+    assert _change_report(old, new).splitlines() == [
+        "largest float change per field (absolute, relative):",
+        "  x: 0.5 at 'a', 0.25 at 'a' (1 values)",
+        "non-float changes:",
+        "  a: code 0 -> 1",
+        "  a: ok true -> false",
+        "  a: dim 4 -> 4.0",
+        "  c: new case",
+        "  b: case removed"]
+
+
 def _regenerate():
     cases, texts = [], []
     for argv in CASES:
         code, out = _capture(argv, "json")
         cases.append({"argv": argv, "code": code, "output": json.loads(out)})
         texts.append({"argv": argv, **{fmt: _capture(argv, fmt)[1] for fmt in TEXT_FORMATS}})
+    if FIXTURE.exists():
+        print(_change_report(json.loads(FIXTURE.read_text()), cases), end="")
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(cases, indent=1) + "\n")
     TEXT_FIXTURE.write_text(json.dumps(texts, indent=1) + "\n")

@@ -5,7 +5,8 @@ Every exact result is compared with sympy's ``Matrix.rref()``,
 and sparse, rank deficient, with zero rows and columns, 9x9 systems like
 the derivation identity's, and numerators up to 1e20.  Each matrix is also
 run as floats, whose results must be the exact lane's on the same dyadic
-rationals, rounded entry by entry.
+rationals, rounded entry by entry.  The float LQ factorization behind
+``moduli.reduce`` is checked on its own at the end.
 """
 
 import random
@@ -22,7 +23,7 @@ from solvgeo.curvature import ricci_closed_form
 from solvgeo.lie_core import Family, change_basis, make_family
 from solvgeo.moduli import frame_constants, rep_matrix
 
-from helpers import FAMILIES
+from helpers import FAMILIES, random_group_element
 
 KINDS = ("dense", "sparse", "low_rank", "zero_lines", "nine")
 
@@ -224,3 +225,27 @@ def test_exact_lane_does_no_fraction_arithmetic(monkeypatch):
     assert calls == []
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert calls == ["__add__"]  # the counters are live
+
+
+def test_lower_triangular_lq_factors_g():
+    rng = np.random.default_rng(71)
+    draws = [random_group_element(rng) for _ in range(200)]
+    draws += [np.eye(3), -np.eye(3), np.diag([2.0, -3.0, 1e-3]), 1e-3 * np.eye(3),
+              np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])]
+    for g in draws:
+        lower, k = linalg.lower_triangular_lq(g)
+        assert np.abs(lower @ k.T - g).max() <= 4e-15 * np.abs(g).max()
+        # exact zeros above the diagonal, and a positive diagonal
+        assert not np.triu(lower, 1).any()
+        assert (np.diag(lower) > 0).all()
+        assert np.abs(k.T @ k - np.eye(3)).max() <= 4e-15
+
+
+def test_lower_triangular_lq_rejects_small_determinant():
+    # |det g| = 9e-10 and a rank-one-deficient g, against LQ_DET_TOL = 1e-9
+    for g in (np.diag([1.0, 1.0, 9e-10]),
+              np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])):
+        with pytest.raises(SingularMatrixError, match="^group element is numerically singular$"):
+            linalg.lower_triangular_lq(g)
+    lower, _ = linalg.lower_triangular_lq(np.diag([1.0, 1.0, 2e-9]))
+    assert np.prod(np.diag(lower)) == pytest.approx(2e-9, rel=1e-15)

@@ -113,6 +113,19 @@ def test_reduce_witness_properties(fam):
         assert abs(rep2.lam - rep.lam) < 1e-9
 
 
+def test_reduce_automorphism_on_c7_draws():
+    # C7's draws: with L = R^T from numpy's QR, exactly lower triangular,
+    # auto_part is an automorphism to 1e-10 (Gram-Schmidt's L gave 2.1e-9)
+    rng = np.random.default_rng(123)
+    worst = 0.0
+    for fam in FAMILIES:
+        sc = make_family(fam)
+        for _ in range(200):
+            trace = reduce(fam, random_group_element(rng))[1]
+            worst = max(worst, automorphism_residual(sc, trace.auto_part))
+    assert worst <= 1e-10
+
+
 @pytest.mark.parametrize("fam", REDUCIBLE, ids=[f.label() for f in REDUCIBLE])
 def test_reduce_invariant_on_coset(fam):
     # lambda is unchanged under scaling, identity-component automorphisms,

@@ -1,4 +1,3 @@
-import math
 import re
 import sys
 
@@ -149,12 +148,16 @@ def test_frame_check_rejects_bad_lambda():
         soliton_from_frame(Family("r3p_a", 1.0), 0.5)
 
 
-def test_norm_scales_only_huge_vectors():
-    rng = np.random.default_rng(7)
-    for v in rng.normal(size=(100, 9)) * 10.0 ** rng.integers(-300, 149, (100, 1)):
-        assert soliton._norm(v) == np.linalg.norm(v)
-    assert soliton._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
-    assert soliton._norm(np.array([1.5e308, 1.5e308])) == math.inf
+def test_residual_is_read_at_every_scale():
+    # the [e1, e3] and [e2, e3] entries are orthogonal to span{I} + Der(h3);
+    # at 1e-200 their squares underflow float64, at 1e200 they overflow
+    der = derivation_algebra(make_family(Family("h3")))
+    for scale in (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300):
+        ric = np.zeros((3, 3))
+        ric[0, 2], ric[1, 2] = 3 * scale, 4 * scale
+        verdict = soliton._project(ric, der, 1e-8)
+        assert verdict.certificate.residual == pytest.approx(5 * scale, rel=1e-15, abs=0), scale
+        assert verdict.is_soliton == verdict.is_einstein == (scale < 1e-8)
 
 
 def test_overflowed_residual_rejected():
@@ -181,6 +184,16 @@ def test_tol_must_be_finite_and_positive(tol):
 # r3_a a=0.5 at G below is not a soliton, at any scale; the absolute tol
 # says it is from 1e8 G on (ROADMAP item 4)
 _ITEM4_GRAM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+
+
+def test_residual_scales_exactly_by_powers_of_two():
+    # Ric(2^k G) = 2^-k Ric(G) with no rounding, and so is the residual
+    sc = make_family(Family("r3_a", 0.5))
+    base = solvsoliton_check(sc, _ITEM4_GRAM).certificate.residual
+    moved = [k for k in range(-1000, 1001, 25)
+             if 2.0 ** k * solvsoliton_check(sc, 2.0 ** k * _ITEM4_GRAM).certificate.residual
+             != base]
+    assert moved == []
 
 
 def test_item4_gram_is_not_a_soliton_at_unit_scale():
