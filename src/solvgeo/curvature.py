@@ -9,6 +9,7 @@ nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,8 +80,8 @@ def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
     """
     _gram_cholesky(gram)
     gram = np.asarray(gram, dtype=float)
-    d = np.frexp(gram.diagonal())[1]
-    e = (d.max() - d) // 2 - d.max() // 2
+    d = [math.frexp(x)[1] for x in gram.diagonal().tolist()]
+    e = np.array([(max(d) - x) // 2 - max(d) // 2 for x in d])
     eg = e[:, None] + e
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.ldexp(gram, eg)

@@ -207,8 +207,8 @@ def lower_triangular_lq(g: np.ndarray):
     """``g = L @ k.T`` with ``L = R.T``, ``k = Q`` from numpy's QR ``g.T = Q R``, signs
     flipped so that L's diagonal, whose product is ``|det g|``, is positive."""
     q, r = np.linalg.qr(np.asarray(g, dtype=float).T)
-    diag = np.diag(r)
-    if abs(np.prod(diag)) < LQ_DET_TOL:
+    diag = r.diagonal()
+    if abs(math.prod(diag.tolist())) < LQ_DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
     sign = np.where(diag < 0, -1.0, 1.0)
     return r.T * sign, q * sign

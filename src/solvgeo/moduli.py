@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .curvature import _gram_cholesky
-from .errors import InvalidFamilyError
+from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
 
@@ -93,6 +93,11 @@ def _transitive(family: Family) -> bool:
     return family.tag in ("h3", "r3_1") or (family.tag == "r3_a" and family.a == 1)
 
 
+def _block_rotation(t: float) -> np.ndarray:
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
 def reduce(family: Family, g: np.ndarray):
     """Canonical representative and witness factorization of g's coset.
 
@@ -100,17 +105,20 @@ def reduce(family: Family, g: np.ndarray):
     diagonal); a normalizer from the subgroup F of lower-triangular
     automorphism-scalings clearing the first column and (2,2)-entry; then
     one family-specific move fixing the remaining (3,2)/(3,3) block: a
-    shear for r3, a diagonal rescale for r3_a, a 2x2 polar/Cartan split
+    shear for r3, a diagonal rescale for r3_a, a closed-form 2x2 Cartan split
     for r3p_a.  For the single-class families (h3, r3_1, and r3_a at
     a = 1) the inverse of L itself splits into scalar times automorphism
     and the representative is the identity.
 
     Returns (Representative, ReductionTrace); the product
     scalar * auto_part @ g @ orth reproduces the representative matrix.
+    A non-finite or numerically singular g raises SingularMatrixError.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("group element must be a 3x3 matrix")
+    if not np.isfinite(g).all():
+        raise SingularMatrixError("group element is not finite")
     lower, k1 = linalg.lower_triangular_lq(g)
     steps = [("lq_orthogonal", k1)]
 
@@ -125,8 +133,7 @@ def reduce(family: Family, g: np.ndarray):
         rep = Representative(1.0, np.eye(3))
         return rep, ReductionTrace(float(scalar), phi, k1, tuple(steps))
 
-    l11, l21, l22 = lower[0, 0], lower[1, 0], lower[1, 1]
-    l31, l32, l33 = lower[2, 0], lower[2, 1], lower[2, 2]
+    (l11, _, _), (l21, l22, _), (l31, l32, l33) = lower.tolist()
     phi1 = np.array([[l22, 0.0, 0.0],
                      [-l21, l11, 0.0],
                      [-l31, 0.0, l11]]) / (l11 * l22)
@@ -147,20 +154,17 @@ def reduce(family: Family, g: np.ndarray):
         left = phi2 @ phi1
         orth = k1
     elif family.tag == "r3p_a":
-        block = np.array([[1.0, 0.0], [a32, a33]])
-        u, sigma, vt = np.linalg.svd(block)
-        if np.linalg.det(u) < 0:
-            u[:, 1] = -u[:, 1]
-            vt[1, :] = -vt[1, :]
-        rot = np.eye(3)
-        rot[1:, 1:] = u.T
-        k2 = np.eye(3)
-        k2[1:, 1:] = vt.T
+        # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
+        e, f, h = (1 + a33) / 2, (1 - a33) / 2, a32 / 2
+        s0 = math.hypot(e, h) + math.hypot(f, h)
+        s1 = min(a33 / s0, s0)  # det B = s0 s1; keeps lambda >= 1 under rounding
+        t1, t2 = math.atan2(h, f), math.atan2(h, e)
+        rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
         steps.append(("cartan_rotation", rot))
         steps.append(("cartan_orthogonal", k2))
-        phi3 = np.diag([1.0, 1.0 / sigma[0], 1.0 / sigma[0]])
+        phi3 = np.diag([1.0, 1.0 / s0, 1.0 / s0])
         steps.append(("block_rescale", phi3))
-        lam = sigma[0] / sigma[1]
+        lam = s0 / s1
         left = phi3 @ rot @ phi1
         orth = k1 @ k2
     else:

@@ -63,6 +63,8 @@ CASES = (
     + [["ricci", "--family", "h3", "--gram", "4", "0", "0", "0", "1", "0", "0", "0", "1"],
        ["ricci", "--family", "r3_1"],
        ["ricci", "--family", "r3pa:a=1.0", "--gram"] + _GRAM_GENERIC]
+    # lambda = 1 exactly: the closed-form Cartan split at B = I
+    + [["reduce", "--family", "r3pa:a=1.0", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1"]]
 )
 
 

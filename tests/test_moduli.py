@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,11 +9,21 @@ from oracles import same_class, subspace_equal
 from solvgeo.derivations import derivation_algebra, scalar_plus, conjugate_subspace
 from solvgeo.errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
 from solvgeo.lie_core import Family, make_family, parse_family
+from solvgeo.linalg import lower_triangular_lq
 from solvgeo.moduli import (frame_constants, metric_to_group, reduce, rep_matrix,
                             witness_residual)
 
 REDUCIBLE = [f for f in FAMILIES if f.tag in ("r3", "r3_a", "r3p_a")]
 TRANSITIVE = [Family("h3"), Family("r3_1"), Family("r3_a", 1.0)]
+ONE_PER_TAG = [Family("h3"), Family("r3"), Family("r3_1"), Family("r3_a", 0.5),
+               Family("r3p_a", 1.0)]
+
+
+def _c7_r3p_a_draws():
+    """The r3p_a group elements of C7's draws (seed 123, 200 per family)."""
+    rng = np.random.default_rng(123)
+    draws = [(fam, random_group_element(rng)) for fam in FAMILIES for _ in range(200)]
+    return [(fam, g) for fam, g in draws if fam.tag == "r3p_a"]
 
 
 def test_metric_to_group_examples():
@@ -124,6 +136,72 @@ def test_reduce_automorphism_on_c7_draws():
             trace = reduce(fam, random_group_element(rng))[1]
             worst = max(worst, automorphism_residual(sc, trace.auto_part))
     assert worst <= 1e-10
+
+
+def test_reduce_r3p_a_calls_no_svd_or_det(monkeypatch):
+    # the r3p_a Cartan split is closed form: no numpy SVD or determinant
+    draws = _c7_r3p_a_draws()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduce called an SVD or a determinant on r3p_a")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for fam, g in draws:
+        rep, trace = reduce(fam, g)
+        assert witness_residual(rep, trace, g) < 1e-8
+
+
+def test_reduce_r3p_a_cartan_steps():
+    # both block moves are rotations, and rot @ B @ k2 = diag(s0, s1), s0 >= s1,
+    # for B the lower-right 2x2 block of f_normalizer @ g @ lq_orthogonal
+    for fam, g in _c7_r3p_a_draws():
+        rep, trace = reduce(fam, g)
+        steps = dict(trace.steps)
+        rot, k2 = steps["cartan_rotation"], steps["cartan_orthogonal"]
+        for m in (rot, k2):
+            assert abs(np.linalg.det(m) - 1.0) <= 1e-15
+            assert np.max(np.abs(m.T @ m - np.eye(3))) <= 1e-15
+            assert m[0, 0] == 1.0 and not m[0, 1:].any() and not m[1:, 0].any()
+        block = (steps["f_normalizer"] @ g @ steps["lq_orthogonal"])[1:, 1:]
+        diag = rot[1:, 1:] @ block @ k2[1:, 1:]
+        s0 = 1.0 / steps["block_rescale"][1, 1]
+        assert np.max(np.abs(diag - np.diag([s0, s0 / rep.lam]))) <= 1e-13 * s0
+        assert s0 >= s0 / rep.lam > 0
+
+
+def test_reduce_r3p_a_lambda_matches_lq_invariant():
+    # lambda + 1/lambda = (l22^2 + l32^2 + l33^2) / (l22 l33), from the LQ factor
+    for fam, g in _c7_r3p_a_draws():
+        lam = reduce(fam, g)[0].lam
+        low = lower_triangular_lq(g)[0]
+        l22, l32, l33 = low[1, 1], low[2, 1], low[2, 2]
+        lhs, rhs = (lam + 1.0 / lam) * l22 * l33, l22 ** 2 + l32 ** 2 + l33 ** 2
+        assert abs(lhs - rhs) <= 1e-12 * rhs
+
+
+@pytest.mark.parametrize("a33", [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40])
+@pytest.mark.parametrize("a32", [0.0, 2.0 ** -60, -(2.0 ** -60)])
+def test_reduce_r3p_a_lambda_at_least_one_near_identity(a33, a32):
+    # L = g here; det B / s0 rounds above s0 at a33 = 1 + 2^-52, a32 = 0, and
+    # lambda = 1 exactly at g = I
+    g = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, a32, a33]])
+    rep, trace = reduce(Family("r3p_a", 1.0), g)
+    assert rep.lam >= 1.0
+    assert witness_residual(rep, trace, g) < 1e-14
+    if a33 == 1.0 and a32 == 0.0:
+        assert rep.lam == 1.0 and witness_residual(rep, trace, g) == 0.0
+
+
+@pytest.mark.parametrize("fam", ONE_PER_TAG, ids=[f.label() for f in ONE_PER_TAG])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reduce_rejects_non_finite_group_element(fam, bad):
+    g = np.eye(3)
+    g[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="group element is not finite"):
+            reduce(fam, g)
 
 
 @pytest.mark.parametrize("fam", REDUCIBLE, ids=[f.label() for f in REDUCIBLE])
