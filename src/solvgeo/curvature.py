@@ -119,31 +119,21 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     """Ricci operator for [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3.
 
     The frame x1, x2, x3 is orthonormal and [x2,x3] = 0; every bracket in
-    this package's families takes this shape on its Milnor frame.  Exact
-    (an object array of Fractions) when all four inputs are ``int`` or
-    ``Fraction``: then it runs on the integer numerators over one common
-    denominator q, and each entry is one integer over 2 q^2.
+    this package's families takes this shape on its Milnor frame.  One
+    integer-coefficient formula gives 2 Ric.  On float input it runs on the
+    floats and each entry is halved.  When all four inputs are ``int`` or
+    ``Fraction`` it runs on their integer numerators over one common
+    denominator q, and each entry is one Fraction over 2 q^2.
     """
     # a float first argument skips the scan: the float lane runs this per verify row
-    if not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d)):
-        return _exact_ricci_closed_form(a, b, c, d)
-    half = (b + c) * (b + c) / 2
-    skew = (b * b - c * c) / 2
-    return np.array([
-        [-(a * a + d * d + half), 0 * a, 0 * a],
-        [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],
-        [0 * a, -(a * c + b * d), -(d * (a + d) - skew)],
-    ])
-
-
-def _exact_ricci_closed_form(a, b, c, d) -> np.ndarray:
-    (A, B, C, D), q = linalg.integer_numerators(np.array([a, b, c, d], dtype=object))
-    den = 2 * q * q
-    skew = B * B - C * C
-    off = linalg.ratio(-2 * (A * C + B * D), den)
-    zero = linalg.ZERO
-    return linalg.object_array([
-        linalg.ratio(-(2 * (A * A + D * D) + (B + C) * (B + C)), den), zero, zero,
-        zero, linalg.ratio(-(2 * A * (A + D) + skew), den), off,
-        zero, off, linalg.ratio(-(2 * D * (A + D) - skew), den),
-    ], (3, 3))
+    exact = not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
+    if exact:
+        (a, b, c, d), q = linalg.integer_numerators(np.array([a, b, c, d], dtype=object))
+    skew = b * b - c * c
+    off = -2 * (a * c + b * d)
+    ric2 = [-(2 * (a * a + d * d) + (b + c) * (b + c)), 0 * a, 0 * a,
+            0 * a, -(2 * a * (a + d) + skew), off,
+            0 * a, off, -(2 * d * (a + d) - skew)]
+    if exact:
+        return linalg.ratios(linalg.object_array(ric2, (3, 3)), 2 * q * q)
+    return np.array(ric2).reshape(3, 3) / 2

@@ -16,10 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import SingularMatrixError
 from .lie_core import StructureConstants
-
-
-# entries of a basis matrix at or below this size count as zero
-ZERO_TOL = 1e-12
+from .linalg import ZERO_TOL
 
 
 def _normalize(stack) -> np.ndarray:

@@ -173,7 +173,7 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
         if det == 0:
             raise SingularMatrixError("basis change matrix is singular")
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
-        return StructureConstants(_ratios(_contract(c, h, adj), dc * dh * det))
+        return StructureConstants(linalg.ratios(_contract(c, h, adj), dc * dh * det))
     h = linalg.to_float(h)
     c = linalg.to_float(sc.c)
     # absolute: |det h| scales as t^3 under h -> t h (ROADMAP item 4)
@@ -202,12 +202,6 @@ def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
            f * g - d * i, a * i - c * g, c * d - a * f,
            d * h - e * g, b * g - a * h, a * e - b * d]
     return linalg.object_array(adj, (3, 3)), a * adj[0] + b * adj[3] + c * adj[6]
-
-
-def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
-    """Object array of the Fractions nums / den, zeros shared."""
-    return linalg.object_array([linalg.ratio(x, den) for x in nums.ravel().tolist()],
-                               nums.shape)
 
 
 def jacobi_residual(sc: StructureConstants) -> float:

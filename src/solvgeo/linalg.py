@@ -14,7 +14,6 @@ arithmetic would, and no rank decision depends on a pivot threshold.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +26,9 @@ LQ_DET_TOL = 1e-9
 # singular values at or below which orthonormalize drops a direction.
 # Absolute, in the units of the input rows, not relative (ROADMAP item 4)
 SVD_TOL = 1e-12
-# entries at or below which lead_positive skips to the next one, relative to
-# its callers' rows, which are unit vectors
-LEAD_TOL = 1e-12
+# an entry of a unit-scale row or matrix at or below this size counts as
+# zero: lead_positive skips it, and derivations reads basis matrices with it
+ZERO_TOL = 1e-12
 
 ZERO = Fraction(0)
 
@@ -52,9 +51,9 @@ def to_float(arr: np.ndarray) -> np.ndarray:
 
 
 def lead_positive(rows: np.ndarray) -> np.ndarray:
-    """Each row negated where its first entry larger than ``LEAD_TOL`` in
+    """Each row negated where its first entry larger than ``ZERO_TOL`` in
     size is negative."""
-    lead = rows[np.arange(len(rows)), (np.abs(rows) > LEAD_TOL).argmax(axis=1)]
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > ZERO_TOL).argmax(axis=1)]
     return np.where(lead[:, None] < 0, -rows, rows)
 
 
@@ -138,23 +137,28 @@ def ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else ZERO
 
 
-def _entry_type(a: np.ndarray):
-    """(dtype, num/den -> entry) of the output lane of ``a``."""
-    return (object, ratio) if is_exact(a) else (float, operator.truediv)
+def ratios(nums: np.ndarray, den: int) -> np.ndarray:
+    """Object array of the Fractions nums / den: one Fraction per distinct
+    numerator, and every zero the shared ``ZERO``."""
+    flat = nums.ravel().tolist()
+    entry = {x: ratio(x, den) for x in set(flat)}
+    return object_array([entry[x] for x in flat], nums.shape)
 
 
-def row_echelon(a: np.ndarray):
-    """The reduced row echelon form of ``a`` and its pivot columns.
+def _entries(pairs: list, shape: tuple, exact: bool) -> np.ndarray:
+    """The quotients of integer (num, den) pairs as an array of the given
+    shape: Fractions when ``exact``, else the correctly rounded floats."""
+    if exact:
+        return object_array([ratio(p, q) for p, q in pairs], shape)
+    return np.array([p / q for p, q in pairs], dtype=float).reshape(shape)
 
-    The elimination is exact in both lanes; the entries are Fractions for
-    exact input and the correctly rounded floats for float input.
-    """
+
+def _rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The nonzero rows of the reduced row echelon form of ``a``, Fractions
+    or floats following its dtype, and its pivot columns."""
     rows, pivots = _integer_echelon(a)
-    dtype, ratio = _entry_type(a)
-    rref = np.full(a.shape, ratio(0, 1), dtype=dtype)
-    for r, c in enumerate(pivots):
-        rref[r] = [ratio(x, rows[r][c]) for x in rows[r]]
-    return rref, pivots
+    pairs = [(x, rows[r][c]) for r, c in enumerate(pivots) for x in rows[r]]
+    return _entries(pairs, (len(pivots), a.shape[1]), is_exact(a)), pivots
 
 
 def nullspace(a: np.ndarray) -> list[np.ndarray]:
@@ -165,26 +169,20 @@ def nullspace(a: np.ndarray) -> list[np.ndarray]:
     """
     n = a.shape[1]
     rows, pivots = _integer_echelon(a)
-    dtype, ratio = _entry_type(a)
-    zero, one = ratio(0, 1), ratio(1, 1)
-    basis = []
-    for f in (c for c in range(n) if c not in pivots):
-        v = [zero] * n
-        v[f] = one
+    free = [c for c in range(n) if c not in pivots]
+    pairs = []
+    for f in free:
+        v = [(0, 1)] * n
+        v[f] = (1, 1)
         for r, c in enumerate(pivots):
-            v[c] = ratio(-rows[r][f], rows[r][c])
-        basis.append(v)
-    if dtype is object:
-        stack = object_array([x for v in basis for x in v], (len(basis), n))
-    else:
-        stack = np.array(basis, dtype=float).reshape(len(basis), n)
-    return list(stack)
+            v[c] = (-rows[r][f], rows[r][c])
+        pairs += v
+    return list(_entries(pairs, (len(free), n), is_exact(a)))
 
 
 def row_space_basis(a: np.ndarray) -> list[np.ndarray]:
     """Basis of the row space of ``a`` (the nonzero rows of its RREF)."""
-    rref, pivots = row_echelon(a)
-    return [rref[r].copy() for r in range(len(pivots))]
+    return list(_rref(a)[0])
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
@@ -197,7 +195,7 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     aug = np.zeros((n, 2 * n), dtype=object)
     aug[:, :n] = nums
     aug[range(n), range(n, 2 * n)] = d
-    rref, pivots = row_echelon(aug)
+    rref, pivots = _rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix of rationals is singular")
     return rref[:, n:].copy()

@@ -61,15 +61,11 @@ def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
     identity (lam is ignored for them).
     """
     _check_lambda(family, lam)
-    one = Fraction(1) if exact else 1.0
-    lam = Fraction(lam) if exact else float(lam)
-    eye = np.diag([one, one, one]) if exact else np.eye(3)
-    if family.tag in ("h3", "r3_1"):
-        return eye
-    mat = eye.copy()
+    one, lam = (Fraction(1), Fraction(lam)) if exact else (1.0, float(lam))
+    mat = np.diag([one, one, one])
     if family.tag == "r3_a":
         mat[2, 1] = lam
-    else:
+    elif family.tag in ("r3", "r3p_a"):
         mat[2, 2] = Fraction(lam.denominator, lam.numerator) if exact else one / lam
     return mat
 
@@ -105,10 +101,10 @@ def reduce(family: Family, g: np.ndarray):
     diagonal); a normalizer from the subgroup F of lower-triangular
     automorphism-scalings clearing the first column and (2,2)-entry; then
     one family-specific move fixing the remaining (3,2)/(3,3) block: a
-    shear for r3, a diagonal rescale for r3_a, a closed-form 2x2 Cartan split
-    for r3p_a.  For the single-class families (h3, r3_1, and r3_a at
-    a = 1) the inverse of L itself splits into scalar times automorphism
-    and the representative is the identity.
+    shear for r3, a diagonal rescale to lambda >= 0 for r3_a, a closed-form
+    2x2 Cartan split for r3p_a.  For the single-class families (h3, r3_1,
+    and r3_a at a = 1) the inverse of L itself splits into scalar times
+    automorphism and the representative is the identity.
 
     Returns (Representative, ReductionTrace); the product
     scalar * auto_part @ g @ orth reproduces the representative matrix.
@@ -148,11 +144,14 @@ def reduce(family: Family, g: np.ndarray):
         left = phi2 @ phi1
         orth = k1
     elif family.tag == "r3_a":
-        phi2 = np.diag([1.0, 1.0, 1.0 / a33])
+        # a33 > 0, and diag(1, 1, -1) is an orthogonal automorphism taking
+        # g_lam to g_-lam: with it on both sides, lam >= 0
+        sign = -1.0 if a32 < 0 else 1.0
+        phi2 = np.diag([1.0, 1.0, sign / a33])
         steps.append(("diagonal_rescale", phi2))
-        lam = a32 / a33
+        lam = sign * a32 / a33
         left = phi2 @ phi1
-        orth = k1
+        orth = k1 * [1.0, 1.0, sign]
     elif family.tag == "r3p_a":
         # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
         e, f, h = (1 + a33) / 2, (1 - a33) / 2, a32 / 2

@@ -18,9 +18,10 @@ from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra
 from .lie_core import Family, StructureConstants, change_basis, make_family
 from .moduli import rep_matrix
 
-# absolute bound on the soliton and Einstein residuals (and on |H| in verify),
-# not relative to |Ric|, so a verdict can change with the metric's scale
-# (ROADMAP item 4)
+# bound on the soliton and Einstein residuals (and on |H| in verify).
+# solvsoliton_check reads it at the scale where the Gram matrix's largest
+# entry lies in [1, 2); on the Milnor frame of g_lambda it is absolute, not
+# relative to |Ric| (ROADMAP items 1 and 7)
 DEFAULT_TOL = 1e-8
 
 
@@ -68,10 +69,15 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
 
     The Ricci operator on the canonical basis is projected onto
     span{I} + Der(sc); the metric is a solvsoliton when the Frobenius
-    residual is at most ``tol``, which must be finite and > 0.
+    residual is at most ``tol``, which must be finite and > 0, at the scale
+    2^-e G whose largest entry lies in [1, 2).  The certificate is reported
+    at the scale of ``gram``.
     """
     _check_tol(tol)
-    return _project(ricci_canonical(sc, gram), derivation_algebra(sc), tol)
+    ric = ricci_canonical(sc, gram)
+    # Ric(2^-e G) = 2^e Ric(G) exactly, so this is the verdict at 2^-e G
+    e = math.frexp(np.abs(np.asarray(gram, dtype=float)).max())[1] - 1
+    return _project(ric, derivation_algebra(sc), math.ldexp(tol, -e))
 
 
 def soliton_from_frame(family: Family, lam: float,

@@ -302,6 +302,18 @@ def test_closed_form_float_lane_is_the_formula_bit_for_bit():
             assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(ks=st.lists(st.integers(-64, 64), min_size=4, max_size=4))
+def test_closed_form_lanes_agree_where_floats_are_exact(ks):
+    # on k/8, |k| <= 64, every float product, sum and halving is exact, so
+    # the float lane must give the exact lane's values
+    exact = ricci_closed_form(*(Fraction(k, 8) for k in ks))
+    flt = ricci_closed_form(*(k / 8 for k in ks))
+    assert all(type(x) is Fraction for x in exact.ravel())
+    assert flt.dtype == float
+    assert flt.tolist() == exact.tolist()
+
+
 def test_closed_form_float_overflow_gives_inf_and_nan_without_warning():
     # the r3pa:a=1e200 frame at lambda = 2
     with warnings.catch_warnings():

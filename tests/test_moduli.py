@@ -307,3 +307,24 @@ def test_same_class_random_isometric_pairs():
             g2 = alpha @ g
             gram2 = np.linalg.inv(g2).T @ np.linalg.inv(g2)
             assert same_class(fam, gram1, gram2)
+
+
+@pytest.mark.parametrize("a", [-1.0, -0.3, 0.0, 0.5, 0.9])
+def test_reduce_r3_a_lambda_is_canonical_and_nonnegative(a):
+    # phi = diag(1, 1, -1) is an orthogonal automorphism of r3_a taking
+    # g_lambda to g_-lambda, so g, phi g, g phi and 3.7 phi g phi are one class
+    fam = Family("r3_a", a)
+    sc = make_family(fam)
+    phi = np.diag([1.0, 1.0, -1.0])
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        g = random_group_element(rng)
+        lams = []
+        for h in (g, phi @ g, g @ phi, 3.7 * phi @ g @ phi):
+            rep, trace = reduce(fam, h)
+            assert witness_residual(rep, trace, h) <= 1e-12 * np.abs(rep.matrix).max()
+            assert automorphism_residual(sc, trace.auto_part) <= 1e-12
+            assert np.abs(trace.orth.T @ trace.orth - np.eye(3)).max() <= 1e-14
+            lams.append(rep.lam)
+        assert min(lams) >= 0
+        assert max(lams) - min(lams) <= 1e-13 * max(1.0, lams[0])

@@ -1,8 +1,10 @@
+import math
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from helpers import FAMILIES, random_group_element, random_spd
@@ -181,8 +183,8 @@ def test_tol_must_be_finite_and_positive(tol):
         solvsoliton_check(make_family(fam), -np.eye(3), tol=tol)
 
 
-# r3_a a=0.5 at G below is not a soliton, at any scale; the absolute tol
-# says it is from 1e8 G on (ROADMAP item 4)
+# r3_a a=0.5 at G below is not a soliton, at any scale; its residual at
+# 1e8 G (3.7e-9) is below the default tol at the input's scale
 _ITEM4_GRAM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
 
 
@@ -196,11 +198,41 @@ def test_residual_scales_exactly_by_powers_of_two():
     assert moved == []
 
 
+def _scaled_gram(seed, diagonal):
+    """A random SPD Gram matrix, or a random positive diagonal one (a soliton
+    on r3_a and r3_1, with a residual of exactly 0)."""
+    rng = np.random.default_rng(seed)
+    return np.diag(rng.uniform(0.1, 10.0, 3)) if diagonal else random_spd(rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), seed=st.integers(0, 2 ** 32 - 1),
+       diagonal=st.booleans(), k=st.integers(-40, 40))
+def test_verdict_and_residual_follow_power_of_two_scaling(fam, seed, diagonal, k):
+    sc, gram = make_family(fam), _scaled_gram(seed, diagonal)
+    base, moved = solvsoliton_check(sc, gram), solvsoliton_check(sc, 2.0 ** k * gram)
+    assert moved.certificate.residual == 2.0 ** -k * base.certificate.residual
+    assert moved.is_soliton == base.is_soliton
+    assert moved.is_einstein == base.is_einstein
+
+
+@settings(max_examples=200, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), seed=st.integers(0, 2 ** 32 - 1),
+       diagonal=st.booleans(), t=st.floats(1e-8, 1e8))
+def test_verdict_does_not_depend_on_scale(fam, seed, diagonal, t):
+    # away from tol (a residual of 0, or above 2 tol at unit scale) no
+    # factor t can move the verdict: t G lands at unit scale within 2x
+    sc, gram = make_family(fam), _scaled_gram(seed, diagonal)
+    e = math.frexp(np.abs(gram).max())[1] - 1
+    unit = solvsoliton_check(sc, np.ldexp(gram, -e)).certificate.residual
+    assume(unit == 0 or unit > 2 * soliton.DEFAULT_TOL)
+    assert solvsoliton_check(sc, t * gram).is_soliton == (unit == 0)
+
+
 def test_item4_gram_is_not_a_soliton_at_unit_scale():
     assert not solvsoliton_check(make_family(Family("r3_a", 0.5)), _ITEM4_GRAM).is_soliton
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
 @pytest.mark.parametrize("fam,gram", [
     (Family("r3_a", 0.5), 1e8 * _ITEM4_GRAM),
     (Family("r3_a", 0.5), 1e12 * _ITEM4_GRAM),
