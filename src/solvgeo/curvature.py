@@ -51,8 +51,8 @@ def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
     """Validate a Gram matrix and return its Cholesky factor L.
 
     The one SPD check of the package: raises NonSPDMetricError unless
-    ``gram`` is a finite, symmetric (to 1e-12 of its largest entry, no
-    relative slack), positive definite 3x3 matrix.  G = L L^T with L
+    ``gram`` is a finite, symmetric (to ``ZERO_TOL`` times its largest
+    entry, at any scale), positive definite 3x3 matrix.  G = L L^T with L
     lower triangular.
     """
     gram = np.asarray(gram, dtype=float)
@@ -62,7 +62,7 @@ def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
         i, j = np.argwhere(~np.isfinite(gram))[0]
         raise NonSPDMetricError(f"Gram matrix entry ({i + 1}, {j + 1}) is not finite: "
                                 f"{gram[i, j]}")
-    if np.abs(gram - gram.T).max() > 1e-12 * max(1.0, np.abs(gram).max()):
+    if np.abs(gram - gram.T).max() > linalg.ZERO_TOL * np.abs(gram).max():
         raise NonSPDMetricError("Gram matrix is not symmetric")
     try:
         return np.linalg.cholesky(gram)
@@ -108,8 +108,10 @@ def ricci_operator(m: MetricData) -> RicciResult:
 
 
 def require_finite(ric: np.ndarray) -> np.ndarray:
-    """Return ``ric``; raises ValueError if an entry overflowed to inf or NaN."""
-    if not np.isfinite(ric).all():
+    """Return ``ric``; raises ValueError if an entry or the trace is inf or NaN."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(ric).all() and np.isfinite(np.trace(ric))
+    if not finite:
         raise ValueError("Ricci operator is not finite: the curvature "
                          "overflows float64 for this metric")
     return ric

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import SingularMatrixError
 from .lie_core import StructureConstants
-from .linalg import ZERO_TOL
+from .linalg import COND_LIMIT, ZERO_TOL
 
 
 def _normalize(stack) -> np.ndarray:
@@ -31,8 +31,6 @@ def _normalize(stack) -> np.ndarray:
     return (linalg.lead_positive(flat / nrm) + 0.0).reshape(-1, 3, 3)
 
 
-# conjugating matrices with a larger 2-norm condition number count as singular
-COND_LIMIT = 1e12
 # Der(g), kernel and g^-1 S g results kept per input content
 MEMO_SIZE = 128
 
@@ -55,7 +53,7 @@ class MatrixSubspace:
     def __post_init__(self):
         basis = _normalize(self.basis)
         _, s, frame = np.linalg.svd(basis.reshape(len(basis), 9), full_matrices=False)
-        if (s <= 1e-10).any():  # the cutoff of matrix_rank(tol=1e-10)
+        if (s <= linalg.RANK_TOL).any():
             raise ValueError("subspace basis is linearly dependent")
         eye = np.eye(3).ravel()
         perp = eye - (frame @ eye) @ frame
@@ -163,9 +161,9 @@ def _derivation_template(n: int) -> tuple:
 def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspace:
     """The subspace g^-1 S g; the basis is re-normalized, dimension preserved.
 
-    Singularity is judged by the condition number: g and s*g give the same
-    subspace, so both pass or both fail.  A g that shrinks a basis matrix
-    to ``ZERO_TOL`` fails too.  Results, not errors, are memoized.
+    Singularity is judged by the condition number against ``COND_LIMIT``:
+    g and s*g give the same subspace, so both pass or both fail.  A g that shrinks
+    a basis matrix to ``ZERO_TOL`` fails too.  Results, not errors, are memoized.
     """
     g = np.asarray(g, dtype=float)
     return _conjugate(subspace.stacked().tobytes(), g.tobytes(), g.shape)
@@ -174,11 +172,8 @@ def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspac
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _conjugate(data: bytes, g_data: bytes, g_shape: tuple) -> MatrixSubspace:
     g = np.frombuffer(g_data).reshape(g_shape)
-    if not np.isfinite(g).all():
-        raise SingularMatrixError("conjugating matrix is not finite")
-    if np.linalg.cond(g) > COND_LIMIT:
-        raise SingularMatrixError("conjugating matrix is singular")
-    conjugated = np.linalg.inv(g) @ np.frombuffer(data).reshape(-1, 3, 3) @ g
+    basis = np.frombuffer(data).reshape(-1, 3, 3)
+    conjugated = linalg.inverse(g, "conjugating matrix") @ basis @ g
     try:
         return MatrixSubspace(conjugated)
     except ValueError:  # a basis matrix shrank to ZERO_TOL

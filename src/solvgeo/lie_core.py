@@ -175,11 +175,8 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
         return StructureConstants(linalg.ratios(_contract(c, h, adj), dc * dh * det))
     h = linalg.to_float(h)
-    c = linalg.to_float(sc.c)
-    # absolute: |det h| scales as t^3 under h -> t h (ROADMAP item 4)
-    if abs(np.linalg.det(h)) < 1e-12:
-        raise SingularMatrixError("basis change matrix is singular")
-    return StructureConstants(_contract(c, h, np.linalg.inv(h)))
+    hinv = linalg.inverse(h, "basis change matrix")
+    return StructureConstants(_contract(linalg.to_float(sc.c), h, hinv))
 
 
 def _contract(c: np.ndarray, h: np.ndarray, hinv: np.ndarray) -> np.ndarray:

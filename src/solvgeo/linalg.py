@@ -20,15 +20,14 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# |det g| below which lower_triangular_lq calls g singular.  Absolute: it
-# scales as t^3 under g -> t g, so reduce rejects 1e-4 g (ROADMAP item 4)
-LQ_DET_TOL = 1e-9
-# singular values at or below which orthonormalize drops a direction.
-# Absolute, in the units of the input rows, not relative (ROADMAP item 4)
-SVD_TOL = 1e-12
-# an entry of a unit-scale row or matrix at or below this size counts as
-# zero: lead_positive skips it, and derivations reads basis matrices with it
+# an entry of a unit-scale row or matrix, or a Gram asymmetry over max|G|, at or below this is 0
 ZERO_TOL = 1e-12
+# a singular value of unit-norm rows, or of rows over their largest one, at or below this is 0
+RANK_TOL = 1e-9
+# a float matrix whose largest singular value exceeds this times its smallest is singular
+COND_LIMIT = 1e12
+# |det g| below which lower_triangular_lq calls g singular; absolute until ROADMAP item 9
+LQ_DET_TOL = 1e-9
 
 ZERO = Fraction(0)
 
@@ -201,6 +200,17 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     return rref[:, n:].copy()
 
 
+def inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.inv(m)`` of a finite float matrix whose 2-norm condition number
+    is at most ``COND_LIMIT``; else a SingularMatrixError names the matrix ``what``."""
+    if not np.isfinite(m).all():
+        raise SingularMatrixError(f"{what} is not finite")
+    s = np.linalg.svd(m, compute_uv=False)
+    if s[-1] == 0 or s[0] > COND_LIMIT * s[-1]:
+        raise SingularMatrixError(f"{what} is singular")
+    return np.linalg.inv(m)
+
+
 def lower_triangular_lq(g: np.ndarray):
     """``g = L @ k.T`` with ``L = R.T``, ``k = Q`` from numpy's QR ``g.T = Q R``, signs
     flipped so that L's diagonal, whose product is ``|det g|``, is positive."""
@@ -216,8 +226,8 @@ def orthonormalize(vectors) -> np.ndarray:
     """Orthonormal basis of the span of flat float vectors, one per row.
 
     The rows are the right singular vectors whose singular values exceed
-    ``SVD_TOL``, so dependent inputs are dropped.
+    ``RANK_TOL`` times the largest, so dependent inputs are dropped.
     """
     a = np.asarray(vectors, dtype=float)
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    return vt[:int(np.sum(s > SVD_TOL))]
+    return vt[:int(np.sum(s > RANK_TOL * s.max(initial=0.0)))]

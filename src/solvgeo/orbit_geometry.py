@@ -19,9 +19,6 @@ from . import linalg
 from .derivations import conjugate_subspace, derivation_algebra
 from .lie_core import Family, make_family
 
-# rank cutoff on the singular values of dpi restricted to u', which lie in [0, 1]
-RANK_TOL = 1e-9
-
 
 def dpi(x: np.ndarray) -> np.ndarray:
     """Tangent value of the action of x at the base point; x may be a
@@ -66,7 +63,7 @@ def orbit_data(frame) -> OrbitData:
     q = np.reshape(np.asarray(frame, dtype=float), (-1, 9))
     sym = SYM_BASIS.reshape(6, 9)
     u, sigma, wt = np.linalg.svd(sym @ q.T)
-    r = int(np.sum(sigma > RANK_TOL))
+    r = int(np.sum(sigma > linalg.RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
     normal_coords = linalg.lead_positive(u[:, r:].T)
     return OrbitData(tangent=(u[:, :r].T @ sym).reshape(-1, 3, 3),

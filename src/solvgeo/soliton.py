@@ -93,9 +93,10 @@ def soliton_from_frame(family: Family, lam: float,
     _check_tol(tol)
     sc = make_family(family)
     g = rep_matrix(family, lam)
+    # conjugating first names an ill-conditioned g_lambda the conjugating matrix
+    der = conjugate_subspace(derivation_algebra(sc), g)
     c = change_basis(sc, g).c
     # as Python floats (a, b, c, d) overflow to inf or NaN without a warning,
     # and require_finite rejects the result
     ric = ricci_closed_form(*c[0, 1:, 1:].ravel().tolist())
-    der = conjugate_subspace(derivation_algebra(sc), g)
     return _project(require_finite(np.asarray(ric, dtype=float)), der, tol)

@@ -285,7 +285,7 @@ def test_non_finite_input_named(capsys, argv, message):
 
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--family", "r3pa:a=1", "--lambda", "1e200"],
-     "basis change matrix is singular at lambda = 1e+200"),
+     "conjugating matrix is singular at lambda = 1e+200"),
     (["verify", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
     (["verify", "--family", "r3a:a=0.5", "--lambda", "1e300"],
@@ -297,7 +297,7 @@ def test_non_finite_input_named(capsys, argv, message):
     (["soliton", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
     (["soliton", "--family", "r3pa:a=1", "--lambda", "1e200"],
-     "basis change matrix is singular at lambda = 1e+200"),
+     "conjugating matrix is singular at lambda = 1e+200"),
     (["orbit", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
     (["der", "--family", "r3", "--lambda", "1e-300"],
@@ -359,6 +359,11 @@ def _run_fresh(argv):
     ["ricci", "--family", "r3pa:a=1e200"],
     ["soliton", "--family", "r3pa:a=1e200"],
     ["verify", "--family", "r3pa:a=1e200", "--lambda", "2"],
+    # every entry of Ric is finite here, but their trace overflows
+    ["ricci", "--family", "r3pa:a=6e153"],
+    ["soliton", "--family", "r3pa:a=6e153"],
+    ["soliton", "--family", "r3pa:a=6e153", "--lambda", "1"],
+    ["verify", "--family", "r3pa:a=6e153", "--lambda", "1"],
 ])
 def test_non_finite_ricci_writes_one_stderr_line(argv):
     proc = _run_fresh(argv)

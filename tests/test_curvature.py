@@ -26,6 +26,18 @@ def test_metric_data_validation():
         metric_data(sc, np.diag([1.0, np.nan, 1.0]))
 
 
+def test_gram_symmetry_is_relative_to_its_largest_entry():
+    sc = make_family(Family("r3"))
+    skew = np.array([[1, 1e-6, 0], [0, 1, 0], [0, 0, 1.0]])
+    near = random_spd(np.random.default_rng(3))
+    near[0, 1] *= 1 + 1e-15
+    assert 0 < np.abs(near - near.T).max()
+    for t in (1e-100, 1e-20, 1e-8, 1.0, 1e8, 1e100):
+        with pytest.raises(NonSPDMetricError, match="not symmetric"):
+            metric_data(sc, t * skew)
+        metric_data(sc, t * near)
+
+
 def test_frame_orthonormalizes_metric():
     rng = np.random.default_rng(1)
     sc = make_family(Family("r3"))

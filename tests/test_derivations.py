@@ -151,7 +151,7 @@ def test_conjugate_singular_raises():
         conjugate_subspace(der, np.zeros((3, 3)))
     with pytest.raises(SingularMatrixError):
         conjugate_subspace(der, np.diag([1.0, 1.0, 1e-13]))
-    # the boundary sits where np.linalg.cond puts it: cond <= COND_LIMIT passes
+    # the boundary is on the condition number: s_max <= COND_LIMIT * s_min passes
     limit = derivations.COND_LIMIT
     for s in (np.nextafter(limit, 0.0), limit):
         assert conjugate_subspace(der, np.diag([s, 1.0, 1.0])).dim == der.dim

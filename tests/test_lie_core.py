@@ -1,11 +1,13 @@
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import DER_GRID, FAMILIES, random_spd
+from helpers import DER_GRID, FAMILIES, random_group_element, random_spd
 from oracles import antisymmetry_residual, bracket
 from solvgeo import linalg
 from solvgeo.curvature import metric_data, ricci_closed_form, ricci_operator
@@ -296,6 +298,27 @@ def test_change_basis_singular():
     sc = make_family(Family("r3"))
     with pytest.raises(SingularMatrixError):
         change_basis(sc, np.zeros((3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=st.sampled_from(FAMILIES), seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-40, 40))
+def test_change_basis_follows_power_of_two_scaling(fam, seed, k):
+    # singularity is judged on the condition number, so 2^k h passes with h
+    # and gives 2^k times its constants, bit for bit
+    sc = make_family(fam)
+    h = random_group_element(np.random.default_rng(seed))
+    scaled = change_basis(sc, 2.0 ** k * h).c
+    assert scaled.tobytes() == (2.0 ** k * change_basis(sc, h).c).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_change_basis_rejects_non_finite_h(bad):
+    h = np.eye(3)
+    h[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="^basis change matrix is not finite$"):
+            change_basis(make_family(Family("r3p_a", 0.5)), h)
 
 
 def test_nonzero_listing():

@@ -245,3 +245,13 @@ def test_lower_triangular_lq_rejects_small_determinant():
             linalg.lower_triangular_lq(g)
     lower, _ = linalg.lower_triangular_lq(np.diag([1.0, 1.0, 2e-9]))
     assert np.prod(np.diag(lower)) == pytest.approx(2e-9, rel=1e-15)
+
+
+@pytest.mark.parametrize("t", [1e-20, 1e-8, 1.0, 1e8, 1e20])
+def test_orthonormalize_rank_does_not_depend_on_scale(t):
+    # five vectors of rank 4: the cutoff is relative to the largest singular value
+    v = np.random.default_rng(5).normal(size=(5, 9))
+    v[4] = v[0] + v[1]
+    q = linalg.orthonormalize(t * v)
+    assert q.shape == (4, 9)
+    np.testing.assert_allclose(q @ q.T, np.eye(4), rtol=0, atol=1e-12)

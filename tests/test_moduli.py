@@ -47,7 +47,7 @@ def test_metric_to_group_rejects_non_spd():
         metric_to_group(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(NonSPDMetricError):
         metric_to_group(np.array([[1, 0.3, 0], [0, 1, 0], [0, 0, 1.0]]))
-    # the symmetry test has no relative slack, as in metric_data
+    # the symmetry test is relative to the largest entry, as in metric_data
     with pytest.raises(NonSPDMetricError, match="not symmetric"):
         metric_to_group(np.array([[1, 1e-7, 0], [0, 1, 0], [0, 0, 1.0]]))
     with pytest.raises(NonSPDMetricError, match=r"entry \(1, 2\) is not finite"):

@@ -82,3 +82,21 @@ def test_bench_traced_names_exist():
         mod = importlib.import_module(f"solvgeo.{module}")
         for name in names:
             assert inspect.isfunction(getattr(mod, name, None)), f"solvgeo.{module}.{name}"
+
+
+def test_thresholds_are_the_named_few():
+    # a float literal this small or large is a threshold: it must be the value
+    # of a module-level NAME = literal, and these five are all there are
+    found = set()
+    for path in sorted((ROOT / "src" / "solvgeo").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.value: node.targets[0].id for node in tree.body
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and isinstance(node.targets[0], ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and (0 < abs(node.value) <= 1e-6 or abs(node.value) >= 1e6)):
+                assert node in named, f"{path.name}:{node.lineno} {node.value!r}"
+                found.add(f"{path.stem}.{named[node]}")
+    assert found == {"soliton.DEFAULT_TOL", "linalg.ZERO_TOL", "linalg.RANK_TOL",
+                     "linalg.COND_LIMIT", "linalg.LQ_DET_TOL"}
