@@ -90,7 +90,7 @@ def verify_main_theorem(cfg: RunConfig):
             mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc} at lambda = {lam!r}") from None
-        minimal = mc.norm < cfg.tol
+        minimal = mc.norm <= cfg.tol
         rows.append(VerifyRow(family=fam.label(), a=a, lam=float(lam),
                               is_soliton=verdict.is_soliton,
                               soliton_residual=verdict.certificate.residual,
@@ -206,7 +206,7 @@ def _listing(sc) -> list:
 def _cmd_families(args):
     if args.family is None:
         return {tag: _DESCRIPTIONS[tag] for tag in FAMILY_TAGS}, 0
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     sc = make_family(fam)
     return {
         "family": fam.label(),
@@ -218,7 +218,7 @@ def _cmd_families(args):
 
 
 def _cmd_ricci(args):
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     gram = _read_gram(args)
     if gram is None:
         gram = np.eye(3)
@@ -233,7 +233,7 @@ def _cmd_ricci(args):
 
 
 def _cmd_der(args):
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     der = derivation_algebra(make_family(fam))
     payload = {"family": fam.label(), "dim": der.dim}
     if args.lam is not None:
@@ -244,7 +244,7 @@ def _cmd_der(args):
 
 
 def _cmd_reduce(args):
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     gram = _read_gram(args)
     if gram is None:
         raise ValueError("reduce requires --gram or --gram-file")
@@ -264,7 +264,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_soliton(args):
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     gram = _read_gram(args)
     if args.lam is not None:
         verdict = soliton.soliton_from_frame(fam, args.lam, tol=args.tol)
@@ -284,7 +284,7 @@ def _cmd_soliton(args):
 
 
 def _cmd_orbit(args):
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     gram = _read_gram(args)
     if args.lam is not None:
         g = moduli.rep_matrix(fam, args.lam)
@@ -292,7 +292,14 @@ def _cmd_orbit(args):
         g = moduli.metric_to_group(gram)
     else:
         g = np.eye(3)
-    mc = orbit_geometry.orbit_at(fam, g)
+    try:
+        mc = orbit_geometry.orbit_at(fam, g)
+    except SingularMatrixError:
+        if gram is None:
+            raise
+        # orbit_at inverts g = L^-T, refused once cond(g)^2 = cond(G) passes ~COND_LIMIT^2
+        raise SingularMatrixError(f"Gram matrix is too ill-conditioned for the float orbit "
+                                  f"(condition number {np.linalg.cond(gram):.3g})") from None
     return {"family": fam.label(),
             "orbit_dim": mc.orbit_dim,
             "stab_dim": mc.stab_dim,
@@ -313,7 +320,7 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _cmd_verify(args):
-    fam = parse_family(args.family, args.a)
+    fam = parse_family(args.family)
     if args.lam is not None and args.grid is not None:
         raise ValueError("give either --lambda or --grid, not both")
     if args.lam is not None:
@@ -328,8 +335,6 @@ def _cmd_verify(args):
 def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
                 family_required: bool = True):
     p.add_argument("--family", required=family_required, help=_FAMILY_HELP)
-    p.add_argument("--a", type=float, default=None,
-                   help="family parameter, if not embedded in --family")
     if gram:
         p.add_argument("--gram", type=float, nargs=9, metavar="X",
                        help="Gram matrix as 9 numbers, row major")

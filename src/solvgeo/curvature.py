@@ -39,12 +39,18 @@ class RicciResult:
 
 
 def metric_data(sc: StructureConstants, gram: np.ndarray) -> MetricData:
-    """Validate a Gram matrix and attach an orthonormal frame.
+    """Validate a Gram matrix (NonSPDMetricError unless SPD) and attach its orthonormal
+    frame B = ``metric_to_group(gram)``: B^T G B = I, with B upper triangular."""
+    return MetricData(sc, np.asarray(gram, dtype=float), metric_to_group(gram))
 
-    Raises NonSPDMetricError unless ``gram`` is symmetric positive
-    definite.  The frame satisfies B^T G B = I, with B upper triangular.
+
+def metric_to_group(gram: np.ndarray) -> np.ndarray:
+    """A group element g with g^-T g^-1 = G, from the Cholesky factor.
+
+    g is upper triangular with positive diagonal; any other solution
+    differs by an orthogonal factor on the right.
     """
-    return MetricData(sc, np.asarray(gram, dtype=float), np.linalg.inv(_gram_cholesky(gram)).T)
+    return np.linalg.inv(_gram_cholesky(gram).T)
 
 
 def _gram_cholesky(gram: np.ndarray) -> np.ndarray:

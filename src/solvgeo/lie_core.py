@@ -68,20 +68,17 @@ class Family:
         return f"{text}:a={float(self.a)!r}"
 
 
-def parse_family(text: str, a: float | None = None) -> Family:
+def parse_family(text: str) -> Family:
     """Parse a family string such as ``h3``, ``r3a:a=0.5`` or ``r3pa:a=2``.
 
-    A parameter may ride along in the string after ``:a=`` or be supplied
-    separately through ``a``; giving both (or neither, for a parametric
-    family) is an error.
+    A parametric family takes its parameter in the string, after ``:a=``.
     """
     text = text.strip()
+    a = None
     if ":" in text:
         head, _, tail = text.partition(":")
         if not tail.startswith("a="):
             raise InvalidFamilyError(f"malformed family string {text!r}")
-        if a is not None:
-            raise InvalidFamilyError("parameter given both in string and separately")
         try:
             a = float(tail[2:])
         except ValueError:

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .curvature import _gram_cholesky
+from .curvature import metric_to_group  # noqa: F401 (callers reach it as moduli.metric_to_group)
 from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
@@ -42,15 +42,6 @@ class ReductionTrace:
     auto_part: np.ndarray
     orth: np.ndarray
     steps: tuple
-
-
-def metric_to_group(gram: np.ndarray) -> np.ndarray:
-    """A group element g with g^-T g^-1 = G, from the Cholesky factor.
-
-    g is upper triangular with positive diagonal; any other solution
-    differs by an orthogonal factor on the right.
-    """
-    return np.linalg.inv(_gram_cholesky(gram).T)
 
 
 def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:

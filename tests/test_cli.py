@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -246,6 +247,17 @@ def test_verify_disagreement_exit_code(capsys):
     assert row["agrees"] == "false"
 
 
+def test_verify_reads_tol_alike_for_both_verdicts(capsys):
+    # residual 1.118, |H| 0.253: at tol = |H| the orbit is minimal (|H| <= tol, as
+    # residual <= tol decides the soliton) and the metric is not a soliton
+    argv = ["verify", "--family", "r3a:a=0.5", "--lambda", "2", "--format", "csv"]
+    h_norm = float(next(csv.DictReader(io.StringIO(run(capsys, argv)[1])))["H_norm"])
+    for tol, status, agrees in ((h_norm, 1, "false"), (math.nextafter(h_norm, 0), 0, "true")):
+        code, out = run(capsys, argv + ["--tol", repr(tol)])
+        assert code == status
+        assert next(csv.DictReader(io.StringIO(out)))["agrees"] == agrees
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "nope"],
     ["verify", "--family", "r3a:a=2.0"],
@@ -255,7 +267,7 @@ def test_verify_disagreement_exit_code(capsys):
     ["verify", "--family", "r3", "--lambda", "1.0", "--grid", "1:2:3"],
     ["verify", "--family", "r3", "--lambda", "0.0"],
     ["verify", "--family", "r3pa:a=1.0", "--grid", "0.5:2:4"],
-    ["verify", "--family", "r3a:a=0.5", "--a", "0.5"],
+    ["verify", "--family", "r3a"],
     ["ricci", "--family", "h3", "--gram",
      "1", "0", "0", "0", "-1", "0", "0", "0", "1"],
     ["families", "--out", "."],
@@ -302,14 +314,17 @@ def test_non_finite_input_named(capsys, argv, message):
      "conjugating matrix is singular at lambda = 1e-300"),
     (["der", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
-    # no lambda was given, so none is named
+    # no lambda was given, so the Gram matrix is named
     (["orbit", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-30"],
-     "conjugating matrix is singular"),
+     "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+30)"),
     # cond(g) is exactly the limit, but a conjugated basis matrix falls to 1e-12
     (["der", "--family", "r3", "--lambda", "1e-12"],
      "conjugating matrix is singular at lambda = 1e-12"),
     (["verify", "--family", "r3", "--lambda", "1e-12"],
      "conjugating matrix is singular at lambda = 1e-12"),
+    # diag(1, 1, t) pulls back I by an automorphism: reduce reads it, the float orbit cannot
+    (["orbit", "--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-24"],
+     "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+24)"),
 ])
 def test_singular_lambda_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -428,7 +443,6 @@ def test_scaled_identity_ricci_is_read():
     ("soliton --family r3 --gram 1 0 0 0 1 -1e-05 0 -1e-05 1",
      "soliton --family r3 --gram 1 0 0 0 1 -0.00001 0 -0.00001 1"),
     ("soliton --family r3a:a=0.5 --lambda -1e-9", "soliton --family r3a:a=0.5 --lambda=-1e-9"),
-    ("orbit --family r3a --a -5e-1 --lambda 1", "orbit --family r3a --a=-5e-1 --lambda 1"),
     ("verify --family r3a:a=0.5 --lambda -0.5,1", "verify --family r3a:a=0.5 --lambda=-0.5,1"),
     ("verify --family r3a:a=0.5 --grid -5:5:3", "verify --family r3a:a=0.5 --grid=-5:5:3"),
     ("verify --family r3a:a=0.5 --grid -5:5:51", "verify --family r3a:a=0.5"),

@@ -12,6 +12,7 @@ from solvgeo.curvature import (metric_data, ricci_canonical, ricci_closed_form,
                                ricci_operator)
 from solvgeo.errors import NonSPDMetricError
 from solvgeo.lie_core import Family, make_family, parse_family
+from solvgeo.moduli import metric_to_group
 
 
 def test_metric_data_validation():
@@ -45,6 +46,8 @@ def test_frame_orthonormalizes_metric():
         gram = random_spd(rng)
         m = metric_data(sc, gram)
         np.testing.assert_allclose(m.frame.T @ gram @ m.frame, np.eye(3), atol=1e-10)
+        # one Cholesky frame: ricci's ric_frame and reduce/orbit --gram read the same B
+        assert np.array_equal(m.frame, metric_to_group(gram))
 
 
 def test_connection_metric_compatibility_and_torsion():

@@ -36,14 +36,10 @@ def test_label_round_trip():
         assert parse_family(fam.label()) == fam
 
 
-def test_parse_family_separate_parameter():
-    assert parse_family("r3a", a=0.25) == Family("r3_a", 0.25)
-
-
 @pytest.mark.parametrize("call", [
     lambda: parse_family("nope"),
     lambda: parse_family("r3a"),                 # parameter missing
-    lambda: parse_family("r3a:a=0.5", a=0.5),    # parameter twice
+    lambda: parse_family("r3a:a=0.5:a=0.5"),     # parameter twice
     lambda: parse_family("r3a:a=x"),
     lambda: parse_family("r3a:b=1"),
     lambda: Family("r3_a", 1.5),                 # out of range

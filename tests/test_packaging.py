@@ -84,6 +84,30 @@ def test_bench_traced_names_exist():
             assert inspect.isfunction(getattr(mod, name, None)), f"solvgeo.{module}.{name}"
 
 
+VERDICT_PATH = {
+    "FAMILY_TAGS", "Family", "parse_family", "make_family",
+    "metric_to_group", "rep_matrix", "reduce",
+    "solvsoliton_check", "soliton_from_frame", "orbit_at",
+    "derivation_algebra", "ricci_canonical",
+    "InvalidFamilyError", "NonSPDMetricError", "SingularMatrixError",
+}
+
+
+def test_public_surface_is_the_verdict_path():
+    # every other name is imported from the module that defines it
+    solvgeo = importlib.import_module("solvgeo")
+    assert set(solvgeo.__all__) == VERDICT_PATH
+    assert len(solvgeo.__all__) == len(VERDICT_PATH)
+    for name in solvgeo.__all__:
+        assert hasattr(solvgeo, name), name
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    imported = {alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "solvgeo"
+                for alias in node.names}
+    assert imported and imported <= VERDICT_PATH
+
+
 def test_thresholds_are_the_named_few():
     # a float literal this small or large is a threshold: it must be the value
     # of a module-level NAME = literal, and these five are all there are

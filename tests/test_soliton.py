@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometr
 from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
 from solvgeo.lie_core import Family, StructureConstants, make_family
-from solvgeo.moduli import metric_to_group, reduce
+from solvgeo.moduli import frame_constants, metric_to_group, reduce, rep_matrix
 from solvgeo.soliton import soliton_from_frame, solvsoliton_check
 
 
@@ -141,6 +142,20 @@ def test_certificate_d_is_a_derivation():
         verdict = solvsoliton_check(sc, gram)
         assert verdict.is_soliton
         assert derivation_residual(sc, verdict.certificate.d) < 1e-8
+
+
+@pytest.mark.parametrize("fam,lam", [(Family("r3"), lam) for lam in (1e-3, 1e3, 1e5)]
+                         + [(Family("r3_a", 0.5), lam) for lam in (-1e3, 1e3, 1e5)]
+                         + [(Family("r3p_a", 0.375), lam) for lam in (1e3, 1e5)])
+def test_frame_ricci_is_accurate_at_large_lambda(fam, lam):
+    # the exact closed form on the exact frame brackets, rounded once, split
+    # over the same conjugated Der; cond(G_lambda) grows like lambda^4 on r3_a,
+    # so a Ricci read from (c, G_lambda) misses this by 1.7e-10 at lambda = 1e3
+    c = frame_constants(fam, Fraction(lam), exact=True).c
+    ric = curvature.ricci_closed_form(*c[0, 1:, 1:].ravel().tolist()).astype(float)
+    der = conjugate_subspace(derivation_algebra(make_family(fam)), rep_matrix(fam, lam))
+    want = soliton._project(ric, der, soliton.DEFAULT_TOL).certificate.residual
+    assert soliton_from_frame(fam, lam).certificate.residual == pytest.approx(want, rel=1e-12)
 
 
 def test_frame_check_rejects_bad_lambda():
