@@ -136,7 +136,7 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     # a float first argument skips the scan: the float lane runs this per verify row
     exact = not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
     if exact:
-        (a, b, c, d), q = linalg.integer_numerators(np.array([a, b, c, d], dtype=object))
+        (a, b, c, d), q = linalg.integer_numerators(linalg.object_array([a, b, c, d], (4,)))
     skew = b * b - c * c
     off = -2 * (a * c + b * d)
     ric2 = [-(2 * (a * a + d * d) + (b + c) * (b + c)), 0 * a, 0 * a,

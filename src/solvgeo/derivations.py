@@ -31,7 +31,12 @@ def _normalize(stack) -> np.ndarray:
     return (linalg.lead_positive(flat / nrm) + 0.0).reshape(-1, 3, 3)
 
 
-# Der(g), kernel and g^-1 S g results kept per input content
+# Der(g), kernel and g^-1 S g results kept per input content.  The g^-1 S g
+# memo shares one conjugation between a verify row's soliton and orbit halves,
+# and across back-to-back sweeps with the same Der and grid (the four r3_a
+# acceptance sweeps, the three r3p_a ones).  A shuffled replay of all eight
+# acceptance sweeps holds 142 keys; a memo sized for it would serve only that
+# replay, so the size stays 128.
 MEMO_SIZE = 128
 
 
@@ -106,9 +111,7 @@ def _float_derivations(data: bytes, shape: tuple) -> MatrixSubspace:
 
 
 def _derivation_kernel(c: np.ndarray) -> MatrixSubspace:
-    system = _derivation_system(c)
-    kernel = linalg.nullspace(system)
-    flat = linalg.to_float(np.reshape(kernel, (len(kernel), system.shape[1])))
+    flat = linalg.ratios(*linalg.nullspace(_derivation_system(c)), exact=False)
     return _kernel_subspace(flat.tobytes(), flat.shape)
 
 

@@ -1,12 +1,13 @@
 """Small dense linear algebra helpers.
 
-Everything here works on 3x3-ish arrays.  There is one elimination, and it
-is exact: every float is a dyadic rational, so float64 input and exact
-rationals (``fractions.Fraction`` or int objects in object-dtype arrays)
-are both turned into integer numerators over one common denominator and
-reduced fraction free.  The dtype of the input picks only the type of the
-output entries: a ``Fraction`` for exact input, and the correctly rounded
-float ``num / den`` for float input.  The reduced row echelon form is
+Everything here works on 3x3-ish arrays.  Its one exact format is
+``(N, d)``: an object array ``N`` of Python ints over one positive int
+``d``, standing for ``N / d``.  ``integer_numerators`` puts float64 or
+rational (``fractions.Fraction`` or int) arrays in that format exactly,
+since every float is a dyadic rational; there is one elimination, fraction
+free on those integers, and ``_rref`` and ``nullspace`` return their rows
+as ``(N, d)``.  ``ratios`` is the one exit: a ``Fraction`` per entry, or
+the correctly rounded float ``n / d``.  The reduced row echelon form is
 unique, so this gives the same rationals as elimination in ``Fraction``
 arithmetic would, and no rank decision depends on a pivot threshold.
 """
@@ -68,17 +69,13 @@ def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _numerators(values: list) -> tuple[list[int], int]:
-    """``integer_numerators`` of a flat list, as a list; zeros are skipped."""
+    """``integer_numerators`` of a flat list, as a list."""
     try:
-        nonzero = [(i, x.as_integer_ratio()) for i, x in enumerate(values) if x]
+        pairs = [x.as_integer_ratio() for x in values]
     except AttributeError:  # numpy integer scalars
-        nonzero = [(i, (int(f.numerator), int(f.denominator)))
-                   for i, f in enumerate(map(Fraction, values)) if f]
-    d = math.lcm(*{q for _, (_, q) in nonzero})
-    nums = [0] * len(values)
-    for i, (p, q) in nonzero:
-        nums[i] = p * (d // q)
-    return nums, d
+        pairs = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
+    d = math.lcm(*{q for _, q in pairs})
+    return [p * (d // q) for p, q in pairs], d
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -87,14 +84,15 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
+def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of a rational or float matrix.
 
-    Returns (rows, pivot_columns).  Row r < rank holds integers whose
-    quotient by ``rows[r][pivots[r]]`` is row r of the reduced row echelon
-    form; the remaining rows are zero.  A pivot column is cleared by
-    ``p*row_i - q*row_r``, each row is kept primitive, and each pivot is
-    made positive, so a zero quotient is never a float -0.0.
+    Returns (rows, pivot_columns, scales, d), one row of integers per pivot:
+    ``rows[r]`` over its pivot ``rows[r][pivots[r]]``, which is ``rows[r] *
+    scales[r]`` over d, the lcm of the pivots, is row r of the reduced row
+    echelon form.  A pivot column is cleared by ``p*row_i - q*row_r``, each
+    row is kept primitive, and each pivot is made positive, so a zero
+    quotient is never a float -0.0.
     """
     m, n = a.shape
     nums = _numerators(a.ravel().tolist())[0]
@@ -119,7 +117,8 @@ def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
                 rows[i] = _primitive([s * x - t * y for x, y in zip(rows[i], pivot_row)])
         pivots.append(c)
         r += 1
-    return rows, pivots
+    d = math.lcm(*(row[c] for row, c in zip(rows, pivots)))
+    return rows[:r], pivots, [d // row[c] for row, c in zip(rows, pivots)], d
 
 
 def object_array(values: list, shape: tuple) -> np.ndarray:
@@ -131,57 +130,51 @@ def object_array(values: list, shape: tuple) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values)).reshape(shape)
 
 
-def ratio(num: int, den: int) -> Fraction:
-    """The Fraction num / den; a zero is the shared ``ZERO``."""
-    return Fraction(num, den) if num else ZERO
+def ratios(nums: np.ndarray, den: int, exact: bool = True) -> np.ndarray:
+    """The quotients ``nums / den`` of an integer array by a nonzero int.
 
-
-def ratios(nums: np.ndarray, den: int) -> np.ndarray:
-    """Object array of the Fractions nums / den: one Fraction per distinct
-    numerator, and every zero the shared ``ZERO``."""
+    With ``exact`` an object array of Fractions, one per distinct numerator
+    and every zero the shared ``ZERO``; else the correctly rounded floats
+    ``x / den`` that ``float(Fraction(x, den))`` gives (an overflow raises).
+    """
     flat = nums.ravel().tolist()
-    entry = {x: ratio(x, den) for x in set(flat)}
+    if not exact:
+        return np.array([x / den for x in flat], dtype=float).reshape(nums.shape)
+    entry = {x: Fraction(x, den) if x else ZERO for x in set(flat)}
     return object_array([entry[x] for x in flat], nums.shape)
 
 
-def _entries(pairs: list, shape: tuple, exact: bool) -> np.ndarray:
-    """The quotients of integer (num, den) pairs as an array of the given
-    shape: Fractions when ``exact``, else the correctly rounded floats."""
-    if exact:
-        return object_array([ratio(p, q) for p, q in pairs], shape)
-    return np.array([p / q for p, q in pairs], dtype=float).reshape(shape)
+def _rref(a: np.ndarray) -> tuple[tuple[np.ndarray, int], list[int]]:
+    """The nonzero rows of the reduced row echelon form of ``a`` as ``(N, d)``,
+    and its pivot columns."""
+    rows, pivots, scales, d = _integer_echelon(a)
+    flat = [x * s for row, s in zip(rows, scales) for x in row]
+    return (object_array(flat, (len(pivots), a.shape[1])), d), pivots
 
 
-def _rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The nonzero rows of the reduced row echelon form of ``a``, Fractions
-    or floats following its dtype, and its pivot columns."""
-    rows, pivots = _integer_echelon(a)
-    pairs = [(x, rows[r][c]) for r, c in enumerate(pivots) for x in rows[r]]
-    return _entries(pairs, (len(pivots), a.shape[1]), is_exact(a)), pivots
+def nullspace(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Basis of the kernel of ``a``, float or rational, as ``(K, d)``.
 
-
-def nullspace(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of the kernel of ``a``, Fractions or floats following its dtype.
-
-    Vector f has a 1 at free column f and minus the RREF's column f at the
-    pivot columns.
+    Row f of ``K / d`` has a 1 at free column f and minus the RREF's column
+    f at the pivot columns; ``ratios(K, d)`` gives it as Fractions or floats.
     """
     n = a.shape[1]
-    rows, pivots = _integer_echelon(a)
+    rows, pivots, scales, d = _integer_echelon(a)
     free = [c for c in range(n) if c not in pivots]
-    pairs = []
+    kernel = []
     for f in free:
-        v = [(0, 1)] * n
-        v[f] = (1, 1)
-        for r, c in enumerate(pivots):
-            v[c] = (-rows[r][f], rows[r][c])
-        pairs += v
-    return list(_entries(pairs, (len(free), n), is_exact(a)))
+        v = [0] * n
+        v[f] = d
+        for row, s, c in zip(rows, scales, pivots):
+            v[c] = -row[f] * s
+        kernel += v
+    return object_array(kernel, (len(free), n)), d
 
 
 def row_space_basis(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of the row space of ``a`` (the nonzero rows of its RREF)."""
-    return list(_rref(a)[0])
+    """Basis of the row space of ``a`` (the nonzero rows of its RREF),
+    Fractions or floats following its dtype."""
+    return list(ratios(*_rref(a)[0], exact=is_exact(a)))
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
@@ -194,10 +187,10 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     aug = np.zeros((n, 2 * n), dtype=object)
     aug[:, :n] = nums
     aug[range(n), range(n, 2 * n)] = d
-    rref, pivots = _rref(aug)
+    (rref, den), pivots = _rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix of rationals is singular")
-    return rref[:, n:].copy()
+    return ratios(rref[:, n:], den)
 
 
 def inverse(m: np.ndarray, what: str) -> np.ndarray:

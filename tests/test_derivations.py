@@ -505,7 +505,8 @@ def test_subspace_as_array_is_its_basis():
 # ---------------------------------------------------------- kernel memo
 
 def _uncached_der(c) -> MatrixSubspace:
-    return MatrixSubspace(linalg.nullspace(derivations._derivation_system(c)))
+    system = derivations._derivation_system(c)
+    return MatrixSubspace(linalg.ratios(*linalg.nullspace(system), exact=False))
 
 
 def test_kernel_memo_one_entry_per_distinct_kernel():

@@ -5,7 +5,8 @@ Every exact result is compared with sympy's ``Matrix.rref()``,
 and sparse, rank deficient, with zero rows and columns, 9x9 systems like
 the derivation identity's, and numerators up to 1e20.  Each matrix is also
 run as floats, whose results must be the exact lane's on the same dyadic
-rationals, rounded entry by entry.  The float LQ factorization behind
+rationals, rounded entry by entry.  The integer kernel ``(K, d)`` and
+``ratios`` are also checked without sympy.  The float LQ factorization behind
 ``moduli.reduce`` is checked on its own at the end.
 """
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from solvgeo import linalg
 from solvgeo.derivations import derivation_algebra
@@ -100,7 +102,7 @@ def test_exact_lane_matches_sympy(seed):
         assert_fractions(row)
         assert list(row) == [from_sympy(want_rref[r, j]) for j in range(n)]
 
-    kernel = linalg.nullspace(a)
+    kernel = linalg.ratios(*linalg.nullspace(a))
     want_kernel = want.nullspace()
     assert len(kernel) == len(want_kernel)
     for v, w in zip(kernel, want_kernel):
@@ -115,7 +117,8 @@ def test_exact_lane_matches_sympy(seed):
     assert pivots(rows) == pivots(twin_rows)
     for v, w in zip(rows, twin_rows):
         assert_rounded(v, w)
-    kernel, twin_kernel = linalg.nullspace(flt), linalg.nullspace(twin)
+    kernel = linalg.ratios(*linalg.nullspace(flt), exact=False)
+    twin_kernel = linalg.ratios(*linalg.nullspace(twin))
     assert len(kernel) == len(twin_kernel)
     for v, w in zip(kernel, twin_kernel):
         assert_rounded(v, w)
@@ -142,6 +145,83 @@ def test_oracle_matrices_cover_the_cases():
     assert any(all(x == 0 for x in a[:, j]) for a in mats for j in range(a.shape[1]))
     assert any(all(x == 0 for x in a[i]) for a in mats for i in range(a.shape[0]))
     assert max(abs(x.numerator) for a in mats for x in a.ravel()) > 10 ** 19
+
+
+def random_kernel_matrix(seed):
+    """A seeded integer, rational or float matrix (by ``seed % 3``), wide
+    more often than tall, with a zeroed column or a repeated row at times."""
+    if seed % 3 == 1:
+        return random_rational_matrix(seed)
+    rng = np.random.default_rng(seed)
+    m, n = (int(x) for x in rng.integers(1, 8, size=2))
+    if seed % 3 == 0:
+        a = np.empty((m, n), dtype=object)
+        a[:] = rng.integers(-9, 10, size=(m, n)).tolist()
+    else:
+        a = rng.normal(size=(m, n)) * 2.0 ** rng.integers(-30, 30, size=(m, n))
+    if rng.random() < 0.4:
+        a[:, rng.integers(n)] = 0
+    if m > 1 and rng.random() < 0.4:
+        a[-1] = 2 * a[0]
+    return a
+
+
+def assert_exact_kernel(a, kernel, d):
+    """``kernel / d`` is the RREF kernel basis of ``a``, checked in integers:
+    ``a`` maps it to exactly 0, and its free columns hold ``d`` times the
+    identity (the last nonzero entry of each row is its free column)."""
+    n = a.shape[1]
+    assert type(d) is int and d > 0
+    assert kernel.dtype == object and kernel.shape == (len(kernel), n)
+    assert all(type(x) is int for x in kernel.ravel())
+    assert len(kernel) + len(linalg.row_space_basis(a)) == n
+    assert not (linalg.integer_numerators(a)[0] @ kernel.T).any()
+    free = [max(j for j in range(n) if row[j]) for row in kernel]
+    assert kernel[:, free].tolist() == scaled_identity(len(free), d)
+
+
+def scaled_identity(k, d):
+    return [[d if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_nullspace_is_an_exact_integer_kernel(seed):
+    a = random_kernel_matrix(seed)
+    assert_exact_kernel(a, *linalg.nullspace(a))
+
+
+def test_nullspace_of_zero_and_of_full_column_rank():
+    for a in (np.zeros((3, 4)), np.zeros((2, 5), dtype=object)):
+        kernel, d = linalg.nullspace(a)
+        assert_exact_kernel(a, kernel, d)
+        assert kernel.tolist() == scaled_identity(a.shape[1], d)
+    for a in (np.eye(3), np.array([[1.5, 2.0], [-3.0, 0.25], [7.0, 1.0]]),
+              np.array([[Fraction(2, 3)]], dtype=object)):
+        kernel, d = linalg.nullspace(a)
+        assert_exact_kernel(a, kernel, d)
+        assert kernel.shape == (0, a.shape[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(nums=st.lists(st.integers(-2 ** 2000, 2 ** 2000), min_size=1, max_size=6),
+       den=st.integers(1, 2 ** 1100))
+def test_ratios_round_like_float_of_fraction(nums, den):
+    nums = nums + nums[:2] + [0]  # repeated numerators and a zero
+    arr = linalg.object_array(nums, (1, len(nums)))
+    try:
+        want = np.array([[float(Fraction(x, den)) for x in nums]])
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            linalg.ratios(arr, den, exact=False)
+    else:
+        got = linalg.ratios(arr, den, exact=False)
+        assert got.dtype == float and got.tobytes() == want.tobytes()
+    exact = linalg.ratios(arr, den).ravel().tolist()
+    assert exact == [Fraction(x, den) for x in nums]
+    assert all(type(q) is Fraction for q in exact)
+    by_num = dict(zip(nums, exact))
+    assert all(by_num[x] is q for x, q in zip(nums, exact))
+    assert len({id(q) for q in exact}) == len(by_num) and by_num[0] is linalg.ZERO
 
 
 def test_exact_inv_singular_rational():
@@ -221,6 +301,27 @@ def test_exact_lane_does_no_fraction_arithmetic(monkeypatch):
     assert calls == []
     assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     assert calls == ["__add__"]  # the counters are live
+
+
+def test_exact_derivations_build_no_fraction(monkeypatch):
+    # the exact lane reads Der(c) off the integer kernel as floats, like the
+    # float lane, and shares the float twin's subspace
+    fams = [Family(fam.tag, None if fam.a is None else Fraction(fam.a)) for fam in FAMILIES]
+    cases = [(make_family(fam, exact=True), derivation_algebra(make_family(fam)))
+             for fam in fams]
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for sc, twin in cases:
+        assert derivation_algebra(sc) is twin
+    assert made == []
+    assert Fraction(1, 3) == 1 / Fraction(3)
+    assert made[0] == (1, 3)  # the counter is live
 
 
 def test_lower_triangular_lq_factors_g():
