@@ -87,7 +87,7 @@ def verify_main_theorem(cfg: RunConfig):
     for lam in cfg.grid:
         try:
             verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.tol)
-            mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
+            mc = orbit_geometry.orbit_from_frame(fam, lam)
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc} at lambda = {lam!r}") from None
         minimal = mc.norm <= cfg.tol
@@ -287,19 +287,17 @@ def _cmd_orbit(args):
     fam = parse_family(args.family)
     gram = _read_gram(args)
     if args.lam is not None:
-        g = moduli.rep_matrix(fam, args.lam)
-    elif gram is not None:
-        g = moduli.metric_to_group(gram)
+        mc = orbit_geometry.orbit_from_frame(fam, args.lam)
     else:
-        g = np.eye(3)
-    try:
-        mc = orbit_geometry.orbit_at(fam, g)
-    except SingularMatrixError:
-        if gram is None:
-            raise
-        # orbit_at inverts g = L^-T, refused once cond(g)^2 = cond(G) passes ~COND_LIMIT^2
-        raise SingularMatrixError(f"Gram matrix is too ill-conditioned for the float orbit "
-                                  f"(condition number {np.linalg.cond(gram):.3g})") from None
+        g = np.eye(3) if gram is None else moduli.metric_to_group(gram)
+        try:
+            mc = orbit_geometry.orbit_at(fam, g)
+        except SingularMatrixError:
+            # only a Gram frame is refused: orbit_at inverts g = L^-T, refused
+            # once cond(g)^2 = cond(G) passes ~COND_LIMIT^2
+            raise SingularMatrixError(f"Gram matrix is too ill-conditioned for the float "
+                                      f"orbit (condition number {np.linalg.cond(gram):.3g})"
+                                      ) from None
     return {"family": fam.label(),
             "orbit_dim": mc.orbit_dim,
             "stab_dim": mc.stab_dim,

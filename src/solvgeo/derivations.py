@@ -31,12 +31,8 @@ def _normalize(stack) -> np.ndarray:
     return (linalg.lead_positive(flat / nrm) + 0.0).reshape(-1, 3, 3)
 
 
-# Der(g), kernel and g^-1 S g results kept per input content.  The g^-1 S g
-# memo shares one conjugation between a verify row's soliton and orbit halves,
-# and across back-to-back sweeps with the same Der and grid (the four r3_a
-# acceptance sweeps, the three r3p_a ones).  A shuffled replay of all eight
-# acceptance sweeps holds 142 keys; a memo sized for it would serve only that
-# replay, so the size stays 128.
+# Der(g) and kernel-subspace results kept per input content.  A sweep holds
+# one key of each per family; 128 keys keep every family of a mixed sweep.
 MEMO_SIZE = 128
 
 
@@ -90,8 +86,7 @@ def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     float, which can round (``2**-60 - 1``).  So the dimension has no pivot
     threshold, but a float tensor and its exact twin can differ, even in dim.
 
-    Two of the three memo levels are here (the third is ``g^-1 S g`` in
-    ``conjugate_subspace``).  Float results are kept per content of the
+    Both memo levels are here.  Float results are kept per content of the
     tensor, so an edited tensor is solved afresh.  The float subspace is
     kept per content of the RREF kernel, which is canonical, so a new
     parameter whose kernel is known builds no new subspace.  The exact lane
@@ -166,17 +161,10 @@ def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspac
 
     Singularity is judged by the condition number against ``COND_LIMIT``:
     g and s*g give the same subspace, so both pass or both fail.  A g that shrinks
-    a basis matrix to ``ZERO_TOL`` fails too.  Results, not errors, are memoized.
+    a basis matrix to ``ZERO_TOL`` fails too.
     """
     g = np.asarray(g, dtype=float)
-    return _conjugate(subspace.stacked().tobytes(), g.tobytes(), g.shape)
-
-
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _conjugate(data: bytes, g_data: bytes, g_shape: tuple) -> MatrixSubspace:
-    g = np.frombuffer(g_data).reshape(g_shape)
-    basis = np.frombuffer(data).reshape(-1, 3, 3)
-    conjugated = linalg.inverse(g, "conjugating matrix") @ basis @ g
+    conjugated = linalg.inverse(g, "conjugating matrix") @ subspace.basis @ g
     try:
         return MatrixSubspace(conjugated)
     except ValueError:  # a basis matrix shrank to ZERO_TOL

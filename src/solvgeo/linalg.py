@@ -193,14 +193,19 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     return ratios(rref[:, n:], den)
 
 
-def inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """``np.linalg.inv(m)`` of a finite float matrix whose 2-norm condition number
-    is at most ``COND_LIMIT``; else a SingularMatrixError names the matrix ``what``."""
+def check_conditioned(m: np.ndarray, what: str) -> None:
+    """The one conditioning policy: a SingularMatrixError names the float matrix
+    ``what`` unless it is finite with 2-norm condition number at most ``COND_LIMIT``."""
     if not np.isfinite(m).all():
         raise SingularMatrixError(f"{what} is not finite")
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0 or s[0] > COND_LIMIT * s[-1]:
         raise SingularMatrixError(f"{what} is singular")
+
+
+def inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.inv(m)`` of a matrix that passes ``check_conditioned(m, what)``."""
+    check_conditioned(m, what)
     return np.linalg.inv(m)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .derivations import conjugate_subspace, derivation_algebra
 from .lie_core import Family, make_family
+from .moduli import frame_algebra
 
 
 def dpi(x: np.ndarray) -> np.ndarray:
@@ -125,9 +126,14 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
 
     The orbit of R* x Aut through the inner product of g is moved to the
     base point by conjugation: u' = g^-1 (RI + Der) g = RI + g^-1 Der g,
-    and g^-1 Der g, with its ``scalar_frame``, is the soliton test's memoized
-    call at g.
+    whose rows are the ``scalar_frame`` of the conjugated Der.
     """
     u = conjugate_subspace(derivation_algebra(make_family(family)), g)
     return _mean_curvature(orbit_data(u.scalar_frame))
 
+
+def orbit_from_frame(family: Family, lam: float) -> MeanCurvatureResult:
+    """``orbit_at(family, g_lambda)`` on the closed-form rows of u' =
+    g_lambda^-1 (RI + Der) g_lambda (``moduli.frame_algebra``), with no
+    conjugation: the orbit half of a ``verify`` row and of ``orbit --lambda``."""
+    return _mean_curvature(orbit_data(frame_algebra(family, lam)[1]))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import require_finite, ricci_canonical, ricci_closed_form
-from .derivations import MatrixSubspace, conjugate_subspace, derivation_algebra
-from .lie_core import Family, StructureConstants, change_basis, make_family
-from .moduli import rep_matrix
+from .derivations import derivation_algebra
+from .lie_core import Family, StructureConstants
+from .moduli import frame_algebra
 
 # bound on the soliton and Einstein residuals (and on |H| in verify).
 # solvsoliton_check reads it at the scale where the Gram matrix's largest
@@ -46,13 +46,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
-def _project(ric: np.ndarray, der: MatrixSubspace, tol: float) -> SolitonVerdict:
-    """Orthogonal split of a finite ric as c*I + D + rest, D in der: c = <ric, e>/<I, e>
-    for e the last row of ``der.scalar_frame`` (c = 0 when I lies in der)."""
-    r, eye, frame = ric.ravel(), np.eye(3).ravel(), der.scalar_frame
-    c = float(frame[-1] @ r / (frame[-1] @ eye)) if len(frame) > der.dim else 0.0
+def _project(ric: np.ndarray, rows: np.ndarray, dim: int, tol: float) -> SolitonVerdict:
+    """Orthogonal split of a finite ric as c*I + D + rest over the orthonormal
+    flat ``rows`` of S + RI laid out as ``MatrixSubspace.scalar_frame``: D in
+    the span of the first ``dim`` rows, S, and c = <ric, e>/<I, e> for e the
+    last row (c = 0 when I lies in S, and there is no such row)."""
+    r, eye = ric.ravel(), np.eye(3).ravel()
+    c = float(rows[-1] @ r / (rows[-1] @ eye)) if len(rows) > dim else 0.0
     rest = r - c * eye
-    d = (rest @ der.frame.T) @ der.frame
+    d = (rest @ rows[:dim].T) @ rows[:dim]
     # hypot scales by a power of two, so no square overflows or underflows
     residual = math.hypot(*(rest - d).tolist())
     if residual == math.inf:
@@ -77,26 +79,24 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     ric = ricci_canonical(sc, gram)
     # Ric(2^-e G) = 2^e Ric(G) exactly, so this is the verdict at 2^-e G
     e = math.frexp(np.abs(np.asarray(gram, dtype=float)).max())[1] - 1
-    return _project(ric, derivation_algebra(sc), math.ldexp(tol, -e))
+    der = derivation_algebra(sc)
+    return _project(ric, der.scalar_frame, der.dim, math.ldexp(tol, -e))
 
 
 def soliton_from_frame(family: Family, lam: float,
                        tol: float = DEFAULT_TOL) -> SolitonVerdict:
     """Solvsoliton test at the canonical representative g_lambda.
 
-    Works entirely on the Milnor frame: the Ricci operator comes from the
-    closed form on the frame brackets, and membership is tested against
-    the derivation algebra conjugated by g_lambda.  The verdict is
+    Works entirely on the Milnor frame: the Ricci operator is the closed
+    form on the frame brackets, split over the closed-form rows of
+    g_lambda^-1 (RI + Der) g_lambda (``moduli.frame_algebra``); no basis is
+    changed and no subspace is conjugated.  The verdict is
     ``solvsoliton_check``'s at the representative's Gram matrix; the
     residual is not, as it is the Frobenius norm on the Milnor frame.
     """
     _check_tol(tol)
-    sc = make_family(family)
-    g = rep_matrix(family, lam)
-    # conjugating first names an ill-conditioned g_lambda the conjugating matrix
-    der = conjugate_subspace(derivation_algebra(sc), g)
-    c = change_basis(sc, g).c
-    # as Python floats (a, b, c, d) overflow to inf or NaN without a warning,
+    brackets, rows, dim = frame_algebra(family, lam)
+    # as Python floats the brackets overflow to inf or NaN without a warning,
     # and require_finite rejects the result
-    ric = ricci_closed_form(*c[0, 1:, 1:].ravel().tolist())
-    return _project(require_finite(np.asarray(ric, dtype=float)), der, tol)
+    ric = ricci_closed_form(*brackets)
+    return _project(require_finite(np.asarray(ric, dtype=float)), rows, dim, tol)

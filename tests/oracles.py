@@ -12,8 +12,10 @@ none of them.  ``lstsq_soliton_split`` keeps the package's earlier
 least-squares soliton split as the reference for its orthogonal one, and
 ``shape_trace_mean_curvature`` its earlier mean curvature, the traces of
 the whole shape tensor, as the reference for the commutator sum.
+``h_norm_closed_form`` holds the paper's closed forms for ``|H|`` (C5).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -259,3 +261,16 @@ def frame_ricci(sc: StructureConstants, gram: np.ndarray) -> tuple:
         ric_canonical = require_finite(np.ldexp(frame, -e) @ ric_frame
                                        @ np.ldexp(np.linalg.inv(frame), e))
     return ric_frame, ric_canonical
+
+
+def h_norm_closed_form(tag: str, lam: float) -> float:
+    """|H| of the orbit through g_lambda, the paper's closed forms (C5)."""
+    if tag == "r3":
+        return math.sqrt(2.0) / 5.0
+    if tag == "r3_a":
+        return 2.0 * abs(lam) / (5.0 * math.sqrt(2.0 * (1.0 + lam * lam)))
+    if tag == "r3p_a":
+        if lam == 1.0:
+            return 0.0
+        return math.sqrt(2.0) * (1.0 + lam * lam) / (5.0 * (lam * lam - 1.0))
+    raise ValueError(f"no |H| closed form for {tag!r}")

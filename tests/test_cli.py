@@ -5,12 +5,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from solvgeo import cli
+from solvgeo.curvature import ricci_closed_form
+from solvgeo.lie_core import Family
+from solvgeo.moduli import frame_constants
 
 CSV_HEADER = "family,a,lambda,is_soliton,soliton_residual,H_norm,orbit_dim,agrees"
 
@@ -320,8 +324,9 @@ def test_non_finite_input_named(capsys, argv, message):
     # cond(g) is exactly the limit, but a conjugated basis matrix falls to 1e-12
     (["der", "--family", "r3", "--lambda", "1e-12"],
      "conjugating matrix is singular at lambda = 1e-12"),
-    (["verify", "--family", "r3", "--lambda", "1e-12"],
-     "conjugating matrix is singular at lambda = 1e-12"),
+    # verify conjugates nothing: cond(g) just above the limit is the first refused
+    (["verify", "--family", "r3", "--lambda", repr(math.nextafter(1e-12, 0))],
+     "conjugating matrix is singular at lambda = 9.999999999999998e-13"),
     # diag(1, 1, t) pulls back I by an automorphism: reduce reads it, the float orbit cannot
     (["orbit", "--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-24"],
      "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+24)"),
@@ -391,8 +396,6 @@ def test_non_finite_ricci_writes_one_stderr_line(argv):
 @pytest.mark.parametrize("argv,key,norm", [
     (["soliton", "--family", "r3", "--gram", "1e-200", "0", "0", "0", "1", "0", "0", "0", "1"],
      "residual", 1.224744871391589e200),
-    (["verify", "--family", "r3pa:a=1e150", "--lambda", "2"],
-     "soliton_residual", 2.974033816955566e284),
 ])
 def test_huge_soliton_residual_is_finite(argv, key, norm):
     # the squares of these residual entries overflow float64; their norm does not
@@ -402,6 +405,25 @@ def test_huge_soliton_residual_is_finite(argv, key, norm):
     data = json.loads(proc.stdout)
     row = data[0] if argv[0] == "verify" else data
     assert row[key] == pytest.approx(norm, rel=1e-12)
+    assert row["is_soliton"] is False
+
+
+def test_huge_frame_soliton_residual_is_exact():
+    # |Ric| is about 1e300 here, so the squares of the residual's entries
+    # overflow float64.  On the Milnor frame Ric = r11 + R, and the residual
+    # is the part of R's traceless part R0 orthogonal to A0, the traceless
+    # part of ad(x1) on span{x2, x3}: |R0|^2 - <R0, A0>^2 / |A0|^2, in Fractions
+    fam, lam = Family("r3p_a", 1e150), Fraction(2)
+    a, b, c, d = frame_constants(fam, lam, exact=True).c[0, 1:, 1:].ravel().tolist()
+    (p, q), (_, t) = ricci_closed_form(a, b, c, d)[1:, 1:].tolist()
+    r0_a0 = (p - t) * (a - d) / 2 + q * (b + c)
+    square = (p - t) ** 2 / 2 + 2 * q * q - r0_a0 ** 2 / ((a - d) ** 2 / 2 + b * b + c * c)
+    proc = _run_fresh(["verify", "--family", "r3pa:a=1e150", "--lambda", "2",
+                       "--format", "json"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    (row,) = json.loads(proc.stdout)
+    assert row["soliton_residual"] == pytest.approx(math.sqrt(square), rel=1e-15)
     assert row["is_soliton"] is False
 
 

@@ -7,7 +7,7 @@ import pytest
 from helpers import DER_GRID, FAMILIES, unit
 from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
                      subspace_equal, subspace_membership)
-from solvgeo import cli, derivations, linalg, moduli, orbit_geometry, soliton
+from solvgeo import cli, derivations, lie_core, linalg, moduli, orbit_geometry
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
 from solvgeo.errors import SingularMatrixError
@@ -292,7 +292,6 @@ def test_matrix_subspace_equality_is_identity():
 def _clear_memos():
     derivations._float_derivations.cache_clear()
     derivations._kernel_subspace.cache_clear()
-    derivations._conjugate.cache_clear()
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
@@ -395,7 +394,7 @@ def test_warm_verify_sweeps_do_no_row_reduction(monkeypatch):
     assert calls == []
 
 
-# ---------------------------------------------------------- conjugation memo
+# ---------------------------------------------------------- frame path
 
 def _count_calls(monkeypatch, fn) -> list:
     """Count calls of ``fn`` through every solvgeo namespace that binds it."""
@@ -413,84 +412,35 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def test_verify_row_conjugates_once(monkeypatch):
-    # the soliton half and the orbit half of a row share one g^-1 Der g
-    fam, lam = Family("r3_a", 0.5), 0.3125
-    _clear_memos()
-    derivation_algebra(make_family(fam))  # Der itself is built once per kernel
+def test_frame_path_changes_no_basis_and_conjugates_nothing(monkeypatch, capsys):
+    # a verify row, soliton --lambda and orbit --lambda read the closed-form
+    # rows of the orbit algebra on the Milnor frame, in every family
+    families = [Family("h3"), Family("r3"), Family("r3_1"), Family("r3_a", 0.5),
+                Family("r3_a", 1.0), Family("r3p_a", 2.0)]
+    for fam in families:
+        derivation_algebra(make_family(fam))  # Der itself is built once per kernel
     der_calls = _count_calls(monkeypatch, derivation_algebra)
-    plus_calls = _count_calls(monkeypatch, scalar_plus)
+    basis_calls = _count_calls(monkeypatch, lie_core.change_basis)
+    conjugate_calls = _count_calls(monkeypatch, conjugate_subspace)
     built = []
     post_init = MatrixSubspace.__post_init__
-
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(MatrixSubspace, "__post_init__", counted_post_init)
-    frames = []
-    project, orbit_data = soliton._project, orbit_geometry.orbit_data
-    monkeypatch.setattr(soliton, "_project", lambda ric, der, tol: frames.append(
-        der.scalar_frame) or project(ric, der, tol))
-    monkeypatch.setattr(orbit_geometry, "orbit_data",
-                        lambda frame: frames.append(frame) or orbit_data(frame))
-    rows, status = cli.verify_main_theorem(cli.RunConfig(family=fam, grid=(lam,)))
-    assert status == 0 and len(rows) == 1
-    info = derivations._conjugate.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert len(built) == 1
-    assert len(der_calls) == 2
-    assert plus_calls == []
-    # both halves read one S + RI frame, built with the conjugated subspace
-    (soliton_frame, orbit_frame) = frames
-    assert soliton_frame is orbit_frame is built[0].scalar_frame
-
-
-def test_conjugation_memo_matches_uncached():
-    _clear_memos()
-    rng = np.random.default_rng(83)
-    for fam in FAMILIES:
-        der = derivation_algebra(make_family(fam))
-        for g in [rng.normal(size=(3, 3)) + 2 * np.eye(3) for _ in range(3)]:
-            want = MatrixSubspace(np.linalg.inv(g) @ der.basis @ g)
-            for _ in range(2):  # a miss, then a hit on an equal copy of g
-                got = conjugate_subspace(der, g.copy())
-                assert got.basis.tobytes() == want.basis.tobytes()
-                assert not got.basis.flags.writeable
-                with pytest.raises(ValueError):
-                    got.basis[0, 0, 0] = 1.0
-    info = derivations._conjugate.cache_info()
-    assert info.hits == info.misses == 3 * len(FAMILIES)
-    # list input and its float array share one entry
-    assert conjugate_subspace(der, g.tolist()) is conjugate_subspace(der, g)
-
-
-def test_conjugation_memo_keeps_no_error():
-    _clear_memos()
-    der = derivation_algebra(make_family(Family("r3")))
-    inf = np.eye(3)
-    inf[0, 2] = np.inf
-    bad = [(np.zeros((3, 3)), "singular"), (inf, "not finite"),
-           (np.diag([1.0, 1.0, 1e-13]), "singular")]
-    assert np.linalg.cond(bad[2][0]) > derivations.COND_LIMIT
-    for g, message in bad:
-        for _ in range(2):
-            with pytest.raises(SingularMatrixError, match=message):
-                conjugate_subspace(der, g)
-    info = derivations._conjugate.cache_info()
-    assert (info.misses, info.currsize) == (6, 0)  # each call checked afresh
-
-
-def test_conjugation_memo_is_bounded_and_cleared():
-    _clear_memos()
-    der = derivation_algebra(make_family(Family("r3p_a", 0.5)))
-    for lam in np.linspace(1.0, 5.0, 200):
-        conjugate_subspace(der, moduli.rep_matrix(Family("r3p_a", 0.5), float(lam)))
-    info = derivations._conjugate.cache_info()
-    assert info.misses == 200
-    assert info.currsize <= derivations.MEMO_SIZE
-    _clear_memos()
-    assert derivations._conjugate.cache_info().currsize == 0
+    monkeypatch.setattr(MatrixSubspace, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    for fam in families:
+        lam = 1.0 if fam.tag in ("h3", "r3_1") else 1.5
+        del der_calls[:]
+        rows, status = cli.verify_main_theorem(cli.RunConfig(family=fam, grid=(lam,)))
+        assert len(rows) == 1 and status == 0
+        assert len(der_calls) == 2  # one per half
+        for command in ("soliton", "orbit"):
+            assert cli.main([command, "--family", fam.label(), "--lambda", repr(lam)]) == 0
+    capsys.readouterr()
+    assert basis_calls == conjugate_calls == built == []
+    # positive control: the spies see a conjugation, a basis change and a subspace
+    fam, lam = Family("r3_a", 0.5), 1.5
+    orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
+    moduli.frame_constants(fam, lam)
+    assert (len(conjugate_calls), len(basis_calls), len(built)) == (1, 1, 1)
 
 
 def test_subspace_as_array_is_its_basis():

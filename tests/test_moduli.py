@@ -1,4 +1,6 @@
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ from scipy.linalg import expm
 
 from helpers import FAMILIES, automorphism_residual, random_group_element, random_spd
 from oracles import same_class, subspace_equal
-from solvgeo.derivations import derivation_algebra, scalar_plus, conjugate_subspace
+from solvgeo.cli import default_grid
+from solvgeo.derivations import (MatrixSubspace, derivation_algebra, scalar_plus,
+                                 conjugate_subspace)
 from solvgeo.errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
 from solvgeo.lie_core import Family, make_family, parse_family
 from solvgeo.linalg import lower_triangular_lq
-from solvgeo.moduli import (frame_constants, metric_to_group, reduce, rep_matrix,
-                            witness_residual)
+from solvgeo.moduli import (frame_algebra, frame_brackets, frame_constants, metric_to_group,
+                            reduce, rep_matrix, witness_residual)
 
 REDUCIBLE = [f for f in FAMILIES if f.tag in ("r3", "r3_a", "r3p_a")]
 TRANSITIVE = [Family("h3"), Family("r3_1"), Family("r3_a", 1.0)]
@@ -102,6 +106,55 @@ def test_frame_derivations_equal_conjugated_derivations():
         conjugated = conjugate_subspace(derivation_algebra(make_family(fam)),
                                         rep_matrix(fam, lam))
         assert subspace_equal(direct, conjugated, tol=1e-8)
+
+
+def _accepted(fam, lams) -> list:
+    """The lambdas of ``lams`` that ``frame_brackets`` accepts for ``fam``."""
+    accepted = []
+    for lam in lams:
+        try:
+            frame_brackets(fam, lam)
+        except (InvalidFamilyError, SingularMatrixError):
+            continue
+        accepted.append(lam)
+    return accepted
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_frame_brackets_within_one_ulp_of_exact(fam):
+    # two lambdas per decade over all of float64's normal range, and random
+    # dyadic lambdas with full 53-bit significands, each of either sign
+    rng = np.random.default_rng(67)
+    logs = [float(x) for x in np.geomspace(1e-300, 1e300, 1201)]
+    dyadic = [math.ldexp(int(rng.integers(2 ** 52, 2 ** 53)), int(rng.integers(-100, 0)))
+              for _ in range(200)]
+    accepted = _accepted(fam, [s * x for x in logs + dyadic for s in (1.0, -1.0)])
+    assert len(accepted) >= 100
+    for lam in accepted:
+        exact = frame_constants(fam, Fraction(lam), exact=True).c[0, 1:, 1:].ravel()
+        got = frame_brackets(fam, lam)
+        assert all(type(x) is float for x in got)
+        for x, want in zip(got, (float(y) for y in exact)):
+            assert abs(x - want) <= math.ulp(want), (lam, got, exact)
+
+
+def _grid(fam) -> list:
+    """The default verify grid, and lambdas near the ends of the accepted domain."""
+    ends = {"r3": [1e-11, 1e11], "r3_a": [-1e5, -1e-9, 1e-9, 1e5], "r3p_a": [1.001, 1e11]}
+    return list(default_grid(fam)) + ends.get(fam.tag, [])
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_frame_algebra_rows_span_the_conjugated_orbit_algebra(fam):
+    der = derivation_algebra(make_family(fam))
+    for lam in _grid(fam):
+        brackets, rows, dim = frame_algebra(fam, lam)
+        assert brackets == frame_brackets(fam, lam)
+        assert dim == der.dim
+        np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-15)
+        conjugated = conjugate_subspace(der, rep_matrix(fam, lam))
+        assert subspace_equal(MatrixSubspace(rows[:dim]), conjugated), lam
+        assert subspace_equal(MatrixSubspace(rows), scalar_plus(conjugated)), lam
 
 
 @pytest.mark.parametrize("fam", REDUCIBLE + TRANSITIVE,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import DER_GRID, FAMILIES, random_group_element, random_spd, unit
-from oracles import (SYM_DIM, congruence_check, shape_trace_mean_curvature, sym_basis,
-                     trace_form)
+from oracles import (SYM_DIM, congruence_check, h_norm_closed_form,
+                     shape_trace_mean_curvature, sym_basis, trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
 from solvgeo import cli, orbit_geometry
@@ -12,7 +12,7 @@ from solvgeo.cli import default_grid
 from solvgeo.moduli import metric_to_group, rep_matrix
 from solvgeo.soliton import soliton_from_frame
 from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
-                                    orbit_data, second_fundamental_form)
+                                    orbit_data, orbit_from_frame, second_fundamental_form)
 
 
 def test_sym_basis_orthonormal():
@@ -138,6 +138,30 @@ def test_r3p_a_orbit_norm(a, lam):
     assert r.orbit_dim == 5 and r.stab_dim == 0
     direction = (unit(1, 1) - unit(2, 2)) / np.sqrt(2)
     assert trace_form(r.h, direction) == pytest.approx(expected, rel=1e-12)
+
+
+_H_CASES = ([(Family("r3"), float(lam)) for lam in np.geomspace(1e-11, 1e11, 45)]
+            + [(Family("r3_a", 0.5), float(s * lam)) for lam in np.geomspace(1e-9, 1e5, 29)
+               for s in (1, -1)]
+            + [(Family("r3p_a", a), float(lam)) for lam in np.geomspace(1.001, 1e11, 23)
+               for a in (0.0, 2.0)])
+
+
+def test_frame_orbit_matches_closed_form_across_the_domain():
+    # at r3_a a = 0.5, lambda = 1e-9 the conjugated Der gave |H| 1.4e-7 off
+    for fam, lam in _H_CASES:
+        r = orbit_from_frame(fam, lam)
+        assert r.norm == pytest.approx(h_norm_closed_form(fam.tag, lam), rel=1e-12), (fam, lam)
+        assert r.orbit_dim == 5 and r.stab_dim == 0
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_frame_orbit_matches_orbit_at(fam):
+    # orbit_at conjugates Der by g_lambda: the reference for the closed-form rows
+    for lam in default_grid(fam):
+        got, want = orbit_from_frame(fam, lam), orbit_at(fam, rep_matrix(fam, lam))
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+        np.testing.assert_allclose(got.h, want.h, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])

@@ -154,7 +154,8 @@ def test_frame_ricci_is_accurate_at_large_lambda(fam, lam):
     c = frame_constants(fam, Fraction(lam), exact=True).c
     ric = curvature.ricci_closed_form(*c[0, 1:, 1:].ravel().tolist()).astype(float)
     der = conjugate_subspace(derivation_algebra(make_family(fam)), rep_matrix(fam, lam))
-    want = soliton._project(ric, der, soliton.DEFAULT_TOL).certificate.residual
+    want = soliton._project(ric, der.scalar_frame, der.dim,
+                            soliton.DEFAULT_TOL).certificate.residual
     assert soliton_from_frame(fam, lam).certificate.residual == pytest.approx(want, rel=1e-12)
 
 
@@ -172,7 +173,7 @@ def test_residual_is_read_at_every_scale():
     for scale in (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300):
         ric = np.zeros((3, 3))
         ric[0, 2], ric[1, 2] = 3 * scale, 4 * scale
-        verdict = soliton._project(ric, der, 1e-8)
+        verdict = soliton._project(ric, der.scalar_frame, der.dim, 1e-8)
         assert verdict.certificate.residual == pytest.approx(5 * scale, rel=1e-15, abs=0), scale
         assert verdict.is_soliton == verdict.is_einstein == (scale < 1e-8)
 
@@ -183,7 +184,7 @@ def test_overflowed_residual_rejected():
     der = derivation_algebra(make_family(Family("h3")))
     with pytest.raises(ValueError, match="^soliton residual is not finite: "
                                          "its norm overflows float64$"):
-        soliton._project(ric, der, 1e-8)
+        soliton._project(ric, der.scalar_frame, der.dim, 1e-8)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1])
@@ -278,9 +279,12 @@ def test_solvsoliton_check_builds_no_frame(monkeypatch):
     for fam in FAMILIES:
         solvsoliton_check(make_family(fam), random_spd(rng))
     assert calls == []
-    # the spies see the frame path's calls
-    soliton_from_frame(Family("r3_a", 0.5), 2.0)
-    assert {"change_basis", "conjugate_subspace"} <= set(calls)
+    # positive control: the spies see the orbit of a Cholesky frame and the
+    # brackets on a Milnor frame
+    fam = Family("r3_a", 0.5)
+    orbit_geometry.orbit_at(fam, metric_to_group(random_spd(rng)))
+    frame_constants(fam, 2.0)
+    assert sorted(calls) == ["change_basis", "conjugate_subspace"]
 
 
 def test_scalar_line_inside_der_gives_zero_c():
@@ -310,7 +314,7 @@ def test_orthogonal_split_matches_lstsq(fam):
             for scale in 10.0 ** np.arange(-150, 151, 30):
                 scaled = scale * ric
                 want_c, want_d, want_res = lstsq_soliton_split(scaled, der)
-                got = soliton._project(scaled, der, 1e-8).certificate
+                got = soliton._project(scaled, der.scalar_frame, der.dim, 1e-8).certificate
                 big = np.abs(scaled).max()
                 assert abs(got.c - want_c) <= 1e-12 * big
                 assert np.abs(got.d - want_d).max() <= 1e-12 * big
