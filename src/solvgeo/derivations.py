@@ -9,7 +9,9 @@ subgroup of GL(3) whose orbits are studied in :mod:`solvgeo.orbit_geometry`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -154,6 +156,53 @@ def _derivation_template(n: int) -> tuple:
                         minus1.append(at(m, j, l) if k == i else plus_zero)
                         minus2.append(at(i, m, l) if k == j else plus_zero)
     return tuple(np.array(t).reshape(-1, n * n) for t in (plus, minus1, minus2))
+
+
+# E21, E31, (E22 + E33)/sqrt(2), a slot for the unit traceless part of 0 + A,
+# and E11, as flat rows
+_SEMIDIRECT_ROWS = np.zeros((5, 9))
+_SEMIDIRECT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -0.5, 1.0]
+_SEMIDIRECT_ROWS.setflags(write=False)
+
+# flat indices of c[0, 1:, 1:] ([e1, e2], [e1, e3]), of c[1:, 0, 1:], and of
+# every other entry of a 3x3x3 tensor c
+_BLOCK, _MIRROR = (4, 5, 7, 8), (10, 11, 19, 20)
+_OFF_SEMIDIRECT = tuple(sorted(set(range(27)) - set(_BLOCK) - set(_MIRROR)))
+
+
+def semidirect_rows(a: float, b: float, c: float, d: float) -> np.ndarray:
+    """The flat rows of RI + Der, laid out as ``MatrixSubspace.scalar_frame``,
+    for [e1,e2] = a e2 + b e3, [e1,e3] = c e2 + d e3, [e2,e3] = 0 with
+    A = [[a, c], [b, d]] neither scalar nor nilpotent: Der = span{E21, E31,
+    0 + I, 0 + A}, so E21, E31, (E22 + E33)/sqrt(2), the unit traceless
+    part of 0 + A, and E11."""
+    h = (a - d) / 2
+    norm = math.hypot(h, h, b, c)
+    rows = _SEMIDIRECT_ROWS.copy()
+    rows[3, 4:9] = h / norm, c / norm, 0.0, b / norm, -h / norm  # 0.0 at E31's entry
+    return rows
+
+
+def scalar_der_rows(sc: StructureConstants) -> tuple:
+    """``(rows, dim Der)`` with rows the orthonormal flat rows of RI + Der(sc).
+
+    When sc is exactly [e1, x] = A x on span{e2, e3}, [e2, e3] = 0, a
+    derivation D with D e1 = alpha e1 + v keeps span{e2, e3}, acting there
+    as B with [B, A] = alpha A: a non-nilpotent A forces alpha = 0, and a
+    non-scalar A then B in span{I, A}, so the rows are ``semidirect_rows``
+    and no kernel is solved.  Every test is an equality on the entries, nilpotency
+    (trace 0 and a^2 + bc = 0) is decided in Fractions, and any other sc
+    takes ``derivation_algebra(sc)``'s rows and dim.
+    """
+    if sc.c.shape == (3, 3, 3):
+        flat = sc.c.ravel().tolist()
+        a, b, c, d = block = [flat[i] for i in _BLOCK]
+        if not any(flat[i] for i in _OFF_SEMIDIRECT) and [-flat[i] for i in _MIRROR] == block:
+            scalar = b == c == 0 and a == d
+            if not scalar and not (a == -d and Fraction(a) ** 2 + Fraction(b) * Fraction(c) == 0):
+                return semidirect_rows(*map(float, block)), 4
+    der = derivation_algebra(sc)
+    return der.scalar_frame, der.dim
 
 
 def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspace:

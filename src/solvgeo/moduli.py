@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .curvature import metric_to_group  # noqa: F401 (callers reach it as moduli.metric_to_group)
-from .derivations import derivation_algebra
+from .derivations import derivation_algebra, semidirect_rows
 from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
@@ -95,13 +95,6 @@ def _frame_brackets(sc: StructureConstants, g: np.ndarray) -> tuple:
     return a + c * r, (b + (d - a) * r - c * r * r) / s, c * s, d - c * r
 
 
-# E21, E31, (E22 + E33)/sqrt(2), a slot for the unit traceless part of 0 + A_lambda,
-# and E11, as flat rows
-_ORBIT_ROWS = np.zeros((5, 9))
-_ORBIT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -0.5, 1.0]
-_ORBIT_ROWS.setflags(write=False)
-
-
 def frame_algebra(family: Family, lam: float) -> tuple:
     """Milnor-frame brackets, and orthonormal rows of u' = g^-1 (RI + Der) g there.
 
@@ -109,21 +102,15 @@ def frame_algebra(family: Family, lam: float) -> tuple:
     laid out as ``MatrixSubspace.scalar_frame``.  g = 1 + h fixes E21, E31
     and E11 and takes 0 + A to 0 + A_lambda, the matrix of ad(x1) on
     span{x2, x3}.  For dim Der = 4, Der = span{E21, E31, 0 + I, 0 + A}, so
-    the rows are E21, E31, (E22 + E33)/sqrt(2), the unit traceless part of
-    0 + A_lambda, and E11.  For dim 6 (h3, where g = I, and scalar A) g
-    fixes Der, whose own rows serve.
+    the rows are ``derivations.semidirect_rows`` of A_lambda.  For dim 6
+    (h3, where g = I, and scalar A) g fixes Der, whose own rows serve.
     """
     sc = make_family(family)
     brackets = _frame_brackets(sc, rep_matrix(family, lam))
     der = derivation_algebra(sc)
     if der.dim != 4:
         return brackets, der.scalar_frame, der.dim
-    a, b, c, d = brackets
-    h = (a - d) / 2
-    norm = math.hypot(h, h, b, c)
-    rows = _ORBIT_ROWS.copy()
-    rows[3, [4, 5, 7, 8]] = h / norm, c / norm, b / norm, -h / norm
-    return brackets, rows, 4
+    return brackets, semidirect_rows(*brackets), 4
 
 
 def _transitive(family: Family) -> bool:

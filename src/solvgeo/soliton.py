@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import require_finite, ricci_canonical, ricci_closed_form
-from .derivations import derivation_algebra
+from .derivations import scalar_der_rows
 from .lie_core import Family, StructureConstants
 from .moduli import frame_algebra
 
@@ -70,17 +70,19 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     """Solvsoliton test for the metric with Gram matrix ``gram``.
 
     The Ricci operator on the canonical basis is projected onto
-    span{I} + Der(sc); the metric is a solvsoliton when the Frobenius
-    residual is at most ``tol``, which must be finite and > 0, at the scale
-    2^-e G whose largest entry lies in [1, 2).  The certificate is reported
-    at the scale of ``gram``.
+    span{I} + Der(sc), with ``derivations.scalar_der_rows`` as its rows (in
+    closed form for r3, r3_a at a != 1 and r3p_a, with no kernel solved);
+    the metric is a solvsoliton when the Frobenius residual is at most
+    ``tol``, which must be finite and > 0, at the scale 2^-e G whose
+    largest entry lies in [1, 2).  The certificate is reported at the
+    scale of ``gram``.
     """
     _check_tol(tol)
     ric = ricci_canonical(sc, gram)
     # Ric(2^-e G) = 2^e Ric(G) exactly, so this is the verdict at 2^-e G
     e = math.frexp(np.abs(np.asarray(gram, dtype=float)).max())[1] - 1
-    der = derivation_algebra(sc)
-    return _project(ric, der.scalar_frame, der.dim, math.ldexp(tol, -e))
+    rows, dim = scalar_der_rows(sc)
+    return _project(ric, rows, dim, math.ldexp(tol, -e))
 
 
 def soliton_from_frame(family: Family, lam: float,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import DER_GRID, FAMILIES, unit
+from helpers import DER_GRID, FAMILIES, abcd_constants, random_group_element, unit
 from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
                      subspace_equal, subspace_membership)
 from solvgeo import cli, derivations, lie_core, linalg, moduli, orbit_geometry
@@ -660,3 +660,88 @@ def test_gathered_system_matches_loop_on_random_floats(seed):
     c[rng.random((3, 3, 3)) < 0.3] = -0.0
     c[0, 0, 0] = (-0.0, 0.0, -1.5, 2.0)[seed % 4]
     _same_system(derivations._derivation_system(c), _loop_system(c))
+
+
+def _exact_twin(sc: StructureConstants) -> StructureConstants:
+    if sc.exact:
+        return sc
+    return StructureConstants(linalg.object_array([Fraction(x) for x in sc.c.ravel().tolist()],
+                                                  (3, 3, 3)))
+
+
+def _assert_closed_form_rows(sc):
+    """``scalar_der_rows`` of sc took the closed form: orthonormal rows
+    spanning RI + Der of sc's exact twin, at its dim 4."""
+    rows, got_dim = derivations.scalar_der_rows(sc)
+    want = derivation_algebra(_exact_twin(sc))
+    assert got_dim == want.dim == 4
+    assert rows.shape == want.scalar_frame.shape == (5, 9)
+    assert np.abs(rows @ rows.T - np.eye(5)).max() <= 1e-15
+    assert np.abs(rows - (rows @ want.scalar_frame.T) @ want.scalar_frame).max() <= 1e-12
+
+
+def _random_semidirect_families(seed: int, count: int) -> list:
+    # r3_a below its scalar top a = 1, r3p_a on a log scale up to 1e3
+    rng = np.random.default_rng(seed)
+    fams = [Family("r3_a", float(a)) for a in rng.uniform(-1.0, 1.0, count)]
+    fams += [Family("r3p_a", float(a)) for a in 10.0 ** rng.uniform(-3.0, 3.0, count)]
+    return fams
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_scalar_der_rows_span_rI_plus_der(fam):
+    for exact in (False, True):
+        sc = make_family(fam, exact=exact)
+        if EXPECTED_DIMS[fam.tag] == 4:
+            _assert_closed_form_rows(sc)
+        else:
+            rows, dim = derivations.scalar_der_rows(sc)
+            der = derivation_algebra(sc)
+            assert (rows.tobytes(), dim) == (der.scalar_frame.tobytes(), der.dim)
+
+
+def test_scalar_der_rows_closed_form_on_random_parameters():
+    for fam in _random_semidirect_families(61, 100):
+        for exact in (False, True):
+            _assert_closed_form_rows(make_family(fam, exact=exact))
+
+
+@pytest.mark.parametrize("abcd", [(0.1, 0.1 * 0.1, -1.0, -0.1), (1.0, 1e-300, 0.0, 1.0),
+                                  (1.0, 0.0, 0.0, -1.0), (0.0, 1.0, -1.0, 0.0),
+                                  (1.0, 0.0, 0.0, 0.0)])
+def test_scalar_der_rows_closed_form_at_boundary_tensors(abcd):
+    # a hair from nilpotent, a hair from scalar, trace 0, and singular A:
+    # Der of the exact twin is 4-dimensional at each
+    sc = abcd_constants(*abcd)
+    _assert_closed_form_rows(sc)
+    _assert_closed_form_rows(_exact_twin(sc))
+
+
+def _tensor_with_c010() -> StructureConstants:
+    sc = abcd_constants(1.0, 0.0, 0.0, 0.5)
+    sc.c[0, 1, 0], sc.c[1, 0, 0] = 1.0, -1.0
+    return sc
+
+
+_FALLBACK_TENSORS = {
+    "h3": lambda: make_family(Family("h3")),
+    "r3_1": lambda: make_family(Family("r3_1")),
+    "r3_a_at_1": lambda: make_family(Family("r3_a", 1.0)),
+    "zero": lambda: StructureConstants(np.zeros((3, 3, 3))),
+    "exact_nilpotent": lambda: abcd_constants(0.5, 0.25, -1.0, -0.5),
+    "scalar": lambda: abcd_constants(2.0, 0.0, 0.0, 2.0),
+    "change_basis": lambda: lie_core.change_basis(
+        make_family(Family("r3_a", 0.5)), random_group_element(np.random.default_rng(67))),
+    "c010": _tensor_with_c010,
+}
+
+
+@pytest.mark.parametrize("name", _FALLBACK_TENSORS)
+def test_scalar_der_rows_falls_back_to_derivation_algebra(name):
+    sc = _FALLBACK_TENSORS[name]()
+    for tensor in (sc, _exact_twin(sc)):
+        rows, dim = derivations.scalar_der_rows(tensor)
+        der = derivation_algebra(tensor)
+        assert (rows.tobytes(), dim) == (der.scalar_frame.tobytes(), der.dim)
+    if name in ("exact_nilpotent", "scalar"):
+        assert dim == 6

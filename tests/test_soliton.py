@@ -287,6 +287,70 @@ def test_solvsoliton_check_builds_no_frame(monkeypatch):
     assert sorted(calls) == ["change_basis", "conjugate_subspace"]
 
 
+def _spy_der_solves(monkeypatch) -> list:
+    """Record each call of ``linalg.nullspace`` and ``derivation_algebra``
+    through every solvgeo namespace that binds it, and each MatrixSubspace
+    built."""
+    calls = []
+    for home, name in ((linalg, "nullspace"), (derivations, "derivation_algebra")):
+        original = getattr(home, name)
+
+        def spy(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod in [m for key, m in list(sys.modules.items())
+                    if key == "solvgeo" or key.startswith("solvgeo.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    post_init = derivations.MatrixSubspace.__post_init__
+
+    def built(self):
+        calls.append("MatrixSubspace")
+        post_init(self)
+
+    monkeypatch.setattr(derivations.MatrixSubspace, "__post_init__", built)
+    return calls
+
+
+def test_solvsoliton_check_solves_no_der_kernel_for_semidirect_families(monkeypatch):
+    # fresh parameters miss every memo, so any Der solve would show
+    calls = _spy_der_solves(monkeypatch)
+    rng = np.random.default_rng(71)
+    fams = [Family("r3")]
+    fams += [Family("r3_a", float(a)) for a in rng.uniform(-1.0, 1.0, 50)]
+    fams += [Family("r3p_a", float(a)) for a in rng.uniform(0.0, 50.0, 50)]
+    for fam in fams:
+        solvsoliton_check(make_family(fam), random_spd(rng))
+    assert calls == []
+    # positive control: the spies see Der solved for a nilpotent or scalar
+    # ad(e1) and for a tensor off the semidirect shape
+    for fam in (Family("h3"), Family("r3_1")):
+        solvsoliton_check(make_family(fam), random_spd(rng))
+        assert "derivation_algebra" in calls
+        calls.clear()
+    sc = lie_core.change_basis(make_family(Family("r3_a", float(rng.uniform(-1.0, 1.0)))),
+                               random_group_element(rng))
+    solvsoliton_check(sc, random_spd(rng))
+    assert calls[:1] == ["derivation_algebra"] and "nullspace" in calls
+
+
+def test_exact_and_float_twins_give_identical_certificates():
+    rng = np.random.default_rng(73)
+    fams = [Family("h3"), Family("r3"), Family("r3_1"), Family("r3_a", 1.0)]
+    fams += [Family("r3_a", float(a)) for a in rng.uniform(-1.0, 1.0, 20)]
+    fams += [Family("r3p_a", float(a)) for a in rng.uniform(0.0, 20.0, 20)]
+    for fam in fams:
+        for _ in range(5):
+            gram = random_spd(rng)
+            got = solvsoliton_check(make_family(fam, exact=True), gram)
+            want = solvsoliton_check(make_family(fam), gram)
+            assert (got.is_soliton, got.certificate.c, got.certificate.residual) == \
+                (want.is_soliton, want.certificate.c, want.certificate.residual)
+            assert got.certificate.d.tobytes() == want.certificate.d.tobytes()
+
+
 def test_scalar_line_inside_der_gives_zero_c():
     # the zero tensor has Der = gl(3), which holds I: there is no unit part
     # of I orthogonal to Der to divide by, and c is 0; a 0/0 would raise a
