@@ -1,10 +1,20 @@
 """Left-invariant curvature from structure constants and a Gram matrix.
 
-Koszul on the canonical basis e1,e2,e3 (Milnor 1976; Besse, *Einstein
-Manifolds*, ch. 7), with no orthonormal frame: C = c G, so C_ijm =
-<[e_i,e_j], e_m>; 2<nabla_{e_i} e_j, e_m> = C_ijm - C_jmi + C_mij, raised
-by G^-1; and Ric(e_j) = sum_ab (G^-1)_ab R(e_j, e_a) e_b, where R(X,Y)Z =
-nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z.
+In every algebra here span{e2, e3} is an abelian ideal that contains
+[g, g], so on any lower-triangular basis y the brackets read [y1,y2] =
+p y2 + q y3, [y1,y3] = r y2 + s y3, [y2,y3] = 0 (Milnor 1976; Besse,
+*Einstein Manifolds*, ch. 7).  Factor G = U diag(D) U^T with U unit upper
+triangular, from the last row up, and take y = U^-T: the metric on y is
+diag(D), and with b^2 = q^2 D3/(D1 D2), c^2 = r^2 D2/(D1 D3) and bc = q r/D1
+the Ricci operator on y is
+
+    2 Ric_y = -[[2(p^2 + s^2)/D1 + b^2 + 2bc + c^2, 0, 0],
+                [0, 2p(p + s)/D1 + b^2 - c^2, 2(p r/D1 + q s D3/(D1 D2))],
+                [0, 2(p r D2/(D1 D3) + q s/D1), 2s(p + s)/D1 - b^2 + c^2]],
+
+rational in (p, q, r, s, D), with no square root; Ric = y Ric_y y^-1 on
+the canonical basis.  At D = (1, 1, 1) it is ``ricci_closed_form``.  The
+orthonormal frame of G is lower triangular too: ``metric_to_group``.
 """
 
 from __future__ import annotations
@@ -16,13 +26,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
+from .derivations import semidirect_block
 from .errors import NonSPDMetricError
 from .lie_core import StructureConstants
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Structure constants, a validated Gram matrix and an orthonormal frame."""
+    """Structure constants, a validated Gram matrix and its lower-triangular
+    orthonormal frame ``metric_to_group(gram)``."""
 
     sc: StructureConstants
     gram: np.ndarray
@@ -40,26 +52,35 @@ class RicciResult:
 
 def metric_data(sc: StructureConstants, gram: np.ndarray) -> MetricData:
     """Validate a Gram matrix (NonSPDMetricError unless SPD) and attach its orthonormal
-    frame B = ``metric_to_group(gram)``: B^T G B = I, with B upper triangular."""
+    frame B = ``metric_to_group(gram)``: B^T G B = I, with B lower triangular."""
     return MetricData(sc, np.asarray(gram, dtype=float), metric_to_group(gram))
 
 
 def metric_to_group(gram: np.ndarray) -> np.ndarray:
-    """A group element g with g^-T g^-1 = G, from the Cholesky factor.
+    """A group element g with g^-T g^-1 = G: g = U^-T for G = U U^T, U =
+    ``_gram_cholesky(gram)``.
 
-    g is upper triangular with positive diagonal; any other solution
-    differs by an orthogonal factor on the right.
+    g is lower triangular with positive diagonal, the one such solution
+    (any other differs by an orthogonal factor on the right), so it is its
+    own LQ factor and ``moduli.reduce`` runs no QR on it.  The inverse is
+    taken entry by entry, so the zeros above the diagonal are exact.
     """
-    return np.linalg.inv(_gram_cholesky(gram).T)
+    (u11, u12, u13), (_, u22, u23), (_, _, u33) = _gram_cholesky(gram).tolist()
+    g11, g22, g33 = 1.0 / u11, 1.0 / u22, 1.0 / u33
+    g21 = -u12 * g11 / u22
+    return np.array([[g11, 0.0, 0.0],
+                     [g21, g22, 0.0],
+                     [-(u13 * g11 + u23 * g21) / u33, -u23 * g22 / u33, g33]])
 
 
 def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
-    """Validate a Gram matrix and return its Cholesky factor L.
+    """Validate a Gram matrix and return U, upper triangular with positive
+    diagonal, with G = U U^T.
 
     The one SPD check of the package: raises NonSPDMetricError unless
     ``gram`` is a finite, symmetric (to ``ZERO_TOL`` times its largest
-    entry, at any scale), positive definite 3x3 matrix.  G = L L^T with L
-    lower triangular.
+    entry, at any scale), positive definite 3x3 matrix.  U is the Cholesky
+    factor from the last row up: G[::-1, ::-1] = L L^T and U = L[::-1, ::-1].
     """
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
@@ -71,34 +92,77 @@ def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
     if np.abs(gram - gram.T).max() > linalg.ZERO_TOL * np.abs(gram).max():
         raise NonSPDMetricError("Gram matrix is not symmetric")
     try:
-        return np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError:
         raise NonSPDMetricError("Gram matrix is not positive definite") from None
 
 
 def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
-    """Ricci operator on the canonical basis; raises NonSPDMetricError unless SPD.
+    """Ricci operator on the canonical basis, by the module's closed form.
 
-    The sums run on the basis P e_i, P = diag(2^e) with P G P's diagonal in
-    [1/4, 2): no product underflows on a badly scaled diagonal.  e moves
-    uniformly when G is scaled by 2^k, and P and P Ric' P^-1 are exact, so
+    Raises NonSPDMetricError unless ``gram`` is SPD, and ValueError unless
+    ``sc`` has ``derivations.semidirect_block``'s shape.  It runs on the
+    basis P e_i, P = diag(2^e) with P G P's diagonal in [1/4, 2), so no
+    product underflows on a badly scaled diagonal; there P G P = U diag(D)
+    U^T.  e moves uniformly when G is scaled by 2^k, every step after it is
+    a product, quotient or sum, and P and P Ric' P^-1 are exact, so
     t Ric(tG) == Ric(G) bit for bit at t = 2^k.
     """
     _gram_cholesky(gram)
-    gram = np.asarray(gram, dtype=float)
-    d = [math.frexp(x)[1] for x in gram.diagonal().tolist()]
-    e = np.array([(max(d) - x) // 2 - max(d) // 2 for x in d])
-    eg = e[:, None] + e
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.ldexp(gram, eg)
-        c = np.ldexp(linalg.to_float(sc.c), eg[:, :, None] - e)
-        ginv = np.linalg.inv(g)
-        cg = c @ g
-        gamma = (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)) / 2 @ ginv
-        # sum_ab (G^-1)_ab [Gamma_ab^l Gamma_jl^m - Gamma_jb^l Gamma_al^m - c_ja^l Gamma_lb^m]
-        mix = (ginv @ gamma + c.transpose(0, 2, 1) @ ginv).reshape(3, 9)
-        ric = ginv.ravel() @ gamma.reshape(9, 3) @ gamma - mix @ gamma.reshape(9, 3)
-        return require_finite(np.ldexp(ric.T, e[:, None] - e))
+    block = semidirect_block(sc)
+    if block is None:
+        raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
+                         "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
+    rows = np.asarray(gram, dtype=float).tolist()
+    d = [math.frexp(rows[i][i])[1] for i in range(3)]
+    e = [(max(d) - x) // 2 - max(d) // 2 for x in d]
+    (g11, g12, g13), (_, g22, g23), (_, _, d3) = _scaled(rows, e, e)
+    a, b, c, dd = map(_ldexp, map(float, block),
+                      (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
+    # LDL^T from the last row up; every quotient is by one pivot
+    u23, u13 = g23 / d3, g13 / d3
+    d2 = _pivot(g22 - u23 * g23)
+    t = g12 - u13 * g23
+    u12 = t / d2
+    d1 = _pivot(g11 - u13 * g13 - u12 * t)
+    # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3;
+    # bb and cc are D1 b^2 and D1 c^2
+    p, q, r, s = a - c * u23, b - (dd - a) * u23 - c * u23 * u23, c, dd + c * u23
+    k, k_inv = d3 / d2, d2 / d3
+    bb, cc = q * q * k, r * r * k_inv
+    x11 = -(p * p + s * s + (bb + 2 * q * r + cc) / 2) / d1
+    x22 = -(p * (p + s) + (bb - cc) / 2) / d1
+    x33 = -(s * (p + s) - (bb - cc) / 2) / d1
+    x23 = -(p * r + q * s * k) / d1
+    x32 = -(p * r * k_inv + q * s) / d1
+    # y Ric_y y^-1 with y = U^-T and y^-1 = U^T
+    m21, m22 = x32 - u23 * x22, x33 - u23 * x23
+    m20 = (u12 * u23 - u13) * x11 + u12 * m21 + u13 * m22
+    ric = [[x11, 0.0, 0.0],
+           [u12 * (x22 - x11) + u13 * x23, x22 + u23 * x23, x23],
+           [m20, m21 + u23 * m22, m22]]
+    return require_finite(np.array(_scaled(ric, e, [-x for x in e])))
+
+
+def _scaled(rows: list, e: list, f: list) -> list:
+    """The nested list ``rows`` with entry (i, j) times 2^(e_i + f_j)."""
+    return [[_ldexp(x, e[i] + f[j]) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _ldexp(x: float, n: int) -> float:
+    """``math.ldexp(x, n)``, an overflow giving inf of x's sign, as ``np.ldexp`` does."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _pivot(x: float) -> float:
+    """``x``; NonSPDMetricError unless it is > 0, as rounding can leave a
+    pivot of a nearly singular G that Cholesky accepted."""
+    if not x > 0:
+        raise NonSPDMetricError("Gram matrix is not positive definite")
+    return x
 
 
 def ricci_operator(m: MetricData) -> RicciResult:
@@ -115,9 +179,9 @@ def ricci_operator(m: MetricData) -> RicciResult:
 
 def require_finite(ric: np.ndarray) -> np.ndarray:
     """Return ``ric``; raises ValueError if an entry or the trace is inf or NaN."""
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(ric).all() and np.isfinite(np.trace(ric))
-    if not finite:
+    flat = ric.ravel().tolist()
+    # a sum of Python floats overflows to inf without a warning
+    if not (all(map(math.isfinite, flat)) and math.isfinite(sum(flat[::len(ric) + 1]))):
         raise ValueError("Ricci operator is not finite: the curvature "
                          "overflows float64 for this metric")
     return ric

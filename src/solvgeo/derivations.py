@@ -183,24 +183,36 @@ def semidirect_rows(a: float, b: float, c: float, d: float) -> np.ndarray:
     return rows
 
 
+def semidirect_block(sc: StructureConstants):
+    """``(a, b, c, d)`` when sc is exactly [e1,e2] = a e2 + b e3, [e1,e3] =
+    c e2 + d e3, [e2,e3] = 0 (every other entry zero and c[1:, 0, 1:] =
+    -c[0, 1:, 1:], tested by equality on the entries), else None."""
+    if sc.c.shape != (3, 3, 3):
+        return None
+    flat = sc.c.ravel().tolist()
+    block = [flat[i] for i in _BLOCK]
+    if any(flat[i] for i in _OFF_SEMIDIRECT) or [-flat[i] for i in _MIRROR] != block:
+        return None
+    return tuple(block)
+
+
 def scalar_der_rows(sc: StructureConstants) -> tuple:
     """``(rows, dim Der)`` with rows the orthonormal flat rows of RI + Der(sc).
 
-    When sc is exactly [e1, x] = A x on span{e2, e3}, [e2, e3] = 0, a
-    derivation D with D e1 = alpha e1 + v keeps span{e2, e3}, acting there
-    as B with [B, A] = alpha A: a non-nilpotent A forces alpha = 0, and a
-    non-scalar A then B in span{I, A}, so the rows are ``semidirect_rows``
-    and no kernel is solved.  Every test is an equality on the entries, nilpotency
+    When sc has ``semidirect_block`` A = [[a, c], [b, d]], a derivation D
+    with D e1 = alpha e1 + v keeps span{e2, e3}, acting there as B with
+    [B, A] = alpha A: a non-nilpotent A forces alpha = 0, and a non-scalar
+    A then B in span{I, A}, so the rows are ``semidirect_rows`` and no
+    kernel is solved.  Every test is an equality on the entries, nilpotency
     (trace 0 and a^2 + bc = 0) is decided in Fractions, and any other sc
     takes ``derivation_algebra(sc)``'s rows and dim.
     """
-    if sc.c.shape == (3, 3, 3):
-        flat = sc.c.ravel().tolist()
-        a, b, c, d = block = [flat[i] for i in _BLOCK]
-        if not any(flat[i] for i in _OFF_SEMIDIRECT) and [-flat[i] for i in _MIRROR] == block:
-            scalar = b == c == 0 and a == d
-            if not scalar and not (a == -d and Fraction(a) ** 2 + Fraction(b) * Fraction(c) == 0):
-                return semidirect_rows(*map(float, block)), 4
+    block = semidirect_block(sc)
+    if block is not None:
+        a, b, c, d = block
+        scalar = b == c == 0 and a == d
+        if not scalar and not (a == -d and Fraction(a) ** 2 + Fraction(b) * Fraction(c) == 0):
+            return semidirect_rows(*map(float, block)), 4
     der = derivation_algebra(sc)
     return der.scalar_frame, der.dim
 

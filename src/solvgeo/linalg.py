@@ -211,13 +211,28 @@ def inverse(m: np.ndarray, what: str) -> np.ndarray:
 
 def lower_triangular_lq(g: np.ndarray):
     """``g = L @ k.T`` with ``L = R.T``, ``k = Q`` from numpy's QR ``g.T = Q R``, signs
-    flipped so that L's diagonal, whose product is ``|det g|``, is positive."""
-    q, r = np.linalg.qr(np.asarray(g, dtype=float).T)
-    diag = r.diagonal()
-    if abs(math.prod(diag.tolist())) < LQ_DET_TOL:
+    flipped so that L's diagonal, whose product is ``|det g|``, is positive.
+
+    A lower-triangular g with positive diagonal (``metric_to_group``'s frame)
+    gives ``(g, I)`` with no QR: the Householder reflector of an all-zero
+    subcolumn is the identity, so that L is the QR's bit for bit, and k
+    equals the QR's Q, whose zeros below the diagonal are -0.0.
+    """
+    g = np.asarray(g, dtype=float)
+    rows, n = g.tolist(), len(g)
+    diag = [row[i] for i, row in enumerate(rows)]
+    if all(x > 0 for x in diag) and not any(x for i, row in enumerate(rows) for x in row[i + 1:]):
+        # +0.0 above the diagonal, as the QR's R has
+        lower = np.array([row[:i + 1] + [0.0] * (n - 1 - i) for i, row in enumerate(rows)])
+        q = np.eye(n)
+    else:
+        q, r = np.linalg.qr(g.T)
+        diag = r.diagonal().tolist()
+        sign = np.where(r.diagonal() < 0, -1.0, 1.0)
+        lower, q = r.T * sign, q * sign
+    if abs(math.prod(diag)) < LQ_DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
-    sign = np.where(diag < 0, -1.0, 1.0)
-    return r.T * sign, q * sign
+    return lower, q
 
 
 def orthonormalize(vectors) -> np.ndarray:

@@ -126,13 +126,15 @@ def reduce(family: Family, g: np.ndarray):
     """Canonical representative and witness factorization of g's coset.
 
     Steps: an LQ-type factorization g k1 = L (lower triangular, positive
-    diagonal); a normalizer from the subgroup F of lower-triangular
-    automorphism-scalings clearing the first column and (2,2)-entry; then
-    one family-specific move fixing the remaining (3,2)/(3,3) block: a
-    shear for r3, a diagonal rescale to lambda >= 0 for r3_a, a closed-form
-    2x2 Cartan split for r3p_a.  For the single-class families (h3, r3_1,
-    and r3_a at a = 1) the inverse of L itself splits into scalar times
-    automorphism and the representative is the identity.
+    diagonal; k1 = I and no QR runs when g is already L, as a
+    ``metric_to_group`` frame is); a normalizer from the subgroup F of
+    lower-triangular automorphism-scalings clearing the first column and
+    (2,2)-entry; then one family-specific move fixing the remaining
+    (3,2)/(3,3) block: a shear for r3, a diagonal rescale to lambda >= 0
+    for r3_a, a closed-form 2x2 Cartan split for r3p_a.  For the
+    single-class families (h3, r3_1, and r3_a at a = 1) the inverse of L
+    itself splits into scalar times automorphism and the representative is
+    the identity.
 
     Returns (Representative, ReductionTrace); the product
     scalar * auto_part @ g @ orth reproduces the representative matrix.

@@ -2,10 +2,10 @@
 
 The derivation-algebra oracle goes through sympy's symbolic nullspace,
 a completely separate code path from the package's own row reduction.
-Two Ricci references check ``curvature.ricci_canonical``: the same
-Koszul sums on the canonical basis evaluated entry by entry in
-``Fraction`` arithmetic, and the Cholesky-frame pipeline the package
-used before (Koszul on an orthonormal frame, then conjugation back).
+Two Ricci references check the closed form of ``curvature.ricci_canonical``:
+the Koszul sums on the canonical basis evaluated entry by entry in
+``Fraction`` arithmetic, and the frame pipeline (Koszul on the orthonormal
+frame of ``metric_data``, then conjugation back).
 The others are the residuals, span tests, sym(3) basis and sampling
 checks that the tests apply to library output; the package itself needs
 none of them.  ``lstsq_soliton_split`` keeps the package's earlier
@@ -206,7 +206,7 @@ def congruence_check(family: Family, g1: np.ndarray, g2: np.ndarray,
 
 def koszul_ricci_exact(c, gram) -> list:
     """Ricci operator on the canonical basis, exactly, as nested lists of
-    Fractions: ``ricci_canonical``'s Koszul sums written out index by index.
+    Fractions: the Koszul sums on the canonical basis written out index by index.
 
     C_ijm = sum_k c_ij^k G_km, Gamma_ij^k = sum_m (C_ijm - C_jmi + C_mij)/2
     (G^-1)_mk, and Ric[m][j] = sum_ab (G^-1)_ab R(e_j, e_a) e_b in e_m.

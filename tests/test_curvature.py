@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FAMILIES, abcd_constants, random_spd
+from helpers import FAMILIES, abcd_constants, random_group_element, random_spd
 from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
 from solvgeo.curvature import (metric_data, ricci_canonical, ricci_closed_form,
                                ricci_operator)
 from solvgeo.errors import NonSPDMetricError
-from solvgeo.lie_core import Family, make_family, parse_family
-from solvgeo.moduli import metric_to_group
+from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family, parse_family
+from solvgeo.moduli import frame_brackets, metric_to_group, rep_matrix
+from solvgeo.soliton import solvsoliton_check
 
 
 def test_metric_data_validation():
@@ -253,17 +254,40 @@ def test_ricci_scales_inversely_with_metric():
     np.testing.assert_allclose(scaled, base / 4.0, atol=1e-10)
 
 
-def test_pipeline_spectrum_matches_frame_matrix_r3_a():
-    # the canonical Gram of g_lambda produces an upper-triangular frame, so
-    # the pipeline matrix is a conjugate of the printed one: compare spectra
-    a, lam = 0.5, 1.25
-    g = np.eye(3)
-    g[2, 1] = lam
-    gram = np.linalg.inv(g).T @ np.linalg.inv(g)
-    res = ricci_operator(metric_data(make_family(Family("r3_a", a)), gram))
-    printed = ricci_closed_form(1.0, lam * (a - 1), 0.0, a)
-    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(res.ric_frame)),
-                               np.sort(np.linalg.eigvalsh(printed)), atol=1e-10)
+# moderate lambda on each family with a one-parameter moduli space
+G_LAMBDA_CASES = ([(Family("r3"), lam) for lam in (0.3, 1.0, 2.5)]
+                  + [(Family("r3_a", a), lam) for a in (-0.5, 0.5) for lam in (-1.25, 0.0, 1.25)]
+                  + [(Family("r3p_a", a), lam) for a in (0.375, 2.0) for lam in (1.0, 1.5, 4.0)])
+
+
+def test_pipeline_ricci_frame_is_the_closed_form_on_g_lambda():
+    # the lower-triangular orthonormal frame with positive diagonal is unique,
+    # so the frame of G_lambda = g^-T g^-1 is g_lambda, and ric_frame is the
+    # closed form on its brackets entry by entry
+    for fam, lam in G_LAMBDA_CASES:
+        g = rep_matrix(fam, lam)
+        g_inv = np.linalg.inv(g)
+        m = metric_data(make_family(fam), g_inv.T @ g_inv)
+        assert np.abs(m.frame - g).max() <= 1e-15 * np.abs(g).max(), (fam, lam)
+        want = ricci_closed_form(*frame_brackets(fam, lam))
+        got = ricci_operator(m).ric_frame
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fam, lam)
+
+
+def test_tensor_off_the_semidirect_shape_is_refused():
+    rng = np.random.default_rng(31)
+    sc = change_basis(make_family(Family("r3_a", 0.5)), random_group_element(rng))
+    gram = random_spd(rng)
+    for call in (lambda: ricci_canonical(sc, gram), lambda: solvsoliton_check(sc, gram),
+                 lambda: ricci_operator(metric_data(sc, gram))):
+        with pytest.raises(ValueError, match=r"must have the shape \[e1,e2\] = a e2 \+ b e3"):
+            call()
+    # the Gram matrix is checked first
+    with pytest.raises(NonSPDMetricError):
+        ricci_canonical(sc, -gram)
+    # the zero tensor has the shape, with A = 0, and is flat
+    ric = ricci_canonical(StructureConstants(np.zeros((3, 3, 3))), gram)
+    assert ric.shape == (3, 3) and not ric.any()
 
 
 # ------------------------------------------- closed form against its formula

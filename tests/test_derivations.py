@@ -745,3 +745,28 @@ def test_scalar_der_rows_falls_back_to_derivation_algebra(name):
         assert (rows.tobytes(), dim) == (der.scalar_frame.tobytes(), der.dim)
     if name in ("exact_nilpotent", "scalar"):
         assert dim == 6
+
+
+def _semidirect_variants() -> dict:
+    """abcd_constants(1, 2, 3, 4) broken at one entry each."""
+    def broken(i, j, k, value):
+        sc = abcd_constants(1.0, 2.0, 3.0, 4.0)
+        sc.c[i, j, k] = value
+        return sc
+    return {"bracket_23": broken(1, 2, 0, 1.0), "c010": broken(0, 1, 0, 1.0),
+            "mirror": broken(1, 0, 2, 2.0), "nan_block": broken(0, 1, 2, np.nan),
+            "change_basis": _FALLBACK_TENSORS["change_basis"]()}
+
+
+def test_semidirect_block_reads_a_or_refuses():
+    # every family has the shape, and the block is c[0, 1:, 1:], float or exact
+    for fam in DER_GRID:
+        for exact in (False, True):
+            sc = make_family(fam, exact=exact)
+            assert derivations.semidirect_block(sc) == tuple(sc.c[0, 1:, 1:].ravel().tolist())
+    assert derivations.semidirect_block(StructureConstants(np.zeros((3, 3, 3)))) == (0.0,) * 4
+    assert derivations.semidirect_block(abcd_constants(1.0, 2.0, 3.0, 4.0)) == (1.0, 2.0, 3.0, 4.0)
+    for name, sc in _semidirect_variants().items():
+        assert derivations.semidirect_block(sc) is None, name
+    assert derivations.semidirect_block(StructureConstants(np.zeros((2, 2, 2)))) is None
+

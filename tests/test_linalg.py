@@ -10,6 +10,7 @@ rationals, rounded entry by entry.  The integer kernel ``(K, d)`` and
 ``moduli.reduce`` is checked on its own at the end.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -346,6 +347,53 @@ def test_lower_triangular_lq_rejects_small_determinant():
             linalg.lower_triangular_lq(g)
     lower, _ = linalg.lower_triangular_lq(np.diag([1.0, 1.0, 2e-9]))
     assert np.prod(np.diag(lower)) == pytest.approx(2e-9, rel=1e-15)
+
+
+def _lq_by_qr(g: np.ndarray):
+    """``lower_triangular_lq``'s QR path, whatever g is: the reference."""
+    q, r = np.linalg.qr(g.T)
+    if abs(math.prod(r.diagonal().tolist())) < linalg.LQ_DET_TOL:
+        raise SingularMatrixError("group element is numerically singular")
+    sign = np.where(r.diagonal() < 0, -1.0, 1.0)
+    return r.T * sign, q * sign
+
+
+def _lower_triangular_draws(rng):
+    """Lower-triangular g with positive diagonal at scales 1e-6..1e6, some
+    with -0.0 below the diagonal, and diagonals around LQ_DET_TOL."""
+    for _ in range(400):
+        g = np.tril(rng.normal(size=(3, 3))) * 10.0 ** rng.uniform(-6.0, 6.0)
+        g[np.diag_indices(3)] = np.abs(g.diagonal())
+        if rng.random() < 0.2:
+            g[2, rng.integers(2)] = -0.0
+        yield g
+    for t in (linalg.LQ_DET_TOL, math.nextafter(linalg.LQ_DET_TOL, 0), 2e-9, 9e-10):
+        yield np.diag([1.0, 1.0, t])
+        yield np.array([[2.0, 0.0, 0.0], [-3.0, 0.5, 0.0], [1e3, 7.0, t]])
+
+
+def test_lower_triangular_lq_gives_the_qr_bits_on_lower_triangular_g():
+    # numpy's Householder reflector of an all-zero subcolumn is the identity,
+    # so the QR of g.T is (I, g.T): the shortcut must give L's bits, raise on
+    # the same inputs, and give k = I, which the QR's k equals as numbers
+    # (it holds -0.0 below its diagonal)
+    raised = 0
+    for g in _lower_triangular_draws(np.random.default_rng(83)):
+        try:
+            want = _lq_by_qr(g)
+        except SingularMatrixError:
+            want = None
+        try:
+            got = linalg.lower_triangular_lq(g)
+        except SingularMatrixError:
+            got = None
+        assert (got is None) == (want is None)
+        if want is None:
+            raised += 1
+        else:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+    assert 0 < raised < 400
 
 
 @pytest.mark.parametrize("t", [1e-20, 1e-8, 1.0, 1e8, 1e20])

@@ -44,6 +44,8 @@ def test_metric_to_group_inverts_gram():
         g = metric_to_group(gram)
         np.testing.assert_allclose(np.linalg.inv(g).T @ np.linalg.inv(g), gram,
                                    atol=1e-9)
+        assert not np.triu(g, 1).any()
+        assert (np.diag(g) > 0).all()
 
 
 def test_metric_to_group_rejects_non_spd():
@@ -311,6 +313,28 @@ def test_reduce_rejects_near_singular():
         reduce(Family("r3"), g)
     with pytest.raises(ValueError):
         reduce(Family("r3"), np.eye(2))
+
+
+def test_reduce_of_a_gram_frame_runs_no_qr(monkeypatch):
+    # metric_to_group's frame is already lower triangular with positive
+    # diagonal: its LQ factor is itself and k1 = I, with no QR
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    rng = np.random.default_rng(43)
+    for fam in FAMILIES:
+        for _ in range(5):
+            g = metric_to_group(random_spd(rng, 10 ** rng.uniform(-2, 2)))
+            rep, trace = reduce(fam, g)
+            assert dict(trace.steps)["lq_orthogonal"].tobytes() == np.eye(3).tobytes()
+            assert witness_residual(rep, trace, g) <= 1e-9 * np.abs(rep.matrix).max()
+    assert calls == []
+    reduce(Family("r3"), random_group_element(rng))  # positive control
+    assert calls == [1]
 
 
 def test_milnor_data_examples():
