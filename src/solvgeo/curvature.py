@@ -3,18 +3,20 @@
 In every algebra here span{e2, e3} is an abelian ideal that contains
 [g, g], so on any lower-triangular basis y the brackets read [y1,y2] =
 p y2 + q y3, [y1,y3] = r y2 + s y3, [y2,y3] = 0 (Milnor 1976; Besse,
-*Einstein Manifolds*, ch. 7).  Factor G = U diag(D) U^T with U unit upper
-triangular, from the last row up, and take y = U^-T: the metric on y is
-diag(D), and with b^2 = q^2 D3/(D1 D2), c^2 = r^2 D2/(D1 D3) and bc = q r/D1
-the Ricci operator on y is
+*Einstein Manifolds*, ch. 7).  ``_gram_ldl`` is the one factorization of
+G and its one SPD check: P G P = U diag(D) U^T, with P = diag(2^e) and U
+unit upper triangular, from the last row up.  Take y = U^-T on the basis
+P e_i: the metric on y is diag(D), and with b^2 = q^2 D3/(D1 D2), c^2 =
+r^2 D2/(D1 D3) and bc = q r/D1 the Ricci operator on y is
 
     2 Ric_y = -[[2(p^2 + s^2)/D1 + b^2 + 2bc + c^2, 0, 0],
                 [0, 2p(p + s)/D1 + b^2 - c^2, 2(p r/D1 + q s D3/(D1 D2))],
                 [0, 2(p r D2/(D1 D3) + q s/D1), 2s(p + s)/D1 - b^2 + c^2]],
 
-rational in (p, q, r, s, D), with no square root; Ric = y Ric_y y^-1 on
-the canonical basis.  At D = (1, 1, 1) it is ``ricci_closed_form``.  The
-orthonormal frame of G is lower triangular too: ``metric_to_group``.
+rational in (p, q, r, s, D), with no square root; Ric = P y Ric_y y^-1 P^-1
+on the canonical basis.  At D = (1, 1, 1) it is ``ricci_closed_form``.
+The orthonormal frame of G is g = P y D^-1/2 (``metric_to_group``), lower
+triangular, and Ric on it is D^1/2 Ric_y D^-1/2.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ from .lie_core import StructureConstants
 
 @dataclass(frozen=True)
 class MetricData:
-    """Structure constants, a validated Gram matrix and its lower-triangular
-    orthonormal frame ``metric_to_group(gram)``."""
+    """Structure constants and a Gram matrix that ``_gram_ldl`` accepted."""
 
     sc: StructureConstants
     gram: np.ndarray
-    frame: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,36 +51,33 @@ class RicciResult:
 
 
 def metric_data(sc: StructureConstants, gram: np.ndarray) -> MetricData:
-    """Validate a Gram matrix (NonSPDMetricError unless SPD) and attach its orthonormal
-    frame B = ``metric_to_group(gram)``: B^T G B = I, with B lower triangular."""
-    return MetricData(sc, np.asarray(gram, dtype=float), metric_to_group(gram))
+    """``sc`` and ``gram``, once ``_gram_ldl`` has accepted the Gram matrix."""
+    _gram_ldl(gram)
+    return MetricData(sc, np.asarray(gram, dtype=float))
 
 
 def metric_to_group(gram: np.ndarray) -> np.ndarray:
-    """A group element g with g^-T g^-1 = G: g = U^-T for G = U U^T, U =
-    ``_gram_cholesky(gram)``.
-
-    g is lower triangular with positive diagonal, the one such solution
-    (any other differs by an orthogonal factor on the right), so it is its
-    own LQ factor and ``moduli.reduce`` runs no QR on it.  The inverse is
-    taken entry by entry, so the zeros above the diagonal are exact.
+    """A group element g with g^-T g^-1 = G: g = P y D^-1/2, y = U^-T, from
+    ``_gram_ldl(gram)`` entry by entry.  It is lower triangular with
+    positive diagonal, the one such solution (any other differs by an
+    orthogonal factor on the right), so it is its own LQ factor and
+    ``moduli.reduce`` runs no QR on it.  Its zeros above the diagonal are
+    exact, and g(4^k G) = 2^-k g(G) bit for bit.
     """
-    (u11, u12, u13), (_, u22, u23), (_, _, u33) = _gram_cholesky(gram).tolist()
-    g11, g22, g33 = 1.0 / u11, 1.0 / u22, 1.0 / u33
-    g21 = -u12 * g11 / u22
-    return np.array([[g11, 0.0, 0.0],
-                     [g21, g22, 0.0],
-                     [-(u13 * g11 + u23 * g21) / u33, -u23 * g22 / u33, g33]])
+    e, (u12, u13, u23), dv = _gram_ldl(gram)
+    y = [[1.0], [-u12, 1.0], [u12 * u23 - u13, -u23, 1.0]]
+    return np.array([[_ldexp(x / math.sqrt(dv[j]), e[i]) for j, x in enumerate(row)]
+                     + [0.0] * (2 - i) for i, row in enumerate(y)])
 
 
-def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
-    """Validate a Gram matrix and return U, upper triangular with positive
-    diagonal, with G = U U^T.
+def _gram_ldl(gram: np.ndarray) -> tuple:
+    """The one factorization and SPD check of a Gram matrix: ``(e, (u12, u13,
+    u23), (D1, D2, D3))`` with P G P = U diag(D) U^T from the last row up.
 
-    The one SPD check of the package: raises NonSPDMetricError unless
-    ``gram`` is a finite, symmetric (to ``ZERO_TOL`` times its largest
-    entry, at any scale), positive definite 3x3 matrix.  U is the Cholesky
-    factor from the last row up: G[::-1, ::-1] = L L^T and U = L[::-1, ::-1].
+    Raises NonSPDMetricError unless ``gram`` is a finite, symmetric (to
+    ``ZERO_TOL`` times its largest entry) 3x3 matrix whose pivots D are all
+    > 0.  P = diag(2^e) puts P G P's diagonal in [1/4, 2), so no product of
+    pivots underflows; under G -> 2^k G, e moves and U and D keep their bits.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
@@ -91,40 +88,41 @@ def _gram_cholesky(gram: np.ndarray) -> np.ndarray:
                                 f"{gram[i, j]}")
     if np.abs(gram - gram.T).max() > linalg.ZERO_TOL * np.abs(gram).max():
         raise NonSPDMetricError("Gram matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(gram[::-1, ::-1])[::-1, ::-1]
-    except np.linalg.LinAlgError:
-        raise NonSPDMetricError("Gram matrix is not positive definite") from None
-
-
-def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
-    """Ricci operator on the canonical basis, by the module's closed form.
-
-    Raises NonSPDMetricError unless ``gram`` is SPD, and ValueError unless
-    ``sc`` has ``derivations.semidirect_block``'s shape.  It runs on the
-    basis P e_i, P = diag(2^e) with P G P's diagonal in [1/4, 2), so no
-    product underflows on a badly scaled diagonal; there P G P = U diag(D)
-    U^T.  e moves uniformly when G is scaled by 2^k, every step after it is
-    a product, quotient or sum, and P and P Ric' P^-1 are exact, so
-    t Ric(tG) == Ric(G) bit for bit at t = 2^k.
-    """
-    _gram_cholesky(gram)
-    block = semidirect_block(sc)
-    if block is None:
-        raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
-                         "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
-    rows = np.asarray(gram, dtype=float).tolist()
+    rows = gram.tolist()
     d = [math.frexp(rows[i][i])[1] for i in range(3)]
     e = [(max(d) - x) // 2 - max(d) // 2 for x in d]
-    (g11, g12, g13), (_, g22, g23), (_, _, d3) = _scaled(rows, e, e)
-    a, b, c, dd = map(_ldexp, map(float, block),
-                      (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
-    # LDL^T from the last row up; every quotient is by one pivot
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = _scaled(rows, e, e)
+    # every quotient is by a pivot already found > 0
+    d3 = _pivot(g33)
     u23, u13 = g23 / d3, g13 / d3
     d2 = _pivot(g22 - u23 * g23)
     t = g12 - u13 * g23
     u12 = t / d2
     d1 = _pivot(g11 - u13 * g13 - u12 * t)
+    return e, (u12, u13, u23), (d1, d2, d3)
+
+
+def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
+    """Ricci operator on the canonical basis, by the module's closed form.
+
+    Raises NonSPDMetricError unless ``gram`` is SPD, then ValueError unless
+    ``sc`` has ``derivations.semidirect_block``'s shape.  Every step after
+    ``_gram_ldl``'s e is a product, quotient or sum, and P and P Ric' P^-1
+    are exact, so t Ric(tG) == Ric(G) bit for bit at t = 2^k.
+    """
+    return block_ricci(gram, semidirect_block(sc))[0]
+
+
+def block_ricci(gram: np.ndarray, block) -> tuple:
+    """``(ricci_canonical, ric_frame)`` of a tensor whose ``semidirect_block``
+    is ``block`` (None: ValueError, after the Gram check), ric_frame =
+    D^1/2 Ric_y D^-1/2 as lists: Ric on the frame ``metric_to_group(gram)``."""
+    e, (u12, u13, u23), (d1, d2, d3) = _gram_ldl(gram)
+    if block is None:
+        raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
+                         "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
+    a, b, c, dd = map(_ldexp, map(float, block),
+                      (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
     # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3;
     # bb and cc are D1 b^2 and D1 c^2
     p, q, r, s = a - c * u23, b - (dd - a) * u23 - c * u23 * u23, c, dd + c * u23
@@ -141,7 +139,9 @@ def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
     ric = [[x11, 0.0, 0.0],
            [u12 * (x22 - x11) + u13 * x23, x22 + u23 * x23, x23],
            [m20, m21 + u23 * m22, m22]]
-    return require_finite(np.array(_scaled(ric, e, [-x for x in e])))
+    h = math.sqrt(k)
+    return (require_finite(np.array(_scaled(ric, e, [-x for x in e]))),
+            [[x11, 0.0, 0.0], [0.0, x22, x23 / h], [0.0, x32 * h, x33]])
 
 
 def _scaled(rows: list, e: list, f: list) -> list:
@@ -158,23 +158,19 @@ def _ldexp(x: float, n: int) -> float:
 
 
 def _pivot(x: float) -> float:
-    """``x``; NonSPDMetricError unless it is > 0, as rounding can leave a
-    pivot of a nearly singular G that Cholesky accepted."""
+    """``x``; NonSPDMetricError unless x > 0, the one test of definiteness."""
     if not x > 0:
         raise NonSPDMetricError("Gram matrix is not positive definite")
     return x
 
 
 def ricci_operator(m: MetricData) -> RicciResult:
-    """``ricci_canonical`` of the metric, and on its orthonormal frame
-    ``ric_frame`` = frame^-1 ric_canonical frame."""
-    ric_canonical = ricci_canonical(m.sc, m.gram)
-    # frame 2^-e, inv(frame) 2^e: exact, and ric_canonical @ frame cannot overflow
-    e = np.frexp(np.abs(m.frame).max())[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ric_frame = require_finite(np.ldexp(np.linalg.inv(m.frame), e)
-                                   @ (ric_canonical @ np.ldexp(m.frame, -e)))
-    return RicciResult(ric_frame, ric_canonical, float(np.trace(ric_canonical)))
+    """``ricci_canonical`` of the metric, and on its orthonormal frame g =
+    ``metric_to_group(gram)`` = P y D^-1/2 the block-diagonal ``ric_frame`` =
+    g^-1 Ric g = D^1/2 Ric_y D^-1/2, from five closed-form entries."""
+    ric, ric_frame = block_ricci(m.gram, semidirect_block(m.sc))
+    # + 0.0: a zero entry prints as 0.0, never as the -0.0 a product of zeros can give
+    return RicciResult(require_finite(np.array(ric_frame) + 0.0), ric, float(np.trace(ric)))
 
 
 def require_finite(ric: np.ndarray) -> np.ndarray:

@@ -197,17 +197,19 @@ def semidirect_block(sc: StructureConstants):
 
 
 def scalar_der_rows(sc: StructureConstants) -> tuple:
-    """``(rows, dim Der)`` with rows the orthonormal flat rows of RI + Der(sc).
+    """``(rows, dim Der)``, rows the orthonormal flat rows of RI + Der(sc)."""
+    return block_der_rows(sc, semidirect_block(sc))
 
-    When sc has ``semidirect_block`` A = [[a, c], [b, d]], a derivation D
-    with D e1 = alpha e1 + v keeps span{e2, e3}, acting there as B with
-    [B, A] = alpha A: a non-nilpotent A forces alpha = 0, and a non-scalar
-    A then B in span{I, A}, so the rows are ``semidirect_rows`` and no
-    kernel is solved.  Every test is an equality on the entries, nilpotency
-    (trace 0 and a^2 + bc = 0) is decided in Fractions, and any other sc
-    takes ``derivation_algebra(sc)``'s rows and dim.
-    """
-    block = semidirect_block(sc)
+
+def block_der_rows(sc: StructureConstants, block) -> tuple:
+    """``scalar_der_rows(sc)``, given ``block = semidirect_block(sc)``.  When
+    block is A = [[a, c], [b, d]], a derivation D with D e1 = alpha e1 + v
+    keeps span{e2, e3}, acting there as B with [B, A] = alpha A: a
+    non-nilpotent A forces alpha = 0, and a non-scalar A then B in span{I,
+    A}, so the rows are ``semidirect_rows`` and no kernel is solved.  Every
+    test is an equality on the entries, nilpotency (trace 0 and a^2 + bc =
+    0) is decided in Fractions, and any other sc takes
+    ``derivation_algebra(sc)``'s rows and dim."""
     if block is not None:
         a, b, c, d = block
         scalar = b == c == 0 and a == d

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import require_finite, ricci_canonical, ricci_closed_form
-from .derivations import scalar_der_rows
+from .curvature import block_ricci, require_finite, ricci_closed_form
+from .derivations import block_der_rows, semidirect_block
 from .lie_core import Family, StructureConstants
 from .moduli import frame_algebra
 
@@ -78,10 +78,11 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     scale of ``gram``.
     """
     _check_tol(tol)
-    ric = ricci_canonical(sc, gram)
+    block = semidirect_block(sc)
+    ric = block_ricci(gram, block)[0]
     # Ric(2^-e G) = 2^e Ric(G) exactly, so this is the verdict at 2^-e G
     e = math.frexp(np.abs(np.asarray(gram, dtype=float)).max())[1] - 1
-    rows, dim = scalar_der_rows(sc)
+    rows, dim = block_der_rows(sc, block)
     return _project(ric, rows, dim, math.ldexp(tol, -e))
 
 

@@ -5,7 +5,7 @@ a completely separate code path from the package's own row reduction.
 Two Ricci references check the closed form of ``curvature.ricci_canonical``:
 the Koszul sums on the canonical basis evaluated entry by entry in
 ``Fraction`` arithmetic, and the frame pipeline (Koszul on the orthonormal
-frame of ``metric_data``, then conjugation back).
+frame ``metric_to_group``, then conjugation back).
 The others are the residuals, span tests, sym(3) basis and sampling
 checks that the tests apply to library output; the package itself needs
 none of them.  ``lstsq_soliton_split`` keeps the package's earlier
@@ -23,7 +23,7 @@ import sympy as sp
 from scipy.linalg import expm
 
 from solvgeo import linalg, orbit_geometry
-from solvgeo.curvature import metric_data, require_finite
+from solvgeo.curvature import require_finite
 from solvgeo.derivations import MatrixSubspace, derivation_algebra, scalar_plus
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family
 from solvgeo.moduli import metric_to_group, reduce
@@ -248,7 +248,7 @@ def frame_ricci(sc: StructureConstants, gram: np.ndarray) -> tuple:
     nabla_[x,y] z over the frame.  ``ric_canonical`` is the same operator
     conjugated back to the canonical basis.
     """
-    frame = metric_data(sc, gram).frame
+    frame = metric_to_group(gram)
     c = change_basis(sc, frame).c
     gamma = connection_coeffs(c)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -451,8 +451,21 @@ def test_tiny_soliton_residual_is_read(capsys):
     assert json.loads(out)["residual"] == 1.224744871391589e-200
 
 
+def test_gram_commands_take_one_spd_decision(capsys):
+    # cond(G) = 1.5e17: LAPACK Cholesky accepted it for reduce and orbit
+    # while soliton and ricci refused it
+    gram = ["2.142384561343725", "1.2153360831146258", "0.40171585428202067",
+            "1.2153360831146258", "1.1679779838614022", "0.6589034701014339",
+            "0.40171585428202067", "0.6589034701014339", "0.46353943123111296"]
+    outcomes = set()
+    for command in ("reduce", "orbit", "soliton", "ricci"):
+        code = cli.main([command, "--family", "r3", "--gram"] + gram)
+        outcomes.add((code, capsys.readouterr().err))
+    assert len(outcomes) == 1 and next(iter(outcomes))[0] in (0, 2), outcomes
+
+
 def test_scaled_identity_ricci_is_read():
-    # the Cholesky frame 1e-150 I failed change_basis's absolute determinant test
+    # the orthonormal frame 1e-150 I failed change_basis's absolute determinant test
     gram = ["1e300", "0", "0", "0", "1e300", "0", "0", "0", "1e300"]
     proc = _run_fresh(["ricci", "--family", "r3", "--gram"] + gram + ["--format", "json"])
     assert proc.returncode == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import FAMILIES, abcd_constants, random_group_element, random_spd
 from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
-from solvgeo.curvature import (metric_data, ricci_canonical, ricci_closed_form,
+from solvgeo.curvature import (MetricData, metric_data, ricci_canonical, ricci_closed_form,
                                ricci_operator)
 from solvgeo.errors import NonSPDMetricError
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family, parse_family
@@ -45,10 +45,8 @@ def test_frame_orthonormalizes_metric():
     sc = make_family(Family("r3"))
     for _ in range(25):
         gram = random_spd(rng)
-        m = metric_data(sc, gram)
-        np.testing.assert_allclose(m.frame.T @ gram @ m.frame, np.eye(3), atol=1e-10)
-        # one Cholesky frame: ricci's ric_frame and reduce/orbit --gram read the same B
-        assert np.array_equal(m.frame, metric_to_group(gram))
+        frame = metric_to_group(gram)
+        np.testing.assert_allclose(frame.T @ gram @ frame, np.eye(3), atol=1e-10)
 
 
 def test_connection_metric_compatibility_and_torsion():
@@ -164,10 +162,10 @@ def test_ricci_canonical_is_conjugate_and_symmetric_with_metric():
     for fam in FAMILIES:
         sc = make_family(fam)
         gram = random_spd(rng)
-        m = metric_data(sc, gram)
-        res = ricci_operator(m)
+        res = ricci_operator(metric_data(sc, gram))
+        frame = metric_to_group(gram)
         np.testing.assert_allclose(
-            res.ric_canonical, m.frame @ res.ric_frame @ np.linalg.inv(m.frame),
+            res.ric_canonical, frame @ res.ric_frame @ np.linalg.inv(frame),
             atol=1e-10)
         # G * Ric is the symmetric Ricci form on the canonical basis
         rc = gram @ res.ric_canonical
@@ -267,11 +265,50 @@ def test_pipeline_ricci_frame_is_the_closed_form_on_g_lambda():
     for fam, lam in G_LAMBDA_CASES:
         g = rep_matrix(fam, lam)
         g_inv = np.linalg.inv(g)
-        m = metric_data(make_family(fam), g_inv.T @ g_inv)
-        assert np.abs(m.frame - g).max() <= 1e-15 * np.abs(g).max(), (fam, lam)
+        gram = g_inv.T @ g_inv
+        assert np.abs(metric_to_group(gram) - g).max() <= 1e-15 * np.abs(g).max(), (fam, lam)
         want = ricci_closed_form(*frame_brackets(fam, lam))
-        got = ricci_operator(m).ric_frame
+        got = ricci_operator(metric_data(make_family(fam), gram)).ric_frame
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fam, lam)
+
+
+def test_every_gram_entry_point_takes_one_spd_decision():
+    # v v^T + eps I with v 3x2 sits on the SPD boundary, where LAPACK
+    # Cholesky and the LDL^T disagreed on about one draw in ten
+    rng = np.random.default_rng(2029)
+    verdicts = set()
+    for i in range(2000):
+        sc = make_family(ORACLE_FAMILIES[i % len(ORACLE_FAMILIES)])
+        v = rng.normal(size=(3, 2))
+        gram = v @ v.T + 10 ** rng.uniform(-18, -13) * np.eye(3)
+        gram = np.triu(gram) + np.triu(gram, 1).T
+        refused = []
+        for call in (metric_to_group, lambda g: metric_data(sc, g),
+                     lambda g: ricci_canonical(sc, g), lambda g: solvsoliton_check(sc, g),
+                     lambda g: ricci_operator(MetricData(sc, g))):
+            try:
+                call(gram)
+                refused.append(False)
+            except NonSPDMetricError:
+                refused.append(True)
+        assert len(set(refused)) == 1, (i, refused)
+        verdicts.add(refused[0])
+    assert verdicts == {True, False}
+
+
+def test_ric_frame_is_block_diagonal_and_the_frame_conjugate():
+    # ric_frame = D^1/2 Ric_y D^-1/2 is read off the closed form, so its
+    # zeros are exact, and it is g^-1 Ric g on the frame g = metric_to_group
+    rng = np.random.default_rng(30)
+    for fam in ORACLE_FAMILIES:
+        sc = make_family(fam)
+        for _ in range(40):
+            gram = random_spd(rng, 10 ** rng.uniform(-5, 5))
+            res = ricci_operator(metric_data(sc, gram))
+            f = res.ric_frame
+            assert f[0, 1] == f[0, 2] == f[1, 0] == f[2, 0] == 0.0, (fam, f)
+            g = metric_to_group(gram)
+            assert _rel_err(f, np.linalg.solve(g, res.ric_canonical @ g)) < 1e-12, fam
 
 
 def test_tensor_off_the_semidirect_shape_is_refused():

@@ -14,7 +14,7 @@ from solvgeo.curvature import metric_data, ricci_closed_form, ricci_operator
 from solvgeo.errors import InvalidFamilyError, SingularMatrixError
 from solvgeo.lie_core import (Family, StructureConstants, change_basis,
                               jacobi_residual, make_family, parse_family)
-from solvgeo.moduli import rep_matrix
+from solvgeo.moduli import metric_to_group, rep_matrix
 
 
 @pytest.mark.parametrize("text,tag,a", [
@@ -167,7 +167,7 @@ def _basis_cases(rng):
             lam = {"r3": 10 ** rng.uniform(-1, 1), "r3_a": rng.uniform(-5, 5),
                    "r3p_a": rng.uniform(1, 5)}.get(fam.tag, 1.0)
             yield sc.c, rep_matrix(fam, lam)
-            yield sc.c, metric_data(sc, random_spd(rng, 10 ** rng.uniform(-6, 6))).frame
+            yield sc.c, metric_to_group(random_spd(rng, 10 ** rng.uniform(-6, 6)))
     for _ in range(400):
         yield rng.normal(size=(3, 3, 3)), rng.normal(size=(3, 3)) + 2 * np.eye(3)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from helpers import FAMILIES, automorphism_residual, random_group_element, random_spd
@@ -58,6 +59,48 @@ def test_metric_to_group_rejects_non_spd():
         metric_to_group(np.array([[1, 1e-7, 0], [0, 1, 0], [0, 0, 1.0]]))
     with pytest.raises(NonSPDMetricError, match=r"entry \(1, 2\) is not finite"):
         metric_to_group(np.array([[1, np.inf, 0], [0, 1, 0], [0, 0, 1.0]]))
+
+
+def test_metric_to_group_orthonormalizes_at_extreme_scales():
+    # G = S^1/2 R S^1/2 with S up to 1e+-300: g^T G g = I, in Fractions on the float g
+    rng = np.random.default_rng(41)
+    worst = Fraction(0)
+    for _ in range(300):
+        m = rng.normal(size=(3, 3))
+        s = np.sqrt(10 ** rng.uniform(-300, 300, 3))
+        gram = s[:, None] * (m.T @ m + 0.1 * np.eye(3)) * s
+        gram = np.triu(gram) + np.triu(gram, 1).T
+        g = [[Fraction(x) for x in row] for row in metric_to_group(gram).tolist()]
+        big = [[Fraction(x) for x in row] for row in gram.tolist()]
+        for i in range(3):
+            for j in range(3):
+                x = sum(g[k][i] * big[k][l] * g[l][j] for k in range(3) for l in range(3))
+                worst = max(worst, abs(x - (i == j)))
+    assert worst <= Fraction(1, 10 ** 14), float(worst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       k=st.integers(-100, 100).filter(lambda k: k != 0))
+def test_metric_to_group_scales_exactly_by_powers_of_four(seed, k):
+    gram = random_spd(np.random.default_rng(seed), 10 ** (seed % 7 - 3))
+    got = metric_to_group(np.ldexp(gram, 2 * k))
+    assert got.tobytes() == np.ldexp(metric_to_group(gram), -k).tobytes()
+
+
+# lambda over each family's range, for r3_a at both signs
+IDEMPOTENT_DRAWS = st.one_of(
+    st.tuples(st.just(Family("r3")), st.floats(1e-6, 1e6)),
+    *[st.tuples(st.just(Family("r3_a", a)), st.floats(-1e6, 1e6)) for a in (0.5, -0.75)],
+    *[st.tuples(st.just(Family("r3p_a", a)), st.floats(1.0, 1e6)) for a in (0.375, 2.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=IDEMPOTENT_DRAWS)
+def test_reduce_is_idempotent(draw):
+    fam, lam = draw
+    rep = reduce(fam, rep_matrix(fam, lam))[0]
+    assert abs(reduce(fam, rep.matrix)[0].lam - rep.lam) <= 4e-16 * abs(rep.lam), (fam, lam)
 
 
 def test_rep_matrix_shapes():
