@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moduli, orbit_geometry, soliton
-from .curvature import metric_data, ricci_operator
+from .curvature import MetricData, ricci_operator
 from .derivations import conjugate_subspace, derivation_algebra
 from .errors import SingularMatrixError
 from .lie_core import FAMILY_TAGS, Family, jacobi_residual, make_family, parse_family
@@ -87,7 +87,7 @@ def verify_main_theorem(cfg: RunConfig):
     for lam in cfg.grid:
         try:
             verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.tol)
-            mc = orbit_geometry.orbit_from_frame(fam, lam)
+            mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{exc} at lambda = {lam!r}") from None
         minimal = mc.norm <= cfg.tol
@@ -222,7 +222,8 @@ def _cmd_ricci(args):
     gram = _read_gram(args)
     if gram is None:
         gram = np.eye(3)
-    res = ricci_operator(metric_data(make_family(fam), gram))
+    # ricci_operator factors the Gram matrix, and that is its one check
+    res = ricci_operator(MetricData(make_family(fam), gram))
     return {
         "family": fam.label(),
         "gram": gram,
@@ -287,14 +288,13 @@ def _cmd_orbit(args):
     fam = parse_family(args.family)
     gram = _read_gram(args)
     if args.lam is not None:
-        mc = orbit_geometry.orbit_from_frame(fam, args.lam)
+        mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, args.lam))
     else:
         g = np.eye(3) if gram is None else moduli.metric_to_group(gram)
         try:
             mc = orbit_geometry.orbit_at(fam, g)
         except SingularMatrixError:
-            # only a Gram frame is refused: orbit_at inverts g = L^-T, refused
-            # once cond(g)^2 = cond(G) passes ~COND_LIMIT^2
+            # only a Gram frame is refused, once cond(g)^2 = cond(G) passes COND_LIMIT^2
             raise SingularMatrixError(f"Gram matrix is too ill-conditioned for the float "
                                       f"orbit (condition number {np.linalg.cond(gram):.3g})"
                                       ) from None

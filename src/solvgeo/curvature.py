@@ -28,14 +28,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .derivations import semidirect_block
+from .derivations import block_conjugate, semidirect_block
 from .errors import NonSPDMetricError
 from .lie_core import StructureConstants
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Structure constants and a Gram matrix that ``_gram_ldl`` accepted."""
+    """Structure constants and a Gram matrix; ``ricci_operator`` factors it
+    with ``_gram_ldl``, which refuses one that is not SPD."""
 
     sc: StructureConstants
     gram: np.ndarray
@@ -125,7 +126,7 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
                       (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
     # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3;
     # bb and cc are D1 b^2 and D1 c^2
-    p, q, r, s = a - c * u23, b - (dd - a) * u23 - c * u23 * u23, c, dd + c * u23
+    p, q, r, s = block_conjugate((a, b, c, dd), -u23, 1.0)
     k, k_inv = d3 / d2, d2 / d3
     bb, cc = q * q * k, r * r * k_inv
     x11 = -(p * p + s * s + (bb + 2 * q * r + cc) / 2) / d1

@@ -196,20 +196,26 @@ def semidirect_block(sc: StructureConstants):
     return tuple(block)
 
 
-def scalar_der_rows(sc: StructureConstants) -> tuple:
-    """``(rows, dim Der)``, rows the orthonormal flat rows of RI + Der(sc)."""
-    return block_der_rows(sc, semidirect_block(sc))
+def block_conjugate(block, r: float, s: float) -> tuple:
+    """``block`` = (a, b, c, d), the matrix A = [[a, c], [b, d]], as h^-1 A h
+    for h = [[1, 0], [r, s]], s != 0, in the same layout."""
+    # written so that s never meets the diagonal: the product h^-1 A h rounds
+    # r3's d = 1 at about one lambda in ten on the Milnor frame, an error that
+    # swamps A_lambda's traceless part, of size lambda, when lambda is small
+    a, b, c, d = block
+    return a + c * r, (b + (d - a) * r - c * r * r) / s, c * s, d - c * r
 
 
 def block_der_rows(sc: StructureConstants, block) -> tuple:
-    """``scalar_der_rows(sc)``, given ``block = semidirect_block(sc)``.  When
-    block is A = [[a, c], [b, d]], a derivation D with D e1 = alpha e1 + v
-    keeps span{e2, e3}, acting there as B with [B, A] = alpha A: a
-    non-nilpotent A forces alpha = 0, and a non-scalar A then B in span{I,
-    A}, so the rows are ``semidirect_rows`` and no kernel is solved.  Every
-    test is an equality on the entries, nilpotency (trace 0 and a^2 + bc =
-    0) is decided in Fractions, and any other sc takes
-    ``derivation_algebra(sc)``'s rows and dim."""
+    """``(rows, dim Der)``, rows the orthonormal flat rows of RI + Der(sc),
+    given ``block = semidirect_block(sc)``.  When block is A = [[a, c], [b,
+    d]], a derivation D with D e1 = alpha e1 + v keeps span{e2, e3}, acting
+    there as B with [B, A] = alpha A: a non-nilpotent A forces alpha = 0,
+    and a non-scalar A then B in span{I, A}, so the rows are
+    ``semidirect_rows`` and no kernel is solved.  Every test is an equality
+    on the entries, nilpotency (trace 0 and a^2 + bc = 0) is decided in
+    Fractions, and any other sc takes ``derivation_algebra(sc)``'s rows and
+    dim."""
     if block is not None:
         a, b, c, d = block
         scalar = b == c == 0 and a == d

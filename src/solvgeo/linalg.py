@@ -209,30 +209,32 @@ def inverse(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def lower_triangular_lq(g: np.ndarray):
-    """``g = L @ k.T`` with ``L = R.T``, ``k = Q`` from numpy's QR ``g.T = Q R``, signs
-    flipped so that L's diagonal, whose product is ``|det g|``, is positive.
-
-    A lower-triangular g with positive diagonal (``metric_to_group``'s frame)
-    gives ``(g, I)`` with no QR: the Householder reflector of an all-zero
-    subcolumn is the identity, so that L is the QR's bit for bit, and k
-    equals the QR's Q, whose zeros below the diagonal are -0.0.
+def lq(g: np.ndarray):
+    """``g = L @ k.T`` for a 3x3 g: ``L = R.T`` and ``k = Q`` from numpy's QR
+    ``g.T = Q R``, signs flipped so that L's diagonal (product ``|det g|``) is
+    positive.  A lower-triangular g with positive diagonal (``rep_matrix``,
+    ``metric_to_group``) gives ``(L, None)`` and runs no QR: numpy's
+    Householder reflector of an all-zero subcolumn is the identity, so L, g
+    with +0.0 above the diagonal, is the QR's bit for bit, and k = I.
     """
     g = np.asarray(g, dtype=float)
-    rows, n = g.tolist(), len(g)
-    diag = [row[i] for i, row in enumerate(rows)]
-    if all(x > 0 for x in diag) and not any(x for i, row in enumerate(rows) for x in row[i + 1:]):
+    (l11, u12, u13), (l21, l22, u23), (l31, l32, l33) = g.tolist()
+    if l11 > 0 and l22 > 0 and l33 > 0 and not (u12 or u13 or u23):
         # +0.0 above the diagonal, as the QR's R has
-        lower = np.array([row[:i + 1] + [0.0] * (n - 1 - i) for i, row in enumerate(rows)])
-        q = np.eye(n)
-    else:
-        q, r = np.linalg.qr(g.T)
-        diag = r.diagonal().tolist()
-        sign = np.where(r.diagonal() < 0, -1.0, 1.0)
-        lower, q = r.T * sign, q * sign
-    if abs(math.prod(diag)) < LQ_DET_TOL:
+        return np.array([[l11, 0.0, 0.0], [l21, l22, 0.0], [l31, l32, l33]]), None
+    q, r = np.linalg.qr(g.T)
+    sign = np.where(r.diagonal() < 0, -1.0, 1.0)
+    return r.T * sign, q * sign
+
+
+def lower_triangular_lq(g: np.ndarray):
+    """``lq(g)`` with k = I where no QR ran (the QR's Q there equals I as
+    numbers, with -0.0 below its diagonal); SingularMatrixError when
+    ``|det g| < LQ_DET_TOL``, ``reduce``'s policy."""
+    lower, q = lq(g)
+    if math.prod(lower.diagonal().tolist()) < LQ_DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
-    return lower, q
+    return lower, np.eye(3) if q is None else q
 
 
 def orthonormalize(vectors) -> np.ndarray:

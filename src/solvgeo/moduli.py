@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .curvature import metric_to_group  # noqa: F401 (callers reach it as moduli.metric_to_group)
-from .derivations import derivation_algebra, semidirect_rows
+from .derivations import block_conjugate, derivation_algebra, semidirect_rows
 from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
@@ -77,36 +77,26 @@ def frame_constants(family: Family, lam: float, exact: bool = False) -> Structur
                         rep_matrix(family, lam, exact=exact))
 
 
-def frame_brackets(family: Family, lam: float) -> tuple:
-    """(a, b, c, d) with [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3 on the
-    Milnor frame x_i = g_lambda e_i, as Python floats; [x2,x3] = 0."""
-    return _frame_brackets(make_family(family), rep_matrix(family, lam))
+def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
+    """Brackets on the frame x_i = L e_i, and orthonormal rows of L^-1 (RI + Der) L.
 
-
-def _frame_brackets(sc: StructureConstants, g: np.ndarray) -> tuple:
-    # g = 1 + h with h = [[1, 0], [r, s]] takes the matrix A = [[a, c], [b, d]]
-    # of ad(e1) on span{e2, e3} to h^-1 A h, written so that s never meets the
-    # diagonal: the product h^-1 A h rounds r3's d = 1 at about one lambda in
-    # ten, an error that swamps A_lambda's traceless part, of size lambda, when
-    # lambda is small
-    linalg.check_conditioned(g, "conjugating matrix")
-    r, s = g[2, 1:].tolist()
-    a, b, c, d = sc.c[0, 1:, 1:].ravel().tolist()
-    return a + c * r, (b + (d - a) * r - c * r * r) / s, c * s, d - c * r
-
-
-def frame_algebra(family: Family, lam: float) -> tuple:
-    """Milnor-frame brackets, and orthonormal rows of u' = g^-1 (RI + Der) g there.
-
-    Returns ``(frame_brackets(family, lam), rows, dim Der)``, the flat rows
-    laid out as ``MatrixSubspace.scalar_frame``.  g = 1 + h fixes E21, E31
-    and E11 and takes 0 + A to 0 + A_lambda, the matrix of ad(x1) on
-    span{x2, x3}.  For dim Der = 4, Der = span{E21, E31, 0 + I, 0 + A}, so
-    the rows are ``derivations.semidirect_rows`` of A_lambda.  For dim 6
-    (h3, where g = I, and scalar A) g fixes Der, whose own rows serve.
+    ``lower`` is lower triangular with positive diagonal (``rep_matrix``,
+    ``metric_to_group``, the L of ``linalg.lq``); an L that fails
+    ``linalg.check_conditioned`` raises SingularMatrixError.  Returns
+    ``((a, b, c, d), rows, dim Der)``: [x1,x2] = a x2 + b x3, [x1,x3] = c x2
+    + d x3 as Python floats ([x2,x3] = 0), and rows laid out as
+    ``MatrixSubspace.scalar_frame``.  span{e2, e3} is an abelian ideal, so
+    ad(x1) there is A' = L11 h^-1 A h, h = [[1, 0], [L32, L33]] / L22
+    (``derivations.block_conjugate``).  For dim Der = 4 the rows are
+    ``derivations.semidirect_rows`` of A'; for dim 6 (h3, r3_1, r3_a at
+    a = 1) L fixes Der (zero first row, or h3's, whose bracket L rescales),
+    and its own rows serve.
     """
+    linalg.check_conditioned(lower, "conjugating matrix")
+    (l11, _, _), (_, l22, _), (_, l32, l33) = lower.tolist()
     sc = make_family(family)
-    brackets = _frame_brackets(sc, rep_matrix(family, lam))
+    a, b, c, d = block_conjugate(sc.c[0, 1:, 1:].ravel().tolist(), l32 / l22, l33 / l22)
+    brackets = l11 * a, l11 * b, l11 * c, l11 * d
     der = derivation_algebra(sc)
     if der.dim != 4:
         return brackets, der.scalar_frame, der.dim

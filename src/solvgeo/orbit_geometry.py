@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .derivations import conjugate_subspace, derivation_algebra
-from .lie_core import Family, make_family
+from .lie_core import Family
 from .moduli import frame_algebra
 
 
@@ -125,15 +124,15 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     """Mean curvature of the scaling-automorphism orbit through g's metric.
 
     The orbit of R* x Aut through the inner product of g is moved to the
-    base point by conjugation: u' = g^-1 (RI + Der) g = RI + g^-1 Der g,
-    whose rows are the ``scalar_frame`` of the conjugated Der.
+    base point by conjugation.  With g = L k^T (``linalg.lq``), u' =
+    g^-1 (RI + Der) g = k (L^-1 (RI + Der) L) k^T, and the rows of
+    L^-1 (RI + Der) L are read off the brackets on the frame L e_i
+    (``moduli.frame_algebra``).  Each row R becomes k R k^T, an isometry of
+    the trace form, only when a QR ran; a ``rep_matrix`` or
+    ``metric_to_group`` frame is its own L and takes none.
     """
-    u = conjugate_subspace(derivation_algebra(make_family(family)), g)
-    return _mean_curvature(orbit_data(u.scalar_frame))
-
-
-def orbit_from_frame(family: Family, lam: float) -> MeanCurvatureResult:
-    """``orbit_at(family, g_lambda)`` on the closed-form rows of u' =
-    g_lambda^-1 (RI + Der) g_lambda (``moduli.frame_algebra``), with no
-    conjugation: the orbit half of a ``verify`` row and of ``orbit --lambda``."""
-    return _mean_curvature(orbit_data(frame_algebra(family, lam)[1]))
+    lower, k = linalg.lq(g)
+    rows = frame_algebra(family, lower)[1]
+    if k is not None:
+        rows = (k @ rows.reshape(-1, 3, 3) @ k.T).reshape(-1, 9)
+    return _mean_curvature(orbit_data(rows))

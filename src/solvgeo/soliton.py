@@ -16,7 +16,7 @@ import numpy as np
 from .curvature import block_ricci, require_finite, ricci_closed_form
 from .derivations import block_der_rows, semidirect_block
 from .lie_core import Family, StructureConstants
-from .moduli import frame_algebra
+from .moduli import frame_algebra, rep_matrix
 
 # bound on the soliton and Einstein residuals (and on |H| in verify).
 # solvsoliton_check reads it at the scale where the Gram matrix's largest
@@ -70,7 +70,7 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     """Solvsoliton test for the metric with Gram matrix ``gram``.
 
     The Ricci operator on the canonical basis is projected onto
-    span{I} + Der(sc), with ``derivations.scalar_der_rows`` as its rows (in
+    span{I} + Der(sc), with ``derivations.block_der_rows`` as its rows (in
     closed form for r3, r3_a at a != 1 and r3p_a, with no kernel solved);
     the metric is a solvsoliton when the Frobenius residual is at most
     ``tol``, which must be finite and > 0, at the scale 2^-e G whose
@@ -98,7 +98,7 @@ def soliton_from_frame(family: Family, lam: float,
     residual is not, as it is the Frobenius norm on the Milnor frame.
     """
     _check_tol(tol)
-    brackets, rows, dim = frame_algebra(family, lam)
+    brackets, rows, dim = frame_algebra(family, rep_matrix(family, lam))
     # as Python floats the brackets overflow to inf or NaN without a warning,
     # and require_finite rejects the result
     ric = ricci_closed_form(*brackets)

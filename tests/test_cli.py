@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solvgeo import cli
+from solvgeo import cli, curvature
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.lie_core import Family
 from solvgeo.moduli import frame_constants
@@ -327,9 +327,10 @@ def test_non_finite_input_named(capsys, argv, message):
     # verify conjugates nothing: cond(g) just above the limit is the first refused
     (["verify", "--family", "r3", "--lambda", repr(math.nextafter(1e-12, 0))],
      "conjugating matrix is singular at lambda = 9.999999999999998e-13"),
-    # diag(1, 1, t) pulls back I by an automorphism: reduce reads it, the float orbit cannot
-    (["orbit", "--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-24"],
-     "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+24)"),
+    # diag(1, 1, t) pulls back I by an automorphism: the float orbit reads it
+    # down to t = 1e-24, where cond(g) = 1e12 is COND_LIMIT, and refuses it below
+    (["orbit", "--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-25"],
+     "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+25)"),
 ])
 def test_singular_lambda_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -350,6 +351,21 @@ def test_verify_main_theorem_rejects_bad_tol(tol):
     cfg = cli.RunConfig(family=cli.Family("r3p_a", 1.0), grid=(1.0,), tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and > 0"):
         cli.verify_main_theorem(cfg)
+
+
+@pytest.mark.parametrize("gram,code,err", [
+    (["2", "0.3", "-0.4", "0.3", "1.5", "0.2", "-0.4", "0.2", "0.8"], 0, ""),
+    (["1", "2", "0", "2", "1", "0", "0", "0", "1"], 2,
+     "error: Gram matrix is not positive definite\n"),
+], ids=["spd", "indefinite"])
+def test_ricci_factors_the_gram_matrix_once(monkeypatch, capsys, gram, code, err):
+    # ricci_operator's own LDL^T is the one SPD check: no second factorization
+    calls = []
+    original = curvature._gram_ldl
+    monkeypatch.setattr(curvature, "_gram_ldl", lambda g: calls.append(g) or original(g))
+    assert cli.main(["ricci", "--family", "r3pa:a=1.0", "--gram", *gram]) == code
+    assert capsys.readouterr().err == err
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from solvgeo.curvature import (MetricData, metric_data, ricci_canonical, ricci_c
                                ricci_operator)
 from solvgeo.errors import NonSPDMetricError
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family, parse_family
-from solvgeo.moduli import frame_brackets, metric_to_group, rep_matrix
+from solvgeo.moduli import frame_algebra, metric_to_group, rep_matrix
 from solvgeo.soliton import solvsoliton_check
 
 
@@ -267,7 +267,7 @@ def test_pipeline_ricci_frame_is_the_closed_form_on_g_lambda():
         g_inv = np.linalg.inv(g)
         gram = g_inv.T @ g_inv
         assert np.abs(metric_to_group(gram) - g).max() <= 1e-15 * np.abs(g).max(), (fam, lam)
-        want = ricci_closed_form(*frame_brackets(fam, lam))
+        want = ricci_closed_form(*frame_algebra(fam, g)[0])
         got = ricci_operator(metric_data(make_family(fam), gram)).ric_frame
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (fam, lam)
 

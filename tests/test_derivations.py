@@ -7,7 +7,7 @@ import pytest
 from helpers import DER_GRID, FAMILIES, abcd_constants, random_group_element, unit
 from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
                      subspace_equal, subspace_membership)
-from solvgeo import cli, derivations, lie_core, linalg, moduli, orbit_geometry
+from solvgeo import cli, derivations, lie_core, linalg, moduli
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
 from solvgeo.errors import SingularMatrixError
@@ -436,9 +436,11 @@ def test_frame_path_changes_no_basis_and_conjugates_nothing(monkeypatch, capsys)
             assert cli.main([command, "--family", fam.label(), "--lambda", repr(lam)]) == 0
     capsys.readouterr()
     assert basis_calls == conjugate_calls == built == []
-    # positive control: the spies see a conjugation, a basis change and a subspace
+    # positive control: der --lambda conjugates Der into a new subspace, and
+    # the spies see that and a basis change
     fam, lam = Family("r3_a", 0.5), 1.5
-    orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
+    assert cli.main(["der", "--family", fam.label(), "--lambda", repr(lam)]) == 0
+    capsys.readouterr()
     moduli.frame_constants(fam, lam)
     assert (len(conjugate_calls), len(basis_calls), len(built)) == (1, 1, 1)
 
@@ -669,10 +671,15 @@ def _exact_twin(sc: StructureConstants) -> StructureConstants:
                                                   (3, 3, 3)))
 
 
+def _scalar_der_rows(sc) -> tuple:
+    """``(rows, dim Der)`` of RI + Der(sc), as ``solvsoliton_check`` reads them."""
+    return derivations.block_der_rows(sc, derivations.semidirect_block(sc))
+
+
 def _assert_closed_form_rows(sc):
-    """``scalar_der_rows`` of sc took the closed form: orthonormal rows
+    """``block_der_rows`` of sc took the closed form: orthonormal rows
     spanning RI + Der of sc's exact twin, at its dim 4."""
-    rows, got_dim = derivations.scalar_der_rows(sc)
+    rows, got_dim = _scalar_der_rows(sc)
     want = derivation_algebra(_exact_twin(sc))
     assert got_dim == want.dim == 4
     assert rows.shape == want.scalar_frame.shape == (5, 9)
@@ -695,7 +702,7 @@ def test_scalar_der_rows_span_rI_plus_der(fam):
         if EXPECTED_DIMS[fam.tag] == 4:
             _assert_closed_form_rows(sc)
         else:
-            rows, dim = derivations.scalar_der_rows(sc)
+            rows, dim = _scalar_der_rows(sc)
             der = derivation_algebra(sc)
             assert (rows.tobytes(), dim) == (der.scalar_frame.tobytes(), der.dim)
 
@@ -740,7 +747,7 @@ _FALLBACK_TENSORS = {
 def test_scalar_der_rows_falls_back_to_derivation_algebra(name):
     sc = _FALLBACK_TENSORS[name]()
     for tensor in (sc, _exact_twin(sc)):
-        rows, dim = derivations.scalar_der_rows(tensor)
+        rows, dim = _scalar_der_rows(tensor)
         der = derivation_algebra(tensor)
         assert (rows.tobytes(), dim) == (der.scalar_frame.tobytes(), der.dim)
     if name in ("exact_nilpotent", "scalar"):

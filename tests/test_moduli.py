@@ -11,12 +11,13 @@ from helpers import FAMILIES, automorphism_residual, random_group_element, rando
 from oracles import same_class, subspace_equal
 from solvgeo.cli import default_grid
 from solvgeo.derivations import (MatrixSubspace, derivation_algebra, scalar_plus,
-                                 conjugate_subspace)
+                                 conjugate_subspace, semidirect_block)
 from solvgeo.errors import InvalidFamilyError, NonSPDMetricError, SingularMatrixError
 from solvgeo.lie_core import Family, make_family, parse_family
 from solvgeo.linalg import lower_triangular_lq
-from solvgeo.moduli import (frame_algebra, frame_brackets, frame_constants, metric_to_group,
-                            reduce, rep_matrix, witness_residual)
+from solvgeo.lie_core import change_basis
+from solvgeo.moduli import (frame_algebra, frame_constants, metric_to_group, reduce,
+                            rep_matrix, witness_residual)
 
 REDUCIBLE = [f for f in FAMILIES if f.tag in ("r3", "r3_a", "r3p_a")]
 TRANSITIVE = [Family("h3"), Family("r3_1"), Family("r3_a", 1.0)]
@@ -153,12 +154,17 @@ def test_frame_derivations_equal_conjugated_derivations():
         assert subspace_equal(direct, conjugated, tol=1e-8)
 
 
+def _brackets(fam, lam) -> tuple:
+    """The brackets ``frame_algebra`` reads on the Milnor frame x_i = g_lambda e_i."""
+    return frame_algebra(fam, rep_matrix(fam, lam))[0]
+
+
 def _accepted(fam, lams) -> list:
-    """The lambdas of ``lams`` that ``frame_brackets`` accepts for ``fam``."""
+    """The lambdas of ``lams`` that ``_brackets`` accepts for ``fam``."""
     accepted = []
     for lam in lams:
         try:
-            frame_brackets(fam, lam)
+            _brackets(fam, lam)
         except (InvalidFamilyError, SingularMatrixError):
             continue
         accepted.append(lam)
@@ -177,7 +183,7 @@ def test_frame_brackets_within_one_ulp_of_exact(fam):
     assert len(accepted) >= 100
     for lam in accepted:
         exact = frame_constants(fam, Fraction(lam), exact=True).c[0, 1:, 1:].ravel()
-        got = frame_brackets(fam, lam)
+        got = _brackets(fam, lam)
         assert all(type(x) is float for x in got)
         for x, want in zip(got, (float(y) for y in exact)):
             assert abs(x - want) <= math.ulp(want), (lam, got, exact)
@@ -189,17 +195,41 @@ def _grid(fam) -> list:
     return list(default_grid(fam)) + ends.get(fam.tag, [])
 
 
+def _lower_frames(fam, seed: int) -> list:
+    """The Milnor frames g_lambda of ``_grid(fam)``, and the lower-triangular
+    ``metric_to_group`` frames of random SPD metrics at scales 1e-6..1e6."""
+    rng = np.random.default_rng(seed)
+    frames = [rep_matrix(fam, lam) for lam in _grid(fam)]
+    return frames + [metric_to_group(random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0)))
+                     for _ in range(40)]
+
+
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
 def test_frame_algebra_rows_span_the_conjugated_orbit_algebra(fam):
     der = derivation_algebra(make_family(fam))
-    for lam in _grid(fam):
-        brackets, rows, dim = frame_algebra(fam, lam)
-        assert brackets == frame_brackets(fam, lam)
+    for g in _lower_frames(fam, 89):
+        brackets, rows, dim = frame_algebra(fam, g)
+        assert all(type(x) is float for x in brackets)
         assert dim == der.dim
         np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-15)
-        conjugated = conjugate_subspace(der, rep_matrix(fam, lam))
-        assert subspace_equal(MatrixSubspace(rows[:dim]), conjugated), lam
-        assert subspace_equal(MatrixSubspace(rows), scalar_plus(conjugated)), lam
+        conjugated = conjugate_subspace(der, g)
+        assert subspace_equal(MatrixSubspace(rows[:dim]), conjugated), g
+        assert subspace_equal(MatrixSubspace(rows), scalar_plus(conjugated)), g
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
+def test_frame_algebra_brackets_are_the_frame_structure_constants(fam):
+    # [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3 on x_i = L e_i, against the
+    # exact change of basis by L's own rationals
+    for g in _lower_frames(fam, 97):
+        got = frame_algebra(fam, g)[0]
+        exact = change_basis(make_family(fam, exact=True),
+                             np.array([[Fraction(x) for x in row] for row in g.tolist()],
+                                      dtype=object))
+        assert semidirect_block(exact) is not None  # [x2,x3] = 0 and no x1 terms
+        want = [float(x) for x in exact.c[0, 1:, 1:].ravel()]
+        scale = max(map(abs, want))
+        assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale, (g, got, want)
 
 
 @pytest.mark.parametrize("fam", REDUCIBLE + TRANSITIVE,

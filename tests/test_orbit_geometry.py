@@ -1,18 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import DER_GRID, FAMILIES, random_group_element, random_spd, unit
 from oracles import (SYM_DIM, congruence_check, h_norm_closed_form,
                      shape_trace_mean_curvature, sym_basis, trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
-from solvgeo import cli, orbit_geometry
+from solvgeo import cli, linalg, orbit_geometry
 from solvgeo.lie_core import Family, make_family
 from solvgeo.cli import default_grid
 from solvgeo.moduli import metric_to_group, rep_matrix
 from solvgeo.soliton import soliton_from_frame
 from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
-                                    orbit_data, orbit_from_frame, second_fundamental_form)
+                                    orbit_data, second_fundamental_form)
 
 
 def test_sym_basis_orthonormal():
@@ -150,16 +153,18 @@ _H_CASES = ([(Family("r3"), float(lam)) for lam in np.geomspace(1e-11, 1e11, 45)
 def test_frame_orbit_matches_closed_form_across_the_domain():
     # at r3_a a = 0.5, lambda = 1e-9 the conjugated Der gave |H| 1.4e-7 off
     for fam, lam in _H_CASES:
-        r = orbit_from_frame(fam, lam)
+        r = orbit_at(fam, rep_matrix(fam, lam))
         assert r.norm == pytest.approx(h_norm_closed_form(fam.tag, lam), rel=1e-12), (fam, lam)
         assert r.orbit_dim == 5 and r.stab_dim == 0
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
 def test_frame_orbit_matches_orbit_at(fam):
-    # orbit_at conjugates Der by g_lambda: the reference for the closed-form rows
+    # conjugating span{I} + Der by g_lambda: the reference for the closed-form
+    # rows that orbit_at reads off the Milnor frame
     for lam in default_grid(fam):
-        got, want = orbit_from_frame(fam, lam), orbit_at(fam, rep_matrix(fam, lam))
+        g = rep_matrix(fam, lam)
+        got, want = orbit_at(fam, g), _orbit_at_by_span_plus_identity(fam, g)
         assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
         np.testing.assert_allclose(got.h, want.h, rtol=0, atol=1e-14)
 
@@ -284,10 +289,11 @@ def test_orbit_data_takes_any_spanning_stack():
 
 
 @pytest.mark.parametrize("fam", DER_GRID, ids=[f.label() for f in DER_GRID])
-def test_commutator_sum_matches_shape_tensor_trace(fam):
+def test_commutator_sum_matches_shape_tensor_trace(monkeypatch, fam):
     # sum_i h(A; X_i, X_i) = -<A, sum_i [X_i, T_i]>: the same H and the same
-    # component per normal as the traces of the whole shape tensor, at
-    # random g and at every soliton point of the family's verify grid
+    # component per normal as the traces of the whole shape tensor on the
+    # rows orbit_at hands orbit_data, at random g and at every soliton point
+    # of the family's verify grid
     rng = np.random.default_rng(71)
     elements = [random_group_element(rng) for _ in range(3)]
     elements += [rep_matrix(fam, lam) for lam in default_grid(fam)
@@ -295,10 +301,12 @@ def test_commutator_sum_matches_shape_tensor_trace(fam):
     if fam.tag == "r3p_a":
         elements.append(np.eye(3))  # the round point, where the stabilizer jumps
     assert len(elements) > 3 or fam.tag == "r3"
-    der = derivation_algebra(make_family(fam))
+    seen = []
+    monkeypatch.setattr(orbit_geometry, "orbit_data",
+                        lambda frame: seen.append(frame) or orbit_data(frame))
     for g in elements:
         got = orbit_at(fam, g)
-        want = shape_trace_mean_curvature(orbit_data(conjugate_subspace(der, g).scalar_frame))
+        want = shape_trace_mean_curvature(orbit_data(seen.pop()))
         tol = 1e-12 * max(1.0, want.norm)
         np.testing.assert_allclose(got.h, want.h, rtol=0, atol=tol)
         assert abs(got.norm - want.norm) <= tol
@@ -328,3 +336,68 @@ def test_verify_sweeps_build_no_shape_tensor(monkeypatch):
     od = orbit_data(np.eye(9))
     shape_trace_mean_curvature(od)
     assert calls == [od]
+
+
+def _cayley(skew: list) -> np.ndarray:
+    """k = (I - S)(I + S)^-1 for the rational skew S with entries
+    S12, S13, S23 = ``skew``: orthogonal in exact arithmetic, then rounded."""
+    s12, s13, s23 = skew
+    s = np.array([[0, s12, s13], [-s12, 0, s23], [-s13, -s23, 0]], dtype=object)
+    eye = np.array([[Fraction(int(i == j)) for j in range(3)] for i in range(3)], dtype=object)
+    return linalg.to_float((eye - s).dot(linalg.exact_inv(eye + s)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew=st.lists(st.fractions(-8, 8, max_denominator=64), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_at_is_invariant_under_the_right_action_of_o3(skew, seed):
+    # g and g k are the same metric up to k: u'(g k) = k^T u'(g) k, so the
+    # orbit dimensions and |H| agree and H(g k) = k^T H(g) k; on a triangular
+    # g the product g k runs orbit_at's QR, and on a random g both do
+    k = _cayley(skew)
+    rng = np.random.default_rng(seed)
+    for fam in FAMILIES:
+        for g in (metric_to_group(random_spd(rng)), random_group_element(rng)):
+            got, want = orbit_at(fam, g @ k), orbit_at(fam, g)
+            assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim), fam
+            # near r3_a's minimal points |H| ~ 2|lambda|/5 is read off a lambda
+            # rounded to a few ulps absolute: 8e-13 relative at |H| = 2e-4
+            tol = 1e-12 * max(1.0, want.norm)
+            assert abs(got.norm - want.norm) <= tol, fam
+            assert np.abs(got.h - k.T @ want.h @ k).max() <= tol, fam
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+def test_orbit_at_is_exact_under_scaling_by_powers_of_four(fam):
+    # metric_to_group(4^j G) = 2^-j metric_to_group(G) bit for bit, and the
+    # frame rows depend on the ratios of its entries only
+    rng = np.random.default_rng(101)
+    for _ in range(5):
+        gram = random_spd(rng)
+        want = orbit_at(fam, metric_to_group(gram))
+        for j in range(-30, 31):
+            got = orbit_at(fam, metric_to_group(4.0 ** j * gram))
+            assert got.h.tobytes() == want.h.tobytes(), j
+            assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+            for (a, v), (b, w) in zip(got.per_normal, want.per_normal):
+                assert a.tobytes() == b.tobytes() and v == w
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+def test_orbit_at_norm_does_not_depend_on_scale(fam):
+    rng = np.random.default_rng(103)
+    for _ in range(40):
+        gram = random_spd(rng)
+        t = 10.0 ** rng.uniform(-6.0, 6.0)
+        got, want = orbit_at(fam, metric_to_group(t * gram)), orbit_at(fam, metric_to_group(gram))
+        assert abs(got.norm - want.norm) <= 1e-12 * want.norm, t
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+
+
+def test_orbit_at_reads_a_gram_matrix_at_the_condition_limit():
+    # diag(1, 1, 1e-24) pulls back I by an automorphism of r3_a (reduce gives
+    # lambda = 0), and cond(g) = 1e12 is exactly COND_LIMIT; conjugate_subspace
+    # refuses this g, as a conjugated Der basis matrix shrinks to ZERO_TOL
+    fam = Family("r3_a", 0.5)
+    r = orbit_at(fam, metric_to_group(np.diag([1.0, 1.0, 1e-24])))
+    assert r.norm == 0.0 and (r.orbit_dim, r.stab_dim) == (5, 0)

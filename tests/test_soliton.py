@@ -258,7 +258,7 @@ def test_scaled_metric_is_not_a_soliton(fam, gram):
     assert not solvsoliton_check(make_family(fam), gram).is_soliton
 
 
-def test_solvsoliton_check_builds_no_frame(monkeypatch):
+def test_solvsoliton_check_builds_no_frame(monkeypatch, capsys):
     # wrap each name in every solvgeo namespace that binds it, since a
     # from-import copies the binding
     calls = []
@@ -279,10 +279,11 @@ def test_solvsoliton_check_builds_no_frame(monkeypatch):
     for fam in FAMILIES:
         solvsoliton_check(make_family(fam), random_spd(rng))
     assert calls == []
-    # positive control: the spies see the orbit of a Cholesky frame and the
+    # positive control: the spies see Der conjugated by der --lambda and the
     # brackets on a Milnor frame
     fam = Family("r3_a", 0.5)
-    orbit_geometry.orbit_at(fam, metric_to_group(random_spd(rng)))
+    assert cli.main(["der", "--family", fam.label(), "--lambda", "2.0"]) == 0
+    capsys.readouterr()
     frame_constants(fam, 2.0)
     assert sorted(calls) == ["change_basis", "conjugate_subspace"]
 
@@ -333,7 +334,7 @@ def test_solvsoliton_check_solves_no_der_kernel_for_semidirect_families(monkeypa
         calls.clear()
     sc = lie_core.change_basis(make_family(Family("r3_a", float(rng.uniform(-1.0, 1.0)))),
                                random_group_element(rng))
-    derivations.scalar_der_rows(sc)
+    derivations.block_der_rows(sc, derivations.semidirect_block(sc))
     assert calls[:1] == ["derivation_algebra"] and "nullspace" in calls
 
 
