@@ -117,18 +117,6 @@ def _row_dict(row: VerifyRow) -> dict:
 _TABLE_FORMATS = {"a": "g", "lambda": ".6g", "soliton_residual": ".3e", "H_norm": ".3e"}
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(row) for row in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def emit_report(payload, fmt: str) -> str:
     """Render a payload as json, csv, or a table.
 
@@ -136,7 +124,7 @@ def emit_report(payload, fmt: str) -> str:
     VerifyRow, printed one row per line.
     """
     if isinstance(payload, dict):
-        data = _jsonable(payload)
+        data = json.loads(json.dumps(payload, default=lambda o: o.tolist()))
     elif payload:
         data = [_row_dict(r) for r in payload]
     else:
@@ -288,16 +276,10 @@ def _cmd_orbit(args):
     fam = parse_family(args.family)
     gram = _read_gram(args)
     if args.lam is not None:
-        mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, args.lam))
+        g = moduli.rep_matrix(fam, args.lam)
     else:
         g = np.eye(3) if gram is None else moduli.metric_to_group(gram)
-        try:
-            mc = orbit_geometry.orbit_at(fam, g)
-        except SingularMatrixError:
-            # only a Gram frame is refused, once cond(g)^2 = cond(G) passes COND_LIMIT^2
-            raise SingularMatrixError(f"Gram matrix is too ill-conditioned for the float "
-                                      f"orbit (condition number {np.linalg.cond(gram):.3g})"
-                                      ) from None
+    mc = orbit_geometry.orbit_at(fam, g)
     return {"family": fam.label(),
             "orbit_dim": mc.orbit_dim,
             "stab_dim": mc.stab_dim,

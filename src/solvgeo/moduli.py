@@ -80,27 +80,33 @@ def frame_constants(family: Family, lam: float, exact: bool = False) -> Structur
 def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
     """Brackets on the frame x_i = L e_i, and orthonormal rows of L^-1 (RI + Der) L.
 
-    ``lower`` is lower triangular with positive diagonal (``rep_matrix``,
-    ``metric_to_group``, the L of ``linalg.lq``); an L that fails
-    ``linalg.check_conditioned`` raises SingularMatrixError.  Returns
-    ``((a, b, c, d), rows, dim Der)``: [x1,x2] = a x2 + b x3, [x1,x3] = c x2
-    + d x3 as Python floats ([x2,x3] = 0), and rows laid out as
-    ``MatrixSubspace.scalar_frame``.  span{e2, e3} is an abelian ideal, so
-    ad(x1) there is A' = L11 h^-1 A h, h = [[1, 0], [L32, L33]] / L22
-    (``derivations.block_conjugate``).  For dim Der = 4 the rows are
-    ``derivations.semidirect_rows`` of A'; for dim 6 (h3, r3_1, r3_a at
-    a = 1) L fixes Der (zero first row, or h3's, whose bracket L rescales),
-    and its own rows serve.
+    ``lower`` is lower triangular (``rep_matrix``, ``metric_to_group``, the
+    L of ``linalg.lq``).  Returns ``((a, b, c, d), rows, dim Der)``: [x1,x2]
+    = a x2 + b x3, [x1,x3] = c x2 + d x3 as Python floats ([x2,x3] = 0), and
+    rows laid out as ``MatrixSubspace.scalar_frame``.  span{e2, e3} is an
+    abelian ideal, so ad(x1) there is A' = L11 h^-1 A h, h = [[1, 0], [L32,
+    L33]] / L22 (``derivations.block_conjugate``).  For dim Der = 4 the rows
+    are ``derivations.semidirect_rows`` of h^-1 A h, unscaled, as L11 could
+    underflow it: no scale or conditioning of L changes them, and none is
+    tested.  For dim 6 (h3, r3_1, r3_a at a = 1) L fixes Der (zero first
+    row, or h3's, whose bracket L rescales), and its own rows serve.  An L
+    not finite with positive diagonal and L33 / L22 > 0 in float raises
+    SingularMatrixError, and brackets that overflow raise ValueError.
     """
-    linalg.check_conditioned(lower, "conjugating matrix")
-    (l11, _, _), (_, l22, _), (_, l32, l33) = lower.tolist()
+    entries = lower.tolist()
+    (l11, _, _), (_, l22, _), (_, l32, l33) = entries
+    finite = all(math.isfinite(x) for row in entries for x in row)
+    if not (finite and min(l11, l22, l33) > 0 and l33 / l22 > 0):
+        raise SingularMatrixError("conjugating matrix is singular or not finite")
     sc = make_family(family)
-    a, b, c, d = block_conjugate(sc.c[0, 1:, 1:].ravel().tolist(), l32 / l22, l33 / l22)
-    brackets = l11 * a, l11 * b, l11 * c, l11 * d
+    block = block_conjugate(sc.c[0, 1:, 1:].ravel().tolist(), l32 / l22, l33 / l22)
+    brackets = tuple(l11 * x for x in block)
+    if not all(map(math.isfinite, brackets)):
+        raise ValueError("frame brackets are not finite: they overflow float64 for this metric")
     der = derivation_algebra(sc)
     if der.dim != 4:
         return brackets, der.scalar_frame, der.dim
-    return brackets, semidirect_rows(*brackets), 4
+    return brackets, semidirect_rows(*block), 4
 
 
 def _transitive(family: Family) -> bool:
@@ -126,9 +132,10 @@ def reduce(family: Family, g: np.ndarray):
     itself splits into scalar times automorphism and the representative is
     the identity.
 
-    Returns (Representative, ReductionTrace); the product
-    scalar * auto_part @ g @ orth reproduces the representative matrix.
-    A non-finite or numerically singular g raises SingularMatrixError.
+    Returns (Representative, ReductionTrace); the product scalar *
+    auto_part @ g @ orth reproduces the representative matrix.  A
+    non-finite or numerically singular g raises SingularMatrixError, and a
+    single-class witness that does not fit in float64 ValueError.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
@@ -141,13 +148,15 @@ def reduce(family: Family, g: np.ndarray):
     if _transitive(family):
         m = np.linalg.inv(lower)
         steps.append(("triangular_inverse", m))
-        if family.tag == "h3":
-            scalar = m[0, 0] * m[1, 1] / m[2, 2]
-        else:
-            scalar = m[0, 0]
-        phi = m / scalar
+        (m11, _, _), (_, m22, _), (_, _, m33) = m.tolist()
+        scalar = m11 * m22 / m33 if family.tag == "h3" else m11
+        # k_scale = scalar^2 and phi = m / scalar must fit in float64; in Python
+        # floats an overflow is inf, with no RuntimeWarning
+        if not (0 < scalar * scalar < math.inf and float(np.abs(m).max()) / scalar < math.inf):
+            raise ValueError("reduction witness is not finite: its factors overflow float64 "
+                             "for this metric")
         rep = Representative(1.0, np.eye(3))
-        return rep, ReductionTrace(float(scalar), phi, k1, tuple(steps))
+        return rep, ReductionTrace(scalar, m / scalar, k1, tuple(steps))
 
     (l11, _, _), (l21, l22, _), (l31, l32, l33) = lower.tolist()
     phi1 = np.array([[l22, 0.0, 0.0],

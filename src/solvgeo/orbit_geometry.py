@@ -112,7 +112,8 @@ def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
     # the trace of the shape tensor at A_n is -<A_n, K> with K = sum_i [X_i, T_i]
     x, t = od.lifts, od.tangent
     normals = od.normals.reshape(-1, 9)
-    vals = -(normals @ (x @ t - t @ x).sum(axis=0).ravel()) / od.orbit_dim
+    # + 0.0: a zero sum at a minimal orbit would print as -0.0
+    vals = -(normals @ (x @ t - t @ x).sum(axis=0).ravel()) / od.orbit_dim + 0.0
     h = (vals @ normals).reshape(3, 3)
     return MeanCurvatureResult(h=h, norm=float(np.linalg.norm(h)),
                                per_normal=tuple((a, float(v))
@@ -123,13 +124,13 @@ def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
 def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     """Mean curvature of the scaling-automorphism orbit through g's metric.
 
-    The orbit of R* x Aut through the inner product of g is moved to the
-    base point by conjugation.  With g = L k^T (``linalg.lq``), u' =
-    g^-1 (RI + Der) g = k (L^-1 (RI + Der) L) k^T, and the rows of
-    L^-1 (RI + Der) L are read off the brackets on the frame L e_i
-    (``moduli.frame_algebra``).  Each row R becomes k R k^T, an isometry of
-    the trace form, only when a QR ran; a ``rep_matrix`` or
-    ``metric_to_group`` frame is its own L and takes none.
+    The orbit of R* x Aut through g's inner product is moved to the base
+    point by conjugation.  With g = L k^T (``linalg.lq``), u' = g^-1 (RI +
+    Der) g = k (L^-1 (RI + Der) L) k^T, with the rows of L^-1 (RI + Der) L
+    read off the brackets on the frame L e_i (``moduli.frame_algebra``, whose
+    guards on L are the only refusals: no conditioning policy applies).
+    Each row R becomes k R k^T, an isometry of the trace form, only when a
+    QR ran; a ``rep_matrix`` or ``metric_to_group`` frame takes none.
     """
     lower, k = linalg.lq(g)
     rows = frame_algebra(family, lower)[1]

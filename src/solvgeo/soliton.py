@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .curvature import block_ricci, require_finite, ricci_closed_form
 from .derivations import block_der_rows, semidirect_block
 from .lie_core import Family, StructureConstants
@@ -96,9 +97,13 @@ def soliton_from_frame(family: Family, lam: float,
     changed and no subspace is conjugated.  The verdict is
     ``solvsoliton_check``'s at the representative's Gram matrix; the
     residual is not, as it is the Frobenius norm on the Milnor frame.
+    g_lambda must pass ``linalg.check_conditioned``: with ``tol`` absolute,
+    that refusal keeps extreme lambdas unread (ROADMAP items 1 and 7).
     """
     _check_tol(tol)
-    brackets, rows, dim = frame_algebra(family, rep_matrix(family, lam))
+    g = rep_matrix(family, lam)
+    linalg.check_conditioned(g, "conjugating matrix")
+    brackets, rows, dim = frame_algebra(family, g)
     # as Python floats the brackets overflow to inf or NaN without a warning,
     # and require_finite rejects the result
     ric = ricci_closed_form(*brackets)

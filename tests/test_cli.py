@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import FAMILY_STRINGS
 from solvgeo import cli, curvature
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.lie_core import Family
@@ -314,29 +315,52 @@ def test_non_finite_input_named(capsys, argv, message):
      "conjugating matrix is singular at lambda = 1e-300"),
     (["soliton", "--family", "r3pa:a=1", "--lambda", "1e200"],
      "conjugating matrix is singular at lambda = 1e+200"),
-    (["orbit", "--family", "r3", "--lambda", "1e-300"],
-     "conjugating matrix is singular at lambda = 1e-300"),
     (["der", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
-    # no lambda was given, so the Gram matrix is named
-    (["orbit", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-30"],
-     "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+30)"),
     # cond(g) is exactly the limit, but a conjugated basis matrix falls to 1e-12
     (["der", "--family", "r3", "--lambda", "1e-12"],
      "conjugating matrix is singular at lambda = 1e-12"),
     # verify conjugates nothing: cond(g) just above the limit is the first refused
     (["verify", "--family", "r3", "--lambda", repr(math.nextafter(1e-12, 0))],
      "conjugating matrix is singular at lambda = 9.999999999999998e-13"),
-    # diag(1, 1, t) pulls back I by an automorphism: the float orbit reads it
-    # down to t = 1e-24, where cond(g) = 1e12 is COND_LIMIT, and refuses it below
-    (["orbit", "--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-25"],
-     "Gram matrix is too ill-conditioned for the float orbit (condition number 1e+25)"),
 ])
 def test_singular_lambda_named(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _orbit_json(capsys, argv):
+    assert cli.main(["orbit", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv,h_norm", [
+    # the orbit applies no conditioning policy, so these rows are answered:
+    # r3's |H| is sqrt(2)/5, its lambda = 1 value, at every lambda (C5), and
+    # diag(1, 1, 1e-30) is r3 at lambda = 1e-15
+    (["--family", "r3", "--lambda", "1e-300"], math.sqrt(2) / 5),
+    (["--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-30"],
+     math.sqrt(2) / 5),
+    # diag(1, 1, t) pulls back I by an automorphism of r3_a: lambda = 0, H = 0
+    (["--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-25"], 0.0),
+])
+def test_extreme_orbit_rows_answered(capsys, argv, h_norm):
+    data = _orbit_json(capsys, argv)
+    assert data["orbit_dim"] == 5
+    assert data["H_norm"] == pytest.approx(h_norm, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "r3a:a=0.5", "--lambda", "0"],
+    ["--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-25"],
+    ["--family", "r3a:a=0.5", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-300"],
+])
+def test_minimal_orbit_components_are_positive_zeros(capsys, argv):
+    # a zero sum negated once printed as -0.0
+    components = [n["component"] for n in _orbit_json(capsys, argv)["per_normal"]]
+    assert components and all(math.copysign(1.0, v) == 1.0 and v == 0.0 for v in components)
 
 
 def test_verify_main_theorem_names_singular_lambda():
@@ -465,6 +489,41 @@ def test_tiny_soliton_residual_is_read(capsys):
     code, out = run(capsys, ["soliton", "--family", "r3", "--gram"] + gram + ["--format", "json"])
     assert code == 0
     assert json.loads(out)["residual"] == 1.224744871391589e-200
+
+
+@pytest.mark.parametrize("family", FAMILY_STRINGS)
+def test_orbit_reads_extreme_gram_matrices(capsys, family):
+    # S (m m^T + 1e-3 I) S with S = diag(10^U(-150, 150)): each is answered or
+    # refused by name, with no traceback, and a RuntimeWarning fails the run
+    rng = np.random.default_rng(113)
+    answered = 0
+    for _ in range(40):
+        m, s = rng.normal(size=(3, 3)), np.diag(10.0 ** rng.uniform(-150.0, 150.0, 3))
+        gram = [repr(x) for x in (s @ (m @ m.T + 1e-3 * np.eye(3)) @ s).ravel().tolist()]
+        code = cli.main(["orbit", "--family", family, "--gram", *gram])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            answered += 1
+        else:
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1, err
+    assert answered >= 20
+
+
+@pytest.mark.parametrize("gram", [
+    # scalar = m11 m22 / m33 = 1e-300: k_scale underflowed to 0.0 and the
+    # automorphism factor m / scalar overflowed
+    ["1e-200", "0", "0", "0", "1e-200", "0", "0", "0", "1e200"],
+    # scalar = 1e160: k_scale = scalar ** 2 raised OverflowError
+    ["1e60", "0", "0", "0", "1e60", "0", "0", "0", "1e-200"],
+])
+def test_reduce_witness_overflow_named(capsys, gram):
+    assert cli.main(["reduce", "--family", "h3", "--gram", *gram]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: reduction witness is not finite: its factors overflow float64 "
+                   "for this metric\n")
 
 
 def test_gram_commands_take_one_spd_decision(capsys):

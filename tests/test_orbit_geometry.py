@@ -12,7 +12,8 @@ from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
 from solvgeo import cli, linalg, orbit_geometry
 from solvgeo.lie_core import Family, make_family
 from solvgeo.cli import default_grid
-from solvgeo.moduli import metric_to_group, rep_matrix
+from solvgeo.errors import SingularMatrixError
+from solvgeo.moduli import metric_to_group, reduce, rep_matrix
 from solvgeo.soliton import soliton_from_frame
 from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
                                     orbit_data, second_fundamental_form)
@@ -365,6 +366,92 @@ def test_orbit_at_is_invariant_under_the_right_action_of_o3(skew, seed):
             tol = 1e-12 * max(1.0, want.norm)
             assert abs(got.norm - want.norm) <= tol, fam
             assert np.abs(got.h - k.T @ want.h @ k).max() <= tol, fam
+
+
+# a nonzero rational f 2^k: |f| <= 8 with denominator <= 64, |k| <= 40
+_SCALED_RATIONAL = st.builds(lambda f, k: f * Fraction(2) ** k,
+                             st.fractions(-8, 8, max_denominator=64).filter(bool),
+                             st.integers(-40, 40))
+
+
+def _automorphism(draw) -> tuple:
+    """``(family, phi)`` for a drawn automorphism phi, a Fraction matrix:
+    the lower-triangular ones of r3_a, the rotation-scalings of r3p_a, item
+    11's diag(1, 1, -1) of r3_a, and e2 <-> e3, e1 -> -e1 on r3_a at a = -1."""
+    kind, a, (u, v, x, y) = draw
+    if kind == "r3_a":
+        return Family("r3_a", a), [[1, 0, 0], [u, x, 0], [v, 0, y]]
+    if kind == "r3p_a":
+        return Family("r3p_a", 2 * abs(a)), [[1, 0, 0], [u, x, -y], [v, y, x]]  # a in 0, 1, 2
+    if kind == "flip":
+        return Family("r3_a", a), [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    return Family("r3_a", -1.0), [[-1, 0, 0], [0, 0, 1], [0, 1, 0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(draw=st.tuples(st.sampled_from(["r3_a", "r3p_a", "flip", "swap"]),
+                      st.sampled_from([-1.0, -0.5, 0.0, 0.5]),
+                      st.lists(_SCALED_RATIONAL, min_size=4, max_size=4)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_orbit_at_is_invariant_under_pullback_by_an_automorphism(draw, seed):
+    # phi in Aut normalizes RI + Der, so u'(phi^-1 g) = g^-1 phi (RI + Der)
+    # phi^-1 g = u'(g): the same orbit, the same H; phi^-1 g is rounded once
+    # from exact rationals, however ill-conditioned phi is
+    fam, phi = _automorphism(draw)
+    inv = linalg.exact_inv(np.array([[Fraction(x) for x in row] for row in phi], dtype=object))
+    rng = np.random.default_rng(seed)
+    for gram in (random_spd(rng), random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0))):
+        g = metric_to_group(gram)
+        exact = np.array([[Fraction(x) for x in row] for row in g.tolist()], dtype=object)
+        got, want = orbit_at(fam, linalg.to_float(inv.dot(exact))), orbit_at(fam, g)
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+        tol = 1e-12 * max(1.0, want.norm)
+        assert abs(got.norm - want.norm) <= tol
+        assert np.abs(got.h - want.h).max() <= tol
+
+
+def _bad_elements() -> list:
+    inf_entry, nan_entry = np.eye(3), np.eye(3)
+    inf_entry[0, 2], nan_entry[1, 0] = np.inf, np.nan
+    return [np.zeros((3, 3)), np.full((3, 3), np.nan), nan_entry, inf_entry,
+            np.diag([1.0, 1e300, 1e-300])]
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+def test_orbit_at_refuses_degenerate_elements_by_name(fam):
+    # a zero, NaN or inf g, and one whose L33 / L22 underflows, fail the
+    # guards of frame_algebra, never with ZeroDivisionError or LinAlgError
+    message = "^conjugating matrix is singular or not finite$"
+    for g in _bad_elements():
+        with pytest.raises(SingularMatrixError, match=message):
+            orbit_at(fam, g)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
+def test_orbit_at_gram_frame_matches_the_representative(fam):
+    # the orbit through G and through reduce's g_lambda is one orbit: |H| and
+    # the dimensions agree wherever reduce answers, at anisotropy up to 1e200
+    # (reduce refuses by LQ_DET_TOL or a witness overflow; orbit_at only by
+    # r3p_a's bracket overflow, (-1 - r^2) / s at r = L32 / L22 past 1e154)
+    rng = np.random.default_rng(109)
+    answered = 0
+    for _ in range(150):
+        m, s = rng.normal(size=(3, 3)), np.diag(10.0 ** rng.uniform(-100.0, 100.0, 3))
+        g = metric_to_group(s @ (m @ m.T + 1e-3 * np.eye(3)) @ s)
+        try:
+            rep = reduce(fam, g)[0]
+        except ValueError:
+            continue
+        want = orbit_at(fam, rep.matrix)
+        try:
+            got = orbit_at(fam, g)
+        except ValueError as exc:
+            assert fam.tag == "r3p_a" and str(exc).startswith("frame brackets are not finite")
+            continue
+        answered += 1
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+        assert abs(got.norm - want.norm) <= 1e-12 * want.norm
+    assert answered >= 10
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
