@@ -315,8 +315,13 @@ def test_non_finite_input_named(capsys, argv, message):
      "conjugating matrix is singular at lambda = 1e-300"),
     (["soliton", "--family", "r3pa:a=1", "--lambda", "1e200"],
      "conjugating matrix is singular at lambda = 1e+200"),
+    # a refused row writes no JSON document either
+    (["soliton", "--family", "r3", "--lambda", "1e-300", "--format", "json"],
+     "conjugating matrix is singular at lambda = 1e-300"),
     (["der", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
+    (["der", "--family", "r3", "--lambda", "1e300"],
+     "conjugating matrix is singular at lambda = 1e+300"),
     # cond(g) is exactly the limit, but a conjugated basis matrix falls to 1e-12
     (["der", "--family", "r3", "--lambda", "1e-12"],
      "conjugating matrix is singular at lambda = 1e-12"),
