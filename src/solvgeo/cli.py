@@ -17,7 +17,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,16 +101,8 @@ def verify_main_theorem(cfg: RunConfig):
 
 
 def _row_dict(row: VerifyRow) -> dict:
-    return {
-        "family": row.family,
-        "a": row.a,
-        "lambda": row.lam,
-        "is_soliton": row.is_soliton,
-        "soliton_residual": row.soliton_residual,
-        "H_norm": row.h_norm,
-        "orbit_dim": row.orbit_dim,
-        "agrees": row.agrees,
-    }
+    renamed = {"lam": "lambda", "h_norm": "H_norm"}
+    return {renamed.get(f.name, f.name): getattr(row, f.name) for f in fields(row)}
 
 
 # table formats of the verify columns; the other cells print with str()
@@ -248,7 +240,10 @@ def _cmd_reduce(args):
         "scalar": trace.scalar,
         "witness_residual": moduli.witness_residual(rep, trace, g),
         "steps": [name for name, _ in trace.steps],
-        "frame_brackets": _listing(moduli.frame_constants(fam, rep.lam)),
+        # [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3 in _listing's layout
+        "frame_brackets": [[1, j, k, x] for (j, k), x in
+                           zip(((2, 2), (2, 3), (3, 2), (3, 3)),
+                               moduli.frame_algebra(fam, rep.matrix)[0]) if x],
     }, 0
 
 

@@ -25,7 +25,7 @@ def _normalize(stack) -> np.ndarray:
     """d 3x3 matrices (or their flat 9-vectors) as one (d, 3, 3) float
     array, each at unit Frobenius norm, first nonzero entry positive, zeros
     all +0.0."""
-    flat = linalg.to_float(np.reshape(stack, (len(stack), 9)))
+    flat = np.reshape(np.asarray(stack, dtype=float), (len(stack), 9))
     # the batched row dot is the dot np.linalg.norm takes, bit for bit
     nrm = np.sqrt(flat[:, None, :] @ flat[:, :, None])[:, 0]
     if (nrm <= ZERO_TOL).any():
@@ -198,12 +198,14 @@ def semidirect_block(sc: StructureConstants):
 
 def block_conjugate(block, r: float, s: float) -> tuple:
     """``block`` = (a, b, c, d), the matrix A = [[a, c], [b, d]], as h^-1 A h
-    for h = [[1, 0], [r, s]], s != 0, in the same layout."""
+    for h = [[1, 0], [r, s]], s != 0, in the same layout.  b' is formed as
+    b/s + (r/s)((d - a) - c r), with no r^2, which overflows past |r| = 1e154
+    where b' is representable."""
     # written so that s never meets the diagonal: the product h^-1 A h rounds
     # r3's d = 1 at about one lambda in ten on the Milnor frame, an error that
     # swamps A_lambda's traceless part, of size lambda, when lambda is small
     a, b, c, d = block
-    return a + c * r, (b + (d - a) * r - c * r * r) / s, c * s, d - c * r
+    return a + c * r, b / s + (r / s) * ((d - a) - c * r), c * s, d - c * r
 
 
 def block_der_rows(sc: StructureConstants, block) -> tuple:

@@ -171,9 +171,9 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
             raise SingularMatrixError("basis change matrix is singular")
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
         return StructureConstants(linalg.ratios(_contract(c, h, adj), dc * dh * det))
-    h = linalg.to_float(h)
+    h = np.asarray(h, dtype=float)
     hinv = linalg.inverse(h, "basis change matrix")
-    return StructureConstants(_contract(linalg.to_float(sc.c), h, hinv))
+    return StructureConstants(_contract(np.asarray(sc.c, dtype=float), h, hinv))
 
 
 def _contract(c: np.ndarray, h: np.ndarray, hinv: np.ndarray) -> np.ndarray:
@@ -205,4 +205,4 @@ def jacobi_residual(sc: StructureConstants) -> float:
     t = np.einsum("jkm,iml->ijkl", c, c)
     s = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
     i, j, k = np.array(list(combinations(range(sc.dim), 3))).T
-    return float(np.abs(linalg.to_float(s[i, j, k])).max(initial=0.0))
+    return float(np.abs(np.asarray(s[i, j, k], dtype=float)).max(initial=0.0))

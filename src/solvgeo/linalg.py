@@ -38,18 +38,6 @@ def is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
 
 
-def to_float(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as float64.  A rational entry becomes ``numerator /
-    denominator``, the correctly rounded float that ``float()`` gives."""
-    if isinstance(arr, np.ndarray) and is_exact(arr):
-        try:
-            flat = [x.numerator / x.denominator for x in arr.ravel().tolist()]
-        except AttributeError:  # float entries
-            return np.asarray(arr, dtype=float)
-        return np.array(flat, dtype=float).reshape(arr.shape)
-    return np.asarray(arr, dtype=float)
-
-
 def lead_positive(rows: np.ndarray) -> np.ndarray:
     """Each row negated where its first entry larger than ``ZERO_TOL`` in
     size is negative."""

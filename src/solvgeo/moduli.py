@@ -49,12 +49,15 @@ def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
     """The canonical group element g_lambda of a family.
 
     r3 and r3p_a use diag(1, 1, 1/lambda); r3_a uses the unipotent matrix
-    with (3,2)-entry lambda; the single-class families h3 and r3_1 use the
-    identity (lam is ignored for them).
+    with (3,2)-entry lambda; the single-class families h3, r3_1 and r3_a at
+    a = 1 use the identity (lam is ignored for them), which ``reduce``
+    returns for every metric.
     """
     _check_lambda(family, lam)
     one, lam = (Fraction(1), Fraction(lam)) if exact else (1.0, float(lam))
     mat = np.diag([one, one, one])
+    if _transitive(family):
+        return mat
     if family.tag == "r3_a":
         mat[2, 1] = lam
     elif family.tag in ("r3", "r3p_a"):
@@ -91,7 +94,9 @@ def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
     tested.  For dim 6 (h3, r3_1, r3_a at a = 1) L fixes Der (zero first
     row, or h3's, whose bracket L rescales), and its own rows serve.  An L
     not finite with positive diagonal and L33 / L22 > 0 in float raises
-    SingularMatrixError, and brackets that overflow raise ValueError.
+    SingularMatrixError, and an h^-1 A h that overflows ValueError.  Only
+    that block is tested: the brackets may still overflow or underflow by
+    L11, which is 1 at every g_lambda.
     """
     entries = lower.tolist()
     (l11, _, _), (_, l22, _), (_, l32, l33) = entries
@@ -100,9 +105,9 @@ def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
         raise SingularMatrixError("conjugating matrix is singular or not finite")
     sc = make_family(family)
     block = block_conjugate(sc.c[0, 1:, 1:].ravel().tolist(), l32 / l22, l33 / l22)
-    brackets = tuple(l11 * x for x in block)
-    if not all(map(math.isfinite, brackets)):
+    if not all(map(math.isfinite, block)):
         raise ValueError("frame brackets are not finite: they overflow float64 for this metric")
+    brackets = tuple(l11 * x for x in block)
     der = derivation_algebra(sc)
     if der.dim != 4:
         return brackets, der.scalar_frame, der.dim

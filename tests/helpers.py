@@ -3,7 +3,6 @@
 import numpy as np
 
 from oracles import bracket
-from solvgeo import linalg
 from solvgeo.lie_core import StructureConstants, parse_family
 
 # one representative per family branch, parameters matching the paper grids
@@ -45,8 +44,8 @@ def automorphism_residual(sc: StructureConstants, phi: np.ndarray) -> float:
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
-            lhs = phi @ linalg.to_float(bracket(sc, eye[i], eye[j]))
-            rhs = linalg.to_float(bracket(sc, phi[:, i], phi[:, j]))
+            lhs = phi @ np.asarray(bracket(sc, eye[i], eye[j]), dtype=float)
+            rhs = np.asarray(bracket(sc, phi[:, i], phi[:, j]), dtype=float)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

@@ -22,7 +22,7 @@ import numpy as np
 import sympy as sp
 from scipy.linalg import expm
 
-from solvgeo import linalg, orbit_geometry
+from solvgeo import orbit_geometry
 from solvgeo.curvature import require_finite
 from solvgeo.derivations import MatrixSubspace, derivation_algebra, scalar_plus
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family
@@ -91,14 +91,14 @@ def antisymmetry_residual(sc: StructureConstants) -> float:
 def derivation_residual(sc: StructureConstants, d: np.ndarray) -> float:
     """max-norm violation of the derivation identity over basis pairs."""
     n = sc.dim
-    d = linalg.to_float(np.asarray(d))
+    d = np.asarray(d, dtype=float)
     eye = np.eye(n)
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = d @ linalg.to_float(bracket(sc, eye[i], eye[j]))
-            rhs = (linalg.to_float(bracket(sc, d[:, i], eye[j]))
-                   + linalg.to_float(bracket(sc, eye[i], d[:, j])))
+            lhs = d @ np.asarray(bracket(sc, eye[i], eye[j]), dtype=float)
+            rhs = (np.asarray(bracket(sc, d[:, i], eye[j]), dtype=float)
+                   + np.asarray(bracket(sc, eye[i], d[:, j]), dtype=float))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -111,7 +111,7 @@ def subspace_membership(subspace: MatrixSubspace, mat: np.ndarray,
     Frobenius distance from ``mat`` to the subspace and the coefficients
     expand the projection in the stored basis.
     """
-    mat = linalg.to_float(np.asarray(mat))
+    mat = np.asarray(mat, dtype=float)
     a = subspace.stacked().T
     coeffs, *_ = np.linalg.lstsq(a, mat.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - mat.ravel()))

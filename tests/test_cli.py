@@ -14,8 +14,8 @@ import pytest
 from helpers import FAMILY_STRINGS
 from solvgeo import cli, curvature
 from solvgeo.curvature import ricci_closed_form
-from solvgeo.lie_core import Family
-from solvgeo.moduli import frame_constants
+from solvgeo.lie_core import Family, parse_family
+from solvgeo.moduli import frame_constants, rep_matrix
 
 CSV_HEADER = "family,a,lambda,is_soliton,soliton_residual,H_norm,orbit_dim,agrees"
 
@@ -355,6 +355,28 @@ def test_extreme_orbit_rows_answered(capsys, argv, h_norm):
     data = _orbit_json(capsys, argv)
     assert data["orbit_dim"] == 5
     assert data["H_norm"] == pytest.approx(h_norm, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family,gram", [
+    # lambda about 3e-13 and 7e6, and 1e13: g_lambda is past COND_LIMIT, which
+    # a float change_basis applies, and frame_algebra reads it in closed form
+    ("r3", "1 0 0 0 1 0 0 0 1e-25"),
+    ("r3a:a=0.5", "1 0 0 0 1 .99999999999999 0 .99999999999999 1"),
+    ("r3pa:a=0.5", "1 0 0 0 1 0 0 0 1e-26"),
+])
+def test_reduce_lists_closed_form_brackets_at_extreme_lambda(capsys, family, gram):
+    code, out = run(capsys, ["reduce", "--family", family, "--gram", *gram.split(),
+                             "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    fam, lam = parse_family(family), data["lambda"]
+    assert data["rep_matrix"] == rep_matrix(fam, lam).tolist()
+    # the nonzero brackets of g_lambda, each within one ulp of the exact one
+    exact = frame_constants(fam, Fraction(lam), exact=True).nonzero()
+    assert [row[:3] for row in data["frame_brackets"]] == [[i + 1, j + 1, k + 1]
+                                                           for i, j, k, _ in exact]
+    for (*_, x), (*_, want) in zip(data["frame_brackets"], exact):
+        assert abs(x - float(want)) <= math.ulp(float(want)), (x, want)
 
 
 @pytest.mark.parametrize("argv", [

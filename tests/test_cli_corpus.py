@@ -65,6 +65,11 @@ CASES = (
        ["ricci", "--family", "r3pa:a=1.0", "--gram"] + _GRAM_GENERIC]
     # lambda = 1 exactly: the closed-form Cartan split at B = I
     + [["reduce", "--family", "r3pa:a=1.0", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1"]]
+    # lambda about 3e-13, past COND_LIMIT: the brackets of g_lambda in closed form
+    + [["reduce", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1e-25"]]
+    # L32 / L22 = 1e160: h^-1 A h is read without squaring it
+    + [["orbit", "--family", "r3pa:a=1.0", "--gram",
+        "1", "0", "0", "0", "1e200", "-1e20", "0", "-1e20", "1e-140"]]
 )
 
 

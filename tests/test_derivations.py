@@ -414,7 +414,8 @@ def _count_calls(monkeypatch, fn) -> list:
 
 def test_frame_path_changes_no_basis_and_conjugates_nothing(monkeypatch, capsys):
     # a verify row, soliton --lambda and orbit --lambda read the closed-form
-    # rows of the orbit algebra on the Milnor frame, in every family
+    # rows of the orbit algebra on the Milnor frame, and reduce --gram its
+    # brackets, in every family
     families = [Family("h3"), Family("r3"), Family("r3_1"), Family("r3_a", 0.5),
                 Family("r3_a", 1.0), Family("r3p_a", 2.0)]
     for fam in families:
@@ -434,6 +435,9 @@ def test_frame_path_changes_no_basis_and_conjugates_nothing(monkeypatch, capsys)
         assert len(der_calls) == 2  # one per half
         for command in ("soliton", "orbit"):
             assert cli.main([command, "--family", fam.label(), "--lambda", repr(lam)]) == 0
+        # reduce lists the brackets on its g_lambda off the same closed form
+        gram = ["2", "0.3", "-0.4", "0.3", "1.5", "0.2", "-0.4", "0.2", "0.8"]
+        assert cli.main(["reduce", "--family", fam.label(), "--gram", *gram]) == 0
     capsys.readouterr()
     assert basis_calls == conjugate_calls == built == []
     # positive control: der --lambda conjugates Der into a new subspace, and

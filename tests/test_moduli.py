@@ -112,6 +112,8 @@ def test_rep_matrix_shapes():
     np.testing.assert_allclose(rep_matrix(Family("r3p_a", 1.0), 2.0),
                                np.diag([1.0, 1.0, 0.5]))
     np.testing.assert_allclose(rep_matrix(Family("h3"), 1.0), np.eye(3))
+    # the single-class r3_a at a = 1 has no parameter either
+    assert rep_matrix(Family("r3_a", 1.0), 2.5).tobytes() == np.eye(3).tobytes()
 
 
 def test_rep_matrix_lambda_ranges():
@@ -377,6 +379,17 @@ def test_transitive_families_reduce_to_identity(fam):
         assert rep.lam == 1.0
         np.testing.assert_allclose(rep.matrix, np.eye(3))
         assert witness_residual(rep, trace, g) < 1e-8
+
+
+@pytest.mark.parametrize("fam", REDUCIBLE + TRANSITIVE,
+                         ids=[f.label() for f in REDUCIBLE + TRANSITIVE])
+def test_reduce_representative_is_rep_matrix_of_its_lambda(fam):
+    # bit for bit, on Gram frames and on elements that take a QR
+    rng = np.random.default_rng(43)
+    for _ in range(25):
+        for g in (metric_to_group(random_spd(rng)), random_group_element(rng)):
+            rep = reduce(fam, g)[0]
+            assert rep.matrix.tobytes() == rep_matrix(fam, rep.lam).tobytes(), g
 
 
 def test_reduce_rejects_near_singular():

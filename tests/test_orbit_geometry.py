@@ -345,7 +345,7 @@ def _cayley(skew: list) -> np.ndarray:
     s12, s13, s23 = skew
     s = np.array([[0, s12, s13], [-s12, 0, s23], [-s13, -s23, 0]], dtype=object)
     eye = np.array([[Fraction(int(i == j)) for j in range(3)] for i in range(3)], dtype=object)
-    return linalg.to_float((eye - s).dot(linalg.exact_inv(eye + s)))
+    return np.asarray((eye - s).dot(linalg.exact_inv(eye + s)), dtype=float)
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,7 +403,7 @@ def test_orbit_at_is_invariant_under_pullback_by_an_automorphism(draw, seed):
     for gram in (random_spd(rng), random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0))):
         g = metric_to_group(gram)
         exact = np.array([[Fraction(x) for x in row] for row in g.tolist()], dtype=object)
-        got, want = orbit_at(fam, linalg.to_float(inv.dot(exact))), orbit_at(fam, g)
+        got, want = orbit_at(fam, np.asarray(inv.dot(exact), dtype=float)), orbit_at(fam, g)
         assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
         tol = 1e-12 * max(1.0, want.norm)
         assert abs(got.norm - want.norm) <= tol
@@ -431,8 +431,7 @@ def test_orbit_at_refuses_degenerate_elements_by_name(fam):
 def test_orbit_at_gram_frame_matches_the_representative(fam):
     # the orbit through G and through reduce's g_lambda is one orbit: |H| and
     # the dimensions agree wherever reduce answers, at anisotropy up to 1e200
-    # (reduce refuses by LQ_DET_TOL or a witness overflow; orbit_at only by
-    # r3p_a's bracket overflow, (-1 - r^2) / s at r = L32 / L22 past 1e154)
+    # (reduce refuses by LQ_DET_TOL or a witness overflow; orbit_at answers all)
     rng = np.random.default_rng(109)
     answered = 0
     for _ in range(150):
@@ -442,16 +441,33 @@ def test_orbit_at_gram_frame_matches_the_representative(fam):
             rep = reduce(fam, g)[0]
         except ValueError:
             continue
-        want = orbit_at(fam, rep.matrix)
-        try:
-            got = orbit_at(fam, g)
-        except ValueError as exc:
-            assert fam.tag == "r3p_a" and str(exc).startswith("frame brackets are not finite")
-            continue
+        want, got = orbit_at(fam, rep.matrix), orbit_at(fam, g)
         answered += 1
         assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
         assert abs(got.norm - want.norm) <= 1e-12 * want.norm
     assert answered >= 10
+
+
+@pytest.mark.parametrize("fam", [f for f in FAMILIES if f.tag == "r3p_a"],
+                         ids=lambda f: f.label())
+def test_orbit_at_reads_every_r3p_a_frame_at_extreme_anisotropy(fam):
+    # S (m m^T + 1e-3 I) S, S = diag(10^U(-150, 150)): on about one frame in
+    # eight r = L32 / L22 passes 1e154, where r^2 overflows float64
+    rng = np.random.default_rng(113)
+    compared = 0
+    for _ in range(400):
+        m, s = rng.normal(size=(3, 3)), np.diag(10.0 ** rng.uniform(-150.0, 150.0, 3))
+        g = metric_to_group(s @ (m @ m.T + 1e-3 * np.eye(3)) @ s)
+        got = orbit_at(fam, g)
+        try:
+            rep = reduce(fam, g)[0]
+        except ValueError:
+            continue
+        want = orbit_at(fam, rep.matrix)
+        compared += 1
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+        assert abs(got.norm - want.norm) <= 1e-12 * want.norm
+    assert compared >= 100
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
