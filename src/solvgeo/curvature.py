@@ -65,7 +65,7 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
     ``moduli.reduce`` runs no QR on it.  Its zeros above the diagonal are
     exact, and g(4^k G) = 2^-k g(G) bit for bit.
     """
-    e, (u12, u13, u23), dv = _gram_ldl(gram)
+    e, (u12, u13, u23), dv, _ = _gram_ldl(gram)
     y = [[1.0], [-u12, 1.0], [u12 * u23 - u13, -u23, 1.0]]
     return np.array([[_ldexp(x / math.sqrt(dv[j]), e[i]) for j, x in enumerate(row)]
                      + [0.0] * (2 - i) for i, row in enumerate(y)])
@@ -73,7 +73,7 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
 
 def _gram_ldl(gram: np.ndarray) -> tuple:
     """The one factorization and SPD check of a Gram matrix: ``(e, (u12, u13,
-    u23), (D1, D2, D3))`` with P G P = U diag(D) U^T from the last row up.
+    u23), (D1, D2, D3), max|G_ij|)`` with P G P = U diag(D) U^T from the last row up.
 
     Raises NonSPDMetricError unless ``gram`` is a finite, symmetric (to
     ``ZERO_TOL`` times its largest entry) 3x3 matrix whose pivots D are all
@@ -83,13 +83,16 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
         raise NonSPDMetricError(f"Gram matrix must be 3x3, got shape {gram.shape}")
-    if not np.isfinite(gram).all():
-        i, j = np.argwhere(~np.isfinite(gram))[0]
-        raise NonSPDMetricError(f"Gram matrix entry ({i + 1}, {j + 1}) is not finite: "
-                                f"{gram[i, j]}")
-    if np.abs(gram - gram.T).max() > linalg.ZERO_TOL * np.abs(gram).max():
-        raise NonSPDMetricError("Gram matrix is not symmetric")
     rows = gram.tolist()
+    flat = rows[0] + rows[1] + rows[2]
+    for k, x in enumerate(flat):
+        if not math.isfinite(x):
+            raise NonSPDMetricError(f"Gram matrix entry ({k // 3 + 1}, {k % 3 + 1}) is not "
+                                    f"finite: {x}")
+    top = max(map(abs, flat))
+    if max(abs(flat[1] - flat[3]), abs(flat[2] - flat[6]),
+           abs(flat[5] - flat[7])) > linalg.ZERO_TOL * top:
+        raise NonSPDMetricError("Gram matrix is not symmetric")
     d = [math.frexp(rows[i][i])[1] for i in range(3)]
     e = [(max(d) - x) // 2 - max(d) // 2 for x in d]
     (g11, g12, g13), (_, g22, g23), (_, _, g33) = _scaled(rows, e, e)
@@ -100,7 +103,7 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     t = g12 - u13 * g23
     u12 = t / d2
     d1 = _pivot(g11 - u13 * g13 - u12 * t)
-    return e, (u12, u13, u23), (d1, d2, d3)
+    return e, (u12, u13, u23), (d1, d2, d3), top
 
 
 def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
@@ -115,10 +118,10 @@ def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
 
 
 def block_ricci(gram: np.ndarray, block) -> tuple:
-    """``(ricci_canonical, ric_frame)`` of a tensor whose ``semidirect_block``
-    is ``block`` (None: ValueError, after the Gram check), ric_frame =
-    D^1/2 Ric_y D^-1/2 as lists: Ric on the frame ``metric_to_group(gram)``."""
-    e, (u12, u13, u23), (d1, d2, d3) = _gram_ldl(gram)
+    """``(ricci_canonical, ric_frame, max|G_ij|)`` of a tensor whose
+    ``semidirect_block`` is ``block`` (None: ValueError, after the Gram
+    check), ric_frame = D^1/2 Ric_y D^-1/2 as lists: Ric on ``metric_to_group``'s frame."""
+    e, (u12, u13, u23), (d1, d2, d3), top = _gram_ldl(gram)
     if block is None:
         raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
                          "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
@@ -142,7 +145,7 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
            [m20, m21 + u23 * m22, m22]]
     h = math.sqrt(k)
     return (require_finite(np.array(_scaled(ric, e, [-x for x in e]))),
-            [[x11, 0.0, 0.0], [0.0, x22, x23 / h], [0.0, x32 * h, x33]])
+            [[x11, 0.0, 0.0], [0.0, x22, x23 / h], [0.0, x32 * h, x33]], top)
 
 
 def _scaled(rows: list, e: list, f: list) -> list:
@@ -169,7 +172,7 @@ def ricci_operator(m: MetricData) -> RicciResult:
     """``ricci_canonical`` of the metric, and on its orthonormal frame g =
     ``metric_to_group(gram)`` = P y D^-1/2 the block-diagonal ``ric_frame`` =
     g^-1 Ric g = D^1/2 Ric_y D^-1/2, from five closed-form entries."""
-    ric, ric_frame = block_ricci(m.gram, semidirect_block(m.sc))
+    ric, ric_frame, _ = block_ricci(m.gram, semidirect_block(m.sc))
     # + 0.0: a zero entry prints as 0.0, never as the -0.0 a product of zeros can give
     return RicciResult(require_finite(np.array(ric_frame) + 0.0), ric, float(np.trace(ric)))
 

@@ -159,10 +159,10 @@ def _derivation_template(n: int) -> tuple:
 
 
 # E21, E31, (E22 + E33)/sqrt(2), a slot for the unit traceless part of 0 + A,
-# and E11, as flat rows
-_SEMIDIRECT_ROWS = np.zeros((5, 9))
-_SEMIDIRECT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -0.5, 1.0]
-_SEMIDIRECT_ROWS.setflags(write=False)
+# and E11, as flat rows (orbit_geometry.orbit_data reads this layout too)
+SEMIDIRECT_ROWS = np.zeros((5, 9))
+SEMIDIRECT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -0.5, 1.0]
+SEMIDIRECT_ROWS.setflags(write=False)
 
 # flat indices of c[0, 1:, 1:] ([e1, e2], [e1, e3]), of c[1:, 0, 1:], and of
 # every other entry of a 3x3x3 tensor c
@@ -175,10 +175,10 @@ def semidirect_rows(a: float, b: float, c: float, d: float) -> np.ndarray:
     for [e1,e2] = a e2 + b e3, [e1,e3] = c e2 + d e3, [e2,e3] = 0 with
     A = [[a, c], [b, d]] neither scalar nor nilpotent: Der = span{E21, E31,
     0 + I, 0 + A}, so E21, E31, (E22 + E33)/sqrt(2), the unit traceless
-    part of 0 + A, and E11."""
+    part of 0 + A, and E11, with pairwise orthogonal symmetric parts."""
     h = (a - d) / 2
     norm = math.hypot(h, h, b, c)
-    rows = _SEMIDIRECT_ROWS.copy()
+    rows = SEMIDIRECT_ROWS.copy()
     rows[3, 4:9] = h / norm, c / norm, 0.0, b / norm, -h / norm  # 0.0 at E31's entry
     return rows
 

@@ -11,11 +11,13 @@ orthogonal to the stabilizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from .derivations import SEMIDIRECT_ROWS
 from .lie_core import Family
 from .moduli import frame_algebra
 
@@ -59,8 +61,18 @@ def orbit_data(frame) -> OrbitData:
     on q, and the lifts W^T[:r] / S[:r] on q, which map onto the tangent
     basis and are Frobenius-orthogonal to the stabilizer, so the mean
     curvature is well defined on singular orbits too.
+
+    Rows laid out as ``derivations.semidirect_rows`` take no SVD: E21, E31,
+    (E22 + E33)/sqrt(2), N = 0 + [[h, c], [b, -h]] and E11 have pairwise
+    orthogonal symmetric parts, so each row over |dpi(row)| is a lift; past
+    ``RANK_TOL`` the one normal is 0 + [[m, -h], [-h, -m]] / |dpi(N)|, m =
+    (b + c)/2, else N is the stabilizer (``_semidirect_orbit``).
     """
     q = np.reshape(np.asarray(frame, dtype=float), (-1, 9))
+    rows = q.tolist()
+    n = rows[3] if rows[:3] + rows[4:] == _FIXED_LAYOUT else None
+    if n and [*n[:4], n[6], n[4] + n[8]] == [0.0] * 6:
+        return _semidirect_orbit(q[3:4].reshape(1, 3, 3), n[4], (n[5] + n[7]) / 2)
     sym = SYM_BASIS.reshape(6, 9)
     u, sigma, wt = np.linalg.svd(sym @ q.T)
     r = int(np.sum(sigma > linalg.RANK_TOL))
@@ -71,6 +83,33 @@ def orbit_data(frame) -> OrbitData:
                      lifts=((wt[:r] / sigma[:r, None]) @ q).reshape(-1, 3, 3),
                      stabilizer=(wt[r:] @ q).reshape(-1, 3, 3),
                      orbit_dim=r, stab_dim=len(q) - r)
+
+
+# E21, E31, (E22 + E33)/sqrt(2) and E11 of the semidirect layout, as the list
+# orbit_data compares, and each over |dpi(row)|: its lift and its tangent
+_FIXED = SEMIDIRECT_ROWS[[0, 1, 2, 4]].reshape(-1, 3, 3)
+_FIXED_LAYOUT = _FIXED.reshape(-1, 9).tolist()
+_FIXED_LIFTS = _FIXED / np.linalg.norm(dpi(_FIXED), axis=(1, 2))[:, None, None]
+_FIXED_TANGENTS = dpi(_FIXED_LIFTS)
+_ROUND_NORMALS = np.stack([SYM_BASIS[5], (SYM_BASIS[1] - SYM_BASIS[2]) / np.sqrt(2.0)])
+for _stack in (_FIXED_LIFTS, _FIXED_TANGENTS, _ROUND_NORMALS):
+    _stack.setflags(write=False)
+
+
+def _semidirect_orbit(n: np.ndarray, h: float, m: float) -> OrbitData:
+    """``orbit_data`` of semidirect rows with N = ``n``, dpi(N) = 0 + [[h, m], [m, -h]]; at
+    N in the stabilizer the normals are (E23 + E32)/sqrt(2) and (E22 - E33)/sqrt(2)."""
+    sigma = math.hypot(h, h, m, m)
+    if not sigma > linalg.RANK_TOL:
+        return OrbitData(_FIXED_TANGENTS, _ROUND_NORMALS, _FIXED_LIFTS, n.copy(), 4, 1)
+    t, x = h / sigma, m / sigma
+    # lead_positive's sign: the E22 entry leads unless within ZERO_TOL of 0; + 0.0: no -0.0
+    s = -1.0 if (x if abs(x) > linalg.ZERO_TOL else -t) < 0 else 1.0
+    tangent = [[[0.0, 0.0, 0.0], [0.0, t, x], [0.0, x, -t]]]
+    return OrbitData(tangent=np.concatenate([_FIXED_TANGENTS, tangent]),
+                     normals=s * np.array([[[0.0, 0.0, 0.0], [0.0, x, -t], [0.0, -t, -x]]]) + 0.0,
+                     lifts=np.concatenate([_FIXED_LIFTS, n / sigma]),
+                     stabilizer=np.empty((0, 3, 3)), orbit_dim=5, stab_dim=0)
 
 
 def second_fundamental_form(od: OrbitData) -> np.ndarray:
@@ -130,7 +169,8 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     read off the brackets on the frame L e_i (``moduli.frame_algebra``, whose
     guards on L are the only refusals: no conditioning policy applies).
     Each row R becomes k R k^T, an isometry of the trace form, only when a
-    QR ran; a ``rep_matrix`` or ``metric_to_group`` frame takes none.
+    QR ran; a ``rep_matrix`` or ``metric_to_group`` frame takes none, so for dim Der = 4
+    ``orbit_data`` splits ``semidirect_rows``' pairwise orthogonal symmetric parts, no SVD.
     """
     lower, k = linalg.lq(g)
     rows = frame_algebra(family, lower)[1]

@@ -24,6 +24,8 @@ from .moduli import frame_algebra, rep_matrix
 # entry lies in [1, 2); on the Milnor frame of g_lambda it is absolute, not
 # relative to |Ric| (ROADMAP items 1 and 7)
 DEFAULT_TOL = 1e-8
+_EYE = np.eye(3).ravel()
+_EYE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,15 @@ def _project(ric: np.ndarray, rows: np.ndarray, dim: int, tol: float) -> Soliton
     flat ``rows`` of S + RI laid out as ``MatrixSubspace.scalar_frame``: D in
     the span of the first ``dim`` rows, S, and c = <ric, e>/<I, e> for e the
     last row (c = 0 when I lies in S, and there is no such row)."""
-    r, eye = ric.ravel(), np.eye(3).ravel()
-    c = float(rows[-1] @ r / (rows[-1] @ eye)) if len(rows) > dim else 0.0
-    rest = r - c * eye
+    r = ric.ravel()
+    c = float(rows[-1] @ r / (rows[-1] @ _EYE)) if len(rows) > dim else 0.0
+    rest = r - c * _EYE
     d = (rest @ rows[:dim].T) @ rows[:dim]
     # hypot scales by a power of two, so no square overflows or underflows
     residual = math.hypot(*(rest - d).tolist())
     if residual == math.inf:
         raise ValueError("soliton residual is not finite: its norm overflows float64")
-    ein_res = math.hypot(*(r - (np.trace(ric) / 3.0) * eye).tolist())
+    ein_res = math.hypot(*(r - ((r.item(0) + r.item(4) + r.item(8)) / 3.0) * _EYE).tolist())
     return SolitonVerdict(is_soliton=residual <= tol,
                           is_einstein=ein_res <= tol,
                           certificate=SolitonCertificate(c, d.reshape(3, 3), residual))
@@ -80,9 +82,9 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     """
     _check_tol(tol)
     block = semidirect_block(sc)
-    ric = block_ricci(gram, block)[0]
+    ric, _, top = block_ricci(gram, block)
     # Ric(2^-e G) = 2^e Ric(G) exactly, so this is the verdict at 2^-e G
-    e = math.frexp(np.abs(np.asarray(gram, dtype=float)).max())[1] - 1
+    e = math.frexp(top)[1] - 1
     rows, dim = block_der_rows(sc, block)
     return _project(ric, rows, dim, math.ldexp(tol, -e))
 

@@ -11,6 +11,7 @@ from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
 from solvgeo.curvature import (MetricData, metric_data, ricci_canonical, ricci_closed_form,
                                ricci_operator)
 from solvgeo.errors import NonSPDMetricError
+from solvgeo.linalg import ZERO_TOL
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family, parse_family
 from solvgeo.moduli import frame_algebra, metric_to_group, rep_matrix
 from solvgeo.soliton import solvsoliton_check
@@ -38,6 +39,30 @@ def test_gram_symmetry_is_relative_to_its_largest_entry():
         with pytest.raises(NonSPDMetricError, match="not symmetric"):
             metric_data(sc, t * skew)
         metric_data(sc, t * near)
+
+
+def test_gram_asymmetry_at_the_bound_is_accepted():
+    # a Gram matrix is refused when |G_ij - G_ji| > ZERO_TOL max|G_ij|: an
+    # asymmetry equal to the bound passes, the next float above it does not
+    sc = make_family(Family("r3"))
+    for top in (1.0, 3.0, 1e-100, 1e100):
+        bound = ZERO_TOL * top
+        for i, j in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
+            gram = top * np.eye(3)
+            gram[i, j] = bound
+            metric_data(sc, gram)
+            gram[i, j] = np.nextafter(bound, np.inf)
+            with pytest.raises(NonSPDMetricError, match="not symmetric"):
+                metric_data(sc, gram)
+
+
+def test_gram_names_its_first_non_finite_entry_in_row_major_order():
+    sc = make_family(Family("r3"))
+    gram = np.eye(3)
+    gram[2, 0], gram[1, 2], gram[2, 2] = np.nan, -np.inf, np.inf
+    message = r"^Gram matrix entry \(2, 3\) is not finite: -inf$"
+    with pytest.raises(NonSPDMetricError, match=message):
+        metric_data(sc, gram)
 
 
 def test_frame_orthonormalizes_metric():

@@ -2,18 +2,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import DER_GRID, FAMILIES, random_group_element, random_spd, unit
 from oracles import (SYM_DIM, congruence_check, h_norm_closed_form,
                      shape_trace_mean_curvature, sym_basis, trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
-                                 derivation_algebra, scalar_plus)
+                                 derivation_algebra, scalar_plus, semidirect_rows)
 from solvgeo import cli, linalg, orbit_geometry
 from solvgeo.lie_core import Family, make_family
 from solvgeo.cli import default_grid
 from solvgeo.errors import SingularMatrixError
-from solvgeo.moduli import metric_to_group, reduce, rep_matrix
+from solvgeo.moduli import frame_algebra, metric_to_group, reduce, rep_matrix
 from solvgeo.soliton import soliton_from_frame
 from solvgeo.orbit_geometry import (SYM_BASIS, dpi, mean_curvature, orbit_at,
                                     orbit_data, second_fundamental_form)
@@ -59,8 +59,11 @@ ORBIT_CASES = [(f, lam) for f in FAMILIES for lam in ((1.0,) if f.tag in ("h3", 
 def test_orbit_data_invariants(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    od = orbit_data(u.frame)
-    assert od.orbit_dim + od.stab_dim == u.dim
+    _assert_orbit_invariants(orbit_data(u.frame), u.dim)
+
+
+def _assert_orbit_invariants(od, dim):
+    assert od.orbit_dim + od.stab_dim == dim
     assert od.orbit_dim + len(od.normals) == SYM_DIM
     # lifts map onto the tangent frame and are orthogonal to the stabilizer
     assert len(od.lifts) == od.orbit_dim
@@ -307,14 +310,105 @@ def test_commutator_sum_matches_shape_tensor_trace(monkeypatch, fam):
                         lambda frame: seen.append(frame) or orbit_data(frame))
     for g in elements:
         got = orbit_at(fam, g)
-        want = shape_trace_mean_curvature(orbit_data(seen.pop()))
+        # the rows in another order span the same u' and take the SVD, so the
+        # oracle never reads the closed-form split it checks
+        want = shape_trace_mean_curvature(orbit_data(np.roll(seen.pop(), 1, axis=0)))
         tol = 1e-12 * max(1.0, want.norm)
         np.testing.assert_allclose(got.h, want.h, rtol=0, atol=tol)
         assert abs(got.norm - want.norm) <= tol
         assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
         assert len(got.per_normal) == len(want.per_normal)
         for (a, v), (b, w) in zip(got.per_normal, want.per_normal):
-            assert (a == b).all() and abs(v - w) <= tol
+            assert np.abs(a - b).max() <= tol and abs(v - w) <= tol
+
+
+_VERIFY_FAMILIES = ([Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
+                    + [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)])
+
+
+def _split_against_the_svd(monkeypatch, rows):
+    """``(closed form, SVD)``: orbit_data of the semidirect ``rows``, which
+    must run no SVD and pass the invariants, and of the same rows in another
+    order, which span the same u' and must run one."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m: calls.append(m) or svd(m))
+    got = orbit_data(rows)
+    assert calls == []
+    _assert_orbit_invariants(got, len(rows))
+    want = orbit_data(rows[[4, 0, 1, 2, 3]])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    return got, want
+
+
+def _assert_same_split(got, want):
+    assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+    g, w = orbit_geometry._mean_curvature(got), orbit_geometry._mean_curvature(want)
+    tol = 1e-12 * max(1.0, w.norm)
+    tangent_projector = "kij,kab->ijab"
+    np.testing.assert_allclose(np.einsum(tangent_projector, got.tangent, got.tangent),
+                               np.einsum(tangent_projector, want.tangent, want.tangent),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g.h, w.h, rtol=0, atol=tol)
+    assert abs(g.norm - w.norm) <= tol
+    for (a, v), (b, u) in zip(g.per_normal, w.per_normal):
+        assert np.abs(a - b).max() <= tol and abs(v - u) <= tol
+
+
+def test_closed_form_split_matches_the_svd_on_every_verify_row(monkeypatch):
+    # the 377 rows of the 8 acceptance sweeps, the round points of r3p_a among them
+    rows = [frame_algebra(fam, rep_matrix(fam, lam))[1]
+            for fam in _VERIFY_FAMILIES for lam in default_grid(fam)]
+    assert len(rows) == 377
+    dims = set()
+    for r in rows:
+        got, want = _split_against_the_svd(monkeypatch, r)
+        _assert_same_split(got, want)
+        dims.add(got.orbit_dim)
+    assert dims == {4, 5}
+
+
+@pytest.mark.parametrize("fam", [Family("r3"), Family("r3_a", -0.25), Family("r3_a", 0.5),
+                                 Family("r3p_a", 0.0), Family("r3p_a", 1.5)],
+                         ids=lambda f: f.label())
+def test_closed_form_split_matches_the_svd_on_gram_frames(monkeypatch, fam):
+    rng = np.random.default_rng(83)
+    for _ in range(60):
+        gram = random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0))
+        rows = frame_algebra(fam, metric_to_group(gram))[1]
+        got, want = _split_against_the_svd(monkeypatch, rows)
+        _assert_same_split(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+def test_closed_form_split_matches_the_svd_on_drawn_blocks(block):
+    a, b, c, d = block
+    assume((a - d, b, c) != (0, 0, 0))  # a scalar block has no unit traceless part
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, want = _split_against_the_svd(monkeypatch, semidirect_rows(a, b, c, d))
+    _assert_same_split(got, want)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
+def test_closed_form_split_near_the_round_point(monkeypatch, a):
+    # dpi(N) has norm about lambda - 1: both splits make the same rank decision,
+    # and both lose about eps / (lambda - 1) of |H| against the closed form C5
+    fam = Family("r3p_a", a)
+    ranks = []
+    for k in np.arange(6.0, 14.5, 0.5):
+        lam = 1 + 10.0 ** -k
+        rows = frame_algebra(fam, rep_matrix(fam, lam))[1]
+        got, want = _split_against_the_svd(monkeypatch, rows)
+        assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
+        ranks.append(got.orbit_dim)
+        if got.orbit_dim == 5:
+            want_norm = h_norm_closed_form("r3p_a", lam)
+            for od in (got, want):
+                norm = orbit_geometry._mean_curvature(od).norm
+                assert abs(norm - want_norm) <= np.finfo(float).eps / (lam - 1) * want_norm
+    assert ranks == sorted(ranks, reverse=True) and set(ranks) == {4, 5}
 
 
 def test_verify_sweeps_build_no_shape_tensor(monkeypatch):
@@ -324,10 +418,8 @@ def test_verify_sweeps_build_no_shape_tensor(monkeypatch):
     original = orbit_geometry.second_fundamental_form
     monkeypatch.setattr(orbit_geometry, "second_fundamental_form",
                         lambda od: calls.append(od) or original(od))
-    families = [Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
-    families += [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)]
     rows = 0
-    for fam in families:
+    for fam in _VERIFY_FAMILIES:
         out, status = cli.verify_main_theorem(cli.RunConfig(family=fam,
                                                             grid=default_grid(fam)))
         assert status == 0
