@@ -6,16 +6,17 @@ p y2 + q y3, [y1,y3] = r y2 + s y3, [y2,y3] = 0 (Milnor 1976; Besse,
 *Einstein Manifolds*, ch. 7).  ``_gram_ldl`` is the one factorization of
 G and its one SPD check: P G P = U diag(D) U^T, with P = diag(2^e) and U
 unit upper triangular, from the last row up.  Take y = U^-T on the basis
-P e_i: the metric on y is diag(D), and with b^2 = q^2 D3/(D1 D2), c^2 =
-r^2 D2/(D1 D3) and bc = q r/D1 the Ricci operator on y is
+P e_i: the metric on y is diag(D), and with k = D3/D2 and k' = D2/D3 the
+Ricci operator on y is
 
-    2 Ric_y = -[[2(p^2 + s^2)/D1 + b^2 + 2bc + c^2, 0, 0],
-                [0, 2p(p + s)/D1 + b^2 - c^2, 2(p r/D1 + q s D3/(D1 D2))],
-                [0, 2(p r D2/(D1 D3) + q s/D1), 2s(p + s)/D1 - b^2 + c^2]],
+    2 D1 Ric_y = -[[2(p^2 + s^2) + (q k + r)(q + r k'), 0, 0],
+                   [0, 2p(p + s) + q^2 k - r^2 k', 2(p r + q s k)],
+                   [0, 2(p r k' + q s), 2s(p + s) - q^2 k + r^2 k']],
 
-rational in (p, q, r, s, D), with no square root; Ric = P y Ric_y y^-1 P^-1
-on the canonical basis.  At D = (1, 1, 1) it is ``ricci_closed_form``.
-The orthonormal frame of G is g = P y D^-1/2 (``metric_to_group``), lower
+with integer coefficients and no division or square root (``_ricci2``);
+``block_ricci`` reads it at the pivots D and ``ricci_closed_form`` at
+D = (1, 1, 1).  Ric = P y Ric_y y^-1 P^-1 on the canonical basis; the
+orthonormal frame of G is g = P y D^-1/2 (``metric_to_group``), lower
 triangular, and Ric on it is D^1/2 Ric_y D^-1/2.
 """
 
@@ -127,25 +128,28 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
                          "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
     a, b, c, dd = map(_ldexp, map(float, block),
                       (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
-    # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3;
-    # bb and cc are D1 b^2 and D1 c^2
+    # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3
     p, q, r, s = block_conjugate((a, b, c, dd), -u23, 1.0)
-    k, k_inv = d3 / d2, d2 / d3
-    bb, cc = q * q * k, r * r * k_inv
-    x11 = -(p * p + s * s + (bb + 2 * q * r + cc) / 2) / d1
-    x22 = -(p * (p + s) + (bb - cc) / 2) / d1
-    x33 = -(s * (p + s) - (bb - cc) / 2) / d1
-    x23 = -(p * r + q * s * k) / d1
-    x32 = -(p * r * k_inv + q * s) / d1
+    x11, x22, x23, x32, x33 = _ricci2(p, q, r, s, d3 / d2, d2 / d3)
+    t = 2 * d1
+    x11, x22, x23, x32, x33 = x11 / t, x22 / t, x23 / t, x32 / t, x33 / t
     # y Ric_y y^-1 with y = U^-T and y^-1 = U^T
     m21, m22 = x32 - u23 * x22, x33 - u23 * x23
     m20 = (u12 * u23 - u13) * x11 + u12 * m21 + u13 * m22
     ric = [[x11, 0.0, 0.0],
            [u12 * (x22 - x11) + u13 * x23, x22 + u23 * x23, x23],
            [m20, m21 + u23 * m22, m22]]
-    h = math.sqrt(k)
+    h = math.sqrt(d3 / d2)
     return (require_finite(np.array(_scaled(ric, e, [-x for x in e]))),
             [[x11, 0.0, 0.0], [0.0, x22, x23 / h], [0.0, x32 * h, x33]], top)
+
+
+def _ricci2(p, q, r, s, k, k_inv) -> tuple:
+    """Entries (1,1), (2,2), (2,3), (3,2), (3,3) of the module's 2 D1 Ric_y."""
+    skew = q * q * k - r * r * k_inv
+    return (-(2 * (p * p + s * s) + (q * k + r) * (q + r * k_inv)),
+            -(2 * p * (p + s) + skew), -2 * (p * r + q * s * k),
+            -2 * (p * r * k_inv + q * s), -(2 * s * (p + s) - skew))
 
 
 def _scaled(rows: list, e: list, f: list) -> list:
@@ -191,8 +195,8 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     """Ricci operator for [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3.
 
     The frame x1, x2, x3 is orthonormal and [x2,x3] = 0; every bracket in
-    this package's families takes this shape on its Milnor frame.  One
-    integer-coefficient formula gives 2 Ric.  On float input it runs on the
+    this package's families takes this shape on its Milnor frame.  The
+    module's formula at k = k' = 1 gives 2 Ric.  On float input it runs on the
     floats and each entry is halved.  When all four inputs are ``int`` or
     ``Fraction`` it runs on their integer numerators over one common
     denominator q, and each entry is one Fraction over 2 q^2.
@@ -201,11 +205,8 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     exact = not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
     if exact:
         (a, b, c, d), q = linalg.integer_numerators(linalg.object_array([a, b, c, d], (4,)))
-    skew = b * b - c * c
-    off = -2 * (a * c + b * d)
-    ric2 = [-(2 * (a * a + d * d) + (b + c) * (b + c)), 0 * a, 0 * a,
-            0 * a, -(2 * a * (a + d) + skew), off,
-            0 * a, off, -(2 * d * (a + d) - skew)]
+    x11, x22, x23, x32, x33 = _ricci2(a, b, c, d, 1, 1)
+    ric2 = [x11, 0 * a, 0 * a, 0 * a, x22, x23, 0 * a, x32, x33]
     if exact:
         return linalg.ratios(linalg.object_array(ric2, (3, 3)), 2 * q * q)
     return np.array(ric2).reshape(3, 3) / 2

@@ -55,8 +55,8 @@ class MatrixSubspace:
 
     def __post_init__(self):
         basis = _normalize(self.basis)
-        _, s, frame = np.linalg.svd(basis.reshape(len(basis), 9), full_matrices=False)
-        if (s <= linalg.RANK_TOL).any():
+        frame = linalg.orthonormalize(basis.reshape(len(basis), 9))
+        if len(frame) < len(basis):
             raise ValueError("subspace basis is linearly dependent")
         eye = np.eye(3).ravel()
         perp = eye - (frame @ eye) @ frame

@@ -186,7 +186,7 @@ def reduce(family: Family, g: np.ndarray):
         lam = sign * a32 / a33
         left = phi2 @ phi1
         orth = k1 * [1.0, 1.0, sign]
-    elif family.tag == "r3p_a":
+    else:  # r3p_a
         # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
         e, f, h = (1 + a33) / 2, (1 - a33) / 2, a32 / 2
         s0 = math.hypot(e, h) + math.hypot(f, h)
@@ -200,8 +200,6 @@ def reduce(family: Family, g: np.ndarray):
         lam = s0 / s1
         left = phi3 @ rot @ phi1
         orth = k1 @ k2
-    else:
-        raise InvalidFamilyError(f"no reduction defined for {family.tag}")
 
     scalar = left[0, 0]
     phi = left / scalar

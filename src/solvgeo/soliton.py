@@ -108,5 +108,4 @@ def soliton_from_frame(family: Family, lam: float,
     brackets, rows, dim = frame_algebra(family, g)
     # as Python floats the brackets overflow to inf or NaN without a warning,
     # and require_finite rejects the result
-    ric = ricci_closed_form(*brackets)
-    return _project(require_finite(np.asarray(ric, dtype=float)), rows, dim, tol)
+    return _project(require_finite(ricci_closed_form(*brackets)), rows, dim, tol)

@@ -451,6 +451,11 @@ def _run_fresh(argv):
     ["soliton", "--family", "r3pa:a=6e153"],
     ["soliton", "--family", "r3pa:a=6e153", "--lambda", "1"],
     ["verify", "--family", "r3pa:a=6e153", "--lambda", "1"],
+    # at this anisotropy an entry scaled by P = diag(2^e) overflows (curvature._ldexp)
+    ["ricci", "--family", "r3pa:a=0.5", "--gram", "1e-300", "0", "0", "0", "1e300", "0", "0", "0",
+     "1e-300"],
+    ["soliton", "--family", "r3pa:a=0.5", "--gram", "1e-300", "0", "0", "0", "1e300", "0", "0",
+     "0", "1e-300"],
 ])
 def test_non_finite_ricci_writes_one_stderr_line(argv):
     proc = _run_fresh(argv)

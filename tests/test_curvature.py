@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import FAMILIES, abcd_constants, random_group_element, random_spd
 from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
-from solvgeo.curvature import (MetricData, metric_data, ricci_canonical, ricci_closed_form,
-                               ricci_operator)
+from solvgeo.curvature import (MetricData, block_ricci, metric_data, ricci_canonical,
+                               ricci_closed_form, ricci_operator)
+from solvgeo.derivations import semidirect_block
 from solvgeo.errors import NonSPDMetricError
 from solvgeo.linalg import ZERO_TOL
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family, parse_family
@@ -255,6 +256,35 @@ def test_frame_free_ricci_reads_a_wide_diagonal(tag):
     res = ricci_operator(metric_data(sc, gram))
     assert _rel_err(res.ric_canonical, koszul_ricci_exact(sc.c, gram)) < 1e-12
     assert np.isfinite(res.ric_frame).all()
+
+
+def test_gram_ricci_first_entry_near_the_round_point():
+    # r3p_a at a = 0 is flat at G = I, where its brackets have b = -c.  Near
+    # it Ric_11 is about -2 eps^2, and the Gram path once expanded its
+    # (b + c)^2 into terms that cancel: a relative error of 1.1e-1 at 1e-8
+    sc = make_family(Family("r3p_a", 0.0))
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        gram = np.diag([1.0, 1.0, (1 + eps) ** 2])
+        want = koszul_ricci_exact(sc.c, gram)[0][0]
+        assert abs(Fraction(ricci_canonical(sc, gram)[0, 0]) - want) <= 1e-7 * abs(want), eps
+
+
+_FAMILY_BLOCKS = [semidirect_block(make_family(fam)) for fam in FAMILIES]
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.tuples(*[st.floats(-1e100, 1e100)] * 4))
+def test_block_ricci_at_the_identity_is_ricci_closed_form(drawn):
+    # one Ricci formula: at G = I the pivots are D = (1, 1, 1), so the Gram
+    # path reads ricci_closed_form's entries, on every family's block and on
+    # any drawn block it answers (an overflow refuses, and so skips, a block)
+    for block in _FAMILY_BLOCKS + [drawn]:
+        try:
+            got = block_ricci(np.eye(3), block)[0]
+        except ValueError:
+            assert block is drawn
+            continue
+        assert got.tolist() == ricci_closed_form(*block).tolist(), block
 
 
 @settings(max_examples=60, deadline=None)

@@ -519,6 +519,14 @@ def test_orbit_at_refuses_degenerate_elements_by_name(fam):
             orbit_at(fam, g)
 
 
+def test_orbit_at_refuses_frame_brackets_that_overflow():
+    # L passes the singularity guard, but h^-1 A h with h = [[1, 0], [L32,
+    # L33]] / L22 overflows: L32 / L22 is 1e200 and L33 / L22 1e-100
+    g = [[1.0, 0.0, 0.0], [0.0, 1e-150, 0.0], [0.0, 1e50, 1e-250]]
+    with pytest.raises(ValueError, match="^frame brackets are not finite"):
+        orbit_at(Family("r3p_a", 0.5), g)
+
+
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.label())
 def test_orbit_at_gram_frame_matches_the_representative(fam):
     # the orbit through G and through reduce's g_lambda is one orbit: |H| and
