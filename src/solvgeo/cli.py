@@ -93,7 +93,7 @@ def verify_main_theorem(cfg: RunConfig):
         minimal = mc.norm <= cfg.tol
         rows.append(VerifyRow(family=fam.label(), a=a, lam=float(lam),
                               is_soliton=verdict.is_soliton,
-                              soliton_residual=verdict.certificate.residual,
+                              soliton_residual=verdict.residual,
                               h_norm=mc.norm, orbit_dim=mc.orbit_dim,
                               agrees=verdict.is_soliton == minimal))
     status = 0 if all(r.agrees for r in rows) else 1
@@ -261,9 +261,9 @@ def _cmd_soliton(args):
     return {"family": fam.label(), **mode,
             "is_soliton": verdict.is_soliton,
             "is_einstein": verdict.is_einstein,
-            "c": verdict.certificate.c,
-            "D": verdict.certificate.d,
-            "residual": verdict.certificate.residual,
+            "c": verdict.c,
+            "D": verdict.d,
+            "residual": verdict.residual,
             "tol": args.tol}, 0
 
 

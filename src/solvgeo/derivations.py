@@ -45,10 +45,10 @@ class MatrixSubspace:
     ``basis`` is one read-only float array of shape (dim, 3, 3), so one
     instance can be shared and each ``basis[i]`` is a read-only 3x3 view;
     ``np.asarray`` gives it too.  ``==`` and ``hash`` are by identity, not span.
-    ``frame`` is the read-only orthonormal (dim, 9) basis from the rank check,
-    and ``scalar_frame`` the read-only orthonormal rows of S + R*I: ``frame``,
-    then the unit part of I orthogonal to S unless I lies in S at ``ZERO_TOL``
-    (a relative 6e-13 of |I| = sqrt(3)).
+    ``scalar_frame`` is the read-only orthonormal rows of S + R*I: the dim
+    rows of the rank check's orthonormal basis of S, then the unit part of I
+    orthogonal to S unless I lies in S at ``ZERO_TOL`` (a relative 6e-13 of
+    |I| = sqrt(3)).
     """
 
     basis: np.ndarray
@@ -62,7 +62,7 @@ class MatrixSubspace:
         perp = eye - (frame @ eye) @ frame
         norm = np.linalg.norm(perp)
         scalar = frame if norm <= ZERO_TOL else np.vstack([frame, perp / norm])
-        for name, value in (("basis", basis), ("frame", frame), ("scalar_frame", scalar)):
+        for name, value in (("basis", basis), ("scalar_frame", scalar)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
@@ -72,10 +72,6 @@ class MatrixSubspace:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.basis, dtype=dtype, copy=copy)
-
-    def stacked(self) -> np.ndarray:
-        """The basis vectorized row-wise, a read-only (dim, 9) view."""
-        return self.basis.reshape(self.dim, 9)
 
 
 def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
@@ -210,19 +206,18 @@ def block_conjugate(block, r: float, s: float) -> tuple:
 
 def block_der_rows(sc: StructureConstants, block) -> tuple:
     """``(rows, dim Der)``, rows the orthonormal flat rows of RI + Der(sc),
-    given ``block = semidirect_block(sc)``.  When block is A = [[a, c], [b,
-    d]], a derivation D with D e1 = alpha e1 + v keeps span{e2, e3}, acting
+    given ``block = semidirect_block(sc)``, not None, as A = [[a, c], [b,
+    d]].  A derivation D with D e1 = alpha e1 + v keeps span{e2, e3}, acting
     there as B with [B, A] = alpha A: a non-nilpotent A forces alpha = 0,
     and a non-scalar A then B in span{I, A}, so the rows are
     ``semidirect_rows`` and no kernel is solved.  Every test is an equality
     on the entries, nilpotency (trace 0 and a^2 + bc = 0) is decided in
-    Fractions, and any other sc takes ``derivation_algebra(sc)``'s rows and
-    dim."""
-    if block is not None:
-        a, b, c, d = block
-        scalar = b == c == 0 and a == d
-        if not scalar and not (a == -d and Fraction(a) ** 2 + Fraction(b) * Fraction(c) == 0):
-            return semidirect_rows(*map(float, block)), 4
+    Fractions, and a scalar or nilpotent A takes ``derivation_algebra(sc)``'s
+    rows and dim."""
+    a, b, c, d = block
+    scalar = b == c == 0 and a == d
+    if not scalar and not (a == -d and Fraction(a) ** 2 + Fraction(b) * Fraction(c) == 0):
+        return semidirect_rows(*map(float, block)), 4
     der = derivation_algebra(sc)
     return der.scalar_frame, der.dim
 

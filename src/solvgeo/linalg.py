@@ -33,11 +33,6 @@ LQ_DET_TOL = 1e-9
 ZERO = Fraction(0)
 
 
-def is_exact(arr: np.ndarray) -> bool:
-    """True when the array holds exact (Fraction/int) entries."""
-    return arr.dtype == object
-
-
 def lead_positive(rows: np.ndarray) -> np.ndarray:
     """Each row negated where its first entry larger than ``ZERO_TOL`` in
     size is negative."""
@@ -162,7 +157,7 @@ def nullspace(a: np.ndarray) -> tuple[np.ndarray, int]:
 def row_space_basis(a: np.ndarray) -> list[np.ndarray]:
     """Basis of the row space of ``a`` (the nonzero rows of its RREF),
     Fractions or floats following its dtype."""
-    return list(ratios(*_rref(a)[0], exact=is_exact(a)))
+    return list(ratios(*_rref(a)[0], exact=a.dtype == object))
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:

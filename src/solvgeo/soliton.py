@@ -3,7 +3,7 @@
 A left-invariant metric is a solvsoliton exactly when its Ricci operator
 splits as c*I + D with D a derivation of the algebra.  The check splits
 the Ricci operator orthogonally over an orthonormal frame of span{I} + Der;
-the certificate (c, D, residual) is reported whether or not the test passes.
+c, D and the residual are reported whether or not the test passes.
 """
 
 from __future__ import annotations
@@ -29,19 +29,15 @@ _EYE.setflags(write=False)
 
 
 @dataclass(frozen=True)
-class SolitonCertificate:
-    """Best decomposition Ric ~ c*I + D with D in the derivation algebra."""
+class SolitonVerdict:
+    """The verdict and the best split Ric ~ c*I + D, D in the derivation
+    algebra, with the Frobenius norm of what is left."""
 
+    is_soliton: bool
+    is_einstein: bool
     c: float
     d: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class SolitonVerdict:
-    is_soliton: bool
-    is_einstein: bool
-    certificate: SolitonCertificate
 
 
 def _check_tol(tol: float) -> None:
@@ -63,9 +59,8 @@ def _project(ric: np.ndarray, rows: np.ndarray, dim: int, tol: float) -> Soliton
     if residual == math.inf:
         raise ValueError("soliton residual is not finite: its norm overflows float64")
     ein_res = math.hypot(*(r - ((r.item(0) + r.item(4) + r.item(8)) / 3.0) * _EYE).tolist())
-    return SolitonVerdict(is_soliton=residual <= tol,
-                          is_einstein=ein_res <= tol,
-                          certificate=SolitonCertificate(c, d.reshape(3, 3), residual))
+    return SolitonVerdict(is_soliton=residual <= tol, is_einstein=ein_res <= tol,
+                          c=c, d=d.reshape(3, 3), residual=residual)
 
 
 def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
@@ -77,8 +72,8 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
     closed form for r3, r3_a at a != 1 and r3p_a, with no kernel solved);
     the metric is a solvsoliton when the Frobenius residual is at most
     ``tol``, which must be finite and > 0, at the scale 2^-e G whose
-    largest entry lies in [1, 2).  The certificate is reported at the
-    scale of ``gram``.
+    largest entry lies in [1, 2).  c, D and the residual are reported at
+    the scale of ``gram``.
     """
     _check_tol(tol)
     block = semidirect_block(sc)

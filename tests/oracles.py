@@ -12,7 +12,11 @@ none of them.  ``lstsq_soliton_split`` keeps the package's earlier
 least-squares soliton split as the reference for its orthogonal one, and
 ``shape_trace_mean_curvature`` its earlier mean curvature, the traces of
 the whole shape tensor, as the reference for the commutator sum.
-``h_norm_closed_form`` holds the paper's closed forms for ``|H|`` (C5).
+``h_norm_closed_form`` holds the paper's closed forms for ``|H|`` (C5);
+``h_norm_block`` and ``normality`` hold the theorem as one identity in the
+frame block, and ``lambda_invariant`` the class of a Gram matrix as a
+rational function of its inverse.  These check verdicts from outside and
+never decide one.
 """
 
 import math
@@ -112,7 +116,7 @@ def subspace_membership(subspace: MatrixSubspace, mat: np.ndarray,
     expand the projection in the stored basis.
     """
     mat = np.asarray(mat, dtype=float)
-    a = subspace.stacked().T
+    a = subspace.basis.reshape(-1, 9).T
     coeffs, *_ = np.linalg.lstsq(a, mat.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - mat.ravel()))
     return residual <= tol, coeffs, residual
@@ -124,10 +128,10 @@ def lstsq_soliton_split(ric: np.ndarray, der: MatrixSubspace) -> tuple:
     The split the package made before its orthogonal one: ``lstsq`` over
     the columns [I | derivation basis].
     """
-    a = np.concatenate([np.eye(3).reshape(1, 9), der.stacked()]).T
+    a = np.concatenate([np.eye(3).reshape(1, 9), der.basis.reshape(-1, 9)]).T
     coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - ric.ravel()))
-    return float(coeffs[0]), (coeffs[1:] @ der.stacked()).reshape(3, 3), residual
+    return float(coeffs[0]), (coeffs[1:] @ der.basis.reshape(-1, 9)).reshape(3, 3), residual
 
 
 def shape_trace_mean_curvature(od: orbit_geometry.OrbitData
@@ -274,3 +278,51 @@ def h_norm_closed_form(tag: str, lam: float) -> float:
             return 0.0
         return math.sqrt(2.0) * (1.0 + lam * lam) / (5.0 * (lam * lam - 1.0))
     raise ValueError(f"no |H| closed form for {tag!r}")
+
+
+def h_norm_block(a: float, b: float, c: float, d: float) -> float:
+    """|H| of the orbit through a frame whose brackets are [x1,x2] = a x2 +
+    b x3, [x1,x3] = c x2 + d x3, [x2,x3] = 0, with A = [[a, c], [b, d]]
+    neither scalar nor nilpotent, off sigma = 0 (a = d and b = -c)."""
+    return math.sqrt(2.0) * abs(b - c) / (5.0 * math.hypot(a - d, b + c))
+
+
+def normality(a: float, b: float, c: float, d: float) -> float:
+    """max|[A0, A0^T]| / |A0|^2 for A0 the traceless part of A = [[a, c],
+    [b, d]]: 0 exactly when A is normal, off a scalar A."""
+    h = (a - d) / 2
+    a0 = np.array([[h, c], [b, -h]])
+    return float(np.abs(a0 @ a0.T - a0.T @ a0).max() / np.sum(a0 * a0))
+
+
+def _inverse_and_det(m: list) -> tuple:
+    """The inverse and the determinant of a 3x3 matrix of Fractions, by its
+    adjugate."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    return [[x / det for x in row] for row in adj], det
+
+
+def lambda_invariant(tag: str, gram) -> Fraction:
+    """``reduce``'s lambda of the metric ``gram`` as a rational function of
+    M = gram^-1, in Fractions: lambda^2 on r3 and r3_a, (lambda + 1/lambda)^2
+    on r3p_a.  With M = L L^T, L lower triangular, the squares l22^2 =
+    (M11 M22 - M21^2)/M11, l33^2 = det M/(M11 M22 - M21^2) and l32^2 =
+    (M11 M32 - M31 M21)^2/(M11 (M11 M22 - M21^2)) are rational in M.  Each
+    value is homogeneous of degree 0 in M, so G -> t G leaves it unchanged."""
+    m, det_g = _inverse_and_det([[Fraction(x) for x in row] for row in gram])
+    (m11, _, _), (m21, m22, _), (m31, m32, _) = m
+    det_m = 1 / det_g
+    minor = m11 * m22 - m21 * m21  # M is symmetric, so M12 = M21
+    if tag == "r3":
+        return minor ** 2 / (m11 * det_m)
+    if tag == "r3_a":
+        return (m11 * m32 - m31 * m21) ** 2 / (m11 * det_m)
+    if tag == "r3p_a":
+        l22, l33 = minor / m11, det_m / minor
+        l32 = (m11 * m32 - m31 * m21) ** 2 / (m11 * minor)
+        return (l22 + l32 + l33) ** 2 / (l22 * l33)
+    raise ValueError(f"no lambda invariant for {tag!r}")

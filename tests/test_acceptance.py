@@ -145,7 +145,7 @@ def test_c4_soliton_classification():
     ok = True
     for lam in cli.default_grid(Family("r3")):
         v = soliton_from_frame(Family("r3"), lam)
-        ok = ok and not v.is_soliton and v.certificate.residual >= 0.1
+        ok = ok and not v.is_soliton and v.residual >= 0.1
 
     for a in R3_A_VALUES:
         fam = Family("r3_a", a)
@@ -153,7 +153,7 @@ def test_c4_soliton_classification():
             v = soliton_from_frame(fam, lam)
             if lam == 0.0:
                 ok = (ok and v.is_soliton
-                      and abs(v.certificate.c + 1 + a * a) < 1e-10)
+                      and abs(v.c + 1 + a * a) < 1e-10)
             else:
                 ok = ok and not v.is_soliton
 
@@ -163,7 +163,7 @@ def test_c4_soliton_classification():
             v = soliton_from_frame(fam, lam)
             if lam == 1.0:
                 ok = (ok and v.is_soliton and v.is_einstein
-                      and abs(v.certificate.c + 2 * a * a) < 1e-10)
+                      and abs(v.c + 2 * a * a) < 1e-10)
             else:
                 ok = ok and not v.is_soliton
 

@@ -206,13 +206,15 @@ def test_verify_json_reruns_byte_identical(capsys):
 
 
 def test_verify_explicit_lambdas(capsys):
-    code, out = run(capsys, ["verify", "--family", "r3pa:a=1.0",
-                             "--lambda", "1.0,2.0", "--format", "csv"])
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 2
-    assert rows[0]["is_soliton"] == "true" and rows[0]["orbit_dim"] == "4"
-    assert rows[1]["is_soliton"] == "false" and rows[1]["orbit_dim"] == "5"
+    # a = 1e4 is a regression row of ROADMAP item 1: right at large brackets
+    for family in ("r3pa:a=1.0", "r3pa:a=1e4"):
+        code, out = run(capsys, ["verify", "--family", family,
+                                 "--lambda", "1.0,2.0", "--format", "csv"])
+        assert code == 0, family
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        assert rows[0]["is_soliton"] == "true" and rows[0]["orbit_dim"] == "4"
+        assert rows[1]["is_soliton"] == "false" and rows[1]["orbit_dim"] == "5"
 
 
 def test_verify_near_round_point(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from helpers import FAMILIES, automorphism_residual, random_group_element, random_spd
-from oracles import same_class, subspace_equal
+from oracles import lambda_invariant, same_class, subspace_equal
 from solvgeo.cli import default_grid
 from solvgeo.derivations import (MatrixSubspace, derivation_algebra, scalar_plus,
                                  conjugate_subspace, semidirect_block)
@@ -308,6 +308,35 @@ def test_reduce_r3p_a_lambda_matches_lq_invariant():
         l22, l32, l33 = low[1, 1], low[2, 1], low[2, 2]
         lhs, rhs = (lam + 1.0 / lam) * l22 * l33, l22 ** 2 + l32 ** 2 + l33 ** 2
         assert abs(lhs - rhs) <= 1e-12 * rhs
+
+
+_INVARIANT_FAMILIES = [Family("r3"), Family("r3_a", -0.5), Family("r3_a", 0.5),
+                       Family("r3p_a", 0.0), Family("r3p_a", 2.0)]
+
+
+@pytest.mark.parametrize("fam", _INVARIANT_FAMILIES, ids=lambda f: f.label())
+def test_reduce_lambda_matches_the_rational_invariant(fam):
+    # the class as a rational function of G^-1, in Fractions: an oracle that
+    # checks reduce's lambda from outside
+    rng = np.random.default_rng(97)
+    for _ in range(120):
+        m = rng.standard_normal((3, 3))
+        gram = m.T @ m + 0.1 * np.eye(3)
+        lam = reduce(fam, metric_to_group(gram))[0].lam
+        got = (lam + 1.0 / lam) ** 2 if fam.tag == "r3p_a" else lam * lam
+        want = float(lambda_invariant(fam.tag, gram))
+        assert abs(got - want) <= 1e-12 * want, gram
+
+
+@pytest.mark.parametrize("tag", ["r3", "r3_a", "r3p_a"])
+def test_rational_invariant_is_exactly_scale_invariant(tag):
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        m = rng.standard_normal((3, 3))
+        gram = [[Fraction(x) for x in row] for row in (m.T @ m + 0.1 * np.eye(3)).tolist()]
+        want = lambda_invariant(tag, gram)
+        for t in (Fraction(3, 7), Fraction(10 ** 12 + 1, 3), Fraction(1, 2 ** 80)):
+            assert lambda_invariant(tag, [[t * x for x in row] for row in gram]) == want
 
 
 @pytest.mark.parametrize("a33", [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -40, 1.0 - 2.0 ** -40])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import DER_GRID, FAMILIES, random_group_element, random_spd, unit
-from oracles import (SYM_DIM, congruence_check, h_norm_closed_form,
-                     shape_trace_mean_curvature, sym_basis, trace_form)
+from oracles import (SYM_DIM, congruence_check, h_norm_block, h_norm_closed_form,
+                     normality, shape_trace_mean_curvature, sym_basis, trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus, semidirect_rows)
 from solvgeo import cli, linalg, orbit_geometry
@@ -59,7 +60,7 @@ ORBIT_CASES = [(f, lam) for f in FAMILIES for lam in ((1.0,) if f.tag in ("h3", 
 def test_orbit_data_invariants(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    _assert_orbit_invariants(orbit_data(u.frame), u.dim)
+    _assert_orbit_invariants(orbit_data(u.scalar_frame[:u.dim]), u.dim)
 
 
 def _assert_orbit_invariants(od, dim):
@@ -83,7 +84,7 @@ def _assert_orbit_invariants(od, dim):
 def test_second_fundamental_form_symmetric(fam, lam):
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, lam))
-    od = orbit_data(u.frame)
+    od = orbit_data(u.scalar_frame[:u.dim])
     shape = second_fundamental_form(od)
     assert shape.shape == (len(od.normals), od.orbit_dim, od.orbit_dim)
     assert np.max(np.abs(shape - shape.transpose(0, 2, 1)), initial=0.0) < 1e-10
@@ -93,7 +94,7 @@ def test_mean_curvature_lies_in_normal_space():
     fam = Family("r3_a", 0.5)
     u = conjugate_subspace(scalar_plus(derivation_algebra(make_family(fam))),
                            rep_matrix(fam, 2.0))
-    od = orbit_data(u.frame)
+    od = orbit_data(u.scalar_frame[:u.dim])
     r = mean_curvature(u.basis)
     for t in od.tangent:
         assert abs(trace_form(r.h, t)) < 1e-10
@@ -272,7 +273,7 @@ def test_orbit_at_passes_orthonormal_rows_of_u(monkeypatch, fam):
     (rows,) = seen
     der = conjugate_subspace(derivation_algebra(make_family(fam)), g)
     np.testing.assert_allclose(rows @ rows.T, np.eye(der.dim + 1), atol=1e-14)
-    spanning = np.vstack([der.stacked(), np.eye(3).ravel()])
+    spanning = np.vstack([der.basis.reshape(-1, 9), np.eye(3).ravel()])
     assert np.linalg.matrix_rank(np.vstack([rows, spanning])) == der.dim + 1
     np.testing.assert_allclose(r.h, mean_curvature(spanning.reshape(-1, 3, 3)).h,
                                rtol=0, atol=1e-12)
@@ -369,9 +370,45 @@ def test_closed_form_split_matches_the_svd_on_every_verify_row(monkeypatch):
     assert dims == {4, 5}
 
 
-@pytest.mark.parametrize("fam", [Family("r3"), Family("r3_a", -0.25), Family("r3_a", 0.5),
-                                 Family("r3p_a", 0.0), Family("r3p_a", 1.5)],
-                         ids=lambda f: f.label())
+def test_h_norm_is_the_block_identity_on_every_verify_row():
+    # the theorem as one identity in the frame block (a, b, c, d), checked from
+    # outside: |H| is sqrt(2)|b - c| / (5 sqrt((a - d)^2 + (b + c)^2)) off
+    # sigma = 0, and the soliton rows are exactly those where A is normal
+    rows, off_sigma, solitons, least_nu = 0, 0, 0, math.inf
+    for fam in _VERIFY_FAMILIES:
+        for lam in default_grid(fam):
+            rows += 1
+            g = rep_matrix(fam, lam)
+            a, b, c, d = block = frame_algebra(fam, g)[0]
+            if (a - d, b + c) != (0.0, 0.0):
+                want = h_norm_block(*block)
+                assert abs(orbit_at(fam, g).norm - want) <= 1e-12 * want, (fam, lam)
+                off_sigma += 1
+            nu = normality(*block)
+            if soliton_from_frame(fam, lam).is_soliton:
+                assert nu == 0.0, (fam, lam)
+                solitons += 1
+            else:
+                least_nu = min(least_nu, nu)
+    assert (rows, off_sigma, solitons) == (377, 374, 7)
+    assert least_nu >= 0.18
+
+
+_GRAM_FRAME_FAMILIES = [Family("r3"), Family("r3_a", -0.25), Family("r3_a", 0.5),
+                        Family("r3p_a", 0.0), Family("r3p_a", 1.5)]
+
+
+@pytest.mark.parametrize("fam", _GRAM_FRAME_FAMILIES, ids=lambda f: f.label())
+def test_h_norm_is_the_block_identity_on_gram_frames(fam):
+    rng = np.random.default_rng(89)
+    for _ in range(60):
+        m = rng.standard_normal((3, 3))
+        g = metric_to_group(m.T @ m + 0.1 * np.eye(3))
+        want = h_norm_block(*frame_algebra(fam, g)[0])
+        assert abs(orbit_at(fam, g).norm - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("fam", _GRAM_FRAME_FAMILIES, ids=lambda f: f.label())
 def test_closed_form_split_matches_the_svd_on_gram_frames(monkeypatch, fam):
     rng = np.random.default_rng(83)
     for _ in range(60):

@@ -24,38 +24,37 @@ def test_r3_a_identity_certificate(a):
     verdict = solvsoliton_check(make_family(Family("r3_a", a)), np.eye(3))
     assert verdict.is_soliton
     assert not verdict.is_einstein
-    cert = verdict.certificate
-    assert cert.residual < 1e-10
-    assert cert.c == pytest.approx(-(1 + a * a), abs=1e-10)
-    np.testing.assert_allclose(cert.d, np.diag([0.0, a * a - a, 1 - a]), atol=1e-10)
+    assert verdict.residual < 1e-10
+    assert verdict.c == pytest.approx(-(1 + a * a), abs=1e-10)
+    np.testing.assert_allclose(verdict.d, np.diag([0.0, a * a - a, 1 - a]), atol=1e-10)
 
 
 def test_r3_a_top_value_is_einstein():
     verdict = solvsoliton_check(make_family(Family("r3_a", 1.0)), np.eye(3))
     assert verdict.is_soliton and verdict.is_einstein
-    assert verdict.certificate.c == pytest.approx(-2.0, abs=1e-10)
-    np.testing.assert_allclose(verdict.certificate.d, 0.0, atol=1e-10)
+    assert verdict.c == pytest.approx(-2.0, abs=1e-10)
+    np.testing.assert_allclose(verdict.d, 0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("a", [0.0, 1.0, 2.0])
 def test_r3p_a_identity_is_einstein(a):
     verdict = solvsoliton_check(make_family(Family("r3p_a", a)), np.eye(3))
     assert verdict.is_soliton and verdict.is_einstein
-    assert verdict.certificate.c == pytest.approx(-2 * a * a, abs=1e-10)
+    assert verdict.c == pytest.approx(-2 * a * a, abs=1e-10)
 
 
 def test_h3_identity_certificate():
     verdict = solvsoliton_check(make_family(Family("h3")), np.eye(3))
     assert verdict.is_soliton and not verdict.is_einstein
-    assert verdict.certificate.c == pytest.approx(-1.5, abs=1e-10)
-    np.testing.assert_allclose(verdict.certificate.d, np.diag([1.0, 1.0, 2.0]),
+    assert verdict.c == pytest.approx(-1.5, abs=1e-10)
+    np.testing.assert_allclose(verdict.d, np.diag([1.0, 1.0, 2.0]),
                                atol=1e-10)
 
 
 def test_r3_1_identity_is_einstein():
     verdict = solvsoliton_check(make_family(Family("r3_1")), np.eye(3))
     assert verdict.is_soliton and verdict.is_einstein
-    assert verdict.certificate.c == pytest.approx(-2.0, abs=1e-10)
+    assert verdict.c == pytest.approx(-2.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("tag", ["h3", "r3_1"])
@@ -65,7 +64,7 @@ def test_point_moduli_families_always_soliton(tag):
     for _ in range(30):
         verdict = solvsoliton_check(sc, random_spd(rng))
         assert verdict.is_soliton
-        assert verdict.certificate.residual < 1e-8
+        assert verdict.residual < 1e-8
         assert verdict.is_einstein == (tag == "r3_1")
 
 
@@ -74,7 +73,7 @@ def test_r3_never_soliton(lam):
     verdict = soliton_from_frame(Family("r3"), lam)
     assert not verdict.is_soliton
     expected = np.sqrt(lam**2 + lam**4 / 2)
-    assert verdict.certificate.residual == pytest.approx(expected, rel=1e-12)
+    assert verdict.residual == pytest.approx(expected, rel=1e-12)
 
 
 def test_r3_a_zero_obstruction_away_from_flat_point():
@@ -84,7 +83,7 @@ def test_r3_a_zero_obstruction_away_from_flat_point():
                           (2.0, 3.3333333333333335)]:
         verdict = soliton_from_frame(Family("r3_a", 0.0), lam)
         assert not verdict.is_soliton
-        assert verdict.certificate.residual == pytest.approx(expected, rel=1e-10)
+        assert verdict.residual == pytest.approx(expected, rel=1e-10)
     assert soliton_from_frame(Family("r3_a", 0.0), 0.0).is_soliton
 
 
@@ -111,7 +110,7 @@ def test_verdict_invariant_under_scaling():
         assert base.is_soliton == scaled.is_soliton
         if base.is_soliton:
             # Ricci (hence c) scales inversely with the metric
-            assert scaled.certificate.c == pytest.approx(base.certificate.c / 4.0,
+            assert scaled.c == pytest.approx(base.c / 4.0,
                                                          abs=1e-10)
 
 
@@ -129,7 +128,7 @@ def test_verdict_invariant_under_automorphism_pullback():
             v2 = solvsoliton_check(sc, pulled)
             assert v1.is_soliton == v2.is_soliton
             if v1.is_soliton:
-                assert v2.certificate.c == pytest.approx(v1.certificate.c, abs=1e-8)
+                assert v2.c == pytest.approx(v1.c, abs=1e-8)
 
 
 def test_certificate_d_is_a_derivation():
@@ -141,7 +140,7 @@ def test_certificate_d_is_a_derivation():
         sc = make_family(fam)
         verdict = solvsoliton_check(sc, gram)
         assert verdict.is_soliton
-        assert derivation_residual(sc, verdict.certificate.d) < 1e-8
+        assert derivation_residual(sc, verdict.d) < 1e-8
 
 
 @pytest.mark.parametrize("fam,lam", [(Family("r3"), lam) for lam in (1e-3, 1e3, 1e5)]
@@ -155,8 +154,8 @@ def test_frame_ricci_is_accurate_at_large_lambda(fam, lam):
     ric = curvature.ricci_closed_form(*c[0, 1:, 1:].ravel().tolist()).astype(float)
     der = conjugate_subspace(derivation_algebra(make_family(fam)), rep_matrix(fam, lam))
     want = soliton._project(ric, der.scalar_frame, der.dim,
-                            soliton.DEFAULT_TOL).certificate.residual
-    assert soliton_from_frame(fam, lam).certificate.residual == pytest.approx(want, rel=1e-12)
+                            soliton.DEFAULT_TOL).residual
+    assert soliton_from_frame(fam, lam).residual == pytest.approx(want, rel=1e-12)
 
 
 def test_frame_check_rejects_bad_lambda():
@@ -174,7 +173,7 @@ def test_residual_is_read_at_every_scale():
         ric = np.zeros((3, 3))
         ric[0, 2], ric[1, 2] = 3 * scale, 4 * scale
         verdict = soliton._project(ric, der.scalar_frame, der.dim, 1e-8)
-        assert verdict.certificate.residual == pytest.approx(5 * scale, rel=1e-15, abs=0), scale
+        assert verdict.residual == pytest.approx(5 * scale, rel=1e-15, abs=0), scale
         assert verdict.is_soliton == verdict.is_einstein == (scale < 1e-8)
 
 
@@ -207,9 +206,9 @@ _ITEM4_GRAM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
 def test_residual_scales_exactly_by_powers_of_two():
     # Ric(2^k G) = 2^-k Ric(G) with no rounding, and so is the residual
     sc = make_family(Family("r3_a", 0.5))
-    base = solvsoliton_check(sc, _ITEM4_GRAM).certificate.residual
+    base = solvsoliton_check(sc, _ITEM4_GRAM).residual
     moved = [k for k in range(-1000, 1001, 25)
-             if 2.0 ** k * solvsoliton_check(sc, 2.0 ** k * _ITEM4_GRAM).certificate.residual
+             if 2.0 ** k * solvsoliton_check(sc, 2.0 ** k * _ITEM4_GRAM).residual
              != base]
     assert moved == []
 
@@ -227,7 +226,7 @@ def _scaled_gram(seed, diagonal):
 def test_verdict_and_residual_follow_power_of_two_scaling(fam, seed, diagonal, k):
     sc, gram = make_family(fam), _scaled_gram(seed, diagonal)
     base, moved = solvsoliton_check(sc, gram), solvsoliton_check(sc, 2.0 ** k * gram)
-    assert moved.certificate.residual == 2.0 ** -k * base.certificate.residual
+    assert moved.residual == 2.0 ** -k * base.residual
     assert moved.is_soliton == base.is_soliton
     assert moved.is_einstein == base.is_einstein
 
@@ -240,7 +239,7 @@ def test_verdict_does_not_depend_on_scale(fam, seed, diagonal, t):
     # factor t can move the verdict: t G lands at unit scale within 2x
     sc, gram = make_family(fam), _scaled_gram(seed, diagonal)
     e = math.frexp(np.abs(gram).max())[1] - 1
-    unit = solvsoliton_check(sc, np.ldexp(gram, -e)).certificate.residual
+    unit = solvsoliton_check(sc, np.ldexp(gram, -e)).residual
     assume(unit == 0 or unit > 2 * soliton.DEFAULT_TOL)
     assert solvsoliton_check(sc, t * gram).is_soliton == (unit == 0)
 
@@ -327,14 +326,14 @@ def test_solvsoliton_check_solves_no_der_kernel_for_semidirect_families(monkeypa
     assert calls == []
     # positive control: the spies see Der solved for a nilpotent or scalar
     # ad(e1), and for a tensor off the semidirect shape, which
-    # solvsoliton_check refuses, so its rows are asked for directly
+    # solvsoliton_check refuses, so its Der is asked for directly
     for fam in (Family("h3"), Family("r3_1")):
         solvsoliton_check(make_family(fam), random_spd(rng))
         assert "derivation_algebra" in calls
         calls.clear()
     sc = lie_core.change_basis(make_family(Family("r3_a", float(rng.uniform(-1.0, 1.0)))),
                                random_group_element(rng))
-    derivations.block_der_rows(sc, derivations.semidirect_block(sc))
+    derivations.derivation_algebra(sc)
     assert calls[:1] == ["derivation_algebra"] and "nullspace" in calls
 
 
@@ -348,9 +347,9 @@ def test_exact_and_float_twins_give_identical_certificates():
             gram = random_spd(rng)
             got = solvsoliton_check(make_family(fam, exact=True), gram)
             want = solvsoliton_check(make_family(fam), gram)
-            assert (got.is_soliton, got.certificate.c, got.certificate.residual) == \
-                (want.is_soliton, want.certificate.c, want.certificate.residual)
-            assert got.certificate.d.tobytes() == want.certificate.d.tobytes()
+            assert (got.is_soliton, got.c, got.residual) == \
+                (want.is_soliton, want.c, want.residual)
+            assert got.d.tobytes() == want.d.tobytes()
 
 
 def test_scalar_line_inside_der_gives_zero_c():
@@ -360,9 +359,9 @@ def test_scalar_line_inside_der_gives_zero_c():
     gram = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
     verdict = solvsoliton_check(StructureConstants(np.zeros((3, 3, 3))), gram)
     assert verdict.is_soliton
-    assert verdict.certificate.c == 0.0
-    assert verdict.certificate.residual == 0.0
-    assert not verdict.certificate.d.any()
+    assert verdict.c == 0.0
+    assert verdict.residual == 0.0
+    assert not verdict.d.any()
 
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=[f.label() for f in FAMILIES])
@@ -380,7 +379,7 @@ def test_orthogonal_split_matches_lstsq(fam):
             for scale in 10.0 ** np.arange(-150, 151, 30):
                 scaled = scale * ric
                 want_c, want_d, want_res = lstsq_soliton_split(scaled, der)
-                got = soliton._project(scaled, der.scalar_frame, der.dim, 1e-8).certificate
+                got = soliton._project(scaled, der.scalar_frame, der.dim, 1e-8)
                 big = np.abs(scaled).max()
                 assert abs(got.c - want_c) <= 1e-12 * big
                 assert np.abs(got.d - want_d).max() <= 1e-12 * big
