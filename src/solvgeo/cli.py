@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -288,6 +289,8 @@ def _parse_grid(text: str) -> tuple:
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:count")
     start, stop = float(parts[0]), float(parts[1])
+    if not math.isfinite(stop - start):
+        raise ValueError(f"grid {text!r} needs a finite start, stop and stop - start")
     count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be >= 1")

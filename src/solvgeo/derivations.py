@@ -94,13 +94,12 @@ def derivation_algebra(sc: StructureConstants) -> MatrixSubspace:
     if sc.exact:
         # the identity is linear and homogeneous in c: Der(t c) = Der(c)
         return _derivation_kernel(linalg.integer_numerators(sc.c)[0])
-    c = np.ascontiguousarray(sc.c, dtype=float)
-    return _float_derivations(c.tobytes(), c.shape)
+    return _float_derivations(np.ascontiguousarray(sc.c, dtype=float).tobytes())
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _float_derivations(data: bytes, shape: tuple) -> MatrixSubspace:
-    return _derivation_kernel(np.frombuffer(data).reshape(shape))
+def _float_derivations(data: bytes) -> MatrixSubspace:
+    return _derivation_kernel(np.frombuffer(data).reshape(3, 3, 3))
 
 
 def _derivation_kernel(c: np.ndarray) -> MatrixSubspace:
@@ -113,45 +112,34 @@ def _kernel_subspace(data: bytes, shape: tuple) -> MatrixSubspace:
     return MatrixSubspace(np.frombuffer(data).reshape(shape))
 
 
-def _derivation_system(c: np.ndarray) -> np.ndarray:
-    """The derivation identity as a linear system in the entries of D.
-
-    One gather from ``_derivation_template``; each entry is
-    ``(plus - minus1) - minus2``.  An absent positive term reads
-    ``c[0,0,0] * 0`` and an absent subtracted one reads +0, so the entries
-    are bit for bit those of the entry-by-entry construction that
-    ``tests/test_derivations.py`` keeps as the reference, signed zeros
-    included.
-    """
-    plus, minus1, minus2 = _derivation_template(c.shape[0])
-    flat = np.concatenate([c.ravel(), [c[0, 0, 0] * 0, 0]])
-    return (flat[plus] - flat[minus1]) - flat[minus2]
-
-
-@functools.lru_cache(maxsize=None)
-def _derivation_template(n: int) -> tuple:
-    """Indices of the derivation-identity system into the padded flat ``c``.
+def _derivation_template() -> tuple:
+    """Indices of the derivation-identity system into the flat ``c`` with a 0
+    appended at index 27.
 
     Row (i<j, l), column (m, k) of the system is
     (c_ij^k [m = l]) - (c_mj^l [k = i]) - (c_im^l [k = j]): the coefficient
     of D[m, k] in component l of D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
-    Index n^3 holds the signed zero, n^3 + 1 the +0.
     """
-    signed_zero, plus_zero = n ** 3, n ** 3 + 1
+    pair, l, m, k = np.indices((3, 3, 3, 3))
+    i, j = np.array([0, 0, 1])[pair], np.array([1, 2, 2])[pair]
+    return tuple(np.where(hit, at, 27).reshape(9, 9) for hit, at in (
+        (m == l, 9 * i + 3 * j + k), (k == i, 9 * m + 3 * j + l), (k == j, 9 * i + 3 * m + l)))
 
-    def at(p, q, r):
-        return (p * n + q) * n + r
 
-    plus, minus1, minus2 = [], [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(n):
-                for m in range(n):
-                    for k in range(n):
-                        plus.append(at(i, j, k) if m == l else signed_zero)
-                        minus1.append(at(m, j, l) if k == i else plus_zero)
-                        minus2.append(at(i, m, l) if k == j else plus_zero)
-    return tuple(np.array(t).reshape(-1, n * n) for t in (plus, minus1, minus2))
+_TEMPLATE = _derivation_template()
+
+
+def _derivation_system(c: np.ndarray) -> np.ndarray:
+    """The derivation identity as a linear system in the entries of D.
+
+    One gather from ``_TEMPLATE``; each entry is ``(plus - minus1) - minus2``,
+    an absent term reading the appended 0, so the entries are bit for bit
+    those of the entry-by-entry construction that ``tests/test_derivations.py``
+    keeps as the reference.
+    """
+    plus, minus1, minus2 = _TEMPLATE
+    flat = np.concatenate([c.ravel(), [0]])
+    return (flat[plus] - flat[minus1]) - flat[minus2]
 
 
 # E21, E31, (E22 + E33)/sqrt(2), a slot for the unit traceless part of 0 + A,
@@ -172,7 +160,9 @@ def semidirect_rows(a: float, b: float, c: float, d: float) -> np.ndarray:
     A = [[a, c], [b, d]] neither scalar nor nilpotent: Der = span{E21, E31,
     0 + I, 0 + A}, so E21, E31, (E22 + E33)/sqrt(2), the unit traceless
     part of 0 + A, and E11, with pairwise orthogonal symmetric parts."""
-    h = (a - d) / 2
+    t = a - d  # the rows read only the direction of (t, b, c): scale a subnormal one up
+    s = 2.0 ** 1000 if max(abs(t), abs(b), abs(c)) < 2.0 ** -1000 else 1.0
+    h, b, c = t * s / 2, b * s, c * s
     norm = math.hypot(h, h, b, c)
     rows = SEMIDIRECT_ROWS.copy()
     rows[3, 4:9] = h / norm, c / norm, 0.0, b / norm, -h / norm  # 0.0 at E31's entry
@@ -183,8 +173,6 @@ def semidirect_block(sc: StructureConstants):
     """``(a, b, c, d)`` when sc is exactly [e1,e2] = a e2 + b e3, [e1,e3] =
     c e2 + d e3, [e2,e3] = 0 (every other entry zero and c[1:, 0, 1:] =
     -c[0, 1:, 1:], tested by equality on the entries), else None."""
-    if sc.c.shape != (3, 3, 3):
-        return None
     flat = sc.c.ravel().tolist()
     block = [flat[i] for i in _BLOCK]
     if any(flat[i] for i in _OFF_SEMIDIRECT) or [-flat[i] for i in _MIRROR] != block:

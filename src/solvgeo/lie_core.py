@@ -24,7 +24,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -93,13 +92,14 @@ def parse_family(text: str) -> Family:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Dense structure-constant tensor of a 3-dimensional algebra."""
+    """Dense structure-constant tensor of a 3-dimensional algebra, of shape
+    (3, 3, 3): any other shape raises ValueError."""
 
     c: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
+    def __post_init__(self):
+        if self.c.shape != (3, 3, 3):
+            raise ValueError(f"structure constants must be 3x3x3, got shape {self.c.shape}")
 
     @property
     def exact(self) -> bool:
@@ -107,9 +107,8 @@ class StructureConstants:
 
     def nonzero(self) -> list[tuple[int, int, int, float | Fraction]]:
         """Entries (i, j, k, c_ij^k) with i < j and nonzero value."""
-        n = self.dim
         return [(i, j, k, self.c[i, j, k])
-                for i in range(n) for j in range(i + 1, n) for k in range(n)
+                for i in range(3) for j in range(i + 1, 3) for k in range(3)
                 if self.c[i, j, k] != 0]
 
 
@@ -160,9 +159,8 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     adjugate of h's), in Python ints, and divides once per entry.
     """
     h = np.asarray(h)
-    n = sc.dim
-    if h.shape != (n, n):
-        raise ValueError(f"basis matrix must be {n}x{n}")
+    if h.shape != (3, 3):
+        raise ValueError("basis matrix must be 3x3")
     if sc.exact and h.dtype == object:
         c, dc = linalg.integer_numerators(sc.c)
         h, dh = linalg.integer_numerators(h)
@@ -199,10 +197,9 @@ def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def jacobi_residual(sc: StructureConstants) -> float:
-    """max abs component of the Jacobi cyclic sum over basis triples."""
+    """max abs component of the Jacobi cyclic sum on the one basis triple."""
     c = sc.c
     # t[i,j,k,l] = sum_m c[j,k,m] c[i,m,l]; the cyclic sum adds t[j,k,i] and t[k,i,j]
     t = np.einsum("jkm,iml->ijkl", c, c)
     s = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    i, j, k = np.array(list(combinations(range(sc.dim), 3))).T
-    return float(np.abs(np.asarray(s[i, j, k], dtype=float)).max(initial=0.0))
+    return float(np.abs(np.asarray(s[0, 1, 2], dtype=float)).max())

@@ -198,9 +198,12 @@ def lq(g: np.ndarray):
     positive.  A lower-triangular g with positive diagonal (``rep_matrix``,
     ``metric_to_group``) gives ``(L, None)`` and runs no QR: numpy's
     Householder reflector of an all-zero subcolumn is the identity, so L, g
-    with +0.0 above the diagonal, is the QR's bit for bit, and k = I.
+    with +0.0 above the diagonal, is the QR's bit for bit, and k = I.  A g
+    of any other shape raises ValueError.
     """
     g = np.asarray(g, dtype=float)
+    if g.shape != (3, 3):
+        raise ValueError("group element must be a 3x3 matrix")
     (l11, u12, u13), (l21, l22, u23), (l31, l32, l33) = g.tolist()
     if l11 > 0 and l22 > 0 and l33 > 0 and not (u12 or u13 or u23):
         # +0.0 above the diagonal, as the QR's R has

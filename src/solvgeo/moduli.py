@@ -140,11 +140,10 @@ def reduce(family: Family, g: np.ndarray):
     Returns (Representative, ReductionTrace); the product scalar *
     auto_part @ g @ orth reproduces the representative matrix.  A
     non-finite or numerically singular g raises SingularMatrixError, and a
-    single-class witness that does not fit in float64 ValueError.
+    g not 3x3 (``linalg.lq``) or a single-class witness that does not fit
+    in float64 ValueError.
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (3, 3):
-        raise ValueError("group element must be a 3x3 matrix")
     if not np.isfinite(g).all():
         raise SingularMatrixError("group element is not finite")
     lower, k1 = linalg.lower_triangular_lq(g)

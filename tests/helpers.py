@@ -23,6 +23,10 @@ DER_GRID_STRINGS = list(dict.fromkeys(
 
 DER_GRID = [parse_family(s) for s in DER_GRID_STRINGS]
 
+# the families of the 8 acceptance verify sweeps, 377 rows on their default grids
+VERIFY_FAMILIES = [parse_family(s) for s in ("r3", "r3a:a=-1.0", "r3a:a=-0.5", "r3a:a=0.0",
+                                             "r3a:a=0.5", "r3pa:a=0.0", "r3pa:a=1.0", "r3pa:a=2.0")]
+
 
 def random_spd(rng, scale: float = 1.0) -> np.ndarray:
     m = rng.normal(size=(3, 3))

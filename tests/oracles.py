@@ -16,7 +16,9 @@ the whole shape tensor, as the reference for the commutator sum.
 ``h_norm_block`` and ``normality`` hold the theorem as one identity in the
 frame block, and ``lambda_invariant`` the class of a Gram matrix as a
 rational function of its inverse.  These check verdicts from outside and
-never decide one.
+never decide one.  ``exact_frame_soliton`` decides the soliton question at
+g_lambda in ``Fraction`` arithmetic alone, as the reference for the float
+verdict.
 """
 
 import math
@@ -26,11 +28,11 @@ import numpy as np
 import sympy as sp
 from scipy.linalg import expm
 
-from solvgeo import orbit_geometry
-from solvgeo.curvature import require_finite
+from solvgeo import derivations, linalg, orbit_geometry
+from solvgeo.curvature import require_finite, ricci_closed_form
 from solvgeo.derivations import MatrixSubspace, derivation_algebra, scalar_plus
 from solvgeo.lie_core import Family, StructureConstants, change_basis, make_family
-from solvgeo.moduli import metric_to_group, reduce
+from solvgeo.moduli import frame_constants, metric_to_group, reduce
 
 SYM_DIM = 6
 
@@ -40,7 +42,7 @@ def derivation_basis_sympy(sc):
 
     Returns (dim, [numpy float 3x3 matrices]).
     """
-    n = sc.dim
+    n = 3
     c = [[[sp.Rational(Fraction(sc.c[i, j, k])) for k in range(n)]
           for j in range(n)] for i in range(n)]
     syms = sp.symbols(f"d0:{n * n}")
@@ -77,7 +79,7 @@ def pattern_subspace(entries):
 
 def bracket(sc: StructureConstants, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """[x, y] in coordinates, for coordinate vectors x, y."""
-    n = sc.dim
+    n = 3
     if len(x) != n or len(y) != n:
         raise ValueError("coordinate vectors must match the algebra dimension")
     x = np.asarray(x)
@@ -89,12 +91,12 @@ def antisymmetry_residual(sc: StructureConstants) -> float:
     """max |c_ij^k + c_ji^k|; zero for a well-formed bracket."""
     c = sc.c
     return float(max(abs(c[i, j, k] + c[j, i, k])
-                     for i in range(sc.dim) for j in range(sc.dim) for k in range(sc.dim)))
+                     for i in range(3) for j in range(3) for k in range(3)))
 
 
 def derivation_residual(sc: StructureConstants, d: np.ndarray) -> float:
     """max-norm violation of the derivation identity over basis pairs."""
-    n = sc.dim
+    n = 3
     d = np.asarray(d, dtype=float)
     eye = np.eye(n)
     worst = 0.0
@@ -326,3 +328,22 @@ def lambda_invariant(tag: str, gram) -> Fraction:
         l32 = (m11 * m32 - m31 * m21) ** 2 / (m11 * minor)
         return (l22 + l32 + l33) ** 2 / (l22 * l33)
     raise ValueError(f"no lambda invariant for {tag!r}")
+
+
+def exact_frame_soliton(family: Family, lam) -> bool:
+    """Whether the metric at g_lambda is a solvsoliton, decided exactly.
+
+    Everything is in Fractions and no float verdict code is read: the
+    constants on the Milnor frame x_i = g_lambda e_i, orthonormal for that
+    metric; Ric there by ``ricci_closed_form`` on their block; Der as the
+    exact kernel of the derivation system; and Ric lies in QI + Der exactly
+    when appending it to the rows of I and Der leaves their rank unchanged.
+    """
+    sc = frame_constants(family, Fraction(lam), exact=True)
+    assert all(i == 0 for i, *_ in sc.nonzero())  # [x2, x3] = 0
+    ric = ricci_closed_form(*sc.c[0, 1:, 1:].ravel().tolist())
+    ints = linalg.integer_numerators(sc.c)[0]
+    der = linalg.ratios(*linalg.nullspace(derivations._derivation_system(ints)))
+    span = np.vstack([der, np.eye(3, dtype=object).reshape(1, 9)])
+    rank = len(linalg.row_space_basis(span))
+    return len(linalg.row_space_basis(np.vstack([span, ric.reshape(1, 9)]))) == rank

@@ -295,6 +295,11 @@ def test_invalid_configurations_exit_2(capsys, argv):
     ([cmd, "--family", "r3pa:a=1.0", "--lambda", "1", "--tol", tol],
      f"tol must be finite and > 0, got {float(tol)}")
     for cmd in ("verify", "soliton") for tol in ("nan", "inf", "0", "-1")
+] + [
+    # a grid whose span is not finite is named, not blamed on a lambda
+    (["verify", "--family", "r3a:a=0.5", "--grid", grid],
+     f"grid {grid!r} needs a finite start, stop and stop - start")
+    for grid in ("-1e308:1e308:3", "-1e308:1e308:1", "1:inf:3", "nan:1:3")
 ])
 def test_non_finite_input_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -465,6 +470,15 @@ def test_non_finite_ricci_writes_one_stderr_line(argv):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: Ricci operator is not finite: the curvature overflows float64 for this metric"]
+
+
+def test_overflowing_grid_writes_one_stderr_line():
+    # the span overflows float64: the grid is refused before numpy can warn
+    proc = _run_fresh(["verify", "--family", "r3a:a=0.5", "--grid", "-1e308:1e308:3"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: grid '-1e308:1e308:3' needs a finite start, stop and stop - start"]
 
 
 @pytest.mark.parametrize("argv,key,norm", [

@@ -616,7 +616,7 @@ def _loop_system(c):
     n = c.shape[0]
     dtype = object if c.dtype == object else float
     c = c.tolist()
-    zero = c[0][0][0] * 0
+    zero = 0
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -766,5 +766,6 @@ def test_semidirect_block_reads_a_or_refuses():
     assert derivations.semidirect_block(abcd_constants(1.0, 2.0, 3.0, 4.0)) == (1.0, 2.0, 3.0, 4.0)
     for name, sc in _semidirect_variants().items():
         assert derivations.semidirect_block(sc) is None, name
-    assert derivations.semidirect_block(StructureConstants(np.zeros((2, 2, 2)))) is None
+    with pytest.raises(ValueError):
+        StructureConstants(np.zeros((2, 2, 2)))
 

@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -315,6 +316,12 @@ def test_change_basis_rejects_non_finite_h(bad):
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError, match="^basis change matrix is not finite$"):
             change_basis(make_family(Family("r3p_a", 0.5)), h)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3), (4, 4, 4)])
+def test_structure_constants_are_3x3x3(shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be 3x3x3, got shape {shape}")):
+        StructureConstants(np.zeros(shape))
 
 
 def test_nonzero_listing():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import DER_GRID, FAMILIES, random_group_element, random_spd, unit
+from helpers import DER_GRID, FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd, unit
 from oracles import (SYM_DIM, congruence_check, h_norm_block, h_norm_closed_form,
                      normality, shape_trace_mean_curvature, sym_basis, trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
@@ -323,10 +323,6 @@ def test_commutator_sum_matches_shape_tensor_trace(monkeypatch, fam):
             assert np.abs(a - b).max() <= tol and abs(v - w) <= tol
 
 
-_VERIFY_FAMILIES = ([Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
-                    + [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)])
-
-
 def _split_against_the_svd(monkeypatch, rows):
     """``(closed form, SVD)``: orbit_data of the semidirect ``rows``, which
     must run no SVD and pass the invariants, and of the same rows in another
@@ -360,7 +356,7 @@ def _assert_same_split(got, want):
 def test_closed_form_split_matches_the_svd_on_every_verify_row(monkeypatch):
     # the 377 rows of the 8 acceptance sweeps, the round points of r3p_a among them
     rows = [frame_algebra(fam, rep_matrix(fam, lam))[1]
-            for fam in _VERIFY_FAMILIES for lam in default_grid(fam)]
+            for fam in VERIFY_FAMILIES for lam in default_grid(fam)]
     assert len(rows) == 377
     dims = set()
     for r in rows:
@@ -375,7 +371,7 @@ def test_h_norm_is_the_block_identity_on_every_verify_row():
     # outside: |H| is sqrt(2)|b - c| / (5 sqrt((a - d)^2 + (b + c)^2)) off
     # sigma = 0, and the soliton rows are exactly those where A is normal
     rows, off_sigma, solitons, least_nu = 0, 0, 0, math.inf
-    for fam in _VERIFY_FAMILIES:
+    for fam in VERIFY_FAMILIES:
         for lam in default_grid(fam):
             rows += 1
             g = rep_matrix(fam, lam)
@@ -420,6 +416,7 @@ def test_closed_form_split_matches_the_svd_on_gram_frames(monkeypatch, fam):
 
 @settings(max_examples=200, deadline=None)
 @given(block=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+@example(block=[0.0, 0.0, 0.0, 5e-324])  # (a - d) / 2 rounds to 0
 def test_closed_form_split_matches_the_svd_on_drawn_blocks(block):
     a, b, c, d = block
     assume((a - d, b, c) != (0, 0, 0))  # a scalar block has no unit traceless part
@@ -456,7 +453,7 @@ def test_verify_sweeps_build_no_shape_tensor(monkeypatch):
     monkeypatch.setattr(orbit_geometry, "second_fundamental_form",
                         lambda od: calls.append(od) or original(od))
     rows = 0
-    for fam in _VERIFY_FAMILIES:
+    for fam in VERIFY_FAMILIES:
         out, status = cli.verify_main_theorem(cli.RunConfig(family=fam,
                                                             grid=default_grid(fam)))
         assert status == 0
@@ -554,6 +551,15 @@ def test_orbit_at_refuses_degenerate_elements_by_name(fam):
     for g in _bad_elements():
         with pytest.raises(SingularMatrixError, match=message):
             orbit_at(fam, g)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 4)])
+def test_group_element_of_another_shape_is_refused_by_lq(shape):
+    # orbit_at reaches lq directly and reduce through lower_triangular_lq
+    for fn in (orbit_at, reduce):
+        with pytest.raises(ValueError, match="^group element must be a 3x3 matrix$") as err:
+            fn(Family("r3_a", 0.5), np.eye(*shape))
+        assert err.traceback[-1].name == "lq"
 
 
 def test_orbit_at_refuses_frame_brackets_that_overflow():

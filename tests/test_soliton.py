@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from helpers import FAMILIES, random_group_element, random_spd
-from oracles import derivation_residual, lstsq_soliton_split
+from helpers import FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd
+from oracles import derivation_residual, exact_frame_soliton, lstsq_soliton_split
 from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometry, soliton
 from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
@@ -390,8 +391,7 @@ def test_verify_and_gram_paths_call_no_lstsq_or_orthonormalize(monkeypatch):
     # both soliton paths split over the frame that Der's independence check
     # already holds, and the orbit half reuses it: nothing factors u' again.
     # That check orthonormalizes each new Der once, so every Der is built first
-    families = [Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
-    families += [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)]
+    families = VERIFY_FAMILIES
     for fam in families + FAMILIES:
         derivation_algebra(make_family(fam))
     calls = []
@@ -416,3 +416,71 @@ def test_verify_and_gram_paths_call_no_lstsq_or_orthonormalize(monkeypatch):
     orbit_geometry.mean_curvature(np.eye(9).reshape(9, 3, 3))
     lstsq_soliton_split(np.eye(3), derivation_algebra(make_family(Family("h3"))))
     assert calls == ["orthonormalize", "lstsq"]
+
+
+# ------------------------------------------------- the exact frame oracle
+
+def _classified_soliton(fam: Family, lam) -> bool:
+    """The classification's answer at g_lambda: r3 never, r3_a at lambda = 0,
+    r3p_a at lambda = 1, and h3, r3_1 and r3_a at a = 1 at every lambda."""
+    if fam.tag in ("h3", "r3_1") or (fam.tag == "r3_a" and fam.a == 1):
+        return True
+    return fam.tag != "r3" and lam == (0 if fam.tag == "r3_a" else 1)
+
+
+def test_exact_oracle_matches_the_float_verdict_on_every_verify_row():
+    rows = [(fam, lam) for fam in VERIFY_FAMILIES for lam in cli.default_grid(fam)]
+    assert len(rows) == 377
+    got = [exact_frame_soliton(fam, lam) for fam, lam in rows]
+    assert got == [soliton_from_frame(fam, lam).is_soliton for fam, lam in rows]
+    assert sum(got) == 7
+
+
+@pytest.mark.parametrize("text,lam,want", [
+    ("r3pa:a=0.375", 1.000000001, False),
+    ("r3a:a=0.5", 1e-9, False),
+    ("r3a:a=0.999999999999", 2.0, False),
+    ("r3", 1e-12, False),
+    ("r3", 1e-300, False),
+    ("r3pa:a=1e4", 1.0, True),
+    ("r3pa:a=1e4", 2.0, False),
+    ("r3pa:a=6e153", 1.0, True),
+])
+def test_exact_oracle_decides_the_extreme_rows_by_the_classification(text, lam, want):
+    # rows where the float verdict is refused or wrong: the exact answer is
+    # lambda = lambda*, with no tolerance
+    fam = lie_core.parse_family(text)
+    assert exact_frame_soliton(fam, lam) is want
+    assert _classified_soliton(fam, lam) is want
+
+
+@st.composite
+def _family_and_rational_lambda(draw):
+    tag = draw(st.sampled_from(lie_core.FAMILY_TAGS))
+    lam = Fraction(draw(st.integers(0, 40)), draw(st.integers(1, 40)))
+    if tag == "r3_a":
+        return Family(tag, draw(st.integers(-64, 64)) / 64), draw(st.sampled_from((1, -1))) * lam
+    if tag == "r3p_a":
+        return Family(tag, draw(st.integers(0, 256)) / 2 ** draw(st.integers(0, 6))), 1 + lam
+    return Family(tag), lam + Fraction(1, 64)
+
+
+@given(_family_and_rational_lambda())
+@settings(max_examples=300, deadline=None)
+def test_exact_oracle_is_the_classification_on_rational_rows(row):
+    fam, lam = row
+    assert exact_frame_soliton(fam, lam) is _classified_soliton(fam, lam)
+
+
+def test_frame_ricci_block_commutes_with_the_bracket_block_exactly_when_b_equals_c():
+    # Der = span{E21, E31, 0 + I, 0 + A} on a frame with dim Der = 4, so Ric lies
+    # in RI + Der exactly when its lower block R2 commutes with A = [[a, c], [b, d]];
+    # [R2, A] = (b - c) P, and P != 0 off a = d, b = -c (sigma = 0)
+    a, b, c, d = sp.symbols("a b c d", real=True)
+    _, x22, x23, x32, x33 = curvature._ricci2(a, b, c, d, 1, 1)
+    r2 = sp.Matrix([[x22, x23], [x32, x33]]) / 2
+    m = sp.Matrix([[a, c], [b, d]])
+    p = sp.Matrix([[-(a * c + b * d), a * d - b * c - c ** 2 - d ** 2],
+                   [a ** 2 - a * d + b ** 2 + b * c, a * c + b * d]])
+    assert (r2 * m - m * r2 - (b - c) * p).expand() == sp.zeros(2, 2)
+    assert sp.expand(p[1, 0] - p[0, 1] - (a - d) ** 2 - (b + c) ** 2) == 0
