@@ -153,8 +153,8 @@ def emit_report(payload, fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _read_gram(args) -> np.ndarray | None:
-    """The Gram matrix given, if any; rejects one given with --lambda."""
+def _read_gram(args, default=None) -> np.ndarray | None:
+    """The Gram matrix given, else ``default``; rejects one given with --lambda."""
     gram = None
     if getattr(args, "gram", None) is not None:
         gram = np.array(args.gram, dtype=float).reshape(3, 3)
@@ -162,7 +162,7 @@ def _read_gram(args) -> np.ndarray | None:
         gram = _read_gram_file(args.gram_file)
     if gram is not None and getattr(args, "lam", None) is not None:
         raise ValueError("give either --lambda or a Gram matrix, not both")
-    return gram
+    return default if gram is None else gram
 
 
 def _read_gram_file(path: str) -> np.ndarray:
@@ -200,9 +200,7 @@ def _cmd_families(args):
 
 def _cmd_ricci(args):
     fam = parse_family(args.family)
-    gram = _read_gram(args)
-    if gram is None:
-        gram = np.eye(3)
+    gram = _read_gram(args, np.eye(3))
     # ricci_operator factors the Gram matrix, and that is its one check
     res = ricci_operator(MetricData(make_family(fam), gram))
     return {
@@ -250,13 +248,11 @@ def _cmd_reduce(args):
 
 def _cmd_soliton(args):
     fam = parse_family(args.family)
-    gram = _read_gram(args)
+    gram = _read_gram(args, np.eye(3))
     if args.lam is not None:
         verdict = soliton.soliton_from_frame(fam, args.lam, tol=args.tol)
         mode = {"mode": "frame", "lambda": args.lam}
     else:
-        if gram is None:
-            gram = np.eye(3)
         verdict = soliton.solvsoliton_check(make_family(fam), gram, tol=args.tol)
         mode = {"mode": "gram", "gram": gram}
     return {"family": fam.label(), **mode,
@@ -285,13 +281,13 @@ def _cmd_orbit(args):
 
 
 def _parse_grid(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("grid must be start:stop:count")
-    start, stop = float(parts[0]), float(parts[1])
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:  # a part count other than 3 too
+        raise ValueError(f"--grid {text!r} must be start:stop:count with a whole count") from None
     if not math.isfinite(stop - start):
         raise ValueError(f"grid {text!r} needs a finite start, stop and stop - start")
-    count = int(parts[2])
     if count < 1:
         raise ValueError("grid count must be >= 1")
     return tuple(float(x) for x in np.linspace(start, stop, count))
@@ -302,7 +298,10 @@ def _cmd_verify(args):
     if args.lam is not None and args.grid is not None:
         raise ValueError("give either --lambda or --grid, not both")
     if args.lam is not None:
-        grid = tuple(float(x) for x in args.lam.split(","))
+        try:
+            grid = tuple(float(x) for x in args.lam.split(","))
+        except ValueError:
+            raise ValueError(f"--lambda {args.lam!r} must be comma-separated numbers") from None
     elif args.grid is not None:
         grid = _parse_grid(args.grid)
     else:

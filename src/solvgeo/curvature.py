@@ -6,18 +6,18 @@ p y2 + q y3, [y1,y3] = r y2 + s y3, [y2,y3] = 0 (Milnor 1976; Besse,
 *Einstein Manifolds*, ch. 7).  ``_gram_ldl`` is the one factorization of
 G and its one SPD check: P G P = U diag(D) U^T, with P = diag(2^e) and U
 unit upper triangular, from the last row up.  Take y = U^-T on the basis
-P e_i: the metric on y is diag(D), and with k = D3/D2 and k' = D2/D3 the
+P e_i: the metric on y is diag(D), and with w = q D3 and v = r D2 the
 Ricci operator on y is
 
-    2 D1 Ric_y = -[[2(p^2 + s^2) + (q k + r)(q + r k'), 0, 0],
-                   [0, 2p(p + s) + q^2 k - r^2 k', 2(p r + q s k)],
-                   [0, 2(p r k' + q s), 2s(p + s) - q^2 k + r^2 k']],
+    2 D1 D2 D3 Ric_y = -[[2(p^2 + s^2) D2 D3 + (w + v)^2, 0, 0],
+                         [0, 2p(p + s) D2 D3 + (w - v)(w + v), 2 D3 (p v + s w)],
+                         [0, 2 D2 (p v + s w), 2s(p + s) D2 D3 - (w - v)(w + v)]],
 
 with integer coefficients and no division or square root (``_ricci2``);
 ``block_ricci`` reads it at the pivots D and ``ricci_closed_form`` at
 D = (1, 1, 1).  Ric = P y Ric_y y^-1 P^-1 on the canonical basis; the
 orthonormal frame of G is g = P y D^-1/2 (``metric_to_group``), lower
-triangular, and Ric on it is D^1/2 Ric_y D^-1/2.
+triangular, and Ric on it is D^1/2 Ric_y D^-1/2, symmetric by construction.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
                       (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
     # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3
     p, q, r, s = block_conjugate((a, b, c, dd), -u23, 1.0)
-    x11, x22, x23, x32, x33 = _ricci2(p, q, r, s, d3 / d2, d2 / d3)
-    t = 2 * d1
+    x11, x22, x23, x32, x33 = _ricci2(p, s, q * d3, r * d2, d2, d3)
+    t = 2 * d1 * d2 * d3
     x11, x22, x23, x32, x33 = x11 / t, x22 / t, x23 / t, x32 / t, x33 / t
     # y Ric_y y^-1 with y = U^-T and y^-1 = U^T
     m21, m22 = x32 - u23 * x22, x33 - u23 * x23
@@ -139,17 +139,17 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
     ric = [[x11, 0.0, 0.0],
            [u12 * (x22 - x11) + u13 * x23, x22 + u23 * x23, x23],
            [m20, m21 + u23 * m22, m22]]
-    h = math.sqrt(d3 / d2)
+    h = x23 * math.sqrt(d2 / d3)  # = x32 sqrt(D3/D2), once for both entries
     return (require_finite(np.array(_scaled(ric, e, [-x for x in e]))),
-            [[x11, 0.0, 0.0], [0.0, x22, x23 / h], [0.0, x32 * h, x33]], top)
+            [[x11, 0.0, 0.0], [0.0, x22, h], [0.0, h, x33]], top)
 
 
-def _ricci2(p, q, r, s, k, k_inv) -> tuple:
-    """Entries (1,1), (2,2), (2,3), (3,2), (3,3) of the module's 2 D1 Ric_y."""
-    skew = q * q * k - r * r * k_inv
-    return (-(2 * (p * p + s * s) + (q * k + r) * (q + r * k_inv)),
-            -(2 * p * (p + s) + skew), -2 * (p * r + q * s * k),
-            -2 * (p * r * k_inv + q * s), -(2 * s * (p + s) - skew))
+def _ricci2(p, s, w, v, d2, d3) -> tuple:
+    """Entries (1,1), (2,2), (2,3), (3,2), (3,3) of the module's 2 D1 D2 D3 Ric_y."""
+    m, plus, pv = d2 * d3, w + v, p * v + s * w
+    skew = (w - v) * plus
+    return (-(2 * (p * p + s * s) * m + plus * plus), -(2 * p * (p + s) * m + skew),
+            -2 * d3 * pv, -2 * d2 * pv, -(2 * s * (p + s) * m - skew))
 
 
 def _scaled(rows: list, e: list, f: list) -> list:
@@ -196,7 +196,7 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
 
     The frame x1, x2, x3 is orthonormal and [x2,x3] = 0; every bracket in
     this package's families takes this shape on its Milnor frame.  The
-    module's formula at k = k' = 1 gives 2 Ric.  On float input it runs on the
+    module's formula at D = (1, 1, 1) gives 2 Ric.  On float input it runs on the
     floats and each entry is halved.  When all four inputs are ``int`` or
     ``Fraction`` it runs on their integer numerators over one common
     denominator q, and each entry is one Fraction over 2 q^2.
@@ -205,7 +205,7 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     exact = not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
     if exact:
         (a, b, c, d), q = linalg.integer_numerators(linalg.object_array([a, b, c, d], (4,)))
-    x11, x22, x23, x32, x33 = _ricci2(a, b, c, d, 1, 1)
+    x11, x22, x23, x32, x33 = _ricci2(a, d, b, c, 1, 1)
     ric2 = [x11, 0 * a, 0 * a, 0 * a, x22, x23, 0 * a, x32, x33]
     if exact:
         return linalg.ratios(linalg.object_array(ric2, (3, 3)), 2 * q * q)

@@ -199,7 +199,6 @@ def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
 def jacobi_residual(sc: StructureConstants) -> float:
     """max abs component of the Jacobi cyclic sum on the one basis triple."""
     c = sc.c
-    # t[i,j,k,l] = sum_m c[j,k,m] c[i,m,l]; the cyclic sum adds t[j,k,i] and t[k,i,j]
-    t = np.einsum("jkm,iml->ijkl", c, c)
-    s = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return float(np.abs(np.asarray(s[0, 1, 2], dtype=float)).max())
+    # [e1,[e2,e3]] + [e3,[e1,e2]] + [e2,[e3,e1]]; c[j, k] @ c[i] is [e_i, [e_j, e_k]], 0-based
+    s = c[1, 2] @ c[0] + c[0, 1] @ c[2] + c[2, 0] @ c[1]
+    return float(np.abs(np.asarray(s, dtype=float)).max())

@@ -42,6 +42,14 @@ def test_families_single(capsys):
     assert [1, 3, 3, 0.5] in data["structure_constants"]
 
 
+@pytest.mark.parametrize("tag", ["r3pa:a=1e155", "r3pa:a=1e308"])
+def test_families_at_a_huge_parameter(capsys, tag):
+    # a * a overflows here; the Jacobi sum reads no product of two a's
+    code, out = run(capsys, ["families", "--family", tag, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["jacobi_residual"] == 0.0
+
+
 def test_ricci_default_gram(capsys):
     code, out = run(capsys, ["ricci", "--family", "r3_1", "--format", "json"])
     assert code == 0
@@ -300,6 +308,15 @@ def test_invalid_configurations_exit_2(capsys, argv):
     (["verify", "--family", "r3a:a=0.5", "--grid", grid],
      f"grid {grid!r} needs a finite start, stop and stop - start")
     for grid in ("-1e308:1e308:3", "-1e308:1e308:1", "1:inf:3", "nan:1:3")
+] + [
+    # a malformed number names its option and quotes the text given
+    (["verify", "--family", "r3a:a=0.5", "--grid", grid],
+     f"--grid {grid!r} must be start:stop:count with a whole count")
+    for grid in ("a:2:3", "1:2:x", "1:2:1e3")
+] + [
+    (["verify", "--family", "r3a:a=0.5", "--lambda", lam],
+     f"--lambda {lam!r} must be comma-separated numbers")
+    for lam in ("1,x", ",1")
 ])
 def test_non_finite_input_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -470,6 +487,13 @@ def test_non_finite_ricci_writes_one_stderr_line(argv):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: Ricci operator is not finite: the curvature overflows float64 for this metric"]
+
+
+def test_families_at_a_huge_parameter_warns_nothing():
+    proc = _run_fresh(["families", "--family", "r3pa:a=1e155"])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "jacobi_residual: 0.0" in proc.stdout.splitlines()
 
 
 def test_overflowing_grid_writes_one_stderr_line():

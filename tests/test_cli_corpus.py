@@ -11,11 +11,13 @@ compare with ``data/cli_corpus_text.json`` under the same rule: the text
 is byte-identical outside the numbers of those three fields.
 
 To regenerate the fixtures after a deliberate output change, run
-``PYTHONPATH=src python tests/test_cli_corpus.py``.  Before it writes, it
-prints the largest absolute and relative change of each JSON field against
-the old fixture, and every change that is not a float's (exit code,
-verdict, dimension, boolean, string, key or length); say those in the
-change.
+``PYTHONPATH=src python tests/test_cli_corpus.py``.  A tolerant field
+within FLOAT_TOL of its stored value keeps that value, and the text
+fixture is rendered from the JSON one, so only what moved is rewritten.
+Before it writes, it prints the largest absolute and relative change of
+each JSON field against the old fixture, and every change that is not a
+float's (exit code, verdict, dimension, boolean, string, key or length);
+say those in the change.
 """
 
 import contextlib
@@ -83,34 +85,34 @@ def _run(capsys, argv, fmt="json"):
     return code, capsys.readouterr().out
 
 
-def _check_close(actual, expected, where):
-    """Same structure; floats within FLOAT_TOL, everything else equal."""
+def _mismatches(actual, expected, where) -> list:
+    """Where ``actual`` departs from ``expected``: the structure must match,
+    floats to FLOAT_TOL and everything else exactly."""
     if isinstance(expected, float) and isinstance(actual, float):
-        assert abs(actual - expected) <= FLOAT_TOL, where
-    elif isinstance(expected, list):
-        assert isinstance(actual, list) and len(actual) == len(expected), where
-        for i, (x, y) in enumerate(zip(actual, expected)):
-            _check_close(x, y, f"{where}[{i}]")
-    elif isinstance(expected, dict):
-        assert isinstance(actual, dict) and list(actual) == list(expected), where
-        for k in expected:
-            _check_close(actual[k], expected[k], f"{where}.{k}")
-    else:
-        assert type(actual) is type(expected) and actual == expected, where
+        return [] if abs(actual - expected) <= FLOAT_TOL else [where]
+    if isinstance(expected, list) and isinstance(actual, list) and len(actual) == len(expected):
+        return [m for i, (x, y) in enumerate(zip(actual, expected))
+                for m in _mismatches(x, y, f"{where}[{i}]")]
+    if isinstance(expected, dict) and isinstance(actual, dict) and list(actual) == list(expected):
+        return [m for k in expected for m in _mismatches(actual[k], expected[k], f"{where}.{k}")]
+    return [] if type(actual) is type(expected) and actual == expected else [where]
 
 
-def _pin_tolerant(actual, expected, where):
-    """Check the tolerant fields, then copy the expected values over them."""
-    if isinstance(actual, list):
+def _pin_tolerant(actual, expected, where, check=True):
+    """Copy the expected values over the tolerant fields of ``actual`` that
+    are within FLOAT_TOL of them; with ``check``, fail on one that is not."""
+    if isinstance(actual, list) and isinstance(expected, list):
         for i, (x, y) in enumerate(zip(actual, expected)):
-            _pin_tolerant(x, y, f"{where}[{i}]")
-    elif isinstance(actual, dict):
+            _pin_tolerant(x, y, f"{where}[{i}]", check)
+    elif isinstance(actual, dict) and isinstance(expected, dict):
         for k in actual:
             if k in TOLERANT_KEYS and k in expected:
-                _check_close(actual[k], expected[k], f"{where}.{k}")
-                actual[k] = expected[k]
+                moved = _mismatches(actual[k], expected[k], f"{where}.{k}")
+                assert not (check and moved), moved
+                if not moved:
+                    actual[k] = expected[k]
             elif k in expected:
-                _pin_tolerant(actual[k], expected[k], f"{where}.{k}")
+                _pin_tolerant(actual[k], expected[k], f"{where}.{k}", check)
 
 
 def _load():
@@ -193,8 +195,14 @@ def test_cli_text_output_matches_corpus(capsys, argv, fmt):
     case = _load_text()[tuple(argv)]
     code, text = _run(capsys, argv, fmt)
     assert code == _load()[tuple(argv)]["code"]
+    _check_text(fmt, text, case[fmt])
+
+
+def _check_text(fmt, text, stored):
+    """``text`` is ``stored`` outside the tolerant numbers, and those are
+    within FLOAT_TOL."""
     actual, numbers = _mask_tolerant(fmt, text)
-    expected, want = _mask_tolerant(fmt, case[fmt])
+    expected, want = _mask_tolerant(fmt, stored)
     assert actual == expected
     assert len(numbers) == len(want)
     for i, (x, y) in enumerate(zip(numbers, want)):
@@ -264,17 +272,45 @@ def test_change_report_names_every_change():
         "  b: case removed"]
 
 
-def _regenerate():
+def _render(output, fmt):
+    """The corpus JSON document ``output`` as the CLI prints it in ``fmt``."""
+    if isinstance(output, list):  # verify rows, under their field names
+        names = {"lambda": "lam", "H_norm": "h_norm"}
+        output = [cli.VerifyRow(**{names.get(k, k): v for k, v in row.items()})
+                  for row in output]
+    return cli.emit_report(output, fmt)
+
+
+def _regenerate(fixture=FIXTURE, text_fixture=TEXT_FIXTURE):
+    """Rewrite both fixtures from the current code.  A tolerant field within
+    FLOAT_TOL of its stored value keeps that value, and the text fixture is
+    the rendering of the JSON one, so a rerun rewrites only what moved."""
+    old = json.loads(fixture.read_text()) if fixture.exists() else []
+    stored = {tuple(c["argv"]): c["output"] for c in old}
     cases, texts = [], []
     for argv in CASES:
         code, out = _capture(argv, "json")
-        cases.append({"argv": argv, "code": code, "output": json.loads(out)})
-        texts.append({"argv": argv, **{fmt: _capture(argv, fmt)[1] for fmt in TEXT_FORMATS}})
-    if FIXTURE.exists():
-        print(_change_report(json.loads(FIXTURE.read_text()), cases), end="")
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(cases, indent=1) + "\n")
-    TEXT_FIXTURE.write_text(json.dumps(texts, indent=1) + "\n")
+        output = json.loads(out)
+        if tuple(argv) in stored:
+            _pin_tolerant(output, stored[tuple(argv)], "output", check=False)
+        cases.append({"argv": argv, "code": code, "output": output})
+        texts.append({"argv": argv, **{fmt: _render(output, fmt) for fmt in TEXT_FORMATS}})
+        for fmt in TEXT_FORMATS:
+            _check_text(fmt, _capture(argv, fmt)[1], texts[-1][fmt])
+    if old:
+        print(_change_report(old, cases), end="")
+    fixture.parent.mkdir(exist_ok=True)
+    fixture.write_text(json.dumps(cases, indent=1) + "\n")
+    text_fixture.write_text(json.dumps(texts, indent=1) + "\n")
+
+
+def test_regeneration_rewrites_nothing_at_the_current_code(tmp_path):
+    fixture, text_fixture = tmp_path / FIXTURE.name, tmp_path / TEXT_FIXTURE.name
+    fixture.write_bytes(FIXTURE.read_bytes())
+    text_fixture.write_bytes(TEXT_FIXTURE.read_bytes())
+    _regenerate(fixture, text_fixture)
+    assert fixture.read_bytes() == FIXTURE.read_bytes()
+    assert text_fixture.read_bytes() == TEXT_FIXTURE.read_bytes()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FAMILIES, abcd_constants, random_group_element, random_spd
+from helpers import FAMILIES, FAMILY_STRINGS, abcd_constants, random_group_element, random_spd
 from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
 from solvgeo.curvature import (MetricData, block_ricci, metric_data, ricci_canonical,
                                ricci_closed_form, ricci_operator)
@@ -260,13 +260,29 @@ def test_frame_free_ricci_reads_a_wide_diagonal(tag):
 
 def test_gram_ricci_first_entry_near_the_round_point():
     # r3p_a at a = 0 is flat at G = I, where its brackets have b = -c.  Near
-    # it Ric_11 is about -2 eps^2, and the Gram path once expanded its
-    # (b + c)^2 into terms that cancel: a relative error of 1.1e-1 at 1e-8
+    # it Ric_11 is about -2 eps^2: the Gram path once expanded its (b + c)^2
+    # into terms that cancel (a relative error of 1.1e-1 at 1e-8), and once
+    # rounded D3/D2 and D2/D3 apart before the skew q^2 D3/D2 - r^2 D2/D3
+    # cancelled (1.1e-9 of max|Ric| on the (2,2) and (3,3) entries at 1e-8)
     sc = make_family(Family("r3p_a", 0.0))
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         gram = np.diag([1.0, 1.0, (1 + eps) ** 2])
-        want = koszul_ricci_exact(sc.c, gram)[0][0]
-        assert abs(Fraction(ricci_canonical(sc, gram)[0, 0]) - want) <= 1e-7 * abs(want), eps
+        want = koszul_ricci_exact(sc.c, gram)
+        got = ricci_canonical(sc, gram)
+        assert abs(Fraction(got[0, 0]) - want[0][0]) <= 1e-7 * abs(want[0][0]), eps
+        top = max(abs(x) for row in want for x in row)
+        for i in range(3):
+            assert abs(Fraction(got[i, i]) - want[i][i]) <= 1e-12 * top, (eps, i)
+
+
+@pytest.mark.parametrize("tag", FAMILY_STRINGS)
+def test_ric_frame_is_exactly_symmetric(tag):
+    # D^1/2 Ric_y D^-1/2 is symmetric; its two off-diagonal entries are one value
+    rng = np.random.default_rng(38)
+    sc = make_family(parse_family(tag))
+    for _ in range(200):
+        f = ricci_operator(metric_data(sc, random_spd(rng, 10 ** rng.uniform(-6, 6)))).ric_frame
+        assert f[1, 2] == f[2, 1], (tag, f)
 
 
 _FAMILY_BLOCKS = [semidirect_block(make_family(fam)) for fam in FAMILIES]
@@ -387,7 +403,7 @@ def test_tensor_off_the_semidirect_shape_is_refused():
 def _fraction_closed_form(a, b, c, d):
     """The closed form in plain arithmetic, as the float lane computes it."""
     half = (b + c) * (b + c) / 2
-    skew = (b * b - c * c) / 2
+    skew = (b - c) * (b + c) / 2
     return np.array([
         [-(a * a + d * d + half), 0 * a, 0 * a],
         [0 * a, -(a * (a + d) + skew), -(a * c + b * d)],

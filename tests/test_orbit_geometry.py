@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import DER_GRID, FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd, unit
@@ -402,6 +403,38 @@ def test_h_norm_is_the_block_identity_on_gram_frames(fam):
         g = metric_to_group(m.T @ m + 0.1 * np.eye(3))
         want = h_norm_block(*frame_algebra(fam, g)[0])
         assert abs(orbit_at(fam, g).norm - want) <= 1e-12 * want
+
+
+def test_mean_curvature_on_the_principal_stratum_is_the_block_identity():
+    # Lie(R^x Aut) = span{I, E21, E31, 0 + I2, 0 + A} on a frame with dim Der = 4,
+    # A = [[a, c], [b, d]], T_i = (X_i + X_i^T)/2 and M_ij = tr(T_i T_j); with
+    # T_i = X_i + X_i^T instead, det M is 256 sigma^2 and the block below is
+    # 32768 sigma^2 (A A^T - A^T A).  K = sum (M^-1)_ij [X_i, T_j]; its normal
+    # part times det(M)^2 is read with the adjugate, so every step is a polynomial
+    a, b, c, d = sp.symbols("a b c d", real=True)
+    big_a = sp.Matrix([[a, c], [b, d]])
+    e21, e31 = sp.zeros(3, 3), sp.zeros(3, 3)
+    e21[1, 0] = e31[2, 0] = 1
+    xs = [sp.eye(3), e21, e31, sp.diag(0, 1, 1), sp.diag(0, big_a)]
+    ts = [(x + x.T) / 2 for x in xs]
+    m = sp.Matrix(5, 5, lambda i, j: (ts[i] * ts[j]).trace())
+    det, adj = m.det(), m.adjugate()
+    sigma2 = (a - d) ** 2 + (b + c) ** 2
+    assert sp.expand(det - sigma2 / 4) == 0
+    pairs = [(i, j) for i in range(5) for j in range(5)]
+    k = sum((adj[i, j] * (xs[i] * ts[j] - ts[j] * xs[i]) for i, j in pairs), sp.zeros(3, 3))
+    normal = det * k - sum((ts[i] * adj[i, j] * (ts[j] * k).trace() for i, j in pairs),
+                           sp.zeros(3, 3))
+    comm = big_a * big_a.T - big_a.T * big_a
+    assert (normal - sp.diag(0, sigma2 / 16 * comm)).expand() == sp.zeros(3, 3)
+    assert (comm - (b - c) * sp.Matrix([[-(b + c), a - d], [a - d, b + c]])).expand() \
+        == sp.zeros(2, 2)
+    assert sp.expand(sum(x ** 2 for x in comm) - 2 * (b - c) ** 2 * sigma2) == 0
+    # so the normal part is comm / sigma^2, and |H| = |normal| / 5 = h_norm_block
+    h_squared = 2 * (b - c) ** 2 / (25 * sigma2)
+    for block in [(1, 2, 3, 4), (0, -1, 2, 0), (2, 5, 5, -1), (-3, 1, 4, 7)]:
+        want = math.sqrt(float(h_squared.subs(dict(zip((a, b, c, d), block)))))
+        assert h_norm_block(*block) == pytest.approx(want, rel=1e-15, abs=0.0), block
 
 
 @pytest.mark.parametrize("fam", _GRAM_FRAME_FAMILIES, ids=lambda f: f.label())

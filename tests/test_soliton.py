@@ -477,7 +477,7 @@ def test_frame_ricci_block_commutes_with_the_bracket_block_exactly_when_b_equals
     # in RI + Der exactly when its lower block R2 commutes with A = [[a, c], [b, d]];
     # [R2, A] = (b - c) P, and P != 0 off a = d, b = -c (sigma = 0)
     a, b, c, d = sp.symbols("a b c d", real=True)
-    _, x22, x23, x32, x33 = curvature._ricci2(a, b, c, d, 1, 1)
+    _, x22, x23, x32, x33 = curvature._ricci2(a, d, b, c, 1, 1)
     r2 = sp.Matrix([[x22, x23], [x32, x33]]) / 2
     m = sp.Matrix([[a, c], [b, d]])
     p = sp.Matrix([[-(a * c + b * d), a * d - b * c - c ** 2 - d ** 2],
