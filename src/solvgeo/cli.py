@@ -25,7 +25,7 @@ import numpy as np
 from . import moduli, orbit_geometry, soliton
 from .curvature import MetricData, ricci_operator
 from .derivations import conjugate_subspace, derivation_algebra
-from .errors import SingularMatrixError
+from .errors import InvalidFamilyError
 from .lie_core import FAMILY_TAGS, Family, jacobi_residual, make_family, parse_family
 
 _FAMILY_HELP = "family string: h3, r3, r3_1, r3a:a=<float>, r3pa:a=<float>"
@@ -45,7 +45,6 @@ class RunConfig:
 
     family: Family
     grid: tuple
-    tol: float = soliton.DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,17 @@ def default_grid(family: Family) -> tuple:
 def verify_main_theorem(cfg: RunConfig):
     """One row per grid lambda: soliton verdict vs minimality of the orbit.
 
-    Returns (rows, exit_status) with status 0 when every row agrees and
-    1 otherwise.
+    Both are ``soliton.frame_verdict``'s exact flags; the residual, |H| and
+    the orbit dimension are the float numbers.  A row that float64 cannot
+    hold is refused, naming its lambda.  Returns (rows, exit_status) with
+    status 0 when every row agrees and 1 otherwise.
     """
     rows = []
     fam = cfg.family
     a = None if fam.a is None else float(fam.a)
     for lam in cfg.grid:
-        try:
-            verdict = soliton.soliton_from_frame(fam, lam, tol=cfg.tol)
-            mc = orbit_geometry.orbit_at(fam, moduli.rep_matrix(fam, lam))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{exc} at lambda = {lam!r}") from None
-        minimal = mc.norm <= cfg.tol
+        verdict, minimal = _at_lambda(lam, soliton.frame_verdict, fam, lam)
+        mc = _at_lambda(lam, orbit_geometry.orbit_at, fam, moduli.rep_matrix(fam, lam))
         rows.append(VerifyRow(family=fam.label(), a=a, lam=float(lam),
                               is_soliton=verdict.is_soliton,
                               soliton_residual=verdict.residual,
@@ -99,6 +96,17 @@ def verify_main_theorem(cfg: RunConfig):
                               agrees=verdict.is_soliton == minimal))
     status = 0 if all(r.agrees for r in rows) else 1
     return rows, status
+
+
+def _at_lambda(lam, fn, *args):
+    """``fn(*args)``, whose refusals name ``lam``: every ValueError but an
+    InvalidFamilyError, which names the family or lambda itself."""
+    try:
+        return fn(*args)
+    except InvalidFamilyError:
+        raise
+    except ValueError as exc:
+        raise type(exc)(f"{exc} at lambda = {lam!r}") from None
 
 
 def _row_dict(row: VerifyRow) -> dict:
@@ -217,7 +225,7 @@ def _cmd_der(args):
     der = derivation_algebra(make_family(fam))
     payload = {"family": fam.label(), "dim": der.dim}
     if args.lam is not None:
-        der = conjugate_subspace(der, moduli.rep_matrix(fam, args.lam))
+        der = _at_lambda(args.lam, conjugate_subspace, der, moduli.rep_matrix(fam, args.lam))
         payload["lambda"] = args.lam
     payload["basis"] = [b for b in der.basis]
     return payload, 0
@@ -250,28 +258,31 @@ def _cmd_soliton(args):
     fam = parse_family(args.family)
     gram = _read_gram(args, np.eye(3))
     if args.lam is not None:
-        verdict = soliton.soliton_from_frame(fam, args.lam, tol=args.tol)
-        mode = {"mode": "frame", "lambda": args.lam}
+        if args.tol is not None:
+            raise ValueError("--tol bounds a Gram verdict; --lambda is decided exactly")
+        verdict = _at_lambda(args.lam, soliton.soliton_from_frame, fam, args.lam)
+        mode, bound = {"mode": "frame", "lambda": args.lam}, {}
     else:
-        verdict = soliton.solvsoliton_check(make_family(fam), gram, tol=args.tol)
-        mode = {"mode": "gram", "gram": gram}
+        tol = soliton.DEFAULT_TOL if args.tol is None else args.tol
+        verdict = soliton.solvsoliton_check(make_family(fam), gram, tol=tol)
+        mode, bound = {"mode": "gram", "gram": gram}, {"tol": tol}
     return {"family": fam.label(), **mode,
             "is_soliton": verdict.is_soliton,
             "is_einstein": verdict.is_einstein,
             "c": verdict.c,
             "D": verdict.d,
             "residual": verdict.residual,
-            "tol": args.tol}, 0
+            **bound}, 0
 
 
 def _cmd_orbit(args):
     fam = parse_family(args.family)
     gram = _read_gram(args)
     if args.lam is not None:
-        g = moduli.rep_matrix(fam, args.lam)
+        mc = _at_lambda(args.lam, orbit_geometry.orbit_at, fam, moduli.rep_matrix(fam, args.lam))
     else:
         g = np.eye(3) if gram is None else moduli.metric_to_group(gram)
-    mc = orbit_geometry.orbit_at(fam, g)
+        mc = orbit_geometry.orbit_at(fam, g)
     return {"family": fam.label(),
             "orbit_dim": mc.orbit_dim,
             "stab_dim": mc.stab_dim,
@@ -306,11 +317,10 @@ def _cmd_verify(args):
         grid = _parse_grid(args.grid)
     else:
         grid = default_grid(fam)
-    return verify_main_theorem(RunConfig(family=fam, grid=grid, tol=args.tol))
+    return verify_main_theorem(RunConfig(family=fam, grid=grid))
 
 
-def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
-                family_required: bool = True):
+def _add_common(p, gram: bool = False, lam: bool = False, family_required: bool = True):
     p.add_argument("--family", required=family_required, help=_FAMILY_HELP)
     if gram:
         p.add_argument("--gram", type=float, nargs=9, metavar="X",
@@ -319,9 +329,6 @@ def _add_common(p, gram: bool = False, lam: bool = False, tol: bool = False,
     if lam:
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="lambda of the canonical representative")
-    if tol:
-        p.add_argument("--tol", type=float, default=soliton.DEFAULT_TOL,
-                       help="tolerance (default %(default)g)")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table", help="output format")
     p.add_argument("--out", default=None, help="write output to this path")
@@ -351,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("soliton", help="solvsoliton certificate")
-    _add_common(p, gram=True, lam=True, tol=True)
+    _add_common(p, gram=True, lam=True)
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"tolerance of a Gram verdict (default {soliton.DEFAULT_TOL:g})")
     p.set_defaults(fn=_cmd_soliton)
 
     p = sub.add_parser("orbit", help="mean curvature of the metric's orbit")
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("verify", help="soliton vs minimal-orbit sweep")
-    _add_common(p, tol=True)
+    _add_common(p)
     p.add_argument("--lambda", dest="lam", default=None,
                    help="comma-separated lambda values")
     p.add_argument("--grid", default=None,
@@ -385,8 +394,6 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(text)
     except (ValueError, OSError) as exc:  # the package's errors are ValueErrors
-        if isinstance(exc, SingularMatrixError) and isinstance(getattr(args, "lam", None), float):
-            exc = f"{exc} at lambda = {args.lam!r}"  # verify names its row itself
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return status

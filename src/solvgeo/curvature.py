@@ -152,6 +152,38 @@ def _ricci2(p, s, w, v, d2, d3) -> tuple:
             -2 * d3 * pv, -2 * d2 * pv, -(2 * s * (p + s) * m - skew))
 
 
+def frame_conditions(a, b, c, d) -> tuple:
+    """``(is_soliton, is_einstein, minimal)`` of the orthonormal frame with
+    [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3, [x2,x3] = 0: equalities of
+    polynomials in the block, exact on ints (Lauret 2011).
+
+    A = [[a, c], [b, d]] scalar or nilpotent: the orbit is transitive.  Else
+    Der = span{E21, E31, 0 + I, 0 + A}, and Ric lies in RI + Der exactly when
+    the traceless parts r of its lower block and n of A are parallel: S =
+    sum_{i<j} (r_i n_j - r_j n_i)^2 = 0.  Of the lifts in ``orbit_geometry.
+    orbit_data``'s commutator sum only N / sigma, N = 0 + A0, sigma = |dpi(N)|,
+    has a normal part: sigma^-3 <[N, dpi(N)], nu>, nu = 0 + [[m, -h], [-h, -m]]
+    for h = (a - d)/2, m = (b + c)/2; at sigma = 0 N is in the stabilizer.
+    """
+    x11, x22, x23, x32, x33 = _ricci2(a, d, b, c, 1, 1)  # 2 Ric
+    einstein = x11 == x22 == x33 and x23 == 0
+    if (b == c == 0 and a == d) or (a == -d and a * a + b * c == 0):
+        return True, einstein, True
+    t = x22 - x33
+    r1, r2, r3, r4 = t, 2 * x23, 2 * x32, -t
+    n1, n2, n3, n4 = a - d, 2 * c, 2 * b, d - a
+    s = ((r1 * n2 - r2 * n1) ** 2 + (r1 * n3 - r3 * n1) ** 2 + (r1 * n4 - r4 * n1) ** 2
+         + (r2 * n3 - r3 * n2) ** 2 + (r2 * n4 - r4 * n2) ** 2 + (r3 * n4 - r4 * n3) ** 2)
+    # 2N = [[u, 2c], [2b, -u]], 2 dpi(N) = [[u, w], [w, -u]] and 2 nu sigma = [[w, -u], [-u, -w]]
+    u, w = a - d, b + c
+    k11 = (u * u + 2 * c * w) - (u * u + w * 2 * b)
+    k12 = (u * w - 2 * c * u) - (u * 2 * c - w * u)
+    k21 = (2 * b * u - u * w) - (w * u - u * 2 * b)
+    k22 = (2 * b * w + u * u) - (w * 2 * c + u * u)
+    num = k11 * w - k12 * u - k21 * u - k22 * w
+    return s == 0, einstein, (u == 0 and w == 0) or num == 0
+
+
 def _scaled(rows: list, e: list, f: list) -> list:
     """The nested list ``rows`` with entry (i, j) times 2^(e_i + f_j)."""
     return [[_ldexp(x, e[i] + f[j]) for j, x in enumerate(row)] for i, row in enumerate(rows)]

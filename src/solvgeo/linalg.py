@@ -47,12 +47,12 @@ def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
     the least common multiple of the entries' denominators.  A float entry
     converts exactly (a non-finite one raises).
     """
-    nums, d = _numerators(arr.ravel().tolist())
+    nums, d = numerators(arr.ravel().tolist())
     return np.array(nums, dtype=object).reshape(arr.shape), d
 
 
-def _numerators(values: list) -> tuple[list[int], int]:
-    """``integer_numerators`` of a flat list, as a list."""
+def numerators(values: list) -> tuple[list[int], int]:
+    """``integer_numerators`` of a flat list of floats, ints or Fractions, as a list."""
     try:
         pairs = [x.as_integer_ratio() for x in values]
     except AttributeError:  # numpy integer scalars
@@ -78,7 +78,7 @@ def _integer_echelon(a: np.ndarray) -> tuple[list[list[int]], list[int], list[in
     quotient is never a float -0.0.
     """
     m, n = a.shape
-    nums = _numerators(a.ravel().tolist())[0]
+    nums = numerators(a.ravel().tolist())[0]
     # scaling a row leaves the RREF unchanged
     rows = [_primitive(nums[i * n:(i + 1) * n]) for i in range(m)]
     pivots = []
@@ -176,19 +176,15 @@ def exact_inv(m: np.ndarray) -> np.ndarray:
     return ratios(rref[:, n:], den)
 
 
-def check_conditioned(m: np.ndarray, what: str) -> None:
-    """The one conditioning policy: a SingularMatrixError names the float matrix
-    ``what`` unless it is finite with 2-norm condition number at most ``COND_LIMIT``."""
+def inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """``np.linalg.inv(m)`` under the one conditioning policy: a
+    SingularMatrixError names the float matrix ``what`` unless it is finite
+    with 2-norm condition number at most ``COND_LIMIT``."""
     if not np.isfinite(m).all():
         raise SingularMatrixError(f"{what} is not finite")
     s = np.linalg.svd(m, compute_uv=False)
     if s[-1] == 0 or s[0] > COND_LIMIT * s[-1]:
         raise SingularMatrixError(f"{what} is singular")
-
-
-def inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """``np.linalg.inv(m)`` of a matrix that passes ``check_conditioned(m, what)``."""
-    check_conditioned(m, what)
     return np.linalg.inv(m)
 
 

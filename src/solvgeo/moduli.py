@@ -54,15 +54,14 @@ def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
     returns for every metric.
     """
     _check_lambda(family, lam)
-    one, lam = (Fraction(1), Fraction(lam)) if exact else (1.0, float(lam))
-    mat = np.diag([one, one, one])
-    if _transitive(family):
-        return mat
-    if family.tag == "r3_a":
-        mat[2, 1] = lam
+    one, zero, lam = (Fraction(1), 0, Fraction(lam)) if exact else (1.0, 0.0, float(lam))
+    l32, l33 = zero, one
+    if family.tag == "r3_a" and not _transitive(family):
+        l32 = lam
     elif family.tag in ("r3", "r3p_a"):
-        mat[2, 2] = Fraction(lam.denominator, lam.numerator) if exact else one / lam
-    return mat
+        l33 = Fraction(lam.denominator, lam.numerator) if exact else one / lam
+    rows = [one, zero, zero, zero, one, zero, zero, l32, l33]
+    return linalg.object_array(rows, (3, 3)) if exact else np.array(rows).reshape(3, 3)
 
 
 def _check_lambda(family: Family, lam: float) -> None:

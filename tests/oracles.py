@@ -341,8 +341,24 @@ def exact_frame_soliton(family: Family, lam) -> bool:
     """
     sc = frame_constants(family, Fraction(lam), exact=True)
     assert all(i == 0 for i, *_ in sc.nonzero())  # [x2, x3] = 0
-    ric = ricci_closed_form(*sc.c[0, 1:, 1:].ravel().tolist())
-    ints = linalg.integer_numerators(sc.c)[0]
+    return exact_block_soliton(*sc.c[0, 1:, 1:].ravel().tolist())
+
+
+def block_constants(a, b, c, d) -> StructureConstants:
+    """Exact constants of [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3, [x2,x3] = 0."""
+    t = np.zeros((3, 3, 3), dtype=object)
+    t[0, 1, 1:], t[0, 2, 1:] = (a, b), (c, d)
+    t[1, 0], t[2, 0] = -t[0, 1], -t[0, 2]
+    return StructureConstants(linalg.ratios(*linalg.integer_numerators(t)))
+
+
+def exact_block_soliton(a, b, c, d) -> bool:
+    """Whether the orthonormal frame with this bracket block is a solvsoliton,
+    in Fractions: Ric by ``ricci_closed_form``, Der as the exact kernel of the
+    derivation system, and Ric in QI + Der exactly when appending it to the
+    rows of I and Der leaves their rank unchanged."""
+    ric = ricci_closed_form(*(Fraction(x) for x in (a, b, c, d)))
+    ints = linalg.integer_numerators(block_constants(a, b, c, d).c)[0]
     der = linalg.ratios(*linalg.nullspace(derivations._derivation_system(ints)))
     span = np.vstack([der, np.eye(3, dtype=object).reshape(1, 9)])
     rank = len(linalg.row_space_basis(span))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 
 from helpers import FAMILY_STRINGS
-from solvgeo import cli, curvature
+from solvgeo import cli, curvature, soliton
 from solvgeo.curvature import ricci_closed_form
+from solvgeo.errors import SingularMatrixError
 from solvgeo.lie_core import Family, parse_family
 from solvgeo.moduli import frame_constants, rep_matrix
 
@@ -250,27 +252,39 @@ def test_verify_out_file(tmp_path, capsys):
     assert path.read_text().startswith(CSV_HEADER)
 
 
-def test_verify_disagreement_exit_code(capsys):
-    # near the flat point the soliton residual is about 5.6e-10 and |H|
-    # about 2.8e-10, so a tolerance between them calls the metric a
-    # non-soliton with a minimal orbit
-    code, out = run(capsys, ["verify", "--family", "r3a:a=0.5",
-                             "--lambda", "1e-9", "--tol", "4e-10",
-                             "--format", "csv"])
+def test_verify_disagreement_exit_code(monkeypatch, capsys):
+    # the theorem leaves no row that disagrees, so the exact row is made to
+    # call a minimal orbit a non-soliton; every other row still agrees
+    argv = ["verify", "--family", "r3a:a=0.5", "--lambda", "0,2", "--format", "csv"]
+    flags = soliton.frame_flags
+    monkeypatch.setattr(soliton, "frame_flags", lambda fam, lam: (False, False, True)
+                        if lam == 0 else flags(fam, lam))
+    code, out = run(capsys, argv)
     assert code == 1
-    row = list(csv.DictReader(io.StringIO(out)))[0]
-    assert row["agrees"] == "false"
+    assert [r["agrees"] for r in csv.DictReader(io.StringIO(out))] == ["false", "true"]
+    monkeypatch.undo()
+    assert run(capsys, argv)[0] == 0
 
 
-def test_verify_reads_tol_alike_for_both_verdicts(capsys):
-    # residual 1.118, |H| 0.253: at tol = |H| the orbit is minimal (|H| <= tol, as
-    # residual <= tol decides the soliton) and the metric is not a soliton
-    argv = ["verify", "--family", "r3a:a=0.5", "--lambda", "2", "--format", "csv"]
-    h_norm = float(next(csv.DictReader(io.StringIO(run(capsys, argv)[1])))["H_norm"])
-    for tol, status, agrees in ((h_norm, 1, "false"), (math.nextafter(h_norm, 0), 0, "true")):
-        code, out = run(capsys, argv + ["--tol", repr(tol)])
-        assert code == status
-        assert next(csv.DictReader(io.StringIO(out)))["agrees"] == agrees
+def test_verify_has_no_tol(capsys):
+    # the verdicts are exact, so verify takes no tolerance
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" not in capsys.readouterr().out
+    assert [f.name for f in fields(cli.RunConfig)] == ["family", "grid"]
+
+
+def test_soliton_lambda_refuses_tol(capsys):
+    # the g_lambda verdict is exact; --tol still bounds the Gram verdict
+    assert cli.main(["soliton", "--family", "r3pa:a=1.0", "--lambda", "1", "--tol", "1e-8"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --tol bounds a Gram verdict; --lambda is decided exactly\n")
+    data = json.loads(run(capsys, ["soliton", "--family", "r3pa:a=1.0", "--tol", "1e-6",
+                                   "--format", "json"])[1])
+    assert data["mode"] == "gram" and data["tol"] == 1e-6
+    assert "tol" not in json.loads(run(capsys, ["soliton", "--family", "r3pa:a=1.0", "--lambda",
+                                                "1", "--format", "json"])[1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -300,9 +314,11 @@ def test_invalid_configurations_exit_2(capsys, argv):
     (["reduce", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "inf"],
      "entry (3, 3) is not finite: inf"),
 ] + [
-    ([cmd, "--family", "r3pa:a=1.0", "--lambda", "1", "--tol", tol],
+    # the Gram path, with a Gram matrix given and with soliton's default one
+    (["soliton", "--family", "r3pa:a=1.0", *gram, "--tol", tol],
      f"tol must be finite and > 0, got {float(tol)}")
-    for cmd in ("verify", "soliton") for tol in ("nan", "inf", "0", "-1")
+    for gram in (["--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1"], [])
+    for tol in ("nan", "inf", "0", "-1")
 ] + [
     # a grid whose span is not finite is named, not blamed on a lambda
     (["verify", "--family", "r3a:a=0.5", "--grid", grid],
@@ -324,24 +340,29 @@ def test_non_finite_input_named(capsys, argv, message):
     assert err.startswith("error:") and message in err
 
 
+_OVERFLOW = "Ricci operator is not finite: the curvature overflows float64 for this metric"
+
+
 @pytest.mark.parametrize("argv,message", [
+    # the curvature of g_lambda overflows float64, so its float numbers are refused
     (["verify", "--family", "r3pa:a=1", "--lambda", "1e200"],
-     "conjugating matrix is singular at lambda = 1e+200"),
-    (["verify", "--family", "r3", "--lambda", "1e-300"],
-     "conjugating matrix is singular at lambda = 1e-300"),
+     f"{_OVERFLOW} at lambda = 1e+200"),
+    # 1 / lambda is inf: frame_algebra refuses g_lambda
+    (["verify", "--family", "r3", "--lambda", "1e-320"],
+     "conjugating matrix is singular or not finite at lambda = 1e-320"),
     (["verify", "--family", "r3a:a=0.5", "--lambda", "1e300"],
-     "conjugating matrix is singular at lambda = 1e+300"),
-    (["verify", "--family", "r3", "--lambda", "1,1e-300,2"],
-     "conjugating matrix is singular at lambda = 1e-300"),
-    (["verify", "--family", "r3", "--grid", "1e-300:1:3"],
-     "conjugating matrix is singular at lambda = 1e-300"),
-    (["soliton", "--family", "r3", "--lambda", "1e-300"],
-     "conjugating matrix is singular at lambda = 1e-300"),
+     f"{_OVERFLOW} at lambda = 1e+300"),
+    (["verify", "--family", "r3", "--lambda", "1,1e-320,2"],
+     "conjugating matrix is singular or not finite at lambda = 1e-320"),
+    (["verify", "--family", "r3", "--grid", "1e-320:1:3"],
+     "conjugating matrix is singular or not finite at lambda = 1e-320"),
+    (["soliton", "--family", "r3", "--lambda", "1e-320"],
+     "conjugating matrix is singular or not finite at lambda = 1e-320"),
     (["soliton", "--family", "r3pa:a=1", "--lambda", "1e200"],
-     "conjugating matrix is singular at lambda = 1e+200"),
+     f"{_OVERFLOW} at lambda = 1e+200"),
     # a refused row writes no JSON document either
-    (["soliton", "--family", "r3", "--lambda", "1e-300", "--format", "json"],
-     "conjugating matrix is singular at lambda = 1e-300"),
+    (["soliton", "--family", "r3", "--lambda", "1e-320", "--format", "json"],
+     "conjugating matrix is singular or not finite at lambda = 1e-320"),
     (["der", "--family", "r3", "--lambda", "1e-300"],
      "conjugating matrix is singular at lambda = 1e-300"),
     (["der", "--family", "r3", "--lambda", "1e300"],
@@ -349,9 +370,6 @@ def test_non_finite_input_named(capsys, argv, message):
     # cond(g) is exactly the limit, but a conjugated basis matrix falls to 1e-12
     (["der", "--family", "r3", "--lambda", "1e-12"],
      "conjugating matrix is singular at lambda = 1e-12"),
-    # verify conjugates nothing: cond(g) just above the limit is the first refused
-    (["verify", "--family", "r3", "--lambda", repr(math.nextafter(1e-12, 0))],
-     "conjugating matrix is singular at lambda = 9.999999999999998e-13"),
 ])
 def test_singular_lambda_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -414,17 +432,35 @@ def test_minimal_orbit_components_are_positive_zeros(capsys, argv):
     assert components and all(math.copysign(1.0, v) == 1.0 and v == 0.0 for v in components)
 
 
+@pytest.mark.parametrize("argv", [
+    # the conditioning refusal of g_lambda once hid these rows; r3 has no soliton
+    ["verify", "--family", "r3", "--lambda", "1e-300"],
+    ["verify", "--family", "r3", "--lambda", repr(math.nextafter(1e-12, 0))],
+    ["soliton", "--family", "r3", "--lambda", "1e-300"],
+    ["soliton", "--family", "r3", "--lambda", repr(math.nextafter(1e-12, 0))],
+])
+def test_extreme_lambda_rows_decided_exactly(capsys, argv):
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    if argv[0] == "verify":
+        (row,) = data
+        assert row["agrees"] is True
+    else:
+        row = data
+        assert row["is_einstein"] is False
+    assert row["is_soliton"] is False
+
+
 def test_verify_main_theorem_names_singular_lambda():
-    cfg = cli.RunConfig(family=cli.Family("r3"), grid=(1.0, 1e-300))
-    with pytest.raises(cli.SingularMatrixError, match=r"at lambda = 1e-300$"):
+    cfg = cli.RunConfig(family=cli.Family("r3"), grid=(1.0, 1e-320))
+    with pytest.raises(SingularMatrixError, match=r"at lambda = 1e-320$"):
         cli.verify_main_theorem(cfg)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0])
-def test_verify_main_theorem_rejects_bad_tol(tol):
-    # a NaN tol once gave is_soliton=False, agrees=True and status 0
-    cfg = cli.RunConfig(family=cli.Family("r3p_a", 1.0), grid=(1.0,), tol=tol)
-    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+def test_verify_main_theorem_names_overflowing_lambda():
+    cfg = cli.RunConfig(family=cli.Family("r3_a", 0.5), grid=(1.0, 1e300))
+    with pytest.raises(ValueError, match=r"^Ricci operator is not finite: .* at lambda = 1e\+300$"):
         cli.verify_main_theorem(cfg)
 
 
@@ -485,8 +521,9 @@ def test_non_finite_ricci_writes_one_stderr_line(argv):
     proc = _run_fresh(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: Ricci operator is not finite: the curvature overflows float64 for this metric"]
+    # a refusal at a lambda names it
+    at = f" at lambda = {float(argv[argv.index('--lambda') + 1])!r}" if "--lambda" in argv else ""
+    assert proc.stderr.splitlines() == [f"error: {_OVERFLOW}{at}"]
 
 
 def test_families_at_a_huge_parameter_warns_nothing():

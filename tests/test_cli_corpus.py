@@ -72,6 +72,12 @@ CASES = (
     # L32 / L22 = 1e160: h^-1 A h is read without squaring it
     + [["orbit", "--family", "r3pa:a=1.0", "--gram",
         "1", "0", "0", "0", "1e200", "-1e20", "0", "-1e20", "1e-140"]]
+    # rows that an absolute tol read wrong: the verdicts are exact (ROADMAP item 1)
+    + [["verify", "--family", "r3pa:a=0.375", "--lambda", "1.000000001"],
+       ["verify", "--family", "r3a:a=0.5", "--lambda", "1e-9"],
+       ["verify", "--family", "r3", "--lambda", "1e-12,1e-300"],
+       ["verify", "--family", "r3a:a=0.999999999999", "--lambda", "0,2"],
+       ["soliton", "--family", "r3", "--lambda", "1e-12"]]
 )
 
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from helpers import FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd
-from oracles import derivation_residual, exact_frame_soliton, lstsq_soliton_split
+from oracles import (block_constants, derivation_residual, exact_block_soliton,
+                     exact_frame_soliton, lstsq_soliton_split)
 from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometry, soliton
 from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
@@ -191,12 +192,12 @@ def test_overflowed_residual_rejected():
 def test_tol_must_be_finite_and_positive(tol):
     message = re.escape(f"tol must be finite and > 0, got {tol}")
     fam = Family("r3p_a", 1.0)
-    # lambda = 1 is a soliton point, so a bad tol cannot hide behind a verdict
-    with pytest.raises(ValueError, match=message):
-        soliton_from_frame(fam, 1.0, tol=tol)
     # a non-SPD Gram matrix: tol is checked before any curvature work
     with pytest.raises(ValueError, match=message):
         solvsoliton_check(make_family(fam), -np.eye(3), tol=tol)
+    # the identity is a soliton, so a bad tol cannot hide behind a verdict
+    with pytest.raises(ValueError, match=message):
+        solvsoliton_check(make_family(fam), np.eye(3), tol=tol)
 
 
 # r3_a a=0.5 at G below is not a soliton, at any scale; its residual at
@@ -484,3 +485,113 @@ def test_frame_ricci_block_commutes_with_the_bracket_block_exactly_when_b_equals
                    [a ** 2 - a * d + b ** 2 + b * c, a * c + b * d]])
     assert (r2 * m - m * r2 - (b - c) * p).expand() == sp.zeros(2, 2)
     assert sp.expand(p[1, 0] - p[0, 1] - (a - d) ** 2 - (b + c) ** 2) == 0
+
+
+# ------------------------------------------------- the exact frame verdict
+
+_SINGLE_CLASS = [Family("h3"), Family("r3_1"), Family("r3_a", 1.0)]
+
+
+def _exact_frame_block(fam: Family, lam) -> list:
+    """The brackets on g_lambda's Milnor frame in Fractions, by an exact
+    change of basis: no code of the exact verdict is read."""
+    return frame_constants(fam, Fraction(lam), exact=True).c[0, 1:, 1:].ravel().tolist()
+
+
+def _outside_flags(fam: Family, lam) -> tuple:
+    """``frame_flags`` from outside: the oracle's soliton verdict, Einstein when
+    the exact Ricci operator is scalar, and minimal on a transitive orbit (the
+    single-class families) and else when b = c on the exact block or sigma = 0
+    (a = d and b = -c), the identity of ROADMAP item 17."""
+    a, b, c, d = block = _exact_frame_block(fam, lam)
+    ric = curvature.ricci_closed_form(*block)
+    einstein = bool((ric == ric[0, 0] * np.eye(3, dtype=object)).all())
+    transitive = fam in _SINGLE_CLASS
+    return (exact_frame_soliton(fam, lam), einstein,
+            transitive or b == c or (a == d and b == -c))
+
+
+def _rep_gram(fam: Family, lam) -> np.ndarray:
+    """The Gram matrix g^-T g^-1 of g_lambda."""
+    g_inv = np.linalg.inv(rep_matrix(fam, lam))
+    return g_inv.T @ g_inv
+
+
+def test_exact_flags_match_the_oracles_on_every_verify_row():
+    rows = [(fam, lam) for fam in VERIFY_FAMILIES for lam in cli.default_grid(fam)]
+    rows += [(fam, 1.0) for fam in _SINGLE_CLASS]
+    got = [soliton.frame_flags(fam, lam) for fam, lam in rows]
+    assert got == [_outside_flags(fam, lam) for fam, lam in rows]
+    assert [f[0] for f in got] == [f[2] for f in got] == [
+        _classified_soliton(fam, lam) for fam, lam in rows]
+    assert sum(f[0] for f in got) == 10 and sum(f[1] for f in got) == 5
+    # the Gram verdict reads the same Einstein metrics at g_lambda's Gram matrix
+    assert [f[1] for f in got] == [solvsoliton_check(make_family(fam), _rep_gram(fam, lam))
+                                   .is_einstein for fam, lam in rows]
+
+
+@pytest.mark.parametrize("text,lam,want", [
+    # ROADMAP item 1's rows that the absolute tol read wrong
+    ("r3pa:a=0.375", 1.000000001, False),
+    ("r3a:a=0.5", 1e-9, False),
+    ("r3a:a=0.999999999999", 2.0, False),
+    ("r3", 1e-12, False),
+    # right under the absolute tol too, and kept as regression rows
+    ("r3pa:a=1e4", 1.0, True),
+    ("r3pa:a=1e4", 2.0, False),
+    # once refused by the conditioning of g_lambda
+    ("r3", 1e-300, False),
+])
+def test_item_1_rows_are_decided_exactly(text, lam, want):
+    fam = lie_core.parse_family(text)
+    verdict, minimal = soliton.frame_verdict(fam, lam)
+    assert verdict.is_soliton is minimal is want is _classified_soliton(fam, lam)
+    assert soliton.frame_flags(fam, lam) == _outside_flags(fam, lam)
+    assert soliton_from_frame(fam, lam).is_soliton is want
+
+
+def test_huge_parameter_is_decided_exactly_where_floats_overflow():
+    # the trace of Ric overflows float64, so frame_verdict refuses the row;
+    # the exact flags still decide it as lambda = lambda* does
+    fam = Family("r3p_a", 6e153)
+    with pytest.raises(ValueError, match="Ricci operator is not finite"):
+        soliton.frame_verdict(fam, 1.0)
+    assert soliton.frame_flags(fam, 1.0) == (True, True, True) == _outside_flags(fam, 1.0)
+    assert soliton.frame_flags(fam, 2.0) == (False, False, False) == _outside_flags(fam, 2.0)
+
+
+def test_rational_parameter_stays_exact():
+    # a = 1/3 has no float: its block is read as a Fraction, not rounded
+    third = Family("r3_a", Fraction(1, 3))
+    for lam in (0, Fraction(1, 2), 2):
+        assert soliton.frame_flags(third, lam) == _outside_flags(third, lam)
+        assert soliton.frame_flags(third, lam)[0] is (lam == 0)
+    assert soliton_from_frame(third, 0.0).is_soliton
+    assert soliton.frame_verdict(third, 0.5)[1] is False
+
+
+@given(_family_and_rational_lambda())
+@settings(max_examples=300, deadline=None)
+def test_exact_flags_are_the_classification_on_rational_rows(row):
+    fam, lam = row
+    flags = soliton.frame_flags(fam, lam)
+    assert flags == _outside_flags(fam, lam)
+    assert flags[0] is flags[2] is _classified_soliton(fam, lam)
+
+
+@given(st.tuples(*[st.integers(-6, 6)] * 4), st.integers(0, 200))
+@example((0, 0, 0, 0), 0)  # A = 0
+@example((2, 0, 0, 2), 0)  # scalar
+@example((1, 1, -1, -1), 0)  # nilpotent
+@example((3, -1, 1, 3), 0)  # sigma = 0, b != c
+@example((1, 2, 3, -2), 0)  # a != d and c != 0
+@settings(max_examples=300, deadline=None)
+def test_frame_conditions_on_integer_blocks(block, shift):
+    # every stratum, on blocks no family frame reaches, at the scale 2^shift,
+    # which none of the homogeneous conditions sees
+    a, b, c, d = block
+    transitive = derivation_algebra(block_constants(*block)).dim != 4
+    ric = curvature.ricci_closed_form(*block)
+    einstein = bool((ric == ric[0, 0] * np.eye(3, dtype=object)).all())
+    want = (exact_block_soliton(*block), einstein, transitive or b == c or (a == d and b == -c))
+    assert curvature.frame_conditions(*(x << shift for x in block)) == want
