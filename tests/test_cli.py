@@ -15,8 +15,9 @@ import pytest
 from helpers import FAMILY_STRINGS
 from solvgeo import cli, curvature, soliton
 from solvgeo.curvature import ricci_closed_form
+from solvgeo.derivations import semidirect_block
 from solvgeo.errors import SingularMatrixError
-from solvgeo.lie_core import Family, parse_family
+from solvgeo.lie_core import Family, make_family, parse_family
 from solvgeo.moduli import frame_constants, rep_matrix
 
 CSV_HEADER = "family,a,lambda,is_soliton,soliton_residual,H_norm,orbit_dim,agrees"
@@ -264,6 +265,29 @@ def test_verify_disagreement_exit_code(monkeypatch, capsys):
     assert [r["agrees"] for r in csv.DictReader(io.StringIO(out))] == ["false", "true"]
     monkeypatch.undo()
     assert run(capsys, argv)[0] == 0
+
+
+def test_verify_reads_tol_alike_for_both_verdicts(capsys):
+    # verify is exact and takes no tolerance; the one left bounds the Gram
+    # verdict, whose soliton and Einstein residuals are both read as
+    # residual <= tol (the largest Gram entry lies in [1, 2), so unscaled)
+    gram = np.array([[1.5, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.25]])
+    argv = ["soliton", "--family", "r3a:a=0.5", "--gram",
+            *map(repr, gram.ravel().tolist()), "--format", "json"]
+    ric, _, _ = curvature.block_ricci(gram, semidirect_block(make_family(
+        parse_family("r3a:a=0.5"))))
+    r = ric.ravel()
+    ein_res = math.hypot(*(r - (np.trace(ric) / 3.0) * np.eye(3).ravel()).tolist())
+    residual = json.loads(run(capsys, argv)[1])["residual"]
+    assert 0 < residual < ein_res
+    for tol, flags in ((residual, (True, False)), (math.nextafter(residual, 0), (False, False)),
+                       (ein_res, (True, True)), (math.nextafter(ein_res, 0), (True, False))):
+        data = json.loads(run(capsys, argv + ["--tol", repr(tol)])[1])
+        assert (data["is_soliton"], data["is_einstein"]) == flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "r3a:a=0.5", "--lambda", "2", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
 def test_verify_has_no_tol(capsys):
