@@ -250,7 +250,7 @@ def _cmd_reduce(args):
         # [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3 in _listing's layout
         "frame_brackets": [[1, j, k, x] for (j, k), x in
                            zip(((2, 2), (2, 3), (3, 2), (3, 3)),
-                               moduli.frame_algebra(fam, rep.matrix)[0]) if x],
+                               moduli.frame_brackets(fam, rep.matrix)[0]) if x],
     }, 0
 
 

@@ -213,11 +213,12 @@ def ricci_operator(m: MetricData) -> RicciResult:
     return RicciResult(require_finite(np.array(ric_frame) + 0.0), ric, float(np.trace(ric)))
 
 
-def require_finite(ric: np.ndarray) -> np.ndarray:
-    """Return ``ric``; raises ValueError if an entry or the trace is inf or NaN."""
-    flat = ric.ravel().tolist()
+def require_finite(ric):
+    """Return ``ric``, a 3x3 array or the list of its 9 entries; raises
+    ValueError if an entry or the trace is inf or NaN."""
+    flat = ric if isinstance(ric, list) else ric.ravel().tolist()
     # a sum of Python floats overflows to inf without a warning
-    if not (all(map(math.isfinite, flat)) and math.isfinite(sum(flat[::len(ric) + 1]))):
+    if not (all(map(math.isfinite, flat)) and math.isfinite(sum(flat[::4]))):
         raise ValueError("Ricci operator is not finite: the curvature "
                          "overflows float64 for this metric")
     return ric
@@ -233,8 +234,7 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     ``Fraction`` it runs on their integer numerators over one common
     denominator q, and each entry is one Fraction over 2 q^2.
     """
-    # a float first argument skips the scan: the float lane runs this per verify row
-    exact = not isinstance(a, float) and all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
+    exact = all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
     if exact:
         (a, b, c, d), q = linalg.integer_numerators(linalg.object_array([a, b, c, d], (4,)))
     x11, x22, x23, x32, x33 = _ricci2(a, d, b, c, 1, 1)

@@ -143,10 +143,19 @@ def _derivation_system(c: np.ndarray) -> np.ndarray:
 
 
 # E21, E31, (E22 + E33)/sqrt(2), a slot for the unit traceless part of 0 + A,
-# and E11, as flat rows (orbit_geometry.orbit_data reads this layout too)
+# and E11, as flat rows (``semidirect_n`` tells this layout)
 SEMIDIRECT_ROWS = np.zeros((5, 9))
 SEMIDIRECT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -0.5, 1.0]
 SEMIDIRECT_ROWS.setflags(write=False)
+_FIXED_ROWS = SEMIDIRECT_ROWS[[0, 1, 2, 4]].tolist()
+
+
+def semidirect_n(rows: np.ndarray) -> list | None:
+    """Row 3 of the flat ``rows`` as a list if ``semidirect_rows`` laid them out, else None."""
+    rows = rows.tolist()
+    n = rows[3] if rows[:3] + rows[4:] == _FIXED_ROWS else None
+    return n if n and [*n[:4], n[6], n[4] + n[8]] == [0.0] * 6 else None
+
 
 # flat indices of c[0, 1:, 1:] ([e1, e2], [e1, e3]), of c[1:, 0, 1:], and of
 # every other entry of a 3x3x3 tensor c

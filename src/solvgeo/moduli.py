@@ -14,6 +14,7 @@ whose factors are recorded step by step in a :class:`ReductionTrace`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .curvature import metric_to_group  # noqa: F401 (callers reach it as moduli.metric_to_group)
-from .derivations import block_conjugate, derivation_algebra, semidirect_rows
+from .derivations import MEMO_SIZE, block_conjugate, derivation_algebra, semidirect_rows
 from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
@@ -46,7 +47,14 @@ class ReductionTrace:
 
 
 def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
-    """The canonical group element g_lambda of a family.
+    """The canonical group element g_lambda of a family, I but for ``rep_entries``."""
+    one, zero = (Fraction(1), 0) if exact else (1.0, 0.0)
+    rows = [one, zero, zero, zero, one, zero, zero, *rep_entries(family, lam, exact)]
+    return linalg.object_array(rows, (3, 3)) if exact else np.array(rows).reshape(3, 3)
+
+
+def rep_entries(family: Family, lam: float, exact: bool = False) -> tuple:
+    """``(L32, L33)`` of g_lambda, Fractions when ``exact``.
 
     r3 and r3p_a use diag(1, 1, 1/lambda); r3_a uses the unipotent matrix
     with (3,2)-entry lambda; the single-class families h3, r3_1 and r3_a at
@@ -55,13 +63,11 @@ def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
     """
     _check_lambda(family, lam)
     one, zero, lam = (Fraction(1), 0, Fraction(lam)) if exact else (1.0, 0.0, float(lam))
-    l32, l33 = zero, one
     if family.tag == "r3_a" and not _transitive(family):
-        l32 = lam
-    elif family.tag in ("r3", "r3p_a"):
-        l33 = Fraction(lam.denominator, lam.numerator) if exact else one / lam
-    rows = [one, zero, zero, zero, one, zero, zero, l32, l33]
-    return linalg.object_array(rows, (3, 3)) if exact else np.array(rows).reshape(3, 3)
+        return lam, one
+    if family.tag in ("r3", "r3p_a"):
+        return zero, Fraction(lam.denominator, lam.numerator) if exact else one / lam
+    return zero, one
 
 
 def _check_lambda(family: Family, lam: float) -> None:
@@ -79,38 +85,51 @@ def frame_constants(family: Family, lam: float, exact: bool = False) -> Structur
                         rep_matrix(family, lam, exact=exact))
 
 
-def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
-    """Brackets on the frame x_i = L e_i, and orthonormal rows of L^-1 (RI + Der) L.
-
-    ``lower`` is lower triangular (``rep_matrix``, ``metric_to_group``, the
-    L of ``linalg.lq``).  Returns ``((a, b, c, d), rows, dim Der)``: [x1,x2]
-    = a x2 + b x3, [x1,x3] = c x2 + d x3 as Python floats ([x2,x3] = 0), and
-    rows laid out as ``MatrixSubspace.scalar_frame``.  span{e2, e3} is an
-    abelian ideal, so ad(x1) there is A' = L11 h^-1 A h, h = [[1, 0], [L32,
-    L33]] / L22 (``derivations.block_conjugate``).  For dim Der = 4 the rows
-    are ``derivations.semidirect_rows`` of h^-1 A h, unscaled, as L11 could
-    underflow it: no scale or conditioning of L changes them, and none is
-    tested.  For dim 6 (h3, r3_1, r3_a at a = 1) L fixes Der (zero first
-    row, or h3's, whose bracket L rescales), and its own rows serve.  An L
-    not finite with positive diagonal and L33 / L22 > 0 in float raises
-    SingularMatrixError, and an h^-1 A h that overflows ValueError.  Only
-    that block is tested: the brackets may still overflow or underflow by
-    L11, which is 1 at every g_lambda.
-    """
-    entries = lower.tolist()
-    (l11, _, _), (_, l22, _), (_, l32, l33) = entries
-    finite = all(math.isfinite(x) for row in entries for x in row)
-    if not (finite and min(l11, l22, l33) > 0 and l33 / l22 > 0):
+def frame_brackets(family: Family, lower: np.ndarray) -> tuple:
+    """``((a, b, c, d), block)``: [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3
+    ([x2,x3] = 0) in Python floats on x_i = L e_i, ``lower`` lower triangular
+    (``rep_matrix``, ``metric_to_group``, ``linalg.lq``'s L).  span{e2, e3} is
+    an abelian ideal, so ad(x1) there is L11 times ``block`` = h^-1 A h, h =
+    [[1, 0], [L32, L33]] / L22 (``derivations.block_conjugate``).  An L not
+    finite with positive diagonal and L33 / L22 > 0 raises SingularMatrixError,
+    and an h^-1 A h that overflows ValueError; L11, 1 at every g_lambda, may
+    still over- or underflow the brackets."""
+    flat = lower.ravel().tolist()
+    l11, l22, l32, l33 = flat[0], flat[4], flat[7], flat[8]
+    if not (all(map(math.isfinite, flat)) and min(l11, l22, l33) > 0 and l33 / l22 > 0):
         raise SingularMatrixError("conjugating matrix is singular or not finite")
-    sc = make_family(family)
-    block = block_conjugate(sc.c[0, 1:, 1:].ravel().tolist(), l32 / l22, l33 / l22)
+    block = block_conjugate(family_constants(family)[1], l32 / l22, l33 / l22)
     if not all(map(math.isfinite, block)):
         raise ValueError("frame brackets are not finite: they overflow float64 for this metric")
-    brackets = tuple(l11 * x for x in block)
-    der = derivation_algebra(sc)
+    a, b, c, d = block
+    return (l11 * a, l11 * b, l11 * c, l11 * d), block
+
+
+def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
+    """``(brackets, rows, dim Der)``: ``frame_brackets``' brackets, and rows of L^-1 (RI +
+    Der) L laid out as ``MatrixSubspace.scalar_frame``: ``derivations.semidirect_rows`` of
+    the unscaled block for dim 4, which no scale or conditioning of L changes, and for dim 6
+    (h3, r3_1, r3_a at a = 1) Der's own, which L fixes (zero first row, or h3's, rescaled)."""
+    brackets, block = frame_brackets(family, lower)
+    der = derivation_algebra(family_constants(family)[0])
     if der.dim != 4:
         return brackets, der.scalar_frame, der.dim
     return brackets, semidirect_rows(*block), 4
+
+
+def family_constants(family: Family) -> tuple:
+    """``(make_family(family), its [e1, .] block, its exact block's integer numerators)``, kept
+    per family and type and sign of a: ``Family``'s == merges a = 0.0, -0.0 and Fraction(0)."""
+    a = family.a
+    return _family_constants(family, a if a is None else (type(a), math.copysign(1.0, a)))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _family_constants(family: Family, kind) -> tuple:
+    sc, exact = make_family(family), make_family(family, exact=True)
+    sc.c.setflags(write=False)
+    return (sc, tuple(sc.c[0, 1:, 1:].ravel().tolist()),
+            tuple(linalg.numerators(exact.c[0, 1:, 1:].ravel().tolist())[0]))
 
 
 def _transitive(family: Family) -> bool:

@@ -12,12 +12,13 @@ orthogonal to the stabilizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .derivations import SEMIDIRECT_ROWS
+from .derivations import SEMIDIRECT_ROWS, semidirect_n
 from .lie_core import Family
 from .moduli import frame_algebra
 
@@ -39,14 +40,17 @@ SYM_BASIS.setflags(write=False)
 
 @dataclass(frozen=True)
 class OrbitData:
-    """Tangent/normal split of an orbit; the matrices come as (k, 3, 3) stacks."""
+    """Tangent/normal split of an orbit in (k, 3, 3) stacks, and ``k`` = sum_i [X_i, T_i]
+    over the lifts X_i of the tangent basis T_i; ``stacks()`` builds both when read."""
 
-    tangent: np.ndarray
     normals: np.ndarray
-    lifts: np.ndarray
     stabilizer: np.ndarray
     orbit_dim: int
     stab_dim: int
+    k: np.ndarray
+    stacks: Callable = field(repr=False, compare=False)
+    tangent = property(lambda self: self.stacks()[0])
+    lifts = property(lambda self: self.stacks()[1])
 
 
 def orbit_data(frame) -> OrbitData:
@@ -60,56 +64,65 @@ def orbit_data(frame) -> OrbitData:
     stabilizer (the kernel of dpi on u', its antisymmetric members) W^T[r:]
     on q, and the lifts W^T[:r] / S[:r] on q, which map onto the tangent
     basis and are Frobenius-orthogonal to the stabilizer, so the mean
-    curvature is well defined on singular orbits too.
+    curvature is well defined on singular orbits too.  K is the stacked sum.
 
-    Rows laid out as ``derivations.semidirect_rows`` take no SVD: E21, E31,
-    (E22 + E33)/sqrt(2), N = 0 + [[h, c], [b, -h]] and E11 have pairwise
-    orthogonal symmetric parts, so each row over |dpi(row)| is a lift; past
-    ``RANK_TOL`` the one normal is 0 + [[m, -h], [-h, -m]] / |dpi(N)|, m =
-    (b + c)/2, else N is the stabilizer (``_semidirect_orbit``).
+    Rows laid out as ``derivations.semidirect_rows`` (``semidirect_n``) take no
+    SVD: E21, E31, (E22 + E33)/sqrt(2), N = 0 + [[h, c], [b, -h]] and E11 have
+    pairwise orthogonal symmetric parts, so each over |dpi(row)| is a lift; past
+    ``RANK_TOL`` the one normal is 0 + [[m, -h], [-h, -m]] / |dpi(N)|, m = (b +
+    c)/2, else N is the stabilizer, and K is closed form (``_semidirect_orbit``).
     """
-    q = np.reshape(np.asarray(frame, dtype=float), (-1, 9))
-    rows = q.tolist()
-    n = rows[3] if rows[:3] + rows[4:] == _FIXED_LAYOUT else None
-    if n and [*n[:4], n[6], n[4] + n[8]] == [0.0] * 6:
-        return _semidirect_orbit(q[3:4].reshape(1, 3, 3), n[4], (n[5] + n[7]) / 2)
+    q = np.asarray(frame, dtype=float).reshape(-1, 9)
+    if (n := semidirect_n(q)) is not None:
+        return _semidirect_orbit(n)
     sym = SYM_BASIS.reshape(6, 9)
     u, sigma, wt = np.linalg.svd(sym @ q.T)
     r = int(np.sum(sigma > linalg.RANK_TOL))
     # sign convention: the first sizable sym coordinate of a normal is positive
     normal_coords = linalg.lead_positive(u[:, r:].T)
-    return OrbitData(tangent=(u[:, :r].T @ sym).reshape(-1, 3, 3),
-                     normals=(normal_coords @ sym).reshape(-1, 3, 3),
-                     lifts=((wt[:r] / sigma[:r, None]) @ q).reshape(-1, 3, 3),
-                     stabilizer=(wt[r:] @ q).reshape(-1, 3, 3),
-                     orbit_dim=r, stab_dim=len(q) - r)
+    tangent = (u[:, :r].T @ sym).reshape(-1, 3, 3)
+    lifts = ((wt[:r] / sigma[:r, None]) @ q).reshape(-1, 3, 3)
+    return OrbitData((normal_coords @ sym).reshape(-1, 3, 3), (wt[r:] @ q).reshape(-1, 3, 3),
+                     r, len(q) - r, (lifts @ tangent - tangent @ lifts).sum(axis=0),
+                     lambda: (tangent, lifts))
 
 
-# E21, E31, (E22 + E33)/sqrt(2) and E11 of the semidirect layout, as the list
-# orbit_data compares, and each over |dpi(row)|: its lift and its tangent
+# E21, E31, (E22 + E33)/sqrt(2) and E11 of the semidirect layout, each over
+# |dpi(row)|: its lift and its tangent, and the sum of their commutators
 _FIXED = SEMIDIRECT_ROWS[[0, 1, 2, 4]].reshape(-1, 3, 3)
-_FIXED_LAYOUT = _FIXED.reshape(-1, 9).tolist()
 _FIXED_LIFTS = _FIXED / np.linalg.norm(dpi(_FIXED), axis=(1, 2))[:, None, None]
 _FIXED_TANGENTS = dpi(_FIXED_LIFTS)
+_FIXED_K = (_FIXED_LIFTS @ _FIXED_TANGENTS - _FIXED_TANGENTS @ _FIXED_LIFTS).sum(axis=0)
 _ROUND_NORMALS = np.stack([SYM_BASIS[5], (SYM_BASIS[1] - SYM_BASIS[2]) / np.sqrt(2.0)])
-for _stack in (_FIXED_LIFTS, _FIXED_TANGENTS, _ROUND_NORMALS):
+for _stack in (_FIXED_LIFTS, _FIXED_TANGENTS, _FIXED_K, _ROUND_NORMALS):
     _stack.setflags(write=False)
 
 
-def _semidirect_orbit(n: np.ndarray, h: float, m: float) -> OrbitData:
-    """``orbit_data`` of semidirect rows with N = ``n``, dpi(N) = 0 + [[h, m], [m, -h]]; at
+def _semidirect_orbit(n: list) -> OrbitData:
+    """``orbit_data`` of semidirect rows with N = ``n`` flat, dpi(N) = 0 + [[h, m], [m, -h]]; at
     N in the stabilizer the normals are (E23 + E32)/sqrt(2) and (E22 - E33)/sqrt(2)."""
+    h, m = n[4], (n[5] + n[7]) / 2
     sigma = math.hypot(h, h, m, m)
     if not sigma > linalg.RANK_TOL:
-        return OrbitData(_FIXED_TANGENTS, _ROUND_NORMALS, _FIXED_LIFTS, n.copy(), 4, 1)
+        return OrbitData(_ROUND_NORMALS, np.array(n).reshape(1, 3, 3), 4, 1, _FIXED_K,
+                         lambda: (_FIXED_TANGENTS, _FIXED_LIFTS))
     t, x = h / sigma, m / sigma
     # lead_positive's sign: the E22 entry leads unless within ZERO_TOL of 0; + 0.0: no -0.0
     s = -1.0 if (x if abs(x) > linalg.ZERO_TOL else -t) < 0 else 1.0
-    tangent = [[[0.0, 0.0, 0.0], [0.0, t, x], [0.0, x, -t]]]
-    return OrbitData(tangent=np.concatenate([_FIXED_TANGENTS, tangent]),
-                     normals=s * np.array([[[0.0, 0.0, 0.0], [0.0, x, -t], [0.0, -t, -x]]]) + 0.0,
-                     lifts=np.concatenate([_FIXED_LIFTS, n / sigma]),
-                     stabilizer=np.empty((0, 3, 3)), orbit_dim=5, stab_dim=0)
+    nu = [0.0, 0.0, 0.0, 0.0, s * x + 0.0, -s * t + 0.0, 0.0, -s * t + 0.0, -s * x + 0.0]
+    # K: the fixed lifts' sum plus [X, T] for X = N / sigma, T = dpi(X) = 0 + [[t, x], [x, -t]]
+    p11, p12, p21, p22 = n[4] / sigma, n[5] / sigma, n[7] / sigma, n[8] / sigma
+    k = _FIXED_K.ravel().tolist()
+    k[4] += (p11 * t + p12 * x) - (t * p11 + x * p21)
+    k[5] += (p11 * x - p12 * t) - (t * p12 + x * p22)
+    k[7] += (p21 * t + p22 * x) - (x * p11 - t * p21)
+    k[8] += (p21 * x - p22 * t) - (x * p12 - t * p22)
+
+    def stacks():
+        return (np.concatenate([_FIXED_TANGENTS, [[[0.0] * 3, [0.0, t, x], [0.0, x, -t]]]]),
+                np.concatenate([_FIXED_LIFTS, np.array(n).reshape(1, 3, 3) / sigma]))
+    return OrbitData(normals=np.array(nu).reshape(1, 3, 3), stabilizer=np.empty((0, 3, 3)),
+                     orbit_dim=5, stab_dim=0, k=np.array(k).reshape(3, 3), stacks=stacks)
 
 
 def second_fundamental_form(od: OrbitData) -> np.ndarray:
@@ -148,15 +161,13 @@ def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
     if od.orbit_dim == 0:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
     # for symmetric A and T, tr(dpi([A, X]) T) = tr([A, X] T) = <A, [X, T]>, so
-    # the trace of the shape tensor at A_n is -<A_n, K> with K = sum_i [X_i, T_i]
-    x, t = od.lifts, od.tangent
-    normals = od.normals.reshape(-1, 9)
+    # the trace of the shape tensor at A_n is -<A_n, K>, K = sum_i [X_i, T_i] = od.k
+    k, normals = od.k.ravel().tolist(), od.normals.reshape(-1, 9)
     # + 0.0: a zero sum at a minimal orbit would print as -0.0
-    vals = -(normals @ (x @ t - t @ x).sum(axis=0).ravel()) / od.orbit_dim + 0.0
-    h = (vals @ normals).reshape(3, 3)
-    return MeanCurvatureResult(h=h, norm=float(np.linalg.norm(h)),
-                               per_normal=tuple((a, float(v))
-                                                for a, v in zip(od.normals, vals)),
+    vals = [-math.fsum(x * y for x, y in zip(a, k)) / od.orbit_dim + 0.0 for a in normals.tolist()]
+    h = np.array(vals) @ normals
+    return MeanCurvatureResult(h=h.reshape(3, 3), norm=math.hypot(*h.tolist()),
+                               per_normal=tuple(zip(od.normals, vals)),
                                orbit_dim=od.orbit_dim, stab_dim=od.stab_dim)
 
 
@@ -169,8 +180,7 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     read off the brackets on the frame L e_i (``moduli.frame_algebra``, whose
     guards on L are the only refusals: no conditioning policy applies).
     Each row R becomes k R k^T, an isometry of the trace form, only when a
-    QR ran; a ``rep_matrix`` or ``metric_to_group`` frame takes none, so for dim Der = 4
-    ``orbit_data`` splits ``semidirect_rows``' pairwise orthogonal symmetric parts, no SVD.
+    QR ran; a ``rep_matrix`` or ``metric_to_group`` frame takes none.
     """
     lower, k = linalg.lq(g)
     rows = frame_algebra(family, lower)[1]

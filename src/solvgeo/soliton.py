@@ -9,17 +9,16 @@ verdict at g_lambda is exact; on a Gram matrix it reads the residual.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .curvature import block_ricci, frame_conditions, require_finite, ricci_closed_form
-from .derivations import MEMO_SIZE, block_der_rows, semidirect_block
-from .lie_core import Family, StructureConstants, make_family
-from .moduli import frame_algebra, rep_matrix
+from .curvature import _ricci2, block_ricci, frame_conditions, require_finite
+from .derivations import block_der_rows, semidirect_block, semidirect_n
+from .lie_core import Family, StructureConstants
+from .moduli import family_constants, frame_algebra, rep_entries, rep_matrix
 
 # bound on the Gram path's soliton and Einstein residuals, read at the scale
 # where the Gram matrix's largest entry lies in [1, 2); the g_lambda verdict
@@ -46,27 +45,36 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
-def _split(ric: np.ndarray, rows: np.ndarray, dim: int) -> tuple:
-    """``(c, D, residual)``: the orthogonal split of a finite ric as c*I + D +
-    rest over the orthonormal flat ``rows`` of S + RI laid out as
-    ``MatrixSubspace.scalar_frame``: D in the span of the first ``dim`` rows,
-    S, and c = <ric, e>/<I, e> for e the last row (c = 0 when I lies in S,
-    and there is no such row)."""
-    r = ric.ravel()
-    c = float(rows[-1] @ r / (rows[-1] @ _EYE)) if len(rows) > dim else 0.0
-    rest = r - c * _EYE
-    d = (rest @ rows[:dim].T) @ rows[:dim]
+def _split(r: list, rows: np.ndarray, dim: int) -> tuple:
+    """``(c, D, residual)``: the orthogonal split of a finite ric, the flat list
+    ``r``, as c*I + D + rest over the orthonormal flat ``rows`` of S + RI laid
+    out as ``MatrixSubspace.scalar_frame``: D in S, the span of the first
+    ``dim`` rows, and c = <ric, e>/<I, e> for e the last row (c = 0 when I lies
+    in S, and there is no such row).  On ``semidirect_n``'s layout e = E11, so c =
+    Ric11, and D = Ric21 E21 + Ric31 E31 + s (E22 + E33) + <rest, N> N, 2s = tr rest."""
+    if (n := semidirect_n(rows)) is None:
+        c = float(rows[-1] @ r / (rows[-1] @ _EYE)) if len(rows) > dim else 0.0
+        rest = np.array(r) - c * _EYE
+        d = (rest @ rows[:dim].T) @ rows[:dim]
+        left = (rest - d).tolist()
+    else:
+        c = r[0] + 0.0  # + 0.0: never the -0.0 of a product of zeros, nor in D
+        r22, r23, r32, r33 = r[4] - c, r[5], r[7], r[8] - c
+        s, w = (r22 + r33) / 2, n[4] * r22 + n[5] * r23 + n[7] * r32 + n[8] * r33
+        d = [x + 0.0 for x in (0.0, 0.0, 0.0, r[3], s + w * n[4], w * n[5],
+                               r[6], w * n[7], s + w * n[8])]
+        left = [r[1], r[2], r22 - d[4], r23 - d[5], r32 - d[7], r33 - d[8]]
     # hypot scales by a power of two, so no square overflows or underflows
-    residual = math.hypot(*(rest - d).tolist())
+    residual = math.hypot(*left)
     if residual == math.inf:
         raise ValueError("soliton residual is not finite: its norm overflows float64")
-    return c, d.reshape(3, 3), residual
+    return c, np.array(d).reshape(3, 3), residual
 
 
 def _project(ric: np.ndarray, rows: np.ndarray, dim: int, tol: float) -> SolitonVerdict:
     """``_split`` of ric, a soliton when the residual is at most ``tol`` and
     Einstein when ric is within ``tol`` of its trace part."""
-    c, d, residual = _split(ric, rows, dim)
+    c, d, residual = _split(ric.ravel().tolist(), rows, dim)
     r = ric.ravel()
     ein_res = math.hypot(*(r - ((r.item(0) + r.item(4) + r.item(8)) / 3.0) * _EYE).tolist())
     return SolitonVerdict(is_soliton=residual <= tol, is_einstein=ein_res <= tol,
@@ -98,38 +106,32 @@ def frame_flags(family: Family, lam) -> tuple:
     """``(is_soliton, is_einstein, minimal)`` at g_lambda: ``curvature.
     frame_conditions`` on the Milnor frame's block h^-1 A h (``derivations.
     block_conjugate``) in Python ints, h = [[1, 0], [L32, L33]] / L22 from
-    ``rep_matrix(family, lam, exact=True)`` and A the family's exact block,
-    each over its common denominator and times L22 L33 > 0, a factor that no
-    homogeneous condition sees.  A float is read at its dyadic value."""
-    g = rep_matrix(family, lam, exact=True).tolist()
-    a, b, c, d = _family_block(family)
-    (l22, l32, l33), _ = linalg.numerators([g[1][1], g[2][1], g[2][2]])
+    ``rep_entries(family, lam, exact=True)`` (L22 = 1) and A the family's
+    exact block (``moduli.family_constants``), each over its common
+    denominator and times L22 L33 > 0, a factor that no homogeneous
+    condition sees.  A float is read at its dyadic value."""
+    l32, l33 = rep_entries(family, lam, exact=True)
+    a, b, c, d = family_constants(family)[2]
+    (l22, l32, l33), _ = linalg.numerators([1, l32, l33])
     return frame_conditions(l33 * (a * l22 + c * l32),
                             b * l22 * l22 + l32 * l22 * (d - a) - c * l32 * l32,
                             c * l33 * l33, l33 * (d * l22 - c * l32))
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _family_block(family: Family) -> tuple:
-    """The integer numerators of [e1,e2] = a e2 + b e3, [e1,e3] = c e2 + d e3
-    in the family's exact constants, kept per family."""
-    block = make_family(family, exact=True).c[0, 1:, 1:].ravel().tolist()
-    return tuple(linalg.numerators(block)[0])
-
-
 def frame_verdict(family: Family, lam) -> tuple:
     """``(SolitonVerdict, minimal)`` at g_lambda, the flags ``frame_flags``'.
 
-    c, D and the residual are floats on the Milnor frame: the closed-form
-    Ricci operator on its brackets, split over the closed-form rows of
-    g_lambda^-1 (RI + Der) g_lambda (``moduli.frame_algebra``), with no basis
-    changed and no subspace conjugated.  What float64 cannot hold is refused:
-    ``frame_algebra``'s guards, and a Ricci operator that overflows.
+    c, D and the residual are Python floats on the Milnor frame: the
+    closed-form Ricci operator (``curvature._ricci2``) on its brackets, split
+    over the closed-form rows of g_lambda^-1 (RI + Der) g_lambda (``moduli.
+    frame_algebra``), with no basis changed and no subspace conjugated.  What
+    float64 cannot hold is refused: ``frame_algebra``'s guards, and a Ricci
+    operator that overflows.
     """
-    brackets, rows, dim = frame_algebra(family, rep_matrix(family, lam))
-    # as Python floats the brackets overflow to inf or NaN without a warning,
-    # and require_finite rejects the result
-    c, d, residual = _split(require_finite(ricci_closed_form(*brackets)), rows, dim)
+    (a, b, c, d), rows, dim = frame_algebra(family, rep_matrix(family, lam))
+    x11, x22, x23, x32, x33 = _ricci2(a, d, b, c, 1, 1)
+    ric = require_finite([x11 / 2, 0.0, 0.0, 0.0, x22 / 2, x23 / 2, 0.0, x32 / 2, x33 / 2])
+    c, d, residual = _split(ric, rows, dim)
     is_soliton, is_einstein, minimal = frame_flags(family, lam)
     return SolitonVerdict(is_soliton, is_einstein, c, d, residual), minimal
 

@@ -9,7 +9,9 @@ frame ``metric_to_group``, then conjugation back).
 The others are the residuals, span tests, sym(3) basis and sampling
 checks that the tests apply to library output; the package itself needs
 none of them.  ``lstsq_soliton_split`` keeps the package's earlier
-least-squares soliton split as the reference for its orthogonal one, and
+least-squares soliton split as the reference for its orthogonal one,
+``projection_split`` the numpy projection of that split as the reference
+for its closed form on ``derivations.semidirect_rows``' layout, and
 ``shape_trace_mean_curvature`` its earlier mean curvature, the traces of
 the whole shape tensor, as the reference for the commutator sum.
 ``h_norm_closed_form`` holds the paper's closed forms for ``|H|`` (C5);
@@ -134,6 +136,20 @@ def lstsq_soliton_split(ric: np.ndarray, der: MatrixSubspace) -> tuple:
     coeffs, *_ = np.linalg.lstsq(a, ric.ravel(), rcond=None)
     residual = float(np.linalg.norm(a @ coeffs - ric.ravel()))
     return float(coeffs[0]), (coeffs[1:] @ der.basis.reshape(-1, 9)).reshape(3, 3), residual
+
+
+def projection_split(ric, rows: np.ndarray, dim: int) -> tuple:
+    """(c, D, residual) of ric over the orthonormal flat ``rows`` of S + RI,
+    laid out as ``MatrixSubspace.scalar_frame``, by numpy projection: c =
+    <ric, e>/<I, e> for e the last row (0 when there are only ``dim``), D the
+    projection of ric - cI on the first ``dim`` rows, and the Frobenius norm
+    of what is left."""
+    r = np.ravel(np.asarray(ric, dtype=float))
+    eye = np.eye(3).ravel()
+    c = float(rows[-1] @ r / (rows[-1] @ eye)) if len(rows) > dim else 0.0
+    rest = r - c * eye
+    d = (rest @ rows[:dim].T) @ rows[:dim]
+    return c, d.reshape(3, 3), math.hypot(*(rest - d).tolist())
 
 
 def shape_trace_mean_curvature(od: orbit_geometry.OrbitData

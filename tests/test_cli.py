@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import FAMILY_STRINGS
-from solvgeo import cli, curvature, soliton
+from solvgeo import cli, curvature, moduli, soliton
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.derivations import semidirect_block
 from solvgeo.errors import SingularMatrixError
@@ -443,6 +443,17 @@ def test_reduce_lists_closed_form_brackets_at_extreme_lambda(capsys, family, gra
                                                            for i, j, k, _ in exact]
     for (*_, x), (*_, want) in zip(data["frame_brackets"], exact):
         assert abs(x - float(want)) <= math.ulp(float(want)), (x, want)
+
+
+def test_reduce_lists_the_brackets_and_solves_no_derivation(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a derivation algebra was read")
+    for name in ("frame_algebra", "derivation_algebra"):
+        monkeypatch.setattr(moduli, name, refuse)
+    for family in ("r3", "r3a:a=0.375", "r3pa:a=0.625", "h3"):
+        code, out = run(capsys, ["reduce", "--family", family, "--gram", "2", "0.3", "-0.4",
+                                 "0.3", "1.5", "0.2", "-0.4", "0.2", "0.8", "--format", "json"])
+        assert code == 0 and json.loads(out)["frame_brackets"], family
 
 
 @pytest.mark.parametrize("argv", [

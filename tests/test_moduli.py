@@ -16,8 +16,9 @@ from solvgeo.errors import InvalidFamilyError, NonSPDMetricError, SingularMatrix
 from solvgeo.lie_core import Family, make_family, parse_family
 from solvgeo.linalg import lower_triangular_lq
 from solvgeo.lie_core import change_basis
-from solvgeo.moduli import (frame_algebra, frame_constants, metric_to_group, reduce,
-                            rep_matrix, witness_residual)
+from solvgeo import moduli
+from solvgeo.moduli import (frame_algebra, frame_brackets, frame_constants, metric_to_group,
+                            reduce, rep_entries, rep_matrix, witness_residual)
 
 REDUCIBLE = [f for f in FAMILIES if f.tag in ("r3", "r3_a", "r3p_a")]
 TRANSITIVE = [Family("h3"), Family("r3_1"), Family("r3_a", 1.0)]
@@ -132,6 +133,42 @@ def test_rep_matrix_lambda_ranges():
 def test_rep_matrix_rejects_non_finite_lambda(fam, lam):
     with pytest.raises(InvalidFamilyError, match="lambda must be finite"):
         rep_matrix(fam, lam)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rep_matrix_is_the_identity_but_rep_entries(exact):
+    for fam in FAMILIES:
+        for lam in (1.0, 2.5, 3, 1e-300 if fam.tag == "r3" else 7.0):
+            want = np.eye(3).tolist()
+            want[2][1:] = rep_entries(fam, lam, exact)
+            assert rep_matrix(fam, lam, exact).tolist() == want
+            assert all(type(x) in ((Fraction, int) if exact else (float,)) for x in want[2][1:])
+
+
+def test_family_constants_keep_the_bits_of_a_zero_parameter():
+    # Family's == merges a = 0.0, -0.0 and Fraction(0), but the float tensors
+    # differ in the signs of their zeros: d and the mirror entries
+    fams = [Family("r3_a", 0.0), Family("r3_a", -0.0), Family("r3_a", Fraction(0))]
+    assert fams[0] == fams[1] == fams[2] and len({hash(f) for f in fams}) == 1
+    tensors = set()
+    for fam in fams + fams:  # the second pass reads the kept constants
+        sc, block, _ = moduli.family_constants(fam)
+        want = make_family(fam).c
+        assert sc.c.tobytes() == want.tobytes()
+        assert np.array(block).tobytes() == want[0, 1:, 1:].tobytes()
+        assert not sc.c.flags.writeable
+        tensors.add(sc.c.tobytes())
+    assert len(tensors) == 3
+
+
+def test_frame_brackets_solve_no_derivation(monkeypatch):
+    frames = [(fam, rep_matrix(fam, 2.0)) for fam in ONE_PER_TAG]
+    want = [frame_algebra(fam, g)[0] for fam, g in frames]
+
+    def refuse(*args):
+        raise AssertionError("a derivation algebra was read")
+    monkeypatch.setattr(moduli, "derivation_algebra", refuse)
+    assert [frame_brackets(fam, g)[0] for fam, g in frames] == want
 
 
 def test_frame_constants_shapes():

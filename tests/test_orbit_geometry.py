@@ -367,6 +367,24 @@ def test_closed_form_split_matches_the_svd_on_every_verify_row(monkeypatch):
     assert dims == {4, 5}
 
 
+def test_verify_rows_build_no_stacks_and_k_is_the_stacked_sum(monkeypatch):
+    # orbit_at reads the closed-form K alone; the tangent and lift stacks are
+    # built when something reads them, and K is their commutator sum
+    seen, built = [], []
+    concatenate = np.concatenate
+    monkeypatch.setattr(orbit_geometry, "orbit_data",
+                        lambda frame: seen.append(orbit_data(frame)) or seen[-1])
+    monkeypatch.setattr(np, "concatenate", lambda *a, **k: built.append(1) or concatenate(*a, **k))
+    for fam in VERIFY_FAMILIES:
+        for lam in default_grid(fam):
+            orbit_at(fam, rep_matrix(fam, lam))
+            assert built == []
+            od = seen.pop()
+            x, t = od.lifts, od.tangent
+            built.clear()
+            np.testing.assert_allclose(od.k, (x @ t - t @ x).sum(axis=0), rtol=0, atol=1e-14)
+
+
 def test_h_norm_is_the_block_identity_on_every_verify_row():
     # the theorem as one identity in the frame block (a, b, c, d), checked from
     # outside: |H| is sqrt(2)|b - c| / (5 sqrt((a - d)^2 + (b + c)^2)) off

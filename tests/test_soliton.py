@@ -11,12 +11,12 @@ from scipy.linalg import expm
 
 from helpers import FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd
 from oracles import (block_constants, derivation_residual, exact_block_soliton,
-                     exact_frame_soliton, lstsq_soliton_split)
+                     exact_frame_soliton, lstsq_soliton_split, projection_split)
 from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometry, soliton
 from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
 from solvgeo.lie_core import Family, StructureConstants, make_family
-from solvgeo.moduli import frame_constants, metric_to_group, reduce, rep_matrix
+from solvgeo.moduli import frame_algebra, frame_constants, metric_to_group, reduce, rep_matrix
 from solvgeo.soliton import soliton_from_frame, solvsoliton_check
 
 
@@ -386,6 +386,69 @@ def test_orthogonal_split_matches_lstsq(fam):
                 assert abs(got.c - want_c) <= 1e-12 * big
                 assert np.abs(got.d - want_d).max() <= 1e-12 * big
                 assert abs(got.residual - want_res) <= 1e-12 * big
+
+
+def _assert_closed_form_split(ric: list, rows: np.ndarray):
+    """The closed-form split of the flat ``ric`` over semidirect ``rows``
+    against the numpy projection, within 4 ulp of max|Ric|."""
+    assert derivations.semidirect_n(rows) is not None  # the closed form runs
+    c, d, residual = soliton._split(ric, rows, 4)
+    want_c, want_d, want_residual = projection_split(ric, rows, 4)
+    tol = 4 * math.ulp(max(map(abs, ric)))
+    assert abs(c - want_c) <= tol, (ric, rows)
+    assert np.abs(d - want_d).max() <= tol, (ric, rows)
+    assert abs(residual - want_residual) <= tol, (ric, rows)
+
+
+def test_closed_form_split_matches_the_projection_on_every_verify_row():
+    count = 0
+    for fam in VERIFY_FAMILIES:
+        for lam in cli.default_grid(fam):
+            brackets, rows, _ = frame_algebra(fam, rep_matrix(fam, lam))
+            _assert_closed_form_split(curvature.ricci_closed_form(*brackets).ravel().tolist(),
+                                      rows)
+            count += 1
+    assert count == 377
+
+
+_SEMIDIRECT_FAMILIES = [Family("r3"), Family("r3_a", -1.0), Family("r3_a", -0.25),
+                        Family("r3_a", 0.0), Family("r3_a", 0.5), Family("r3p_a", 0.0),
+                        Family("r3p_a", 1.5)]
+
+
+@pytest.mark.parametrize("fam", _SEMIDIRECT_FAMILIES, ids=lambda f: f.label())
+def test_closed_form_split_matches_the_projection_on_gram_frames(fam):
+    # Ric on the metric_to_group frame over frame_algebra's rows, and the Gram
+    # path's Ric on the canonical basis over the family's own rows
+    rng = np.random.default_rng(101)
+    sc = make_family(fam)
+    own_rows, dim = derivations.block_der_rows(sc, derivations.semidirect_block(sc))
+    assert dim == 4
+    for _ in range(60):
+        gram = random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0))
+        brackets, rows, _ = frame_algebra(fam, metric_to_group(gram))
+        _assert_closed_form_split(curvature.ricci_closed_form(*brackets).ravel().tolist(), rows)
+        _assert_closed_form_split(curvature.ricci_canonical(sc, gram).ravel().tolist(), own_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+@example(block=[0.0, 0.0, 0.0, 5e-324])  # (a - d) / 2 rounds to 0
+def test_closed_form_split_matches_the_projection_on_drawn_blocks(block):
+    a, b, c, d = block
+    assume((a - d, b, c) != (0, 0, 0))  # a scalar block has no unit traceless part
+    _assert_closed_form_split(curvature.ricci_closed_form(*block).ravel().tolist(),
+                              derivations.semidirect_rows(a, b, c, d))
+
+
+def test_frame_flags_build_no_object_array(monkeypatch):
+    rows = [(fam, lam) for fam in VERIFY_FAMILIES for lam in cli.default_grid(fam)]
+    want = [soliton.frame_flags(fam, lam) for fam, lam in rows]  # each family's block kept
+
+    def refuse(*args):
+        raise AssertionError("object array built")
+    monkeypatch.setattr(linalg, "object_array", refuse)
+    assert [soliton.frame_flags(fam, lam) for fam, lam in rows] == want
 
 
 def test_verify_and_gram_paths_call_no_lstsq_or_orthonormalize(monkeypatch):
