@@ -258,21 +258,17 @@ def _cmd_soliton(args):
     fam = parse_family(args.family)
     gram = _read_gram(args, np.eye(3))
     if args.lam is not None:
-        if args.tol is not None:
-            raise ValueError("--tol bounds a Gram verdict; --lambda is decided exactly")
         verdict = _at_lambda(args.lam, soliton.soliton_from_frame, fam, args.lam)
-        mode, bound = {"mode": "frame", "lambda": args.lam}, {}
+        mode = {"mode": "frame", "lambda": args.lam}
     else:
-        tol = soliton.DEFAULT_TOL if args.tol is None else args.tol
-        verdict = soliton.solvsoliton_check(make_family(fam), gram, tol=tol)
-        mode, bound = {"mode": "gram", "gram": gram}, {"tol": tol}
+        verdict = soliton.solvsoliton_check(make_family(fam), gram)
+        mode = {"mode": "gram", "gram": gram}
     return {"family": fam.label(), **mode,
             "is_soliton": verdict.is_soliton,
             "is_einstein": verdict.is_einstein,
             "c": verdict.c,
             "D": verdict.d,
-            "residual": verdict.residual,
-            **bound}, 0
+            "residual": verdict.residual}, 0
 
 
 def _cmd_orbit(args):
@@ -359,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soliton", help="solvsoliton certificate")
     _add_common(p, gram=True, lam=True)
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"tolerance of a Gram verdict (default {soliton.DEFAULT_TOL:g})")
     p.set_defaults(fn=_cmd_soliton)
 
     p = sub.add_parser("orbit", help="mean curvature of the metric's orbit")

@@ -66,7 +66,7 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
     ``moduli.reduce`` runs no QR on it.  Its zeros above the diagonal are
     exact, and g(4^k G) = 2^-k g(G) bit for bit.
     """
-    e, (u12, u13, u23), dv, _ = _gram_ldl(gram)
+    e, (u12, u13, u23), dv = _gram_ldl(gram)
     y = [[1.0], [-u12, 1.0], [u12 * u23 - u13, -u23, 1.0]]
     return np.array([[_ldexp(x / math.sqrt(dv[j]), e[i]) for j, x in enumerate(row)]
                      + [0.0] * (2 - i) for i, row in enumerate(y)])
@@ -74,7 +74,7 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
 
 def _gram_ldl(gram: np.ndarray) -> tuple:
     """The one factorization and SPD check of a Gram matrix: ``(e, (u12, u13,
-    u23), (D1, D2, D3), max|G_ij|)`` with P G P = U diag(D) U^T from the last row up.
+    u23), (D1, D2, D3))`` with P G P = U diag(D) U^T from the last row up.
 
     Raises NonSPDMetricError unless ``gram`` is a finite, symmetric (to
     ``ZERO_TOL`` times its largest entry) 3x3 matrix whose pivots D are all
@@ -104,7 +104,7 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     t = g12 - u13 * g23
     u12 = t / d2
     d1 = _pivot(g11 - u13 * g13 - u12 * t)
-    return e, (u12, u13, u23), (d1, d2, d3), top
+    return e, (u12, u13, u23), (d1, d2, d3)
 
 
 def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
@@ -119,10 +119,10 @@ def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
 
 
 def block_ricci(gram: np.ndarray, block) -> tuple:
-    """``(ricci_canonical, ric_frame, max|G_ij|)`` of a tensor whose
+    """``(ricci_canonical, ric_frame)`` of a tensor whose
     ``semidirect_block`` is ``block`` (None: ValueError, after the Gram
     check), ric_frame = D^1/2 Ric_y D^-1/2 as lists: Ric on ``metric_to_group``'s frame."""
-    e, (u12, u13, u23), (d1, d2, d3), top = _gram_ldl(gram)
+    e, (u12, u13, u23), (d1, d2, d3) = _gram_ldl(gram)
     if block is None:
         raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
                          "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
@@ -141,7 +141,7 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
            [m20, m21 + u23 * m22, m22]]
     h = x23 * math.sqrt(d2 / d3)  # = x32 sqrt(D3/D2), once for both entries
     return (require_finite(np.array(_scaled(ric, e, [-x for x in e]))),
-            [[x11, 0.0, 0.0], [0.0, x22, h], [0.0, h, x33]], top)
+            [[x11, 0.0, 0.0], [0.0, x22, h], [0.0, h, x33]])
 
 
 def _ricci2(p, s, w, v, d2, d3) -> tuple:
@@ -152,28 +152,45 @@ def _ricci2(p, s, w, v, d2, d3) -> tuple:
             -2 * d3 * pv, -2 * d2 * pv, -(2 * s * (p + s) * m - skew))
 
 
+def soliton_flags(p, q, r, s, d2, d3) -> tuple:
+    """``(is_soliton, is_einstein)`` of the metric diag(D1, D2, D3) on a basis y
+    with [y1,y2] = p y2 + q y3, [y1,y3] = r y2 + s y3, [y2,y3] = 0, exact on ints.
+
+    Ric lies in RI + Der(mu) exactly when pi(Ric)mu is parallel to mu (Lauret
+    2001, 2011); Ric_y is block diagonal, so pi(Ric)mu = [R2, A] - Ric_11 A on
+    the block, for A = [[p, r], [q, s]] and R2 Ric_y's lower block, and the
+    test is that no 2x2 minor of (vec A, vec [R2, A]) is nonzero.  [R2, A] =
+    [[k11, k12], [k21, -k11]] is traceless: off tr A = 0 that is [R2, A] = 0,
+    at tr A = 0 (p, r, q) x (k11, k12, k21) = 0.  With w = q D3, v = r D2 and
+    pv = p v + s w, k11 = -2 pv (w - v) and Ric_y's (2,3) entry is -2 D3 pv,
+    so off tr A = 0, pv != 0 and w != v say neither.  Both tests are
+    homogeneous in the block and in (D2, D3), and D1 only scales Ric_y.
+    """
+    w, v = q * d3, r * d2
+    if p + s and w != v and p * v + s * w:
+        return False, False
+    x11, x22, x23, x32, x33 = _ricci2(p, s, w, v, d2, d3)
+    t, u = x22 - x33, s - p
+    k11, k12, k21 = x23 * q - r * x32, r * t + x23 * u, -(q * t + x32 * u)
+    soliton = (k11 == k12 == k21 == 0 if p + s else
+               p * k12 == r * k11 and p * k21 == q * k11 and r * k21 == q * k12)
+    return soliton, x11 == x22 == x33 and x23 == x32 == 0
+
+
 def frame_conditions(a, b, c, d) -> tuple:
     """``(is_soliton, is_einstein, minimal)`` of the orthonormal frame with
-    [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3, [x2,x3] = 0: equalities of
-    polynomials in the block, exact on ints (Lauret 2011).
+    [x1,x2] = a x2 + b x3, [x1,x3] = c x2 + d x3, [x2,x3] = 0: ``soliton_flags``
+    at D2 = D3 = 1, and minimality as an equality of polynomials in the block.
 
-    A = [[a, c], [b, d]] scalar or nilpotent: the orbit is transitive.  Else
-    Der = span{E21, E31, 0 + I, 0 + A}, and Ric lies in RI + Der exactly when
-    the traceless parts r of its lower block and n of A are parallel: S =
-    sum_{i<j} (r_i n_j - r_j n_i)^2 = 0.  Of the lifts in ``orbit_geometry.
-    orbit_data``'s commutator sum only N / sigma, N = 0 + A0, sigma = |dpi(N)|,
-    has a normal part: sigma^-3 <[N, dpi(N)], nu>, nu = 0 + [[m, -h], [-h, -m]]
-    for h = (a - d)/2, m = (b + c)/2; at sigma = 0 N is in the stabilizer.
+    A = [[a, c], [b, d]] scalar or nilpotent: the orbit is transitive, so
+    minimal.  Else, of the lifts in ``orbit_geometry.orbit_data``'s
+    commutator sum only N / sigma, N = 0 + A0, sigma = |dpi(N)|, has a normal
+    part: sigma^-3 <[N, dpi(N)], nu>, nu = 0 + [[m, -h], [-h, -m]] for h =
+    (a - d)/2, m = (b + c)/2; at sigma = 0 N is in the stabilizer.
     """
-    x11, x22, x23, x32, x33 = _ricci2(a, d, b, c, 1, 1)  # 2 Ric
-    einstein = x11 == x22 == x33 and x23 == 0
+    soliton, einstein = soliton_flags(a, b, c, d, 1, 1)
     if (b == c == 0 and a == d) or (a == -d and a * a + b * c == 0):
-        return True, einstein, True
-    t = x22 - x33
-    r1, r2, r3, r4 = t, 2 * x23, 2 * x32, -t
-    n1, n2, n3, n4 = a - d, 2 * c, 2 * b, d - a
-    s = ((r1 * n2 - r2 * n1) ** 2 + (r1 * n3 - r3 * n1) ** 2 + (r1 * n4 - r4 * n1) ** 2
-         + (r2 * n3 - r3 * n2) ** 2 + (r2 * n4 - r4 * n2) ** 2 + (r3 * n4 - r4 * n3) ** 2)
+        return soliton, einstein, True
     # 2N = [[u, 2c], [2b, -u]], 2 dpi(N) = [[u, w], [w, -u]] and 2 nu sigma = [[w, -u], [-u, -w]]
     u, w = a - d, b + c
     k11 = (u * u + 2 * c * w) - (u * u + w * 2 * b)
@@ -181,7 +198,7 @@ def frame_conditions(a, b, c, d) -> tuple:
     k21 = (2 * b * u - u * w) - (w * u - u * 2 * b)
     k22 = (2 * b * w + u * u) - (w * 2 * c + u * u)
     num = k11 * w - k12 * u - k21 * u - k22 * w
-    return s == 0, einstein, (u == 0 and w == 0) or num == 0
+    return soliton, einstein, (u == 0 and w == 0) or num == 0
 
 
 def _scaled(rows: list, e: list, f: list) -> list:
@@ -208,7 +225,7 @@ def ricci_operator(m: MetricData) -> RicciResult:
     """``ricci_canonical`` of the metric, and on its orthonormal frame g =
     ``metric_to_group(gram)`` = P y D^-1/2 the block-diagonal ``ric_frame`` =
     g^-1 Ric g = D^1/2 Ric_y D^-1/2, from five closed-form entries."""
-    ric, ric_frame, _ = block_ricci(m.gram, semidirect_block(m.sc))
+    ric, ric_frame = block_ricci(m.gram, semidirect_block(m.sc))
     # + 0.0: a zero entry prints as 0.0, never as the -0.0 a product of zeros can give
     return RicciResult(require_finite(np.array(ric_frame) + 0.0), ric, float(np.trace(ric)))
 

@@ -1,10 +1,11 @@
 """Solvsoliton certificates.
 
 A left-invariant metric is a solvsoliton exactly when its Ricci operator
-splits as c*I + D with D a derivation of the algebra.  The check splits
-the Ricci operator orthogonally over an orthonormal frame of span{I} + Der;
-c, D and the residual are reported whether or not the test passes.  The
-verdict at g_lambda is exact; on a Gram matrix it reads the residual.
+splits as c*I + D with D a derivation of the algebra.  Both verdicts,
+on a Gram matrix and at g_lambda, are ``curvature.soliton_flags`` on an
+integer bracket block; c, D and the residual are the orthogonal split of
+the Ricci operator over an orthonormal frame of span{I} + Der, reported
+whether or not the test passes.
 """
 
 from __future__ import annotations
@@ -15,15 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .curvature import _ricci2, block_ricci, frame_conditions, require_finite
+from .curvature import _pivot, _ricci2, block_ricci, frame_conditions, require_finite, soliton_flags
 from .derivations import block_der_rows, semidirect_block, semidirect_n
 from .lie_core import Family, StructureConstants
 from .moduli import family_constants, frame_algebra, rep_entries, rep_matrix
 
-# bound on the Gram path's soliton and Einstein residuals, read at the scale
-# where the Gram matrix's largest entry lies in [1, 2); the g_lambda verdict
-# takes none (ROADMAP item 19 takes it off the Gram path too)
-DEFAULT_TOL = 1e-8
 _EYE = np.eye(3).ravel()
 _EYE.setflags(write=False)
 
@@ -38,11 +35,6 @@ class SolitonVerdict:
     c: float
     d: np.ndarray
     residual: float
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _split(r: list, rows: np.ndarray, dim: int) -> tuple:
@@ -71,35 +63,34 @@ def _split(r: list, rows: np.ndarray, dim: int) -> tuple:
     return c, np.array(d).reshape(3, 3), residual
 
 
-def _project(ric: np.ndarray, rows: np.ndarray, dim: int, tol: float) -> SolitonVerdict:
-    """``_split`` of ric, a soliton when the residual is at most ``tol`` and
-    Einstein when ric is within ``tol`` of its trace part."""
-    c, d, residual = _split(ric.ravel().tolist(), rows, dim)
-    r = ric.ravel()
-    ein_res = math.hypot(*(r - ((r.item(0) + r.item(4) + r.item(8)) / 3.0) * _EYE).tolist())
-    return SolitonVerdict(is_soliton=residual <= tol, is_einstein=ein_res <= tol,
-                          c=c, d=d, residual=residual)
-
-
-def solvsoliton_check(sc: StructureConstants, gram: np.ndarray,
-                      tol: float = DEFAULT_TOL) -> SolitonVerdict:
+def solvsoliton_check(sc: StructureConstants, gram: np.ndarray) -> SolitonVerdict:
     """Solvsoliton test for the metric with Gram matrix ``gram``.
 
-    The Ricci operator on the canonical basis is projected onto
-    span{I} + Der(sc), with ``derivations.block_der_rows`` as its rows (in
-    closed form for r3, r3_a at a != 1 and r3p_a, with no kernel solved);
-    the metric is a solvsoliton when the Frobenius residual is at most
-    ``tol``, which must be finite and > 0, at the scale 2^-e G whose
-    largest entry lies in [1, 2).  c, D and the residual are reported at
-    the scale of ``gram``.
+    The flags are ``curvature.soliton_flags`` on ``_gram_ldl``'s frame y, in
+    Python ints: the block's entries and G's lower block (g22, g23, g33)
+    over one common denominator give ``_conjugated`` with (L22, L32, L33) =
+    (g33, -g23, g33) and (D2, D3) = (g22 g33 - g23^2, g33^2), positive
+    multiples of the block and pivots on y.  A Gram matrix whose exact pivot
+    is not > 0 is refused.  c, D and the residual are Ric on the canonical
+    basis split over span{I} + Der(sc), with ``derivations.block_der_rows``
+    as its rows (in closed form for r3, r3_a at a != 1 and r3p_a, with no
+    kernel solved).
     """
-    _check_tol(tol)
     block = semidirect_block(sc)
-    ric, _, top = block_ricci(gram, block)
-    # Ric(2^-e G) = 2^e Ric(G) exactly, so this is the verdict at 2^-e G
-    e = math.frexp(top)[1] - 1
-    rows, dim = block_der_rows(sc, block)
-    return _project(ric, rows, dim, math.ldexp(tol, -e))
+    ric = block_ricci(gram, block)[0]
+    (g22, g23), (_, g33) = np.asarray(gram, dtype=float)[1:, 1:].tolist()
+    (*a, g22, g23, g33), _ = linalg.numerators([*block, g22, g23, g33])
+    flags = soliton_flags(*_conjugated(a, g33, -g23, g33), _pivot(g22 * g33 - g23 * g23), g33 * g33)
+    return SolitonVerdict(*flags, *_split(ric.ravel().tolist(), *block_der_rows(sc, block)))
+
+
+def _conjugated(block, l22, l32, l33) -> tuple:
+    """h^-1 A h times L22 L33, for A = [[a, c], [b, d]] given as ``block`` =
+    (a, b, c, d) and h = [[1, 0], [L32, L33]] / L22: ``derivations.
+    block_conjugate``, in Python ints on ints."""
+    a, b, c, d = block
+    return (l33 * (a * l22 + c * l32), b * l22 * l22 + l32 * l22 * (d - a) - c * l32 * l32,
+            c * l33 * l33, l33 * (d * l22 - c * l32))
 
 
 def frame_flags(family: Family, lam) -> tuple:
@@ -111,11 +102,8 @@ def frame_flags(family: Family, lam) -> tuple:
     denominator and times L22 L33 > 0, a factor that no homogeneous
     condition sees.  A float is read at its dyadic value."""
     l32, l33 = rep_entries(family, lam, exact=True)
-    a, b, c, d = family_constants(family)[2]
     (l22, l32, l33), _ = linalg.numerators([1, l32, l33])
-    return frame_conditions(l33 * (a * l22 + c * l32),
-                            b * l22 * l22 + l32 * l22 * (d - a) - c * l32 * l32,
-                            c * l33 * l33, l33 * (d * l22 - c * l32))
+    return frame_conditions(*_conjugated(family_constants(family)[2], l22, l32, l33))
 
 
 def frame_verdict(family: Family, lam) -> tuple:

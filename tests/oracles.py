@@ -20,7 +20,9 @@ frame block, and ``lambda_invariant`` the class of a Gram matrix as a
 rational function of its inverse.  These check verdicts from outside and
 never decide one.  ``exact_frame_soliton`` decides the soliton question at
 g_lambda in ``Fraction`` arithmetic alone, as the reference for the float
-verdict.
+verdict, and ``koszul_soliton_exact`` decides it at any Gram matrix, from
+the Koszul Ricci operator and pi(Ric)mu, as the reference for the exact
+Gram verdict.
 """
 
 import math
@@ -248,6 +250,22 @@ def koszul_ricci_exact(c, gram) -> list:
                    - c[j][a][l] * gam[l][b][m] for l in r)
 
     return [[sum(gi[a][b] * riem(j, a, b, m) for a in r for b in r) for j in r] for m in r]
+
+
+def koszul_soliton_exact(c, gram) -> tuple:
+    """``(is_soliton, is_einstein)`` of the metric ``gram``, exactly, from
+    ``koszul_ricci_exact``'s Ric on the canonical basis: a soliton when
+    pi(Ric)mu, (pi(R)mu)_ij^k = sum_l R_kl c_ij^l - R_li c_lj^k - R_lj c_il^k,
+    is parallel to mu as a 27-vector (Lauret 2001), and Einstein when Ric
+    is its trace over 3 times I.  No Der and no block shape is read."""
+    ric, r = koszul_ricci_exact(c, gram), range(3)
+    c = [[[Fraction(c[i][j][k]) for k in r] for j in r] for i in r]
+    mu = [c[i][j][k] for i in r for j in r for k in r]
+    pi = [sum(ric[k][m] * c[i][j][m] - ric[m][i] * c[m][j][k] - ric[m][j] * c[i][m][k]
+              for m in r) for i in r for j in r for k in r]
+    parallel = all(x * w == y * v for x, v in zip(pi, mu) for y, w in zip(pi, mu))
+    scalar = (ric[0][0] + ric[1][1] + ric[2][2]) / 3
+    return parallel, all(ric[i][j] == (scalar if i == j else 0) for i in r for j in r)
 
 
 def connection_coeffs(c: np.ndarray) -> np.ndarray:

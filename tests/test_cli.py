@@ -15,9 +15,8 @@ import pytest
 from helpers import FAMILY_STRINGS
 from solvgeo import cli, curvature, moduli, soliton
 from solvgeo.curvature import ricci_closed_form
-from solvgeo.derivations import semidirect_block
 from solvgeo.errors import SingularMatrixError
-from solvgeo.lie_core import Family, make_family, parse_family
+from solvgeo.lie_core import Family, parse_family
 from solvgeo.moduli import frame_constants, rep_matrix
 
 CSV_HEADER = "family,a,lambda,is_soliton,soliton_residual,H_norm,orbit_dim,agrees"
@@ -267,27 +266,23 @@ def test_verify_disagreement_exit_code(monkeypatch, capsys):
     assert run(capsys, argv)[0] == 0
 
 
-def test_verify_reads_tol_alike_for_both_verdicts(capsys):
-    # verify is exact and takes no tolerance; the one left bounds the Gram
-    # verdict, whose soliton and Einstein residuals are both read as
-    # residual <= tol (the largest Gram entry lies in [1, 2), so unscaled)
-    gram = np.array([[1.5, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.25]])
-    argv = ["soliton", "--family", "r3a:a=0.5", "--gram",
-            *map(repr, gram.ravel().tolist()), "--format", "json"]
-    ric, _, _ = curvature.block_ricci(gram, semidirect_block(make_family(
-        parse_family("r3a:a=0.5"))))
-    r = ric.ravel()
-    ein_res = math.hypot(*(r - (np.trace(ric) / 3.0) * np.eye(3).ravel()).tolist())
-    residual = json.loads(run(capsys, argv)[1])["residual"]
-    assert 0 < residual < ein_res
-    for tol, flags in ((residual, (True, False)), (math.nextafter(residual, 0), (False, False)),
-                       (ein_res, (True, True)), (math.nextafter(ein_res, 0), (True, False))):
-        data = json.loads(run(capsys, argv + ["--tol", repr(tol)])[1])
-        assert (data["is_soliton"], data["is_einstein"]) == flags
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--family", "r3a:a=0.5", "--lambda", "2", "--tol", "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+def test_soliton_and_verify_refuse_tol(capsys):
+    # every verdict is exact, so no command takes a tolerance: argparse refuses
+    # --tol as it refuses any unknown option.  On this Gram matrix lambda^2 =
+    # 1/4, off r3_a's soliton at lambda = 0, and its residual is 0.21
+    gram = ["1.5", "0.25", "0", "0.25", "1", "0.5", "0", "0.5", "1.25"]
+    data = json.loads(run(capsys, ["soliton", "--family", "r3a:a=0.5", "--gram", *gram,
+                                   "--format", "json"])[1])
+    assert (data["is_soliton"], data["is_einstein"]) == (False, False)
+    assert "tol" not in data and 0.2 < data["residual"] < 0.21
+    for argv in (["soliton", "--family", "r3a:a=0.5", "--gram", *gram],
+                 ["soliton", "--family", "r3a:a=0.5"],
+                 ["soliton", "--family", "r3a:a=0.5", "--lambda", "2"],
+                 ["verify", "--family", "r3a:a=0.5", "--lambda", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
 def test_verify_has_no_tol(capsys):
@@ -297,18 +292,6 @@ def test_verify_has_no_tol(capsys):
     assert exc.value.code == 0
     assert "--tol" not in capsys.readouterr().out
     assert [f.name for f in fields(cli.RunConfig)] == ["family", "grid"]
-
-
-def test_soliton_lambda_refuses_tol(capsys):
-    # the g_lambda verdict is exact; --tol still bounds the Gram verdict
-    assert cli.main(["soliton", "--family", "r3pa:a=1.0", "--lambda", "1", "--tol", "1e-8"]) == 2
-    assert capsys.readouterr() == (
-        "", "error: --tol bounds a Gram verdict; --lambda is decided exactly\n")
-    data = json.loads(run(capsys, ["soliton", "--family", "r3pa:a=1.0", "--tol", "1e-6",
-                                   "--format", "json"])[1])
-    assert data["mode"] == "gram" and data["tol"] == 1e-6
-    assert "tol" not in json.loads(run(capsys, ["soliton", "--family", "r3pa:a=1.0", "--lambda",
-                                                "1", "--format", "json"])[1])
 
 
 @pytest.mark.parametrize("argv", [
@@ -338,11 +321,12 @@ def test_invalid_configurations_exit_2(capsys, argv):
     (["reduce", "--family", "r3", "--gram", "1", "0", "0", "0", "1", "0", "0", "0", "inf"],
      "entry (3, 3) is not finite: inf"),
 ] + [
-    # the Gram path, with a Gram matrix given and with soliton's default one
-    (["soliton", "--family", "r3pa:a=1.0", *gram, "--tol", tol],
-     f"tol must be finite and > 0, got {float(tol)}")
-    for gram in (["--gram", "1", "0", "0", "0", "1", "0", "0", "0", "1"], [])
-    for tol in ("nan", "inf", "0", "-1")
+    # the Gram verdict names a bad entry before it reads any entry as an integer
+    (["soliton", "--family", "r3pa:a=1.0", "--gram",
+      *(bad if i == k else "1" if i % 4 == 0 else "0" for i in range(9))],
+     f"entry ({k // 3 + 1}, {k % 3 + 1}) is not finite: {float(bad)}")
+    for k in (0, 5)
+    for bad in ("nan", "inf", "-1e999", "1e999")
 ] + [
     # a grid whose span is not finite is named, not blamed on a lambda
     (["verify", "--family", "r3a:a=0.5", "--grid", grid],
@@ -681,6 +665,18 @@ def test_gram_commands_take_one_spd_decision(capsys):
         code = cli.main([command, "--family", "r3", "--gram"] + gram)
         outcomes.add((code, capsys.readouterr().err))
     assert len(outcomes) == 1 and next(iter(outcomes))[0] in (0, 2), outcomes
+
+
+def test_soliton_refuses_a_gram_whose_exact_pivot_is_negative(capsys):
+    # the float LDL^T accepts this Gram matrix, but g22 g33 - g23^2 < 0
+    # exactly, so the exact verdict has no frame to be read on
+    gram = ["10", "0", "0", "0", "0.11282462554412924", "0.4471535199604686",
+            "0", "0.4471535199604686", "1.7721864304777324"]
+    g22, g23, g33 = (Fraction(float(gram[k])) for k in (4, 5, 8))
+    assert g22 * g33 - g23 * g23 < 0
+    curvature.block_ricci(np.array(gram, dtype=float).reshape(3, 3), (1.0, 0.0, 0.0, 0.5))
+    assert cli.main(["soliton", "--family", "r3a:a=0.5", "--gram"] + gram) == 2
+    assert capsys.readouterr() == ("", "error: Gram matrix is not positive definite\n")
 
 
 def test_scaled_identity_ricci_is_read():

@@ -78,6 +78,12 @@ CASES = (
        ["verify", "--family", "r3", "--lambda", "1e-12,1e-300"],
        ["verify", "--family", "r3a:a=0.999999999999", "--lambda", "0,2"],
        ["soliton", "--family", "r3", "--lambda", "1e-12"]]
+    # Gram rows whose residual an absolute tol read as a soliton: r3 has none,
+    # and r3_a's is at lambda = 0 (ROADMAP item 4)
+    + [["soliton", "--family", "r3", "--gram", "1e200", "0", "0", "0", "1", "0", "0", "0",
+        "1e-100"],
+       ["soliton", "--family", "r3a:a=0.5", "--gram",
+        "1e8", "0", "0", "0", "1e8", "5e7", "0", "5e7", "1e8"]]
 )
 
 

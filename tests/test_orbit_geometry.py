@@ -254,8 +254,8 @@ def test_orbit_at_matches_span_plus_identity_construction(fam):
 @pytest.mark.parametrize("fam", [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5)]
                          + [Family("h3"), Family("r3_1")], ids=lambda f: f.label())
 def test_orbit_at_soliton_points_exactly_minimal(fam):
-    # at the soliton points H is exactly 0, not rounding noise, so any
-    # --tol calls these orbits minimal
+    # at the soliton points H is exactly 0, not rounding noise, so no
+    # threshold is needed to call these orbits minimal
     r = orbit_at(fam, rep_matrix(fam, 0.0 if fam.tag == "r3_a" else 1.0))
     assert r.norm == 0.0
     assert not r.h.any()

@@ -110,7 +110,7 @@ def test_public_surface_is_the_verdict_path():
 
 def test_thresholds_are_the_named_few():
     # a float literal this small or large is a threshold: it must be the value
-    # of a module-level NAME = literal, and these five are all there are
+    # of a module-level NAME = literal, and these four are all there are
     found = set()
     for path in sorted((ROOT / "src" / "solvgeo").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -122,5 +122,5 @@ def test_thresholds_are_the_named_few():
                     and (0 < abs(node.value) <= 1e-6 or abs(node.value) >= 1e6)):
                 assert node in named, f"{path.name}:{node.lineno} {node.value!r}"
                 found.add(f"{path.stem}.{named[node]}")
-    assert found == {"soliton.DEFAULT_TOL", "linalg.ZERO_TOL", "linalg.RANK_TOL",
-                     "linalg.COND_LIMIT", "linalg.LQ_DET_TOL"}
+    assert found == {"linalg.ZERO_TOL", "linalg.RANK_TOL", "linalg.COND_LIMIT",
+                     "linalg.LQ_DET_TOL"}

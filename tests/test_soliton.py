@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -9,9 +8,10 @@ import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from helpers import FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd
+from helpers import FAMILIES, VERIFY_FAMILIES, abcd_constants, random_group_element, random_spd
 from oracles import (block_constants, derivation_residual, exact_block_soliton,
-                     exact_frame_soliton, lstsq_soliton_split, projection_split)
+                     exact_frame_soliton, koszul_soliton_exact, lambda_invariant,
+                     lstsq_soliton_split, projection_split)
 from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometry, soliton
 from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
@@ -155,8 +155,7 @@ def test_frame_ricci_is_accurate_at_large_lambda(fam, lam):
     c = frame_constants(fam, Fraction(lam), exact=True).c
     ric = curvature.ricci_closed_form(*c[0, 1:, 1:].ravel().tolist()).astype(float)
     der = conjugate_subspace(derivation_algebra(make_family(fam)), rep_matrix(fam, lam))
-    want = soliton._project(ric, der.scalar_frame, der.dim,
-                            soliton.DEFAULT_TOL).residual
+    want = soliton._split(ric.ravel().tolist(), der.scalar_frame, der.dim)[2]
     assert soliton_from_frame(fam, lam).residual == pytest.approx(want, rel=1e-12)
 
 
@@ -174,9 +173,8 @@ def test_residual_is_read_at_every_scale():
     for scale in (1e-300, 1e-200, 1e-150, 1.0, 1e150, 1e200, 1e300):
         ric = np.zeros((3, 3))
         ric[0, 2], ric[1, 2] = 3 * scale, 4 * scale
-        verdict = soliton._project(ric, der.scalar_frame, der.dim, 1e-8)
-        assert verdict.residual == pytest.approx(5 * scale, rel=1e-15, abs=0), scale
-        assert verdict.is_soliton == verdict.is_einstein == (scale < 1e-8)
+        residual = soliton._split(ric.ravel().tolist(), der.scalar_frame, der.dim)[2]
+        assert residual == pytest.approx(5 * scale, rel=1e-15, abs=0), scale
 
 
 def test_overflowed_residual_rejected():
@@ -185,23 +183,11 @@ def test_overflowed_residual_rejected():
     der = derivation_algebra(make_family(Family("h3")))
     with pytest.raises(ValueError, match="^soliton residual is not finite: "
                                          "its norm overflows float64$"):
-        soliton._project(ric, der.scalar_frame, der.dim, 1e-8)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), 0.0, -1])
-def test_tol_must_be_finite_and_positive(tol):
-    message = re.escape(f"tol must be finite and > 0, got {tol}")
-    fam = Family("r3p_a", 1.0)
-    # a non-SPD Gram matrix: tol is checked before any curvature work
-    with pytest.raises(ValueError, match=message):
-        solvsoliton_check(make_family(fam), -np.eye(3), tol=tol)
-    # the identity is a soliton, so a bad tol cannot hide behind a verdict
-    with pytest.raises(ValueError, match=message):
-        solvsoliton_check(make_family(fam), np.eye(3), tol=tol)
+        soliton._split(ric.ravel().tolist(), der.scalar_frame, der.dim)
 
 
 # r3_a a=0.5 at G below is not a soliton, at any scale; its residual at
-# 1e8 G (3.7e-9) is below the default tol at the input's scale
+# 1e8 G (3.7e-9) was below the absolute tol the Gram verdict once read
 _ITEM4_GRAM = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
 
 
@@ -237,13 +223,12 @@ def test_verdict_and_residual_follow_power_of_two_scaling(fam, seed, diagonal, k
 @given(fam=st.sampled_from(FAMILIES), seed=st.integers(0, 2 ** 32 - 1),
        diagonal=st.booleans(), t=st.floats(1e-8, 1e8))
 def test_verdict_does_not_depend_on_scale(fam, seed, diagonal, t):
-    # away from tol (a residual of 0, or above 2 tol at unit scale) no
-    # factor t can move the verdict: t G lands at unit scale within 2x
+    # the flags are exact and homogeneous in G, so no factor t moves them;
+    # a residual of exactly 0 is a soliton
     sc, gram = make_family(fam), _scaled_gram(seed, diagonal)
-    e = math.frexp(np.abs(gram).max())[1] - 1
-    unit = solvsoliton_check(sc, np.ldexp(gram, -e)).residual
-    assume(unit == 0 or unit > 2 * soliton.DEFAULT_TOL)
-    assert solvsoliton_check(sc, t * gram).is_soliton == (unit == 0)
+    base, moved = solvsoliton_check(sc, gram), solvsoliton_check(sc, t * gram)
+    assert (moved.is_soliton, moved.is_einstein) == (base.is_soliton, base.is_einstein)
+    assert base.is_soliton or base.residual > 0
 
 
 def test_item4_gram_is_not_a_soliton_at_unit_scale():
@@ -254,7 +239,9 @@ def test_item4_gram_is_not_a_soliton_at_unit_scale():
     (Family("r3_a", 0.5), 1e8 * _ITEM4_GRAM),
     (Family("r3_a", 0.5), 1e12 * _ITEM4_GRAM),
     (Family("r3"), 1e300 * np.eye(3)),
-], ids=["r3a-1e8", "r3a-1e12", "r3-1e300"])
+    # its residual, 1e-300, once read as a soliton (ROADMAP item 4)
+    (Family("r3"), np.diag([1e200, 1.0, 1e-100])),
+], ids=["r3a-1e8", "r3a-1e12", "r3-1e300", "r3-1e200-1e-100"])
 def test_scaled_metric_is_not_a_soliton(fam, gram):
     assert not solvsoliton_check(make_family(fam), gram).is_soliton
 
@@ -381,11 +368,12 @@ def test_orthogonal_split_matches_lstsq(fam):
             for scale in 10.0 ** np.arange(-150, 151, 30):
                 scaled = scale * ric
                 want_c, want_d, want_res = lstsq_soliton_split(scaled, der)
-                got = soliton._project(scaled, der.scalar_frame, der.dim, 1e-8)
+                c, d, residual = soliton._split(scaled.ravel().tolist(), der.scalar_frame,
+                                                der.dim)
                 big = np.abs(scaled).max()
-                assert abs(got.c - want_c) <= 1e-12 * big
-                assert np.abs(got.d - want_d).max() <= 1e-12 * big
-                assert abs(got.residual - want_res) <= 1e-12 * big
+                assert abs(c - want_c) <= 1e-12 * big
+                assert np.abs(d - want_d).max() <= 1e-12 * big
+                assert abs(residual - want_res) <= 1e-12 * big
 
 
 def _assert_closed_form_split(ric: list, rows: np.ndarray):
@@ -648,6 +636,7 @@ def test_exact_flags_are_the_classification_on_rational_rows(row):
 @example((1, 1, -1, -1), 0)  # nilpotent
 @example((3, -1, 1, 3), 0)  # sigma = 0, b != c
 @example((1, 2, 3, -2), 0)  # a != d and c != 0
+@example((1, 1, -1, 0), 0)  # a - d = 1 and b + c = 0 with b != c: not minimal
 @settings(max_examples=300, deadline=None)
 def test_frame_conditions_on_integer_blocks(block, shift):
     # every stratum, on blocks no family frame reaches, at the scale 2^shift,
@@ -658,3 +647,79 @@ def test_frame_conditions_on_integer_blocks(block, shift):
     einstein = bool((ric == ric[0, 0] * np.eye(3, dtype=object)).all())
     want = (exact_block_soliton(*block), einstein, transitive or b == c or (a == d and b == -c))
     assert curvature.frame_conditions(*(x << shift for x in block)) == want
+
+
+# ------------------------------------------------- the exact Gram verdict
+
+# every family, with parameters whose floats are small dyadics
+_DYADIC_FAMILIES = ([Family("h3"), Family("r3"), Family("r3_1")]
+                    + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+                    + [Family("r3p_a", a) for a in (0.0, 0.5, 1.0, 2.0)])
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _integer_gram_and_automorphism(draw):
+    """A family, an integer SPD Gram matrix (M^T M, or diagonal, which is a
+    soliton on r3_a and, with g22 = g33, on r3p_a), a factor t and an integer
+    automorphism phi = [[1, 0, 0], [v, B]] with B = x I + y A in span{I, A}."""
+    fam = draw(st.sampled_from(_DYADIC_FAMILIES))
+    if draw(st.booleans()):
+        m = np.array(draw(st.lists(_SMALL, min_size=9, max_size=9))).reshape(3, 3)
+        assume(round(np.linalg.det(m)) != 0)
+        gram = m.T @ m
+    else:
+        d1, d2 = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        gram = np.diag([d1, d2, draw(st.sampled_from((d2, draw(st.integers(1, 9)))))])
+    (a, b, c, d), _ = linalg.numerators(list(derivations.semidirect_block(make_family(fam))))
+    x, y = draw(_SMALL), draw(_SMALL)
+    phi = np.array([[1, 0, 0], [draw(_SMALL), x + y * a, y * c], [draw(_SMALL), y * b, x + y * d]])
+    assume(round(np.linalg.det(phi)) != 0)
+    return fam, gram, draw(st.integers(1, 50)), phi
+
+
+@given(_integer_gram_and_automorphism())
+@settings(max_examples=150, deadline=None)
+@example((Family("h3"), np.diag([1, 2, 3]), 7, np.eye(3, dtype=int)))
+@example((Family("r3_1"), np.array([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), 3, np.eye(3, dtype=int)))
+@example((Family("r3_a", 1.0), np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]), 1,
+          np.eye(3, dtype=int)))
+@example((Family("r3p_a", 0.5), np.diag([1, 2, 2]), 5, np.array([[1, 0, 0], [1, 2, -1],
+                                                                 [2, 1, 2]])))
+def test_gram_flags_are_exact_on_integer_grams(case):
+    # integer inputs keep every float product exact, so the flags must equal
+    # the generic Koszul oracle's, the classification's at lambda(G), and
+    # their own at t G and at the pullback phi^T G phi, which is isometric
+    fam, gram, t, phi = case
+    sc = make_family(fam)
+    got = solvsoliton_check(sc, gram.astype(float))
+    flags = (got.is_soliton, got.is_einstein)
+    assert flags == koszul_soliton_exact(sc.c, gram)
+    if fam in _SINGLE_CLASS:
+        assert got.is_soliton  # one class, and it holds a soliton
+    else:  # lambda = lambda*: r3 never, r3_a at lambda = 0 and r3p_a at lambda = 1
+        star = {"r3": None, "r3_a": 0, "r3p_a": 4}[fam.tag]
+        assert got.is_soliton == (lambda_invariant(fam.tag, gram.tolist()) == star)
+    for moved in (t * gram, phi.T @ gram @ phi):
+        verdict = solvsoliton_check(sc, moved.astype(float))
+        assert (verdict.is_soliton, verdict.is_einstein) == flags
+
+
+@given(st.one_of(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL),
+                 # a nilpotent A = k (x, y)^T (-y, x), which has a soliton at every metric
+                 st.builds(lambda x, y, k: (-k * x * y, -k * y * y, k * x * x, k * x * y),
+                           _SMALL, _SMALL, _SMALL)),
+       st.lists(_SMALL, min_size=9, max_size=9))
+@example((1, 1, -1, -1), [1, 0, 0, 1, 2, 0, 0, 1, 1])  # nilpotent, c != 0 and g23 != 0
+@example((2, 0, 0, 2), [1, 2, 0, 0, 1, 3, 1, 0, 1])  # scalar
+@example((1, 2, 2, -3), [0, 0, 0, 0, 0, 0, 0, 0, 0])  # symmetric at G = I: a soliton
+@settings(max_examples=150, deadline=None)
+def test_gram_flags_match_the_koszul_oracle_on_any_integer_block(block, entries):
+    # any tensor of the semidirect shape, not only a family's, at the integer
+    # Gram matrix M^T M + I: the integer block conjugated onto y must be
+    # similar to A, with the right pivots, for every A
+    m = np.array(entries).reshape(3, 3)
+    gram = m.T @ m + np.eye(3, dtype=int)
+    sc = abcd_constants(*map(float, block))
+    got = solvsoliton_check(sc, gram.astype(float))
+    assert (got.is_soliton, got.is_einstein) == koszul_soliton_exact(sc.c, gram)
