@@ -266,23 +266,36 @@ def test_verify_disagreement_exit_code(monkeypatch, capsys):
     assert run(capsys, argv)[0] == 0
 
 
-def test_soliton_and_verify_refuse_tol(capsys):
-    # every verdict is exact, so no command takes a tolerance: argparse refuses
-    # --tol as it refuses any unknown option.  On this Gram matrix lambda^2 =
-    # 1/4, off r3_a's soliton at lambda = 0, and its residual is 0.21
+def refuses_tol(capsys, argv):
+    # argparse refuses --tol as it refuses any unknown option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
+
+def test_verify_reads_tol_alike_for_both_verdicts(capsys):
+    # both verdicts are exact, so neither takes a tolerance: soliton --gram and
+    # verify refuse --tol alike.  On this Gram matrix lambda^2 = 1/4, off
+    # r3_a's soliton at lambda = 0, and its residual is 0.21
     gram = ["1.5", "0.25", "0", "0.25", "1", "0.5", "0", "0.5", "1.25"]
     data = json.loads(run(capsys, ["soliton", "--family", "r3a:a=0.5", "--gram", *gram,
                                    "--format", "json"])[1])
     assert (data["is_soliton"], data["is_einstein"]) == (False, False)
     assert "tol" not in data and 0.2 < data["residual"] < 0.21
-    for argv in (["soliton", "--family", "r3a:a=0.5", "--gram", *gram],
-                 ["soliton", "--family", "r3a:a=0.5"],
-                 ["soliton", "--family", "r3a:a=0.5", "--lambda", "2"],
-                 ["verify", "--family", "r3a:a=0.5", "--lambda", "2"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--tol", "1"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+    refuses_tol(capsys, ["soliton", "--family", "r3a:a=0.5", "--gram", *gram])
+    refuses_tol(capsys, ["verify", "--family", "r3a:a=0.5", "--lambda", "2"])
+
+
+def test_soliton_lambda_refuses_tol(capsys):
+    # soliton --lambda refuses --tol as the default-Gram soliton does, and
+    # neither prints a tol key
+    for argv in (["soliton", "--family", "r3pa:a=1.0", "--lambda", "1"],
+                 ["soliton", "--family", "r3pa:a=1.0"]):
+        refuses_tol(capsys, argv)
+        assert "tol" not in json.loads(run(capsys, argv + ["--format", "json"])[1])
+    data = json.loads(run(capsys, ["soliton", "--family", "r3pa:a=1.0", "--format", "json"])[1])
+    assert data["mode"] == "gram"
 
 
 def test_verify_has_no_tol(capsys):
