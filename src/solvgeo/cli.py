@@ -85,11 +85,11 @@ def verify_main_theorem(cfg: RunConfig):
     """
     rows = []
     fam = cfg.family
-    a = None if fam.a is None else float(fam.a)
+    label, a = fam.label(), None if fam.a is None else float(fam.a)
     for lam in cfg.grid:
         verdict, minimal = _at_lambda(lam, soliton.frame_verdict, fam, lam)
         mc = _at_lambda(lam, orbit_geometry.orbit_at, fam, moduli.rep_matrix(fam, lam))
-        rows.append(VerifyRow(family=fam.label(), a=a, lam=float(lam),
+        rows.append(VerifyRow(family=label, a=a, lam=float(lam),
                               is_soliton=verdict.is_soliton,
                               soliton_residual=verdict.residual,
                               h_norm=mc.norm, orbit_dim=mc.orbit_dim,

@@ -77,9 +77,9 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     u23), (D1, D2, D3))`` with P G P = U diag(D) U^T from the last row up.
 
     Raises NonSPDMetricError unless ``gram`` is a finite, symmetric (to
-    ``ZERO_TOL`` times its largest entry) 3x3 matrix whose pivots D are all
-    > 0.  P = diag(2^e) puts P G P's diagonal in [1/4, 2), so no product of
-    pivots underflows; under G -> 2^k G, e moves and U and D keep their bits.
+    ``ZERO_TOL`` times its largest entry) 3x3 matrix whose pivots D are all > 0,
+    D2 also exactly.  P = diag(2^e) puts P G P's diagonal in [1/4, 2), so no
+    product of pivots underflows; under G -> 2^k G, e moves and U and D keep their bits.
     """
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
@@ -100,7 +100,9 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     # every quotient is by a pivot already found > 0
     d3 = _pivot(g33)
     u23, u13 = g23 / d3, g13 / d3
-    d2 = _pivot(g22 - u23 * g23)
+    # and exactly: G's g22 g33 - g23^2 = (p22 p33 q23^2 - p23^2 q22 q33) / (q22 q33 q23^2)
+    (p22, q22), (p23, q23), (p33, q33) = map(float.as_integer_ratio, flat[4:6] + flat[8:])
+    d2 = _pivot(g22 - u23 * g23 if p22 * p33 * q23 * q23 > p23 * p23 * q22 * q33 else 0.0)
     t = g12 - u13 * g23
     u12 = t / d2
     d1 = _pivot(g11 - u13 * g13 - u12 * t)
@@ -186,7 +188,7 @@ def frame_conditions(a, b, c, d) -> tuple:
     minimal.  Else, of the lifts in ``orbit_geometry.orbit_data``'s
     commutator sum only N / sigma, N = 0 + A0, sigma = |dpi(N)|, has a normal
     part: sigma^-3 <[N, dpi(N)], nu>, nu = 0 + [[m, -h], [-h, -m]] for h =
-    (a - d)/2, m = (b + c)/2; at sigma = 0 N is in the stabilizer.
+    (a - d)/2, m = (b + c)/2; at sigma = 0 N is in the stabilizer, and num is 0.
     """
     soliton, einstein = soliton_flags(a, b, c, d, 1, 1)
     if (b == c == 0 and a == d) or (a == -d and a * a + b * c == 0):
@@ -198,7 +200,7 @@ def frame_conditions(a, b, c, d) -> tuple:
     k21 = (2 * b * u - u * w) - (w * u - u * 2 * b)
     k22 = (2 * b * w + u * u) - (w * 2 * c + u * u)
     num = k11 * w - k12 * u - k21 * u - k22 * w
-    return soliton, einstein, (u == 0 and w == 0) or num == 0
+    return soliton, einstein, num == 0
 
 
 def _scaled(rows: list, e: list, f: list) -> list:

@@ -142,19 +142,11 @@ def _derivation_system(c: np.ndarray) -> np.ndarray:
     return (flat[plus] - flat[minus1]) - flat[minus2]
 
 
-# E21, E31, (E22 + E33)/sqrt(2), a slot for the unit traceless part of 0 + A,
-# and E11, as flat rows (``semidirect_n`` tells this layout)
+# E21, E31, (E22 + E33)/sqrt(2), a slot for N (``traceless_row``) and E11: with N,
+# the flat rows of RI + Der laid out as ``MatrixSubspace.scalar_frame``
 SEMIDIRECT_ROWS = np.zeros((5, 9))
 SEMIDIRECT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -0.5, 1.0]
 SEMIDIRECT_ROWS.setflags(write=False)
-_FIXED_ROWS = SEMIDIRECT_ROWS[[0, 1, 2, 4]].tolist()
-
-
-def semidirect_n(rows: np.ndarray) -> list | None:
-    """Row 3 of the flat ``rows`` as a list if ``semidirect_rows`` laid them out, else None."""
-    rows = rows.tolist()
-    n = rows[3] if rows[:3] + rows[4:] == _FIXED_ROWS else None
-    return n if n and [*n[:4], n[6], n[4] + n[8]] == [0.0] * 6 else None
 
 
 # flat indices of c[0, 1:, 1:] ([e1, e2], [e1, e3]), of c[1:, 0, 1:], and of
@@ -163,19 +155,16 @@ _BLOCK, _MIRROR = (4, 5, 7, 8), (10, 11, 19, 20)
 _OFF_SEMIDIRECT = tuple(sorted(set(range(27)) - set(_BLOCK) - set(_MIRROR)))
 
 
-def semidirect_rows(a: float, b: float, c: float, d: float) -> np.ndarray:
-    """The flat rows of RI + Der, laid out as ``MatrixSubspace.scalar_frame``,
-    for [e1,e2] = a e2 + b e3, [e1,e3] = c e2 + d e3, [e2,e3] = 0 with
-    A = [[a, c], [b, d]] neither scalar nor nilpotent: Der = span{E21, E31,
-    0 + I, 0 + A}, so E21, E31, (E22 + E33)/sqrt(2), the unit traceless
-    part of 0 + A, and E11, with pairwise orthogonal symmetric parts."""
-    t = a - d  # the rows read only the direction of (t, b, c): scale a subnormal one up
+def traceless_row(a: float, b: float, c: float, d: float) -> tuple:
+    """N = 0 + A0 / |A0| as 9 Python floats, A0 the traceless part of A = [[a, c], [b, d]],
+    for [e1,e2] = a e2 + b e3, [e1,e3] = c e2 + d e3, [e2,e3] = 0 with A neither scalar
+    nor nilpotent: Der = span{E21, E31, 0 + I, 0 + A}, so ``SEMIDIRECT_ROWS`` with N as
+    row 3 are orthonormal rows of RI + Der, with pairwise orthogonal symmetric parts."""
+    t = a - d  # N reads only the direction of (t, b, c): scale a subnormal one up
     s = 2.0 ** 1000 if max(abs(t), abs(b), abs(c)) < 2.0 ** -1000 else 1.0
     h, b, c = t * s / 2, b * s, c * s
     norm = math.hypot(h, h, b, c)
-    rows = SEMIDIRECT_ROWS.copy()
-    rows[3, 4:9] = h / norm, c / norm, 0.0, b / norm, -h / norm  # 0.0 at E31's entry
-    return rows
+    return 0.0, 0.0, 0.0, 0.0, h / norm, c / norm, 0.0, b / norm, -h / norm
 
 
 def semidirect_block(sc: StructureConstants):
@@ -202,19 +191,18 @@ def block_conjugate(block, r: float, s: float) -> tuple:
 
 
 def block_der_rows(sc: StructureConstants, block) -> tuple:
-    """``(rows, dim Der)``, rows the orthonormal flat rows of RI + Der(sc),
-    given ``block = semidirect_block(sc)``, not None, as A = [[a, c], [b,
-    d]].  A derivation D with D e1 = alpha e1 + v keeps span{e2, e3}, acting
-    there as B with [B, A] = alpha A: a non-nilpotent A forces alpha = 0,
-    and a non-scalar A then B in span{I, A}, so the rows are
-    ``semidirect_rows`` and no kernel is solved.  Every test is an equality
-    on the entries, nilpotency (trace 0 and a^2 + bc = 0) is decided in
-    Fractions, and a scalar or nilpotent A takes ``derivation_algebra(sc)``'s
-    rows and dim."""
+    """``(rows, dim Der)`` for RI + Der(sc), given ``block = semidirect_block(sc)``,
+    not None, as A = [[a, c], [b, d]].  A derivation D with D e1 = alpha e1 + v
+    keeps span{e2, e3}, acting there as B with [B, A] = alpha A: a non-nilpotent
+    A forces alpha = 0, and a non-scalar A then B in span{I, A}, so dim Der = 4
+    and rows is ``traceless_row``'s N, with no kernel solved.  Every test is an
+    equality on the entries, nilpotency (trace 0 and a^2 + bc = 0) is decided
+    in Fractions, and a scalar or nilpotent A takes ``derivation_algebra(sc)``'s
+    dim and ``scalar_frame``."""
     a, b, c, d = block
     scalar = b == c == 0 and a == d
     if not scalar and not (a == -d and Fraction(a) ** 2 + Fraction(b) * Fraction(c) == 0):
-        return semidirect_rows(*map(float, block)), 4
+        return traceless_row(*map(float, block)), 4
     der = derivation_algebra(sc)
     return der.scalar_frame, der.dim
 

@@ -53,6 +53,11 @@ def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 def numerators(values: list) -> tuple[list[int], int]:
     """``integer_numerators`` of a flat list of floats, ints or Fractions, as a list."""
+    # floats alone (values[0] spares Fractions the scan): each q a power of two, the largest the lcm
+    if values and type(values[0]) is float and all(type(x) is float for x in values):
+        pairs = list(map(float.as_integer_ratio, values))
+        d = max(q for _, q in pairs)
+        return [p << (d.bit_length() - q.bit_length()) for p, q in pairs], d
     try:
         pairs = [x.as_integer_ratio() for x in values]
     except AttributeError:  # numpy integer scalars
@@ -194,16 +199,16 @@ def lq(g: np.ndarray):
     positive.  A lower-triangular g with positive diagonal (``rep_matrix``,
     ``metric_to_group``) gives ``(L, None)`` and runs no QR: numpy's
     Householder reflector of an all-zero subcolumn is the identity, so L, g
-    with +0.0 above the diagonal, is the QR's bit for bit, and k = I.  A g
-    of any other shape raises ValueError.
+    with +0.0 above the diagonal (g itself unless a -0.0 sits there), is the
+    QR's bit for bit, and k = I.  A g of any other shape raises ValueError.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("group element must be a 3x3 matrix")
-    (l11, u12, u13), (l21, l22, u23), (l31, l32, l33) = g.tolist()
+    (l11, u12, u13), (_, l22, u23), (_, _, l33) = g.tolist()
     if l11 > 0 and l22 > 0 and l33 > 0 and not (u12 or u13 or u23):
-        # +0.0 above the diagonal, as the QR's R has
-        return np.array([[l11, 0.0, 0.0], [l21, l22, 0.0], [l31, l32, l33]]), None
+        plus = math.copysign(1.0, u12) == math.copysign(1.0, u13) == math.copysign(1.0, u23) > 0
+        return g if plus else np.tril(g), None  # +0.0 above the diagonal, as the QR's R has
     q, r = np.linalg.qr(g.T)
     sign = np.where(r.diagonal() < 0, -1.0, 1.0)
     return r.T * sign, q * sign

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .curvature import metric_to_group  # noqa: F401 (callers reach it as moduli.metric_to_group)
-from .derivations import MEMO_SIZE, block_conjugate, derivation_algebra, semidirect_rows
+from .derivations import MEMO_SIZE, block_conjugate, derivation_algebra, traceless_row
 from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
@@ -48,26 +48,26 @@ class ReductionTrace:
 
 def rep_matrix(family: Family, lam: float, exact: bool = False) -> np.ndarray:
     """The canonical group element g_lambda of a family, I but for ``rep_entries``."""
-    one, zero = (Fraction(1), 0) if exact else (1.0, 0.0)
-    rows = [one, zero, zero, zero, one, zero, zero, *rep_entries(family, lam, exact)]
+    l22, l32, l33 = rep_entries(family, lam, exact)
+    one, zero, ratio = (Fraction(1), 0, Fraction) if exact else (1.0, 0.0, float.__truediv__)
+    rows = [one, zero, zero, zero, one, zero, zero, ratio(l32, l22), ratio(l33, l22)]
     return linalg.object_array(rows, (3, 3)) if exact else np.array(rows).reshape(3, 3)
 
 
-def rep_entries(family: Family, lam: float, exact: bool = False) -> tuple:
-    """``(L32, L33)`` of g_lambda, Fractions when ``exact``.
+def rep_entries(family: Family, lam, exact: bool = False) -> tuple:
+    """``(L22, L32, L33)`` of g_lambda up to a factor > 0, from lam = p / q: Python ints
+    from ``lam.as_integer_ratio()`` when ``exact``, else floats from (p, q) = (lam, 1.0).
 
-    r3 and r3p_a use diag(1, 1, 1/lambda); r3_a uses the unipotent matrix
-    with (3,2)-entry lambda; the single-class families h3, r3_1 and r3_a at
-    a = 1 use the identity (lam is ignored for them), which ``reduce``
-    returns for every metric.
+    r3 and r3p_a use diag(1, 1, 1/lambda), (p, 0, q); r3_a the unipotent matrix with
+    (3,2)-entry lambda, (q, p, q); the single-class families h3, r3_1 and r3_a at a = 1
+    the identity, (q, 0, q) (lam is ignored), which ``reduce`` returns for every metric.
     """
     _check_lambda(family, lam)
-    one, zero, lam = (Fraction(1), 0, Fraction(lam)) if exact else (1.0, 0.0, float(lam))
+    ratio = lam if hasattr(lam, "as_integer_ratio") else lam.__index__()  # numpy ints have none
+    p, q = ratio.as_integer_ratio() if exact else (float(lam), 1.0)
     if family.tag == "r3_a" and not _transitive(family):
-        return lam, one
-    if family.tag in ("r3", "r3p_a"):
-        return zero, Fraction(lam.denominator, lam.numerator) if exact else one / lam
-    return zero, one
+        return q, p, q
+    return p if family.tag in ("r3", "r3p_a") else q, 0 * q, q
 
 
 def _check_lambda(family: Family, lam: float) -> None:
@@ -106,27 +106,27 @@ def frame_brackets(family: Family, lower: np.ndarray) -> tuple:
 
 
 def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
-    """``(brackets, rows, dim Der)``: ``frame_brackets``' brackets, and rows of L^-1 (RI +
-    Der) L laid out as ``MatrixSubspace.scalar_frame``: ``derivations.semidirect_rows`` of
-    the unscaled block for dim 4, which no scale or conditioning of L changes, and for dim 6
-    (h3, r3_1, r3_a at a = 1) Der's own, which L fixes (zero first row, or h3's, rescaled)."""
+    """``(brackets, rows, dim Der)``: ``frame_brackets``' brackets, and L^-1 (RI + Der) L: for
+    dim 4 the N of ``SEMIDIRECT_ROWS``, ``derivations.traceless_row`` of the unscaled block,
+    which no scale or conditioning of L changes, and for dim 6 (h3, r3_1, r3_a at a = 1)
+    Der's ``scalar_frame``, which L fixes (zero first row, or h3's, rescaled)."""
     brackets, block = frame_brackets(family, lower)
     der = derivation_algebra(family_constants(family)[0])
     if der.dim != 4:
         return brackets, der.scalar_frame, der.dim
-    return brackets, semidirect_rows(*block), 4
+    return brackets, traceless_row(*block), 4
 
 
 def family_constants(family: Family) -> tuple:
     """``(make_family(family), its [e1, .] block, its exact block's integer numerators)``, kept
-    per family and type and sign of a: ``Family``'s == merges a = 0.0, -0.0 and Fraction(0)."""
+    per tag, a and type and sign of a (``Family``'s == merges a = 0.0, -0.0 and Fraction(0))."""
     a = family.a
-    return _family_constants(family, a if a is None else (type(a), math.copysign(1.0, a)))
+    return _family_constants(family.tag, a, a if a is None else (type(a), math.copysign(1.0, a)))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _family_constants(family: Family, kind) -> tuple:
-    sc, exact = make_family(family), make_family(family, exact=True)
+def _family_constants(tag: str, a, kind) -> tuple:
+    sc, exact = (make_family(Family(tag, a), exact=lane) for lane in (False, True))
     sc.c.setflags(write=False)
     return (sc, tuple(sc.c[0, 1:, 1:].ravel().tolist()),
             tuple(linalg.numerators(exact.c[0, 1:, 1:].ravel().tolist())[0]))

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .derivations import SEMIDIRECT_ROWS, semidirect_n
+from .derivations import SEMIDIRECT_ROWS
 from .lie_core import Family
 from .moduli import frame_algebra
 
@@ -40,15 +40,16 @@ SYM_BASIS.setflags(write=False)
 
 @dataclass(frozen=True)
 class OrbitData:
-    """Tangent/normal split of an orbit in (k, 3, 3) stacks, and ``k`` = sum_i [X_i, T_i]
-    over the lifts X_i of the tangent basis T_i; ``stacks()`` builds both when read."""
+    """Tangent/normal split: normals ``nu`` and ``k`` = sum_i [X_i, T_i], X_i the lifts of the
+    tangent basis T_i, in flat floats; stacks ``normals``, ``tangent``, ``lifts`` when read."""
 
-    normals: np.ndarray
+    nu: list
     stabilizer: np.ndarray
     orbit_dim: int
     stab_dim: int
-    k: np.ndarray
+    k: list
     stacks: Callable = field(repr=False, compare=False)
+    normals = property(lambda self: np.array(self.nu).reshape(-1, 3, 3))
     tangent = property(lambda self: self.stacks()[0])
     lifts = property(lambda self: self.stacks()[1])
 
@@ -57,24 +58,24 @@ def orbit_data(frame) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
     ``frame`` is a (k, 3, 3) or (k, 9) stack q of orthonormal matrices
-    spanning u'.  As <S, dpi(x)> = <S, x> for symmetric S, the matrix P of
-    dpi(q) in SYM_BASIS coordinates is SYM_BASIS @ q^T, with singular values
-    in [0, 1].  Its SVD P = U S W^T with rank r gives everything at
-    once: the tangent space U[:, :r], the normal space U[:, r:], the
-    stabilizer (the kernel of dpi on u', its antisymmetric members) W^T[r:]
-    on q, and the lifts W^T[:r] / S[:r] on q, which map onto the tangent
-    basis and are Frobenius-orthogonal to the stabilizer, so the mean
-    curvature is well defined on singular orbits too.  K is the stacked sum.
+    spanning u', or N (``moduli.frame_algebra``), 9 floats in a tuple for
+    ``SEMIDIRECT_ROWS`` with N as row 3.  As <S, dpi(x)> = <S, x> for
+    symmetric S, the matrix P of dpi(q) in SYM_BASIS coordinates is SYM_BASIS
+    @ q^T, with singular values in [0, 1].  Its SVD P = U S W^T with rank r
+    gives everything at once: the tangent space U[:, :r], the normal space
+    U[:, r:], the stabilizer (the kernel of dpi on u', its antisymmetric
+    members) W^T[r:] on q, and the lifts W^T[:r] / S[:r] on q, which map onto
+    the tangent basis and are Frobenius-orthogonal to the stabilizer, so the
+    mean curvature is well defined on singular orbits too.  K is their sum.
 
-    Rows laid out as ``derivations.semidirect_rows`` (``semidirect_n``) take no
-    SVD: E21, E31, (E22 + E33)/sqrt(2), N = 0 + [[h, c], [b, -h]] and E11 have
-    pairwise orthogonal symmetric parts, so each over |dpi(row)| is a lift; past
-    ``RANK_TOL`` the one normal is 0 + [[m, -h], [-h, -m]] / |dpi(N)|, m = (b +
-    c)/2, else N is the stabilizer, and K is closed form (``_semidirect_orbit``).
+    N takes no SVD: E21, E31, (E22 + E33)/sqrt(2), N = 0 + [[h, c], [b, -h]]
+    and E11 have pairwise orthogonal symmetric parts, so each over |dpi(row)|
+    is a lift; past ``RANK_TOL`` the one normal is 0 + [[m, -h], [-h, -m]] /
+    |dpi(N)|, m = (b + c)/2, else N is the stabilizer (``_semidirect_orbit``).
     """
+    if isinstance(frame, tuple):
+        return _semidirect_orbit(frame)
     q = np.asarray(frame, dtype=float).reshape(-1, 9)
-    if (n := semidirect_n(q)) is not None:
-        return _semidirect_orbit(n)
     sym = SYM_BASIS.reshape(6, 9)
     u, sigma, wt = np.linalg.svd(sym @ q.T)
     r = int(np.sum(sigma > linalg.RANK_TOL))
@@ -82,8 +83,8 @@ def orbit_data(frame) -> OrbitData:
     normal_coords = linalg.lead_positive(u[:, r:].T)
     tangent = (u[:, :r].T @ sym).reshape(-1, 3, 3)
     lifts = ((wt[:r] / sigma[:r, None]) @ q).reshape(-1, 3, 3)
-    return OrbitData((normal_coords @ sym).reshape(-1, 3, 3), (wt[r:] @ q).reshape(-1, 3, 3),
-                     r, len(q) - r, (lifts @ tangent - tangent @ lifts).sum(axis=0),
+    return OrbitData((normal_coords @ sym).tolist(), (wt[r:] @ q).reshape(-1, 3, 3), r, len(q) - r,
+                     (lifts @ tangent - tangent @ lifts).sum(axis=0).ravel().tolist(),
                      lambda: (tangent, lifts))
 
 
@@ -92,19 +93,22 @@ def orbit_data(frame) -> OrbitData:
 _FIXED = SEMIDIRECT_ROWS[[0, 1, 2, 4]].reshape(-1, 3, 3)
 _FIXED_LIFTS = _FIXED / np.linalg.norm(dpi(_FIXED), axis=(1, 2))[:, None, None]
 _FIXED_TANGENTS = dpi(_FIXED_LIFTS)
-_FIXED_K = (_FIXED_LIFTS @ _FIXED_TANGENTS - _FIXED_TANGENTS @ _FIXED_LIFTS).sum(axis=0)
-_ROUND_NORMALS = np.stack([SYM_BASIS[5], (SYM_BASIS[1] - SYM_BASIS[2]) / np.sqrt(2.0)])
-for _stack in (_FIXED_LIFTS, _FIXED_TANGENTS, _FIXED_K, _ROUND_NORMALS):
+_NO_STABILIZER = np.empty((0, 3, 3))
+for _stack in (_FIXED_LIFTS, _FIXED_TANGENTS, _NO_STABILIZER):
     _stack.setflags(write=False)
+_FIXED_K = tuple((_FIXED_LIFTS @ _FIXED_TANGENTS - _FIXED_TANGENTS @ _FIXED_LIFTS).sum(axis=0)
+                 .ravel().tolist())
+# the normals at N in the stabilizer: (E23 + E32)/sqrt(2) and (E22 - E33)/sqrt(2)
+_ROUND_NU = tuple(map(tuple, np.stack([SYM_BASIS[5], (SYM_BASIS[1] - SYM_BASIS[2]) / np.sqrt(2.0)])
+                       .reshape(2, 9).tolist()))
 
 
-def _semidirect_orbit(n: list) -> OrbitData:
-    """``orbit_data`` of semidirect rows with N = ``n`` flat, dpi(N) = 0 + [[h, m], [m, -h]]; at
-    N in the stabilizer the normals are (E23 + E32)/sqrt(2) and (E22 - E33)/sqrt(2)."""
+def _semidirect_orbit(n: tuple) -> OrbitData:
+    """``orbit_data`` of N = ``n`` flat, dpi(N) = 0 + [[h, m], [m, -h]], in Python floats."""
     h, m = n[4], (n[5] + n[7]) / 2
     sigma = math.hypot(h, h, m, m)
     if not sigma > linalg.RANK_TOL:
-        return OrbitData(_ROUND_NORMALS, np.array(n).reshape(1, 3, 3), 4, 1, _FIXED_K,
+        return OrbitData(_ROUND_NU, np.array(n).reshape(1, 3, 3), 4, 1, _FIXED_K,
                          lambda: (_FIXED_TANGENTS, _FIXED_LIFTS))
     t, x = h / sigma, m / sigma
     # lead_positive's sign: the E22 entry leads unless within ZERO_TOL of 0; + 0.0: no -0.0
@@ -112,7 +116,7 @@ def _semidirect_orbit(n: list) -> OrbitData:
     nu = [0.0, 0.0, 0.0, 0.0, s * x + 0.0, -s * t + 0.0, 0.0, -s * t + 0.0, -s * x + 0.0]
     # K: the fixed lifts' sum plus [X, T] for X = N / sigma, T = dpi(X) = 0 + [[t, x], [x, -t]]
     p11, p12, p21, p22 = n[4] / sigma, n[5] / sigma, n[7] / sigma, n[8] / sigma
-    k = _FIXED_K.ravel().tolist()
+    k = list(_FIXED_K)
     k[4] += (p11 * t + p12 * x) - (t * p11 + x * p21)
     k[5] += (p11 * x - p12 * t) - (t * p12 + x * p22)
     k[7] += (p21 * t + p22 * x) - (x * p11 - t * p21)
@@ -121,8 +125,8 @@ def _semidirect_orbit(n: list) -> OrbitData:
     def stacks():
         return (np.concatenate([_FIXED_TANGENTS, [[[0.0] * 3, [0.0, t, x], [0.0, x, -t]]]]),
                 np.concatenate([_FIXED_LIFTS, np.array(n).reshape(1, 3, 3) / sigma]))
-    return OrbitData(normals=np.array(nu).reshape(1, 3, 3), stabilizer=np.empty((0, 3, 3)),
-                     orbit_dim=5, stab_dim=0, k=np.array(k).reshape(3, 3), stacks=stacks)
+    return OrbitData(nu=[nu], stabilizer=_NO_STABILIZER, orbit_dim=5, stab_dim=0, k=k,
+                     stacks=stacks)
 
 
 def second_fundamental_form(od: OrbitData) -> np.ndarray:
@@ -161,13 +165,13 @@ def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
     if od.orbit_dim == 0:
         raise ValueError("orbit is zero dimensional; mean curvature undefined")
     # for symmetric A and T, tr(dpi([A, X]) T) = tr([A, X] T) = <A, [X, T]>, so
-    # the trace of the shape tensor at A_n is -<A_n, K>, K = sum_i [X_i, T_i] = od.k
-    k, normals = od.k.ravel().tolist(), od.normals.reshape(-1, 9)
+    # the trace of the shape tensor at A_n is -<A_n, K>, K = sum_i [X_i, T_i]
     # + 0.0: a zero sum at a minimal orbit would print as -0.0
-    vals = [-math.fsum(x * y for x, y in zip(a, k)) / od.orbit_dim + 0.0 for a in normals.tolist()]
-    h = np.array(vals) @ normals
+    vals = [-math.fsum(map(float.__mul__, a, od.k)) / od.orbit_dim + 0.0 for a in od.nu]
+    nu = np.array(od.nu).reshape(-1, 9)
+    h = np.dot(vals, nu)
     return MeanCurvatureResult(h=h.reshape(3, 3), norm=math.hypot(*h.tolist()),
-                               per_normal=tuple(zip(od.normals, vals)),
+                               per_normal=tuple(zip(nu.reshape(-1, 3, 3), vals)),
                                orbit_dim=od.orbit_dim, stab_dim=od.stab_dim)
 
 
@@ -178,12 +182,14 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     point by conjugation.  With g = L k^T (``linalg.lq``), u' = g^-1 (RI +
     Der) g = k (L^-1 (RI + Der) L) k^T, with the rows of L^-1 (RI + Der) L
     read off the brackets on the frame L e_i (``moduli.frame_algebra``, whose
-    guards on L are the only refusals: no conditioning policy applies).
-    Each row R becomes k R k^T, an isometry of the trace form, only when a
-    QR ran; a ``rep_matrix`` or ``metric_to_group`` frame takes none.
+    guards on L are the only refusals: no conditioning policy applies).  Only
+    when a QR ran, each row R, N's stack rebuilt from ``SEMIDIRECT_ROWS``,
+    becomes k R k^T, an isometry of the trace form.
     """
     lower, k = linalg.lq(g)
     rows = frame_algebra(family, lower)[1]
     if k is not None:
+        if isinstance(rows, tuple):
+            rows = np.vstack([SEMIDIRECT_ROWS[:3], rows, SEMIDIRECT_ROWS[4:]])
         rows = (k @ rows.reshape(-1, 3, 3) @ k.T).reshape(-1, 9)
     return _mean_curvature(orbit_data(rows))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .curvature import _pivot, _ricci2, block_ricci, frame_conditions, require_finite, soliton_flags
-from .derivations import block_der_rows, semidirect_block, semidirect_n
+from .curvature import _ricci2, block_ricci, frame_conditions, require_finite, soliton_flags
+from .derivations import block_der_rows, semidirect_block
 from .lie_core import Family, StructureConstants
 from .moduli import family_constants, frame_algebra, rep_entries, rep_matrix
 
@@ -37,25 +37,25 @@ class SolitonVerdict:
     residual: float
 
 
-def _split(r: list, rows: np.ndarray, dim: int) -> tuple:
+def _split(r: list, rows, dim: int) -> tuple:
     """``(c, D, residual)``: the orthogonal split of a finite ric, the flat list
     ``r``, as c*I + D + rest over the orthonormal flat ``rows`` of S + RI laid
     out as ``MatrixSubspace.scalar_frame``: D in S, the span of the first
     ``dim`` rows, and c = <ric, e>/<I, e> for e the last row (c = 0 when I lies
-    in S, and there is no such row).  On ``semidirect_n``'s layout e = E11, so c =
+    in S).  ``rows`` = N, a tuple, is ``SEMIDIRECT_ROWS`` with N as row 3: e = E11, c =
     Ric11, and D = Ric21 E21 + Ric31 E31 + s (E22 + E33) + <rest, N> N, 2s = tr rest."""
-    if (n := semidirect_n(rows)) is None:
+    if isinstance(rows, tuple):
+        *_, n22, n23, _, n32, n33 = rows
+        c = r[0] + 0.0  # + 0.0: never the -0.0 of a product of zeros, nor in D
+        r22, r23, r32, r33 = r[4] - c, r[5], r[7], r[8] - c
+        s, w = (r22 + r33) / 2, n22 * r22 + n23 * r23 + n32 * r32 + n33 * r33
+        d = [x + 0.0 for x in (0, 0, 0, r[3], s + w * n22, w * n23, r[6], w * n32, s + w * n33)]
+        left = [r[1], r[2], r22 - d[4], r23 - d[5], r32 - d[7], r33 - d[8]]
+    else:
         c = float(rows[-1] @ r / (rows[-1] @ _EYE)) if len(rows) > dim else 0.0
         rest = np.array(r) - c * _EYE
         d = (rest @ rows[:dim].T) @ rows[:dim]
         left = (rest - d).tolist()
-    else:
-        c = r[0] + 0.0  # + 0.0: never the -0.0 of a product of zeros, nor in D
-        r22, r23, r32, r33 = r[4] - c, r[5], r[7], r[8] - c
-        s, w = (r22 + r33) / 2, n[4] * r22 + n[5] * r23 + n[7] * r32 + n[8] * r33
-        d = [x + 0.0 for x in (0.0, 0.0, 0.0, r[3], s + w * n[4], w * n[5],
-                               r[6], w * n[7], s + w * n[8])]
-        left = [r[1], r[2], r22 - d[4], r23 - d[5], r32 - d[7], r33 - d[8]]
     # hypot scales by a power of two, so no square overflows or underflows
     residual = math.hypot(*left)
     if residual == math.inf:
@@ -70,8 +70,8 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray) -> SolitonVerdic
     Python ints: the block's entries and G's lower block (g22, g23, g33)
     over one common denominator give ``_conjugated`` with (L22, L32, L33) =
     (g33, -g23, g33) and (D2, D3) = (g22 g33 - g23^2, g33^2), positive
-    multiples of the block and pivots on y.  A Gram matrix whose exact pivot
-    is not > 0 is refused.  c, D and the residual are Ric on the canonical
+    multiples of the block and pivots on y, whose exact sign ``_gram_ldl``
+    checks.  c, D and the residual are Ric on the canonical
     basis split over span{I} + Der(sc), with ``derivations.block_der_rows``
     as its rows (in closed form for r3, r3_a at a != 1 and r3p_a, with no
     kernel solved).
@@ -80,7 +80,7 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray) -> SolitonVerdic
     ric = block_ricci(gram, block)[0]
     (g22, g23), (_, g33) = np.asarray(gram, dtype=float)[1:, 1:].tolist()
     (*a, g22, g23, g33), _ = linalg.numerators([*block, g22, g23, g33])
-    flags = soliton_flags(*_conjugated(a, g33, -g23, g33), _pivot(g22 * g33 - g23 * g23), g33 * g33)
+    flags = soliton_flags(*_conjugated(a, g33, -g23, g33), g22 * g33 - g23 * g23, g33 * g33)
     return SolitonVerdict(*flags, *_split(ric.ravel().tolist(), *block_der_rows(sc, block)))
 
 
@@ -97,13 +97,12 @@ def frame_flags(family: Family, lam) -> tuple:
     """``(is_soliton, is_einstein, minimal)`` at g_lambda: ``curvature.
     frame_conditions`` on the Milnor frame's block h^-1 A h (``derivations.
     block_conjugate``) in Python ints, h = [[1, 0], [L32, L33]] / L22 from
-    ``rep_entries(family, lam, exact=True)`` (L22 = 1) and A the family's
-    exact block (``moduli.family_constants``), each over its common
-    denominator and times L22 L33 > 0, a factor that no homogeneous
-    condition sees.  A float is read at its dyadic value."""
-    l32, l33 = rep_entries(family, lam, exact=True)
-    (l22, l32, l33), _ = linalg.numerators([1, l32, l33])
-    return frame_conditions(*_conjugated(family_constants(family)[2], l22, l32, l33))
+    ``rep_entries(family, lam, exact=True)``'s ints and A the family's exact
+    block's numerators (``moduli.family_constants``), times L22 L33 > 0 and a
+    positive common factor, which no homogeneous condition sees.  A float is
+    read at its dyadic value."""
+    return frame_conditions(*_conjugated(family_constants(family)[2],
+                                         *rep_entries(family, lam, exact=True)))
 
 
 def frame_verdict(family: Family, lam) -> tuple:

@@ -11,7 +11,9 @@ checks that the tests apply to library output; the package itself needs
 none of them.  ``lstsq_soliton_split`` keeps the package's earlier
 least-squares soliton split as the reference for its orthogonal one,
 ``projection_split`` the numpy projection of that split as the reference
-for its closed form on ``derivations.semidirect_rows``' layout, and
+for its closed form on ``derivations.traceless_row``'s N, which
+``semidirect_stack`` lays out as the (5, 9) rows the projection and the
+SVD split of ``orbit_geometry.orbit_data`` read, and
 ``shape_trace_mean_curvature`` its earlier mean curvature, the traces of
 the whole shape tensor, as the reference for the commutator sum.
 ``h_norm_closed_form`` holds the paper's closed forms for ``|H|`` (C5);
@@ -152,6 +154,14 @@ def projection_split(ric, rows: np.ndarray, dim: int) -> tuple:
     rest = r - c * eye
     d = (rest @ rows[:dim].T) @ rows[:dim]
     return c, d.reshape(3, 3), math.hypot(*(rest - d).tolist())
+
+
+def semidirect_stack(n) -> np.ndarray:
+    """The flat (5, 9) rows of RI + Der that N = ``n`` (``derivations.traceless_row``)
+    stands for: ``derivations.SEMIDIRECT_ROWS`` with N as row 3."""
+    rows = derivations.SEMIDIRECT_ROWS.copy()
+    rows[3] = n
+    return rows
 
 
 def shape_trace_mean_curvature(od: orbit_geometry.OrbitData

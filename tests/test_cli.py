@@ -15,7 +15,7 @@ import pytest
 from helpers import FAMILY_STRINGS
 from solvgeo import cli, curvature, moduli, soliton
 from solvgeo.curvature import ricci_closed_form
-from solvgeo.errors import SingularMatrixError
+from solvgeo.errors import NonSPDMetricError, SingularMatrixError
 from solvgeo.lie_core import Family, parse_family
 from solvgeo.moduli import frame_constants, rep_matrix
 
@@ -667,27 +667,35 @@ def test_reduce_witness_overflow_named(capsys, gram):
                    "for this metric\n")
 
 
+# the float LDL^T's pivot D2 of this Gram matrix is > 0, but g22 g33 - g23^2 < 0 exactly
+_NEGATIVE_MINOR_GRAM = ["10", "0", "0", "0", "0.11282462554412924", "0.4471535199604686",
+                        "0", "0.4471535199604686", "1.7721864304777324"]
+
+
 def test_gram_commands_take_one_spd_decision(capsys):
     # cond(G) = 1.5e17: LAPACK Cholesky accepted it for reduce and orbit
-    # while soliton and ricci refused it
+    # while soliton and ricci refused it; and a Gram matrix that ricci, reduce
+    # and orbit answered from the float D2 while soliton's exact test refused it
     gram = ["2.142384561343725", "1.2153360831146258", "0.40171585428202067",
             "1.2153360831146258", "1.1679779838614022", "0.6589034701014339",
             "0.40171585428202067", "0.6589034701014339", "0.46353943123111296"]
-    outcomes = set()
-    for command in ("reduce", "orbit", "soliton", "ricci"):
-        code = cli.main([command, "--family", "r3", "--gram"] + gram)
-        outcomes.add((code, capsys.readouterr().err))
-    assert len(outcomes) == 1 and next(iter(outcomes))[0] in (0, 2), outcomes
+    for family, gram in (("r3", gram), ("r3a:a=0.5", _NEGATIVE_MINOR_GRAM)):
+        outcomes = set()
+        for command in ("reduce", "orbit", "soliton", "ricci"):
+            code = cli.main([command, "--family", family, "--gram"] + gram)
+            outcomes.add((code, capsys.readouterr().err))
+        assert len(outcomes) == 1 and next(iter(outcomes))[0] in (0, 2), outcomes
+    assert outcomes == {(2, "error: Gram matrix is not positive definite\n")}
 
 
 def test_soliton_refuses_a_gram_whose_exact_pivot_is_negative(capsys):
-    # the float LDL^T accepts this Gram matrix, but g22 g33 - g23^2 < 0
-    # exactly, so the exact verdict has no frame to be read on
-    gram = ["10", "0", "0", "0", "0.11282462554412924", "0.4471535199604686",
-            "0", "0.4471535199604686", "1.7721864304777324"]
+    # g22 g33 - g23^2 < 0 exactly, so the exact verdict has no frame to be read
+    # on, and _gram_ldl, every Gram command's one SPD check, refuses it too
+    gram = _NEGATIVE_MINOR_GRAM
     g22, g23, g33 = (Fraction(float(gram[k])) for k in (4, 5, 8))
     assert g22 * g33 - g23 * g23 < 0
-    curvature.block_ricci(np.array(gram, dtype=float).reshape(3, 3), (1.0, 0.0, 0.0, 0.5))
+    with pytest.raises(NonSPDMetricError, match="^Gram matrix is not positive definite$"):
+        curvature.block_ricci(np.array(gram, dtype=float).reshape(3, 3), (1.0, 0.0, 0.0, 0.5))
     assert cli.main(["soliton", "--family", "r3a:a=0.5", "--gram"] + gram) == 2
     assert capsys.readouterr() == ("", "error: Gram matrix is not positive definite\n")
 

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import FAMILIES, FAMILY_STRINGS, abcd_constants, random_group_element, random_spd
 from oracles import connection_coeffs, frame_ricci, koszul_ricci_exact
-from solvgeo.curvature import (MetricData, block_ricci, metric_data, ricci_canonical,
+from solvgeo.curvature import (MetricData, _gram_ldl, block_ricci, metric_data, ricci_canonical,
                                ricci_closed_form, ricci_operator)
 from solvgeo.derivations import semidirect_block
 from solvgeo.errors import NonSPDMetricError
@@ -365,6 +366,30 @@ def test_every_gram_entry_point_takes_one_spd_decision():
         assert len(set(refused)) == 1, (i, refused)
         verdicts.add(refused[0])
     assert verdicts == {True, False}
+
+
+def test_gram_ldl_decides_the_lower_minor_exactly():
+    # g22 a few ulp from t = (g23 / g33) g23: the float pivot D2 = g22 - t and
+    # the exact minor g22 g33 - g23^2 differ in sign on some draws, and every
+    # such Gram matrix is refused
+    rng = np.random.default_rng(113)
+    seen = set()
+    for _ in range(3000):
+        g23, g33 = (float(x) for x in 10.0 ** rng.uniform(-3.0, 3.0, 2))
+        g23 *= float(rng.choice([-1.0, 1.0]))
+        t = (g23 / g33) * g23
+        g22 = t + int(rng.integers(-3, 4)) * math.ulp(t)
+        gram = np.array([[10.0, 0.0, 0.0], [0.0, g22, g23], [0.0, g23, g33]])
+        exact = Fraction(g22) * Fraction(g33) - Fraction(g23) ** 2 > 0
+        try:
+            _gram_ldl(gram)
+            accepted = True
+        except NonSPDMetricError as exc:
+            assert str(exc) == "Gram matrix is not positive definite"
+            accepted = False
+        assert not accepted or exact
+        seen.add((g22 - (g23 / g33) * g23 > 0, exact, accepted))
+    assert {(True, True, True), (True, False, False), (False, False, False)} <= seen
 
 
 def test_ric_frame_is_block_diagonal_and_the_frame_conjugate():

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import DER_GRID, FAMILIES, abcd_constants, random_group_element, unit
 from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
-                     subspace_equal, subspace_membership)
+                     semidirect_stack, subspace_equal, subspace_membership)
 from solvgeo import cli, derivations, lie_core, linalg, moduli
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
                                  derivation_algebra, scalar_plus)
@@ -676,9 +676,11 @@ def _scalar_der_rows(sc) -> tuple:
 
 
 def _assert_closed_form_rows(sc):
-    """``block_der_rows`` of sc took the closed form: orthonormal rows
-    spanning RI + Der of sc's exact twin, at its dim 4."""
-    rows, got_dim = _scalar_der_rows(sc)
+    """``block_der_rows`` of sc took the closed form: N, whose stack has
+    orthonormal rows spanning RI + Der of sc's exact twin, at its dim 4."""
+    n, got_dim = _scalar_der_rows(sc)
+    assert type(n) is tuple and all(type(x) is float for x in n)
+    rows = semidirect_stack(n)
     want = derivation_algebra(_exact_twin(sc))
     assert got_dim == want.dim == 4
     assert rows.shape == want.scalar_frame.shape == (5, 9)

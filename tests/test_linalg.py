@@ -245,6 +245,26 @@ def test_integer_numerators():
     assert all(type(x) is int for x in nums)
 
 
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0, -0.75])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
+                max_size=9))
+def test_numerators_of_floats_shift_where_the_lcm_path_divides(values):
+    # a float's denominator is a power of two, so the largest is the lcm and
+    # each numerator is shifted up to it: the same ints as the lcm path of the
+    # same values as Fractions, and of the same floats with an int among them
+    got = linalg.numerators(values)
+    assert got == linalg.numerators([Fraction(x) for x in values])
+    nums, d = got
+    assert all(type(x) is int for x in nums) and d > 0
+    assert [Fraction(n, d) for n in nums] == [Fraction(x) for x in values]
+    mixed_nums, mixed_d = linalg.numerators(values + [3])
+    assert (mixed_nums, mixed_d) == (nums + [3 * d], d)
+
+
 def test_to_float_matches_float_of_each_entry():
     # the package converts exact arrays with np.asarray(arr, dtype=float),
     # which rounds each entry as float() does

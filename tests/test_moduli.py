@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from helpers import FAMILIES, automorphism_residual, random_group_element, random_spd
-from oracles import lambda_invariant, same_class, subspace_equal
+from oracles import lambda_invariant, same_class, semidirect_stack, subspace_equal
 from solvgeo.cli import default_grid
 from solvgeo.derivations import (MatrixSubspace, derivation_algebra, scalar_plus,
                                  conjugate_subspace, semidirect_block)
@@ -137,12 +137,23 @@ def test_rep_matrix_rejects_non_finite_lambda(fam, lam):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_rep_matrix_is_the_identity_but_rep_entries(exact):
+    # rep_entries is (L22, L32, L33) up to a factor > 0, ints or floats; g_lambda
+    # is I but for its (3,2) and (3,3) entries, (lambda, 1) on r3_a and (0,
+    # 1/lambda) on r3 and r3p_a, which rep_matrix rounds once from the ratios
     for fam in FAMILIES:
-        for lam in (1.0, 2.5, 3, 1e-300 if fam.tag == "r3" else 7.0):
-            want = np.eye(3).tolist()
-            want[2][1:] = rep_entries(fam, lam, exact)
-            assert rep_matrix(fam, lam, exact).tolist() == want
-            assert all(type(x) in ((Fraction, int) if exact else (float,)) for x in want[2][1:])
+        for lam in (1.0, 2.5, 3, np.int64(4), Fraction(7, 3), 1e-300 if fam.tag == "r3" else 7.0):
+            l22, l32, l33 = entries = rep_entries(fam, lam, exact)
+            assert all(type(x) is (int if exact else float) for x in entries)
+            assert l22 > 0 and l33 > 0
+            q = Fraction(lam if exact else float(lam))  # the float lane reads float(lam)
+            want = {"r3": (0, 1 / q), "r3p_a": (0, 1 / q), "r3_a": (q, 1)}.get(fam.tag, (0, 1))
+            if fam.tag == "r3_a" and fam.a == 1:
+                want = (0, 1)
+            assert (Fraction(l32) / Fraction(l22), Fraction(l33) / Fraction(l22)) == want
+            got = rep_matrix(fam, lam, exact).tolist()
+            assert got[:2] == [[1, 0, 0], [0, 1, 0]] and got[2][0] == 0
+            assert got[2][1:] == (list(want) if exact else [float(x) for x in want])
+            assert all(type(x) is (Fraction if exact else float) for x in got[2][1:])
 
 
 def test_family_constants_keep_the_bits_of_a_zero_parameter():
@@ -250,6 +261,9 @@ def test_frame_algebra_rows_span_the_conjugated_orbit_algebra(fam):
         brackets, rows, dim = frame_algebra(fam, g)
         assert all(type(x) is float for x in brackets)
         assert dim == der.dim
+        if dim == 4:  # N, the one row of the semidirect layout that varies
+            assert type(rows) is tuple and all(type(x) is float for x in rows)
+            rows = semidirect_stack(rows)
         np.testing.assert_allclose(rows @ rows.T, np.eye(len(rows)), atol=1e-15)
         conjugated = conjugate_subspace(der, g)
         assert subspace_equal(MatrixSubspace(rows[:dim]), conjugated), g

@@ -8,9 +8,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import DER_GRID, FAMILIES, VERIFY_FAMILIES, random_group_element, random_spd, unit
 from oracles import (SYM_DIM, congruence_check, h_norm_block, h_norm_closed_form,
-                     normality, shape_trace_mean_curvature, sym_basis, trace_form)
+                     normality, semidirect_stack, shape_trace_mean_curvature, sym_basis,
+                     trace_form)
 from solvgeo.derivations import (MatrixSubspace, conjugate_subspace,
-                                 derivation_algebra, scalar_plus, semidirect_rows)
+                                 derivation_algebra, scalar_plus, traceless_row)
 from solvgeo import cli, linalg, orbit_geometry
 from solvgeo.lie_core import Family, make_family
 from solvgeo.cli import default_grid
@@ -312,9 +313,11 @@ def test_commutator_sum_matches_shape_tensor_trace(monkeypatch, fam):
                         lambda frame: seen.append(frame) or orbit_data(frame))
     for g in elements:
         got = orbit_at(fam, g)
-        # the rows in another order span the same u' and take the SVD, so the
-        # oracle never reads the closed-form split it checks
-        want = shape_trace_mean_curvature(orbit_data(np.roll(seen.pop(), 1, axis=0)))
+        # a stack, N's rebuilt one too, takes the SVD, so the oracle never reads
+        # the closed-form split it checks
+        frame = seen.pop()
+        stack = semidirect_stack(frame) if isinstance(frame, tuple) else frame
+        want = shape_trace_mean_curvature(orbit_data(stack))
         tol = 1e-12 * max(1.0, want.norm)
         np.testing.assert_allclose(got.h, want.h, rtol=0, atol=tol)
         assert abs(got.norm - want.norm) <= tol
@@ -324,17 +327,17 @@ def test_commutator_sum_matches_shape_tensor_trace(monkeypatch, fam):
             assert np.abs(a - b).max() <= tol and abs(v - w) <= tol
 
 
-def _split_against_the_svd(monkeypatch, rows):
-    """``(closed form, SVD)``: orbit_data of the semidirect ``rows``, which
-    must run no SVD and pass the invariants, and of the same rows in another
-    order, which span the same u' and must run one."""
+def _split_against_the_svd(monkeypatch, n):
+    """``(closed form, SVD)``: orbit_data of N = ``n``, which must run no SVD
+    and pass the invariants, and of ``semidirect_stack(n)``, which spans the
+    same u' and must run one."""
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda m: calls.append(m) or svd(m))
-    got = orbit_data(rows)
+    got = orbit_data(n)
     assert calls == []
-    _assert_orbit_invariants(got, len(rows))
-    want = orbit_data(rows[[4, 0, 1, 2, 3]])
+    _assert_orbit_invariants(got, 5)
+    want = orbit_data(semidirect_stack(n))
     assert len(calls) == 1
     monkeypatch.undo()
     return got, want
@@ -360,8 +363,8 @@ def test_closed_form_split_matches_the_svd_on_every_verify_row(monkeypatch):
             for fam in VERIFY_FAMILIES for lam in default_grid(fam)]
     assert len(rows) == 377
     dims = set()
-    for r in rows:
-        got, want = _split_against_the_svd(monkeypatch, r)
+    for n in rows:
+        got, want = _split_against_the_svd(monkeypatch, n)
         _assert_same_split(got, want)
         dims.add(got.orbit_dim)
     assert dims == {4, 5}
@@ -382,7 +385,8 @@ def test_verify_rows_build_no_stacks_and_k_is_the_stacked_sum(monkeypatch):
             od = seen.pop()
             x, t = od.lifts, od.tangent
             built.clear()
-            np.testing.assert_allclose(od.k, (x @ t - t @ x).sum(axis=0), rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.reshape(od.k, (3, 3)), (x @ t - t @ x).sum(axis=0),
+                                       rtol=0, atol=1e-14)
 
 
 def test_h_norm_is_the_block_identity_on_every_verify_row():
@@ -460,8 +464,8 @@ def test_closed_form_split_matches_the_svd_on_gram_frames(monkeypatch, fam):
     rng = np.random.default_rng(83)
     for _ in range(60):
         gram = random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0))
-        rows = frame_algebra(fam, metric_to_group(gram))[1]
-        got, want = _split_against_the_svd(monkeypatch, rows)
+        n = frame_algebra(fam, metric_to_group(gram))[1]
+        got, want = _split_against_the_svd(monkeypatch, n)
         _assert_same_split(got, want)
 
 
@@ -472,7 +476,7 @@ def test_closed_form_split_matches_the_svd_on_drawn_blocks(block):
     a, b, c, d = block
     assume((a - d, b, c) != (0, 0, 0))  # a scalar block has no unit traceless part
     with pytest.MonkeyPatch.context() as monkeypatch:
-        got, want = _split_against_the_svd(monkeypatch, semidirect_rows(a, b, c, d))
+        got, want = _split_against_the_svd(monkeypatch, traceless_row(a, b, c, d))
     _assert_same_split(got, want)
 
 
@@ -484,8 +488,8 @@ def test_closed_form_split_near_the_round_point(monkeypatch, a):
     ranks = []
     for k in np.arange(6.0, 14.5, 0.5):
         lam = 1 + 10.0 ** -k
-        rows = frame_algebra(fam, rep_matrix(fam, lam))[1]
-        got, want = _split_against_the_svd(monkeypatch, rows)
+        n = frame_algebra(fam, rep_matrix(fam, lam))[1]
+        got, want = _split_against_the_svd(monkeypatch, n)
         assert (got.orbit_dim, got.stab_dim) == (want.orbit_dim, want.stab_dim)
         ranks.append(got.orbit_dim)
         if got.orbit_dim == 5:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 from helpers import FAMILIES, VERIFY_FAMILIES, abcd_constants, random_group_element, random_spd
 from oracles import (block_constants, derivation_residual, exact_block_soliton,
                      exact_frame_soliton, koszul_soliton_exact, lambda_invariant,
-                     lstsq_soliton_split, projection_split)
+                     lstsq_soliton_split, projection_split, semidirect_stack)
 from solvgeo import cli, curvature, derivations, lie_core, linalg, orbit_geometry, soliton
 from solvgeo.derivations import conjugate_subspace, derivation_algebra
 from solvgeo.errors import InvalidFamilyError
@@ -376,25 +377,24 @@ def test_orthogonal_split_matches_lstsq(fam):
                 assert abs(residual - want_res) <= 1e-12 * big
 
 
-def _assert_closed_form_split(ric: list, rows: np.ndarray):
-    """The closed-form split of the flat ``ric`` over semidirect ``rows``
-    against the numpy projection, within 4 ulp of max|Ric|."""
-    assert derivations.semidirect_n(rows) is not None  # the closed form runs
-    c, d, residual = soliton._split(ric, rows, 4)
-    want_c, want_d, want_residual = projection_split(ric, rows, 4)
+def _assert_closed_form_split(ric: list, n: tuple):
+    """The closed-form split of the flat ``ric`` over N = ``n`` against the
+    numpy projection over ``semidirect_stack(n)``, within 4 ulp of max|Ric|."""
+    assert isinstance(n, tuple) and len(n) == 9  # the closed form runs
+    c, d, residual = soliton._split(ric, n, 4)
+    want_c, want_d, want_residual = projection_split(ric, semidirect_stack(n), 4)
     tol = 4 * math.ulp(max(map(abs, ric)))
-    assert abs(c - want_c) <= tol, (ric, rows)
-    assert np.abs(d - want_d).max() <= tol, (ric, rows)
-    assert abs(residual - want_residual) <= tol, (ric, rows)
+    assert abs(c - want_c) <= tol, (ric, n)
+    assert np.abs(d - want_d).max() <= tol, (ric, n)
+    assert abs(residual - want_residual) <= tol, (ric, n)
 
 
 def test_closed_form_split_matches_the_projection_on_every_verify_row():
     count = 0
     for fam in VERIFY_FAMILIES:
         for lam in cli.default_grid(fam):
-            brackets, rows, _ = frame_algebra(fam, rep_matrix(fam, lam))
-            _assert_closed_form_split(curvature.ricci_closed_form(*brackets).ravel().tolist(),
-                                      rows)
+            brackets, n, _ = frame_algebra(fam, rep_matrix(fam, lam))
+            _assert_closed_form_split(curvature.ricci_closed_form(*brackets).ravel().tolist(), n)
             count += 1
     assert count == 377
 
@@ -406,17 +406,17 @@ _SEMIDIRECT_FAMILIES = [Family("r3"), Family("r3_a", -1.0), Family("r3_a", -0.25
 
 @pytest.mark.parametrize("fam", _SEMIDIRECT_FAMILIES, ids=lambda f: f.label())
 def test_closed_form_split_matches_the_projection_on_gram_frames(fam):
-    # Ric on the metric_to_group frame over frame_algebra's rows, and the Gram
+    # Ric on the metric_to_group frame over frame_algebra's N, and the Gram
     # path's Ric on the canonical basis over the family's own rows
     rng = np.random.default_rng(101)
     sc = make_family(fam)
-    own_rows, dim = derivations.block_der_rows(sc, derivations.semidirect_block(sc))
+    own_n, dim = derivations.block_der_rows(sc, derivations.semidirect_block(sc))
     assert dim == 4
     for _ in range(60):
         gram = random_spd(rng, 10.0 ** rng.uniform(-6.0, 6.0))
-        brackets, rows, _ = frame_algebra(fam, metric_to_group(gram))
-        _assert_closed_form_split(curvature.ricci_closed_form(*brackets).ravel().tolist(), rows)
-        _assert_closed_form_split(curvature.ricci_canonical(sc, gram).ravel().tolist(), own_rows)
+        brackets, n, _ = frame_algebra(fam, metric_to_group(gram))
+        _assert_closed_form_split(curvature.ricci_closed_form(*brackets).ravel().tolist(), n)
+        _assert_closed_form_split(curvature.ricci_canonical(sc, gram).ravel().tolist(), own_n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -426,7 +426,7 @@ def test_closed_form_split_matches_the_projection_on_drawn_blocks(block):
     a, b, c, d = block
     assume((a - d, b, c) != (0, 0, 0))  # a scalar block has no unit traceless part
     _assert_closed_form_split(curvature.ricci_closed_form(*block).ravel().tolist(),
-                              derivations.semidirect_rows(a, b, c, d))
+                              derivations.traceless_row(a, b, c, d))
 
 
 def test_frame_flags_build_no_object_array(monkeypatch):
@@ -647,6 +647,21 @@ def test_frame_conditions_on_integer_blocks(block, shift):
     einstein = bool((ric == ric[0, 0] * np.eye(3, dtype=object)).all())
     want = (exact_block_soliton(*block), einstein, transitive or b == c or (a == d and b == -c))
     assert curvature.frame_conditions(*(x << shift for x in block)) == want
+
+
+def test_minimal_flag_on_every_block_of_a_box():
+    # all 6561 integer blocks in [-4, 4]^4: minimal exactly when A is scalar,
+    # nilpotent or normal (b = c, or a = d and b = -c); at sigma = 0 (a = d,
+    # b = -c) the commutator's normal part -4 (b - c)((a - d)^2 + (b + c)^2)
+    # is 0 already, so that stratum needs no clause of its own
+    count = 0
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        scalar = b == c == 0 and a == d
+        nilpotent = a == -d and a * a + b * c == 0
+        want = scalar or nilpotent or b == c or (a == d and b == -c)
+        assert curvature.frame_conditions(a, b, c, d)[2] is want, (a, b, c, d)
+        count += 1
+    assert count == 6561
 
 
 # ------------------------------------------------- the exact Gram verdict
