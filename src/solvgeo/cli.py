@@ -39,7 +39,7 @@ _DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """Inputs of one verify sweep."""
 
@@ -47,7 +47,7 @@ class RunConfig:
     grid: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyRow:
     family: str
     a: float | None

@@ -194,13 +194,10 @@ def frame_conditions(a, b, c, d) -> tuple:
     if (b == c == 0 and a == d) or (a == -d and a * a + b * c == 0):
         return soliton, einstein, True
     # 2N = [[u, 2c], [2b, -u]], 2 dpi(N) = [[u, w], [w, -u]] and 2 nu sigma = [[w, -u], [-u, -w]]
+    # give 2 [N, dpi(N)] = [[k, l], [l, -k]] with k = w (c - b), l = u (b - c), and num =
+    # 8 <nu sigma, [N, dpi(N)]> = 4 (k w - l u) = -4 (b - c)(u^2 + w^2)
     u, w = a - d, b + c
-    k11 = (u * u + 2 * c * w) - (u * u + w * 2 * b)
-    k12 = (u * w - 2 * c * u) - (u * 2 * c - w * u)
-    k21 = (2 * b * u - u * w) - (w * u - u * 2 * b)
-    k22 = (2 * b * w + u * u) - (w * 2 * c + u * u)
-    num = k11 * w - k12 * u - k21 * u - k22 * w
-    return soliton, einstein, num == 0
+    return soliton, einstein, (b - c) * (u * u + w * w) == 0
 
 
 def _scaled(rows: list, e: list, f: list) -> list:

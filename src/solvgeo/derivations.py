@@ -167,6 +167,11 @@ def traceless_row(a: float, b: float, c: float, d: float) -> tuple:
     return 0.0, 0.0, 0.0, 0.0, h / norm, c / norm, 0.0, b / norm, -h / norm
 
 
+def semidirect_frame(n: tuple) -> np.ndarray:
+    """The (5, 9) rows ``SEMIDIRECT_ROWS`` with ``traceless_row``'s N = ``n`` as row 3."""
+    return np.vstack([SEMIDIRECT_ROWS[:3], n, SEMIDIRECT_ROWS[4:]])
+
+
 def semidirect_block(sc: StructureConstants):
     """``(a, b, c, d)`` when sc is exactly [e1,e2] = a e2 + b e3, [e1,e3] =
     c e2 + d e3, [e2,e3] = 0 (every other entry zero and c[1:, 0, 1:] =

@@ -53,11 +53,6 @@ def integer_numerators(arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 def numerators(values: list) -> tuple[list[int], int]:
     """``integer_numerators`` of a flat list of floats, ints or Fractions, as a list."""
-    # floats alone (values[0] spares Fractions the scan): each q a power of two, the largest the lcm
-    if values and type(values[0]) is float and all(type(x) is float for x in values):
-        pairs = list(map(float.as_integer_ratio, values))
-        d = max(q for _, q in pairs)
-        return [p << (d.bit_length() - q.bit_length()) for p, q in pairs], d
     try:
         pairs = [x.as_integer_ratio() for x in values]
     except AttributeError:  # numpy integer scalars

@@ -63,8 +63,9 @@ def rep_entries(family: Family, lam, exact: bool = False) -> tuple:
     the identity, (q, 0, q) (lam is ignored), which ``reduce`` returns for every metric.
     """
     _check_lambda(family, lam)
-    ratio = lam if hasattr(lam, "as_integer_ratio") else lam.__index__()  # numpy ints have none
-    p, q = ratio.as_integer_ratio() if exact else (float(lam), 1.0)
+    # numpy ints have no as_integer_ratio
+    p, q = ((lam if hasattr(lam, "as_integer_ratio") else lam.__index__()).as_integer_ratio()
+            if exact else (float(lam), 1.0))
     if family.tag == "r3_a" and not _transitive(family):
         return q, p, q
     return p if family.tag in ("r3", "r3p_a") else q, 0 * q, q
@@ -107,7 +108,7 @@ def frame_brackets(family: Family, lower: np.ndarray) -> tuple:
 
 def frame_algebra(family: Family, lower: np.ndarray) -> tuple:
     """``(brackets, rows, dim Der)``: ``frame_brackets``' brackets, and L^-1 (RI + Der) L: for
-    dim 4 the N of ``SEMIDIRECT_ROWS``, ``derivations.traceless_row`` of the unscaled block,
+    dim 4 N = ``traceless_row`` of the unscaled block, a tuple for ``semidirect_frame(N)``,
     which no scale or conditioning of L changes, and for dim 6 (h3, r3_1, r3_a at a = 1)
     Der's ``scalar_frame``, which L fixes (zero first row, or h3's, rescaled)."""
     brackets, block = frame_brackets(family, lower)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .derivations import SEMIDIRECT_ROWS
+from .derivations import SEMIDIRECT_ROWS, semidirect_frame
 from .lie_core import Family
 from .moduli import frame_algebra
 
@@ -38,7 +38,7 @@ SYM_BASIS[[3, 3, 4, 4, 5, 5], [0, 1, 0, 2, 1, 2], [1, 0, 2, 0, 2, 1]] = 1.0 / np
 SYM_BASIS.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitData:
     """Tangent/normal split: normals ``nu`` and ``k`` = sum_i [X_i, T_i], X_i the lifts of the
     tangent basis T_i, in flat floats; stacks ``normals``, ``tangent``, ``lifts`` when read."""
@@ -57,9 +57,9 @@ class OrbitData:
 def orbit_data(frame) -> OrbitData:
     """Split u' into stabilizer and lifted tangent data at the base point.
 
-    ``frame`` is a (k, 3, 3) or (k, 9) stack q of orthonormal matrices
-    spanning u', or N (``moduli.frame_algebra``), 9 floats in a tuple for
-    ``SEMIDIRECT_ROWS`` with N as row 3.  As <S, dpi(x)> = <S, x> for
+    ``frame`` is a (k, 3, 3) or (k, 9) array or list q of orthonormal
+    matrices spanning u'; a tuple is always N (``moduli.frame_algebra``), the
+    stack ``derivations.semidirect_frame(N)``.  As <S, dpi(x)> = <S, x> for
     symmetric S, the matrix P of dpi(q) in SYM_BASIS coordinates is SYM_BASIS
     @ q^T, with singular values in [0, 1].  Its SVD P = U S W^T with rank r
     gives everything at once: the tangent space U[:, :r], the normal space
@@ -140,15 +140,18 @@ def second_fundamental_form(od: OrbitData) -> np.ndarray:
     return -np.einsum("niab,jba->nij", dpi(a @ x - x @ a), od.tangent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeanCurvatureResult:
-    """Mean curvature vector of an orbit at the base point."""
+    """Mean curvature vector H = sum_n vals[n] normals[n] of an orbit at the base point;
+    ``per_normal`` pairs the normals with their components when read."""
 
     h: np.ndarray
     norm: float
-    per_normal: tuple
+    normals: np.ndarray
+    vals: list
     orbit_dim: int
     stab_dim: int
+    per_normal = property(lambda self: tuple(zip(self.normals, self.vals)))
 
 
 def mean_curvature(span) -> MeanCurvatureResult:
@@ -171,7 +174,7 @@ def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
     nu = np.array(od.nu).reshape(-1, 9)
     h = np.dot(vals, nu)
     return MeanCurvatureResult(h=h.reshape(3, 3), norm=math.hypot(*h.tolist()),
-                               per_normal=tuple(zip(nu.reshape(-1, 3, 3), vals)),
+                               normals=nu.reshape(-1, 3, 3), vals=vals,
                                orbit_dim=od.orbit_dim, stab_dim=od.stab_dim)
 
 
@@ -183,13 +186,12 @@ def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     Der) g = k (L^-1 (RI + Der) L) k^T, with the rows of L^-1 (RI + Der) L
     read off the brackets on the frame L e_i (``moduli.frame_algebra``, whose
     guards on L are the only refusals: no conditioning policy applies).  Only
-    when a QR ran, each row R, N's stack rebuilt from ``SEMIDIRECT_ROWS``,
+    when a QR ran, each row R, N's stack rebuilt (``derivations.semidirect_frame``),
     becomes k R k^T, an isometry of the trace form.
     """
     lower, k = linalg.lq(g)
     rows = frame_algebra(family, lower)[1]
     if k is not None:
-        if isinstance(rows, tuple):
-            rows = np.vstack([SEMIDIRECT_ROWS[:3], rows, SEMIDIRECT_ROWS[4:]])
+        rows = semidirect_frame(rows) if isinstance(rows, tuple) else rows
         rows = (k @ rows.reshape(-1, 3, 3) @ k.T).reshape(-1, 9)
     return _mean_curvature(orbit_data(rows))

@@ -25,7 +25,7 @@ _EYE = np.eye(3).ravel()
 _EYE.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolitonVerdict:
     """The verdict and the best split Ric ~ c*I + D, D in the derivation
     algebra, with the Frobenius norm of what is left."""
@@ -42,7 +42,7 @@ def _split(r: list, rows, dim: int) -> tuple:
     ``r``, as c*I + D + rest over the orthonormal flat ``rows`` of S + RI laid
     out as ``MatrixSubspace.scalar_frame``: D in S, the span of the first
     ``dim`` rows, and c = <ric, e>/<I, e> for e the last row (c = 0 when I lies
-    in S).  ``rows`` = N, a tuple, is ``SEMIDIRECT_ROWS`` with N as row 3: e = E11, c =
+    in S).  A tuple is N, for ``derivations.semidirect_frame(N)``: e = E11, c =
     Ric11, and D = Ric21 E21 + Ric31 E31 + s (E22 + E33) + <rest, N> N, 2s = tr rest."""
     if isinstance(rows, tuple):
         *_, n22, n23, _, n32, n33 = rows

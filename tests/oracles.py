@@ -177,7 +177,7 @@ def shape_trace_mean_curvature(od: orbit_geometry.OrbitData
     h = np.einsum("n,nab->ab", vals, od.normals)
     return orbit_geometry.MeanCurvatureResult(
         h=h, norm=float(np.linalg.norm(h)),
-        per_normal=tuple((a, float(v)) for a, v in zip(od.normals, vals)),
+        normals=od.normals, vals=[float(v) for v in vals],
         orbit_dim=od.orbit_dim, stab_dim=od.stab_dim)
 
 

@@ -252,9 +252,8 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False)),
                 max_size=9))
-def test_numerators_of_floats_shift_where_the_lcm_path_divides(values):
-    # a float's denominator is a power of two, so the largest is the lcm and
-    # each numerator is shifted up to it: the same ints as the lcm path of the
+def test_numerators_of_floats_match_their_fractions(values):
+    # a float is a dyadic rational: its numerators over the lcm are those of the
     # same values as Fractions, and of the same floats with an int among them
     got = linalg.numerators(values)
     assert got == linalg.numerators([Fraction(x) for x in values])

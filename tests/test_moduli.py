@@ -156,6 +156,12 @@ def test_rep_matrix_is_the_identity_but_rep_entries(exact):
             assert all(type(x) is (Fraction if exact else float) for x in got[2][1:])
 
 
+def test_float_rep_matrix_reads_only_float_of_lambda():
+    # the float lane needs float(lam) alone, so a 0-d array lambda is its value
+    for fam in FAMILIES:
+        assert rep_matrix(fam, np.array(2.5)).tobytes() == rep_matrix(fam, 2.5).tobytes()
+
+
 def test_family_constants_keep_the_bits_of_a_zero_parameter():
     # Family's == merges a = 0.0, -0.0 and Fraction(0), but the float tensors
     # differ in the signs of their zeros: d and the mirror entries
