@@ -66,10 +66,11 @@ def metric_to_group(gram: np.ndarray) -> np.ndarray:
     ``moduli.reduce`` runs no QR on it.  Its zeros above the diagonal are
     exact, and g(4^k G) = 2^-k g(G) bit for bit.
     """
-    e, (u12, u13, u23), dv = _gram_ldl(gram)
-    y = [[1.0], [-u12, 1.0], [u12 * u23 - u13, -u23, 1.0]]
-    return np.array([[_ldexp(x / math.sqrt(dv[j]), e[i]) for j, x in enumerate(row)]
-                     + [0.0] * (2 - i) for i, row in enumerate(y)])
+    (e1, e2, e3), (u12, u13, u23), dv = _gram_ldl(gram)
+    r1, r2, r3 = map(math.sqrt, dv)
+    return np.array([_ldexp(1.0 / r1, e1), 0.0, 0.0, _ldexp(-u12 / r1, e2), _ldexp(1.0 / r2, e2),
+                     0.0, _ldexp((u12 * u23 - u13) / r1, e3), _ldexp(-u23 / r2, e3),
+                     _ldexp(1.0 / r3, e3)]).reshape(3, 3)
 
 
 def _gram_ldl(gram: np.ndarray) -> tuple:
@@ -84,8 +85,7 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     gram = np.asarray(gram, dtype=float)
     if gram.shape != (3, 3):
         raise NonSPDMetricError(f"Gram matrix must be 3x3, got shape {gram.shape}")
-    rows = gram.tolist()
-    flat = rows[0] + rows[1] + rows[2]
+    flat = gram.ravel().tolist()
     for k, x in enumerate(flat):
         if not math.isfinite(x):
             raise NonSPDMetricError(f"Gram matrix entry ({k // 3 + 1}, {k % 3 + 1}) is not "
@@ -94,9 +94,12 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     if max(abs(flat[1] - flat[3]), abs(flat[2] - flat[6]),
            abs(flat[5] - flat[7])) > linalg.ZERO_TOL * top:
         raise NonSPDMetricError("Gram matrix is not symmetric")
-    d = [math.frexp(rows[i][i])[1] for i in range(3)]
-    e = [(max(d) - x) // 2 - max(d) // 2 for x in d]
-    (g11, g12, g13), (_, g22, g23), (_, _, g33) = _scaled(rows, e, e)
+    n1, n2, n3 = math.frexp(flat[0])[1], math.frexp(flat[4])[1], math.frexp(flat[8])[1]
+    m = max(n1, n2, n3)
+    e1, e2, e3 = (m - n1) // 2 - m // 2, (m - n2) // 2 - m // 2, (m - n3) // 2 - m // 2
+    # the six entries read of P G P, each times 2^(e_i + e_j)
+    g11, g12, g13, g22, g23, g33 = map(_ldexp, flat[:3] + flat[4:6] + flat[8:],
+                                       (e1 + e1, e1 + e2, e1 + e3, e2 + e2, e2 + e3, e3 + e3))
     # every quotient is by a pivot already found > 0
     d3 = _pivot(g33)
     u23, u13 = g23 / d3, g13 / d3
@@ -106,7 +109,7 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     t = g12 - u13 * g23
     u12 = t / d2
     d1 = _pivot(g11 - u13 * g13 - u12 * t)
-    return e, (u12, u13, u23), (d1, d2, d3)
+    return (e1, e2, e3), (u12, u13, u23), (d1, d2, d3)
 
 
 def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
@@ -117,19 +120,18 @@ def ricci_canonical(sc: StructureConstants, gram: np.ndarray) -> np.ndarray:
     ``_gram_ldl``'s e is a product, quotient or sum, and P and P Ric' P^-1
     are exact, so t Ric(tG) == Ric(G) bit for bit at t = 2^k.
     """
-    return block_ricci(gram, semidirect_block(sc))[0]
+    return np.array(block_ricci(gram, semidirect_block(sc))[0]).reshape(3, 3)
 
 
 def block_ricci(gram: np.ndarray, block) -> tuple:
-    """``(ricci_canonical, ric_frame)`` of a tensor whose
-    ``semidirect_block`` is ``block`` (None: ValueError, after the Gram
-    check), ric_frame = D^1/2 Ric_y D^-1/2 as lists: Ric on ``metric_to_group``'s frame."""
-    e, (u12, u13, u23), (d1, d2, d3) = _gram_ldl(gram)
+    """``(ricci_canonical, ric_frame)``, each the flat list of its 9 entries, of a tensor
+    whose ``semidirect_block`` is ``block`` (None: ValueError, after the Gram check);
+    ric_frame = D^1/2 Ric_y D^-1/2 is Ric on ``metric_to_group``'s frame."""
+    (e1, e2, e3), (u12, u13, u23), (d1, d2, d3) = _gram_ldl(gram)
     if block is None:
         raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
                          "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
-    a, b, c, dd = map(_ldexp, map(float, block),
-                      (e[0], e[0] + e[1] - e[2], e[0] + e[2] - e[1], e[0]))
+    a, b, c, dd = map(_ldexp, map(float, block), (e1, e1 + e2 - e3, e1 + e3 - e2, e1))
     # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3
     p, q, r, s = block_conjugate((a, b, c, dd), -u23, 1.0)
     x11, x22, x23, x32, x33 = _ricci2(p, s, q * d3, r * d2, d2, d3)
@@ -138,12 +140,12 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
     # y Ric_y y^-1 with y = U^-T and y^-1 = U^T
     m21, m22 = x32 - u23 * x22, x33 - u23 * x23
     m20 = (u12 * u23 - u13) * x11 + u12 * m21 + u13 * m22
-    ric = [[x11, 0.0, 0.0],
-           [u12 * (x22 - x11) + u13 * x23, x22 + u23 * x23, x23],
-           [m20, m21 + u23 * m22, m22]]
+    # P Ric' P^-1: entry (i, j) times 2^(e_i - e_j), off the diagonal only
+    ric = [x11, 0.0, 0.0,
+           _ldexp(u12 * (x22 - x11) + u13 * x23, e2 - e1), x22 + u23 * x23, _ldexp(x23, e2 - e3),
+           _ldexp(m20, e3 - e1), _ldexp(m21 + u23 * m22, e3 - e2), m22]
     h = x23 * math.sqrt(d2 / d3)  # = x32 sqrt(D3/D2), once for both entries
-    return (require_finite(np.array(_scaled(ric, e, [-x for x in e]))),
-            [[x11, 0.0, 0.0], [0.0, x22, h], [0.0, h, x33]])
+    return require_finite(ric), [x11, 0.0, 0.0, 0.0, x22, h, 0.0, h, x33]
 
 
 def _ricci2(p, s, w, v, d2, d3) -> tuple:
@@ -200,11 +202,6 @@ def frame_conditions(a, b, c, d) -> tuple:
     return soliton, einstein, (b - c) * (u * u + w * w) == 0
 
 
-def _scaled(rows: list, e: list, f: list) -> list:
-    """The nested list ``rows`` with entry (i, j) times 2^(e_i + f_j)."""
-    return [[_ldexp(x, e[i] + f[j]) for j, x in enumerate(row)] for i, row in enumerate(rows)]
-
-
 def _ldexp(x: float, n: int) -> float:
     """``math.ldexp(x, n)``, an overflow giving inf of x's sign, as ``np.ldexp`` does."""
     try:
@@ -224,9 +221,10 @@ def ricci_operator(m: MetricData) -> RicciResult:
     """``ricci_canonical`` of the metric, and on its orthonormal frame g =
     ``metric_to_group(gram)`` = P y D^-1/2 the block-diagonal ``ric_frame`` =
     g^-1 Ric g = D^1/2 Ric_y D^-1/2, from five closed-form entries."""
-    ric, ric_frame = block_ricci(m.gram, semidirect_block(m.sc))
+    ric, ric_frame = (np.array(x).reshape(3, 3)
+                      for x in block_ricci(m.gram, semidirect_block(m.sc)))
     # + 0.0: a zero entry prints as 0.0, never as the -0.0 a product of zeros can give
-    return RicciResult(require_finite(np.array(ric_frame) + 0.0), ric, float(np.trace(ric)))
+    return RicciResult(require_finite(ric_frame + 0.0), ric, float(np.trace(ric)))
 
 
 def require_finite(ric):

@@ -31,6 +31,7 @@ COND_LIMIT = 1e12
 LQ_DET_TOL = 1e-9
 
 ZERO = Fraction(0)
+_EYE = np.eye(3)
 
 
 def lead_positive(rows: np.ndarray) -> np.ndarray:
@@ -216,7 +217,7 @@ def lower_triangular_lq(g: np.ndarray):
     lower, q = lq(g)
     if math.prod(lower.diagonal().tolist()) < LQ_DET_TOL:
         raise SingularMatrixError("group element is numerically singular")
-    return lower, np.eye(3) if q is None else q
+    return lower, _EYE.copy() if q is None else q
 
 
 def orthonormalize(vectors) -> np.ndarray:

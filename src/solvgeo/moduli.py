@@ -28,7 +28,7 @@ from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Representative:
     """Canonical group element of an isometry class within a family."""
 
@@ -36,7 +36,7 @@ class Representative:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionTrace:
     """Witness factors for rep = scalar * auto_part * g * orth."""
 
@@ -139,7 +139,7 @@ def _transitive(family: Family) -> bool:
 
 def _block_rotation(t: float) -> np.ndarray:
     c, s = math.cos(t), math.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return np.array([1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c]).reshape(3, 3)
 
 
 def reduce(family: Family, g: np.ndarray):
@@ -163,7 +163,7 @@ def reduce(family: Family, g: np.ndarray):
     in float64 ValueError.
     """
     g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
+    if not all(map(math.isfinite, g.ravel().tolist())):
         raise SingularMatrixError("group element is not finite")
     lower, k1 = linalg.lower_triangular_lq(g)
     steps = [("lq_orthogonal", k1)]
@@ -181,28 +181,29 @@ def reduce(family: Family, g: np.ndarray):
         rep = Representative(1.0, np.eye(3))
         return rep, ReductionTrace(scalar, m / scalar, k1, tuple(steps))
 
-    (l11, _, _), (l21, l22, _), (l31, l32, l33) = lower.tolist()
-    phi1 = np.array([[l22, 0.0, 0.0],
-                     [-l21, l11, 0.0],
-                     [-l31, 0.0, l11]]) / (l11 * l22)
+    l11, _, _, l21, l22, _, l31, l32, l33 = lower.ravel().tolist()
+    # entry by entry, rounded and signed as numpy's matmul gives them (+ 0.0 where it sums to
+    # +0.0): phi1, (a32, a33) of phi1 @ L and, on r3 and r3_a, left = (the next step) @ phi1
+    p = l11 * l22
+    scalar, u, v, i1 = l22 / p, -l21 / p, -l31 / p, l11 / p
+    a32, a33 = i1 * l32 + 0.0, i1 * l33
+    phi1 = np.array([scalar, 0.0, 0.0, u, i1, 0.0, v, 0.0, i1]).reshape(3, 3)
     steps.append(("f_normalizer", phi1))
-    gp = phi1 @ lower
-    a32, a33 = gp[2, 1], gp[2, 2]
 
     if family.tag == "r3":
-        phi2 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -a32, 1.0]])
-        steps.append(("shear", phi2))
-        lam = 1.0 / a33
-        left = phi2 @ phi1
-        orth = k1
+        steps.append(("shear", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -a32, 1.0])
+                      .reshape(3, 3)))
+        lam, orth = 1.0 / a33, k1
+        left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, -a32 * u + v + 0.0, -a32 * i1 + 0.0, i1]
     elif family.tag == "r3_a":
         # a33 > 0, and diag(1, 1, -1) is an orthogonal automorphism taking
         # g_lam to g_-lam: with it on both sides, lam >= 0
         sign = -1.0 if a32 < 0 else 1.0
-        phi2 = np.diag([1.0, 1.0, sign / a33])
-        steps.append(("diagonal_rescale", phi2))
+        t = sign / a33
+        steps.append(("diagonal_rescale", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, t])
+                      .reshape(3, 3)))
         lam = sign * a32 / a33
-        left = phi2 @ phi1
+        left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, t * v + 0.0, 0.0, t * i1]
         orth = k1 * [1.0, 1.0, sign]
     else:  # r3p_a
         # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
@@ -213,20 +214,20 @@ def reduce(family: Family, g: np.ndarray):
         rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
         steps.append(("cartan_rotation", rot))
         steps.append(("cartan_orthogonal", k2))
-        phi3 = np.diag([1.0, 1.0 / s0, 1.0 / s0])
+        phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / s0, 0.0, 0.0, 0.0, 1.0 / s0]).reshape(3, 3)
         steps.append(("block_rescale", phi3))
         lam = s0 / s1
-        left = phi3 @ rot @ phi1
+        # sums of two products, which numpy's matmul rounds its own way
+        left = (phi3 @ rot @ phi1).ravel().tolist()
         orth = k1 @ k2
 
-    scalar = left[0, 0]
-    phi = left / scalar
-    rep = Representative(float(lam), rep_matrix(family, float(lam)))
-    return rep, ReductionTrace(float(scalar), phi, orth, tuple(steps))
+    phi = np.array([x / scalar for x in left]).reshape(3, 3)
+    rep = Representative(lam, rep_matrix(family, lam))
+    return rep, ReductionTrace(scalar, phi, orth, tuple(steps))
 
 
 def witness_residual(rep: Representative, trace: ReductionTrace, g: np.ndarray) -> float:
     """max-norm of rep - scalar * auto_part @ g @ orth."""
     recon = trace.scalar * trace.auto_part @ np.asarray(g, dtype=float) @ trace.orth
-    return float(np.max(np.abs(rep.matrix - recon)))
+    return float(abs(rep.matrix - recon).max())
 

@@ -81,7 +81,7 @@ def solvsoliton_check(sc: StructureConstants, gram: np.ndarray) -> SolitonVerdic
     (g22, g23), (_, g33) = np.asarray(gram, dtype=float)[1:, 1:].tolist()
     (*a, g22, g23, g33), _ = linalg.numerators([*block, g22, g23, g33])
     flags = soliton_flags(*_conjugated(a, g33, -g23, g33), g22 * g33 - g23 * g23, g33 * g33)
-    return SolitonVerdict(*flags, *_split(ric.ravel().tolist(), *block_der_rows(sc, block)))
+    return SolitonVerdict(*flags, *_split(ric, *block_der_rows(sc, block)))
 
 
 def _conjugated(block, l22, l32, l33) -> tuple:

@@ -43,7 +43,14 @@ def test_readme_quick_start_runs(capsys):
     block = re.search(r"## Quick start\n\n```python\n(.*?)```", text, re.S)
     assert block is not None, "README.md has no Quick start python block"
     exec(compile(block.group(1), "README.md", "exec"), {})
-    assert capsys.readouterr().out.count("\n") == 5
+    # each print's line against its "# value" comment; "..." ends a prefix
+    shown = [line.split("#", 1)[1].strip() for line in block.group(1).splitlines()
+             if line.startswith("print(")]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(shown) == 5
+    for out, value in zip(printed, shown):
+        head, dots, _ = value.partition("...")
+        assert out.startswith(head) if dots else out == value, (out, value)
 
 
 def _readme_command_line() -> str:
