@@ -90,9 +90,8 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
         if not math.isfinite(x):
             raise NonSPDMetricError(f"Gram matrix entry ({k // 3 + 1}, {k % 3 + 1}) is not "
                                     f"finite: {x}")
-    top = max(map(abs, flat))
-    if max(abs(flat[1] - flat[3]), abs(flat[2] - flat[6]),
-           abs(flat[5] - flat[7])) > linalg.ZERO_TOL * top:
+    asym = max(abs(flat[1] - flat[3]), abs(flat[2] - flat[6]), abs(flat[5] - flat[7]))
+    if asym and asym > linalg.ZERO_TOL * max(map(abs, flat)):
         raise NonSPDMetricError("Gram matrix is not symmetric")
     n1, n2, n3 = math.frexp(flat[0])[1], math.frexp(flat[4])[1], math.frexp(flat[8])[1]
     m = max(n1, n2, n3)

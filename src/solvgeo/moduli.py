@@ -194,8 +194,8 @@ def reduce(family: Family, g: np.ndarray):
         steps.append(("shear", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -a32, 1.0])
                       .reshape(3, 3)))
         lam, orth = 1.0 / a33, k1
-        left = np.array([scalar, 0.0, 0.0, u + 0.0, i1, 0.0,
-                         -a32 * u + v + 0.0, -a32 * i1 + 0.0, i1]).reshape(3, 3)
+        left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, -a32 * u + v + 0.0, -a32 * i1 + 0.0, i1]
+        phi = np.array([x / scalar for x in left]).reshape(3, 3)
     elif family.tag == "r3_a":
         # a33 > 0, and diag(1, 1, -1) is an orthogonal automorphism taking
         # g_lam to g_-lam: with it on both sides, lam >= 0
@@ -204,8 +204,8 @@ def reduce(family: Family, g: np.ndarray):
         steps.append(("diagonal_rescale", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, t])
                       .reshape(3, 3)))
         lam = sign * a32 / a33
-        left = np.array([scalar, 0.0, 0.0, u + 0.0, i1, 0.0,
-                         t * v + 0.0, 0.0, t * i1]).reshape(3, 3)
+        left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, t * v + 0.0, 0.0, t * i1]
+        phi = np.array([x / scalar for x in left]).reshape(3, 3)
         orth = k1 * [1.0, 1.0, sign]
     else:  # r3p_a
         # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
@@ -214,16 +214,15 @@ def reduce(family: Family, g: np.ndarray):
         s1 = min(a33 / s0, s0)  # det B = s0 s1; keeps lambda >= 1 under rounding
         t1, t2 = math.atan2(h, f), math.atan2(h, e)
         rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
-        steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2)]
         phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / s0, 0.0, 0.0, 0.0, 1.0 / s0]).reshape(3, 3)
-        steps.append(("block_rescale", phi3))
+        steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2), ("block_rescale", phi3)]
         lam = s0 / s1
-        # sums of two products, which numpy's matmul rounds its own way
-        left = phi3 @ rot @ phi1
+        # left = phi3 @ rot @ phi1 holds sums of two products, which numpy's matmul rounds
+        phi = phi3 @ rot @ phi1 / scalar
         orth = k1 @ k2
 
     rep = Representative(lam, rep_matrix(family, lam))
-    return rep, ReductionTrace(scalar, left / scalar, orth, tuple(steps))
+    return rep, ReductionTrace(scalar, phi, orth, tuple(steps))
 
 
 def witness_residual(rep: Representative, trace: ReductionTrace, g: np.ndarray) -> float:
