@@ -217,7 +217,7 @@ def reduce(family: Family, g: np.ndarray):
         phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / s0, 0.0, 0.0, 0.0, 1.0 / s0]).reshape(3, 3)
         steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2), ("block_rescale", phi3)]
         lam = s0 / s1
-        # left = phi3 @ rot @ phi1 holds sums of two products, which numpy's matmul rounds
+        # phi3 @ rot @ phi1 stays a matmul: numpy rounds its sums of two products its own way
         phi = phi3 @ rot @ phi1 / scalar
         orth = k1 @ k2
 
