@@ -97,8 +97,8 @@ def _gram_ldl(gram: np.ndarray) -> tuple:
     m = max(n1, n2, n3)
     e1, e2, e3 = (m - n1) // 2 - m // 2, (m - n2) // 2 - m // 2, (m - n3) // 2 - m // 2
     # the six entries read of P G P, each times 2^(e_i + e_j)
-    g11, g12, g13, g22, g23, g33 = map(_ldexp, flat[:3] + flat[4:6] + flat[8:],
-                                       (e1 + e1, e1 + e2, e1 + e3, e2 + e2, e2 + e3, e3 + e3))
+    g11, g12, g13 = _ldexp(flat[0], e1 + e1), _ldexp(flat[1], e1 + e2), _ldexp(flat[2], e1 + e3)
+    g22, g23, g33 = _ldexp(flat[4], e2 + e2), _ldexp(flat[5], e2 + e3), _ldexp(flat[8], e3 + e3)
     # every quotient is by a pivot already found > 0
     d3 = _pivot(g33)
     u23, u13 = g23 / d3, g13 / d3
@@ -130,7 +130,8 @@ def block_ricci(gram: np.ndarray, block) -> tuple:
     if block is None:
         raise ValueError("structure constants must have the shape [e1,e2] = a e2 + b e3, "
                          "[e1,e3] = c e2 + d e3, [e2,e3] = 0")
-    a, b, c, dd = map(_ldexp, map(float, block), (e1, e1 + e2 - e3, e1 + e3 - e2, e1))
+    a, b, c, dd = map(float, block)
+    a, b, c, dd = _ldexp(a, e1), _ldexp(b, e1 + e2 - e3), _ldexp(c, e1 + e3 - e2), _ldexp(dd, e1)
     # ad(y1) = ad(e1) on span{e2, e3}, here on y2 = e2 - u23 e3 and y3 = e3
     p, q, r, s = block_conjugate((a, b, c, dd), -u23, 1.0)
     x11, x22, x23, x32, x33 = _ricci2(p, s, q * d3, r * d2, d2, d3)

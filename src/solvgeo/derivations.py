@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,10 +150,10 @@ SEMIDIRECT_ROWS[[0, 1, 2, 2, 4], [3, 6, 4, 8, 0]] = [1.0, 1.0, 2 ** -0.5, 2 ** -
 SEMIDIRECT_ROWS.setflags(write=False)
 
 
-# flat indices of c[0, 1:, 1:] ([e1, e2], [e1, e3]), of c[1:, 0, 1:], and of
-# every other entry of a 3x3x3 tensor c
-_BLOCK, _MIRROR = (4, 5, 7, 8), (10, 11, 19, 20)
-_OFF_SEMIDIRECT = tuple(sorted(set(range(27)) - set(_BLOCK) - set(_MIRROR)))
+# getters, on the flat list of a 3x3x3 tensor c, of c[0, 1:, 1:] ([e1, e2], [e1, e3]),
+# of c[1:, 0, 1:], and of every other entry
+_BLOCK, _MIRROR = operator.itemgetter(4, 5, 7, 8), operator.itemgetter(10, 11, 19, 20)
+_OFF_SEMIDIRECT = operator.itemgetter(*sorted(set(range(27)) - {4, 5, 7, 8, 10, 11, 19, 20}))
 
 
 def traceless_row(a: float, b: float, c: float, d: float) -> tuple:
@@ -177,10 +178,10 @@ def semidirect_block(sc: StructureConstants):
     c e2 + d e3, [e2,e3] = 0 (every other entry zero and c[1:, 0, 1:] =
     -c[0, 1:, 1:], tested by equality on the entries), else None."""
     flat = sc.c.ravel().tolist()
-    block = [flat[i] for i in _BLOCK]
-    if any(flat[i] for i in _OFF_SEMIDIRECT) or [-flat[i] for i in _MIRROR] != block:
+    a, b, c, d = block = _BLOCK(flat)
+    if any(_OFF_SEMIDIRECT(flat)) or _MIRROR(flat) != (-a, -b, -c, -d):
         return None
-    return tuple(block)
+    return block
 
 
 def block_conjugate(block, r: float, s: float) -> tuple:
