@@ -27,6 +27,8 @@ from .derivations import MEMO_SIZE, block_conjugate, derivation_algebra, tracele
 from .errors import InvalidFamilyError, SingularMatrixError
 from .lie_core import Family, StructureConstants, change_basis, make_family
 
+_OVERFLOW = "reduction witness is not finite: its factors overflow float64 for this metric"
+
 
 @dataclass(frozen=True, slots=True)
 class Representative:
@@ -156,11 +158,10 @@ def reduce(family: Family, g: np.ndarray):
     itself splits into scalar times automorphism and the representative is
     the identity.
 
-    Returns (Representative, ReductionTrace); the product scalar *
-    auto_part @ g @ orth reproduces the representative matrix.  A
-    non-finite or numerically singular g raises SingularMatrixError, and a
-    g not 3x3 (``linalg.lq``) or a single-class witness that does not fit
-    in float64 ValueError.
+    Returns (Representative, ReductionTrace); the product scalar * auto_part @ g @ orth
+    reproduces the representative matrix.  A non-finite or numerically singular g raises
+    SingularMatrixError, and a g not 3x3 (``linalg.lq``) or a witness that does not fit in
+    float64 ValueError.
     """
     g = np.asarray(g, dtype=float)
     if not all(map(math.isfinite, g.ravel().tolist())):
@@ -176,17 +177,17 @@ def reduce(family: Family, g: np.ndarray):
         # k_scale = scalar^2 and phi = m / scalar must fit in float64; in Python
         # floats an overflow is inf, with no RuntimeWarning
         if not (0 < scalar * scalar < math.inf and float(np.abs(m).max()) / scalar < math.inf):
-            raise ValueError("reduction witness is not finite: its factors overflow float64 "
-                             "for this metric")
-        rep = Representative(1.0, np.eye(3))
-        return rep, ReductionTrace(scalar, m / scalar, k1, tuple(steps))
+            raise ValueError(_OVERFLOW)
+        return Representative(1.0, np.eye(3)), ReductionTrace(scalar, m / scalar, k1, tuple(steps))
 
     l11, _, _, l21, l22, _, l31, l32, l33 = lower.ravel().tolist()
-    # entry by entry, rounded and signed as numpy's matmul gives them (+ 0.0 where it sums to
-    # +0.0): phi1, (a32, a33) of phi1 @ L and, on r3 and r3_a, left = (the next step) @ phi1
+    # entry by entry as numpy's matmul rounds them (+ 0.0 where it sums to +0.0), which needs
+    # them finite: phi1, (a32, a33) of phi1 @ L and, on r3 and r3_a, left = (next step) @ phi1
     p = l11 * l22
     scalar, u, v, i1 = l22 / p, -l21 / p, -l31 / p, l11 / p
     a32, a33 = i1 * l32 + 0.0, i1 * l33
+    if not (a33 > 0 and all(map(math.isfinite, (scalar, u, v, i1, a32, a33, 1 / a33)))):
+        raise ValueError(_OVERFLOW)
     phi1 = np.array([scalar, 0.0, 0.0, u, i1, 0.0, v, 0.0, i1]).reshape(3, 3)
     steps.append(("f_normalizer", phi1))
 
@@ -203,10 +204,9 @@ def reduce(family: Family, g: np.ndarray):
         t = sign / a33
         steps.append(("diagonal_rescale", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, t])
                       .reshape(3, 3)))
-        lam = sign * a32 / a33
+        lam, orth = sign * a32 / a33, k1 * [1.0, 1.0, sign]
         left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, t * v + 0.0, 0.0, t * i1]
         phi = np.array([x / scalar for x in left]).reshape(3, 3)
-        orth = k1 * [1.0, 1.0, sign]
     else:  # r3p_a
         # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
         e, f, h = (1 + a33) / 2, (1 - a33) / 2, a32 / 2
@@ -216,7 +216,7 @@ def reduce(family: Family, g: np.ndarray):
         rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
         phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / s0, 0.0, 0.0, 0.0, 1.0 / s0]).reshape(3, 3)
         steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2), ("block_rescale", phi3)]
-        lam = s0 / s1
+        lam = s0 / s1 if s1 else math.inf  # a33 / s0 underflowed: refused as float64 has it
         # phi3 @ rot @ phi1 stays a matmul: numpy rounds its sums of two products its own way
         phi = phi3 @ rot @ phi1 / scalar
         orth = k1 @ k2

@@ -487,6 +487,16 @@ def test_reduce_rejects_near_singular():
         reduce(Family("r3"), np.eye(2))
 
 
+@pytest.mark.parametrize("fam", REDUCIBLE)
+def test_reduce_names_a_witness_past_float64(fam):
+    # L11 L22 overflows (a33 = 0), or a33 ~ L33 / L22 is subnormal (1 / a33 = inf): the
+    # closed-form factors leave float64, and reduce refuses by name with no ZeroDivisionError
+    for g in (np.diag([1e200, 1e200, 1.0]), np.diag([1.0, 1e160, 1e-150]),
+              metric_to_group(np.diag([1e-310, 1e-310, 1.0]))):
+        with pytest.raises(ValueError, match="^reduction witness is not finite"):
+            reduce(fam, g)
+
+
 def test_reduce_of_a_gram_frame_runs_no_qr(monkeypatch):
     # metric_to_group's frame is already lower triangular with positive
     # diagonal: its LQ factor is itself and k1 = I, with no QR
