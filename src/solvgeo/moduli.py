@@ -181,8 +181,8 @@ def reduce(family: Family, g: np.ndarray):
         return Representative(1.0, np.eye(3)), ReductionTrace(scalar, m / scalar, k1, tuple(steps))
 
     l11, _, _, l21, l22, _, l31, l32, l33 = lower.ravel().tolist()
-    # entry by entry as numpy's matmul rounds them (+ 0.0 where it sums to +0.0), which needs
-    # them finite: phi1, (a32, a33) of phi1 @ L and, on r3 and r3_a, left = (next step) @ phi1
+    # phi1, (a32, a33) of phi1 @ L and left = (next step) @ phi1 as numpy's matmul rounds them,
+    # + 0.0 where it sums to +0.0: exact when they and 1 / a33 are finite, and refused if not
     p = l11 * l22
     scalar, u, v, i1 = l22 / p, -l21 / p, -l31 / p, l11 / p
     a32, a33 = i1 * l32 + 0.0, i1 * l33
@@ -216,7 +216,7 @@ def reduce(family: Family, g: np.ndarray):
         rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
         phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / s0, 0.0, 0.0, 0.0, 1.0 / s0]).reshape(3, 3)
         steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2), ("block_rescale", phi3)]
-        lam = s0 / s1 if s1 else math.inf  # a33 / s0 underflowed: refused as float64 has it
+        lam = s0 / s1 if s1 else math.inf  # a33 / s0 underflowed: rep_matrix refuses lambda
         # phi3 @ rot @ phi1 stays a matmul: numpy rounds its sums of two products its own way
         phi = phi3 @ rot @ phi1 / scalar
         orth = k1 @ k2
