@@ -174,55 +174,49 @@ def reduce(family: Family, g: np.ndarray):
         steps.append(("triangular_inverse", m))
         (m11, _, _), (_, m22, _), (_, _, m33) = m.tolist()
         scalar = m11 * m22 / m33 if family.tag == "h3" else m11
-        # k_scale = scalar^2 and phi = m / scalar must fit in float64; in Python
-        # floats an overflow is inf, with no RuntimeWarning
-        if not (0 < scalar * scalar < math.inf and float(np.abs(m).max()) / scalar < math.inf):
+        lam, left, orth = 1.0, m.ravel().tolist(), k1
+    else:
+        l11, _, _, l21, l22, _, l31, l32, l33 = lower.ravel().tolist()
+        # phi1, (a32, a33) of phi1 @ L and left = (next step) @ phi1 as numpy's matmul rounds
+        # them, + 0.0 where it sums to +0.0: exact when they and 1 / a33 are finite
+        p = l11 * l22
+        scalar, u, v, i1 = l22 / p, -l21 / p, -l31 / p, l11 / p
+        a32, a33 = i1 * l32 + 0.0, i1 * l33
+        if not (a33 > 0 and all(map(math.isfinite, (scalar, u, v, i1, a32, a33, 1 / a33)))):
             raise ValueError(_OVERFLOW)
-        return Representative(1.0, np.eye(3)), ReductionTrace(scalar, m / scalar, k1, tuple(steps))
+        phi1 = np.array([scalar, 0.0, 0.0, u, i1, 0.0, v, 0.0, i1]).reshape(3, 3)
+        steps.append(("f_normalizer", phi1))
+        if family.tag == "r3p_a":
+            # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
+            e, f, h = (1 + a33) / 2, (1 - a33) / 2, a32 / 2
+            s0 = math.hypot(e, h) + math.hypot(f, h)
+            s1 = min(a33 / s0, s0)  # det B = s0 s1; keeps lambda >= 1 under rounding
+            t1, t2 = math.atan2(h, f), math.atan2(h, e)
+            rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
+            phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1 / s0, 0.0, 0.0, 0.0, 1 / s0]).reshape(3, 3)
+            steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2), ("block_rescale", phi3)]
+            lam = s0 / s1 if s1 else math.inf  # a33 / s0 underflowed: rep_matrix refuses lambda
+            # phi3 @ rot @ phi1 stays a matmul: numpy rounds its sums of two products its own way
+            left, orth = (phi3 @ rot @ phi1).ravel().tolist(), k1 @ k2
+        else:
+            # one last-row step [[1, 0, 0], [0, 1, 0], [0, s, t]]: on r3 the shear to
+            # lambda = 1 / a33; on r3_a a rescale to lambda >= 0, with diag(1, 1, -1), an
+            # orthogonal automorphism taking g_lam to g_-lam, on both sides where a32 < 0
+            sign = -1.0 if family.tag == "r3_a" and a32 < 0 else 1.0
+            name, s, t, lam = (("shear", -a32, 1.0, 1.0 / a33) if family.tag == "r3" else
+                               ("diagonal_rescale", 0.0, sign / a33, sign * a32 / a33))
+            steps.append((name, np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, s, t]).reshape(3, 3)))
+            # each move's own bits: 1.0 * v is v on r3, and (+-0.0) + t * v + 0.0 is t * v + 0.0
+            left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, s * u + t * v + 0.0, s * i1 + 0.0, t * i1]
+            orth = k1 * [1.0, 1.0, sign]
 
-    l11, _, _, l21, l22, _, l31, l32, l33 = lower.ravel().tolist()
-    # phi1, (a32, a33) of phi1 @ L and left = (next step) @ phi1 as numpy's matmul rounds them,
-    # + 0.0 where it sums to +0.0: exact when they and 1 / a33 are finite, and refused if not
-    p = l11 * l22
-    scalar, u, v, i1 = l22 / p, -l21 / p, -l31 / p, l11 / p
-    a32, a33 = i1 * l32 + 0.0, i1 * l33
-    if not (a33 > 0 and all(map(math.isfinite, (scalar, u, v, i1, a32, a33, 1 / a33)))):
-        raise ValueError(_OVERFLOW)
-    phi1 = np.array([scalar, 0.0, 0.0, u, i1, 0.0, v, 0.0, i1]).reshape(3, 3)
-    steps.append(("f_normalizer", phi1))
-
-    if family.tag == "r3":
-        steps.append(("shear", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, -a32, 1.0])
-                      .reshape(3, 3)))
-        lam, orth = 1.0 / a33, k1
-        left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, -a32 * u + v + 0.0, -a32 * i1 + 0.0, i1]
-        phi = np.array([x / scalar for x in left]).reshape(3, 3)
-    elif family.tag == "r3_a":
-        # a33 > 0, and diag(1, 1, -1) is an orthogonal automorphism taking
-        # g_lam to g_-lam: with it on both sides, lam >= 0
-        sign = -1.0 if a32 < 0 else 1.0
-        t = sign / a33
-        steps.append(("diagonal_rescale", np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, t])
-                      .reshape(3, 3)))
-        lam, orth = sign * a32 / a33, k1 * [1.0, 1.0, sign]
-        left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, t * v + 0.0, 0.0, t * i1]
-        phi = np.array([x / scalar for x in left]).reshape(3, 3)
-    else:  # r3p_a
-        # closed-form SVD of B = [[1, 0], [a32, a33]]: rot B k2 = diag(s0, s1)
-        e, f, h = (1 + a33) / 2, (1 - a33) / 2, a32 / 2
-        s0 = math.hypot(e, h) + math.hypot(f, h)
-        s1 = min(a33 / s0, s0)  # det B = s0 s1; keeps lambda >= 1 under rounding
-        t1, t2 = math.atan2(h, f), math.atan2(h, e)
-        rot, k2 = _block_rotation(-(t2 + t1) / 2), _block_rotation(-(t2 - t1) / 2)
-        phi3 = np.array([1.0, 0.0, 0.0, 0.0, 1.0 / s0, 0.0, 0.0, 0.0, 1.0 / s0]).reshape(3, 3)
-        steps += [("cartan_rotation", rot), ("cartan_orthogonal", k2), ("block_rescale", phi3)]
-        lam = s0 / s1 if s1 else math.inf  # a33 / s0 underflowed: rep_matrix refuses lambda
-        # phi3 @ rot @ phi1 stays a matmul: numpy rounds its sums of two products its own way
-        phi = phi3 @ rot @ phi1 / scalar
-        orth = k1 @ k2
-
+    # the one exit: auto_part = left / scalar in Python floats, where an overflow is inf and
+    # no RuntimeWarning, refused unless it and k_scale = scalar^2 fit in float64
     rep = Representative(lam, rep_matrix(family, lam))
-    return rep, ReductionTrace(scalar, phi, orth, tuple(steps))
+    phi = [x / scalar for x in left]
+    if not (0 < scalar * scalar < math.inf and all(map(math.isfinite, phi))):
+        raise ValueError(_OVERFLOW)
+    return rep, ReductionTrace(scalar, np.array(phi).reshape(3, 3), orth, tuple(steps))
 
 
 def witness_residual(rep: Representative, trace: ReductionTrace, g: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import json
+
 import numpy as np
 
 from oracles import bracket
@@ -68,3 +70,10 @@ def unit(i: int, j: int) -> np.ndarray:
     m = np.zeros((3, 3))
     m[i, j] = 1.0
     return m
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the NaN, Infinity and -Infinity tokens strict JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=refuse)

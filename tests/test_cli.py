@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import FAMILY_STRINGS
+from helpers import FAMILY_STRINGS, strict_json
 from solvgeo import cli, curvature, moduli, soliton
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.errors import NonSPDMetricError, SingularMatrixError
@@ -652,15 +652,41 @@ def test_orbit_reads_extreme_gram_matrices(capsys, family):
     assert answered >= 20
 
 
-@pytest.mark.parametrize("gram", [
+@pytest.mark.parametrize("family", ["r3", "r3a:a=0.5", "r3pa:a=0.5"])
+def test_reduce_reads_extreme_gram_matrices(capsys, family):
+    # S (m m^T + 1e-3 I) S with S = diag(10^U(-155, 150)): each witness is
+    # finite or refused by name, and a RuntimeWarning fails the run
+    rng = np.random.default_rng(11)
+    answered = 0
+    for _ in range(300):
+        m, s = rng.normal(size=(3, 3)), np.diag(10.0 ** rng.uniform(-155.0, 150.0, 3))
+        gram = [repr(x) for x in (s @ (m @ m.T + 1e-3 * np.eye(3)) @ s).ravel().tolist()]
+        code = cli.main(["reduce", "--family", family, "--gram", *gram, "--format", "json"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == ""
+            assert math.isfinite(strict_json(out)["witness_residual"])
+            answered += 1
+        else:
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1, err
+    assert answered >= 150
+
+
+@pytest.mark.parametrize("family,gram", [
     # scalar = m11 m22 / m33 = 1e-300: k_scale underflowed to 0.0 and the
     # automorphism factor m / scalar overflowed
-    ["1e-200", "0", "0", "0", "1e-200", "0", "0", "0", "1e200"],
+    ("h3", ["1e-200", "0", "0", "0", "1e-200", "0", "0", "0", "1e200"]),
     # scalar = 1e160: k_scale = scalar ** 2 raised OverflowError
-    ["1e60", "0", "0", "0", "1e60", "0", "0", "0", "1e-200"],
-])
-def test_reduce_witness_overflow_named(capsys, gram):
-    assert cli.main(["reduce", "--family", "h3", "--gram", *gram]) == 2
+    ("h3", ["1e60", "0", "0", "0", "1e60", "0", "0", "0", "1e-200"]),
+    # phi1, a32 and a33 are finite, but the shear's -a32 u + v overflows: the
+    # witness held an inf, and its residual was NaN
+    ("r3", ["4.7119466512248655e-213", "6.539139071796028e-75", "1.947816093919244e-248",
+            "6.539139071796029e-75", "1.114891519386407e+64", "2.1149096182233425e-110",
+            "1.947816093919244e-248", "2.1149096182233422e-110", "5.529312998174583e-283"]),
+], ids=["gram0", "gram1", "r3_shear"])
+def test_reduce_witness_overflow_named(capsys, family, gram):
+    assert cli.main(["reduce", "--family", family, "--gram", *gram]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: reduction witness is not finite: its factors overflow float64 "

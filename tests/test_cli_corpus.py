@@ -6,6 +6,7 @@ byte-identical, except for the float entries of the mean curvature fields
 ``H``, ``H_norm`` and ``per_normal``, which are the last digits of an
 orthonormalization and must agree to ``FLOAT_TOL`` absolute (keys, lengths,
 orbit and stabilizer dimensions and every boolean still match exactly).
+Each output is parsed as strict JSON: a NaN or Infinity token fails its case.
 The same cases rerun with ``--format csv`` and ``--format table`` and
 compare with ``data/cli_corpus_text.json`` under the same rule: the text
 is byte-identical outside the numbers of those three fields.
@@ -30,6 +31,7 @@ import re
 
 import pytest
 
+from helpers import strict_json
 from solvgeo import cli
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "cli_corpus.json"
@@ -140,7 +142,7 @@ def test_cli_output_matches_corpus(capsys, argv):
     case = _load()[tuple(argv)]
     code, text = _run(capsys, argv)
     assert code == case["code"]
-    actual = json.loads(text)
+    actual = strict_json(text)
     # the output is the canonical rendering of its own content ...
     assert text == json.dumps(actual, indent=2) + "\n"
     # ... and that content matches the corpus outside the tolerant fields
@@ -302,7 +304,7 @@ def _regenerate(fixture=FIXTURE, text_fixture=TEXT_FIXTURE):
     cases, texts = [], []
     for argv in CASES:
         code, out = _capture(argv, "json")
-        output = json.loads(out)
+        output = strict_json(out)
         if tuple(argv) in stored:
             _pin_tolerant(output, stored[tuple(argv)], "output", check=False)
         cases.append({"argv": argv, "code": code, "output": output})
