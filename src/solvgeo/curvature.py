@@ -250,7 +250,7 @@ def ricci_closed_form(a, b, c, d) -> np.ndarray:
     """
     exact = all(isinstance(x, (int, Fraction)) for x in (a, b, c, d))
     if exact:
-        (a, b, c, d), q = linalg.integer_numerators(linalg.object_array([a, b, c, d], (4,)))
+        (a, b, c, d), q = linalg.numerators([a, b, c, d])
     x11, x22, x23, x32, x33 = _ricci2(a, d, b, c, 1, 1)
     ric2 = [x11, 0 * a, 0 * a, 0 * a, x22, x23, 0 * a, x32, x33]
     if exact:

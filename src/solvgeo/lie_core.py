@@ -164,7 +164,7 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     if sc.exact and h.dtype == object:
         c, dc = linalg.integer_numerators(sc.c)
         h, dh = linalg.integer_numerators(h)
-        adj, det = _adjugate(h)
+        adj, det = linalg.adjugate(h)
         if det == 0:
             raise SingularMatrixError("basis change matrix is singular")
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
@@ -185,15 +185,6 @@ def _contract(c: np.ndarray, h: np.ndarray, hinv: np.ndarray) -> np.ndarray:
     for r in range(1, len(h)):
         acc = acc + hinv[:, r, None, None] * w[r]
     return acc.transpose(1, 2, 0)
-
-
-def _adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """Adjugate and determinant of a 3x3 integer matrix (Python ints)."""
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    adj = [e * i - f * h, c * h - b * i, b * f - c * e,
-           f * g - d * i, a * i - c * g, c * d - a * f,
-           d * h - e * g, b * g - a * h, a * e - b * d]
-    return linalg.object_array(adj, (3, 3)), a * adj[0] + b * adj[3] + c * adj[6]
 
 
 def jacobi_residual(sc: StructureConstants) -> float:

@@ -5,11 +5,11 @@ Everything here works on 3x3-ish arrays.  Its one exact format is
 ``d``, standing for ``N / d``.  ``integer_numerators`` puts float64 or
 rational (``fractions.Fraction`` or int) arrays in that format exactly,
 since every float is a dyadic rational; there is one elimination, fraction
-free on those integers, and ``_rref`` and ``nullspace`` return their rows
-as ``(N, d)``.  ``ratios`` is the one exit: a ``Fraction`` per entry, or
-the correctly rounded float ``n / d``.  The reduced row echelon form is
-unique, so this gives the same rationals as elimination in ``Fraction``
-arithmetic would, and no rank decision depends on a pivot threshold.
+free on those integers, behind ``row_space_basis`` and ``nullspace``, and one
+3x3 inverse, ``d adj(N) / det(N)``.  ``ratios`` is the one exit: a ``Fraction``
+per entry, or the correctly rounded float ``n / d``.  The RREF and the inverse
+are unique, so this gives the same rationals as ``Fraction`` arithmetic would,
+and no rank decision depends on a pivot threshold.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ def ratios(nums: np.ndarray, den: int, exact: bool = True) -> np.ndarray:
     return object_array([entry[x] for x in flat], nums.shape)
 
 
-def _rref(a: np.ndarray) -> tuple[tuple[np.ndarray, int], list[int]]:
-    """The nonzero rows of the reduced row echelon form of ``a`` as ``(N, d)``,
-    and its pivot columns."""
-    rows, pivots, scales, d = _integer_echelon(a)
-    flat = [x * s for row, s in zip(rows, scales) for x in row]
-    return (object_array(flat, (len(pivots), a.shape[1])), d), pivots
-
-
 def nullspace(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Basis of the kernel of ``a``, float or rational, as ``(K, d)``.
 
@@ -158,23 +150,30 @@ def nullspace(a: np.ndarray) -> tuple[np.ndarray, int]:
 def row_space_basis(a: np.ndarray) -> list[np.ndarray]:
     """Basis of the row space of ``a`` (the nonzero rows of its RREF),
     Fractions or floats following its dtype."""
-    return list(ratios(*_rref(a)[0], exact=a.dtype == object))
+    rows, pivots, scales, d = _integer_echelon(a)
+    flat = [x * s for row, s in zip(rows, scales) for x in row]
+    return list(ratios(object_array(flat, (len(pivots), a.shape[1])), d, exact=a.dtype == object))
+
+
+def adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Adjugate and determinant of a 3x3 integer matrix (Python ints)."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    adj = [e * i - f * h, c * h - b * i, b * f - c * e,
+           f * g - d * i, a * i - c * g, c * d - a * f,
+           d * h - e * g, b * g - a * h, a * e - b * d]
+    return object_array(adj, (3, 3)), a * adj[0] + b * adj[3] + c * adj[6]
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square rational matrix as an object array of Fractions.
-
-    With m = N / d, the RREF of [N | d I] is [I | m^-1].
-    """
-    n = m.shape[0]
+    """Inverse d adj(N) / det(N) of a 3x3 rational matrix m = N / d as an object
+    array of Fractions; a matrix of any other shape raises ValueError."""
+    if np.shape(m) != (3, 3):
+        raise ValueError("matrix to invert must be 3x3")
     nums, d = integer_numerators(np.asarray(m, dtype=object))
-    aug = np.zeros((n, 2 * n), dtype=object)
-    aug[:, :n] = nums
-    aug[range(n), range(n, 2 * n)] = d
-    (rref, den), pivots = _rref(aug)
-    if pivots != list(range(n)):
+    adj, det = adjugate(nums)
+    if det == 0:
         raise SingularMatrixError("matrix of rationals is singular")
-    return ratios(rref[:, n:], den)
+    return ratios(adj * d, det)
 
 
 def inverse(m: np.ndarray, what: str) -> np.ndarray:

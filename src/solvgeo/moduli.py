@@ -210,11 +210,13 @@ def reduce(family: Family, g: np.ndarray):
             left = [scalar, 0.0, 0.0, u + 0.0, i1, 0.0, s * u + t * v + 0.0, s * i1 + 0.0, t * i1]
             orth = k1 * [1.0, 1.0, sign]
 
-    # the one exit: auto_part = left / scalar in Python floats, where an overflow is inf and
-    # no RuntimeWarning, refused unless it and k_scale = scalar^2 fit in float64
+    # the one exit: k_scale = scalar^2, then auto_part = left / scalar in Python floats (an
+    # overflow is inf, no RuntimeWarning), each refused unless it fits in float64
     rep = Representative(lam, rep_matrix(family, lam))
+    if not 0 < scalar * scalar < math.inf:
+        raise ValueError(_OVERFLOW)
     phi = [x / scalar for x in left]
-    if not (0 < scalar * scalar < math.inf and all(map(math.isfinite, phi))):
+    if not all(map(math.isfinite, phi)):
         raise ValueError(_OVERFLOW)
     return rep, ReductionTrace(scalar, np.array(phi).reshape(3, 3), orth, tuple(steps))
 

@@ -58,8 +58,8 @@ def _split(r: list, rows, dim: int) -> tuple:
         left = (rest - d).tolist()
     # hypot scales by a power of two, so no square overflows or underflows
     residual = math.hypot(*left)
-    if residual == math.inf:
-        raise ValueError("soliton residual is not finite: its norm overflows float64")
+    if not all(map(math.isfinite, (c, residual, *d))):  # an inf - inf in D is a NaN
+        raise ValueError("soliton split is not finite: c, D or the residual overflows float64")
     return c, np.array(d).reshape(3, 3), residual
 
 

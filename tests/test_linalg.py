@@ -1,11 +1,11 @@
 """The exact lane of linalg against sympy, and the integer-only guard.
 
 Every exact result is compared with sympy's ``Matrix.rref()``,
-``nullspace()`` and ``inv()`` on seeded random rational matrices: dense
-and sparse, rank deficient, with zero rows and columns, 9x9 systems like
-the derivation identity's, and numerators up to 1e20.  Each matrix is also
-run as floats, whose results must be the exact lane's on the same dyadic
-rationals, rounded entry by entry.  The integer kernel ``(K, d)`` and
+``nullspace()`` and, on 3x3 ones, ``inv()`` on seeded random rational
+matrices: dense and sparse, rank deficient, with zero rows and columns, 9x9
+systems like the derivation identity's, and numerators up to 1e20.  Each
+matrix is also run as floats, whose results must be the exact lane's on the
+same dyadic rationals, rounded entry by entry.  The integer kernel ``(K, d)`` and
 ``ratios`` are also checked without sympy.  The float LQ factorization behind
 ``moduli.reduce`` is checked on its own at the end.
 """
@@ -35,8 +35,9 @@ def _entry(rng, big):
     return Fraction(rng.randint(-big, big), rng.randint(1, 12))
 
 
-def random_rational_matrix(seed):
-    """A seeded rational matrix; the kind cycles through KINDS."""
+def random_rational_matrix(seed, shape=None):
+    """A seeded rational matrix; the kind cycles through KINDS, and a given
+    ``shape`` replaces the drawn one."""
     rng = random.Random(seed)
     kind = KINDS[seed % len(KINDS)]
     big = 10 ** 20 if seed % 3 == 0 else 9
@@ -44,6 +45,7 @@ def random_rational_matrix(seed):
         m = n = 9
     else:
         m, n = rng.randint(1, 6), rng.randint(1, 6)
+    m, n = shape or (m, n)
     if kind == "low_rank":
         k = rng.randint(0, max(0, min(m, n) - 1))
         left = [[_entry(rng, big) for _ in range(k)] for _ in range(m)]
@@ -124,16 +126,34 @@ def test_exact_lane_matches_sympy(seed):
     for v, w in zip(kernel, twin_kernel):
         assert_rounded(v, w)
 
-    if m == n:
-        if len(want_pivots) < n:
-            with pytest.raises(SingularMatrixError):
-                linalg.exact_inv(a)
-        else:
-            inv = linalg.exact_inv(a)
-            want_inv = want.inv()
-            assert_fractions(inv.ravel())
-            assert [list(row) for row in inv] == [
-                [from_sympy(want_inv[i, j]) for j in range(n)] for i in range(n)]
+    if (m, n) == (3, 3):
+        assert_inverse_matches_sympy(a)
+
+
+def assert_inverse_matches_sympy(a):
+    want = to_sympy(a)
+    if want.rank() < 3:
+        with pytest.raises(SingularMatrixError, match="^matrix of rationals is singular$"):
+            linalg.exact_inv(a)
+        return
+    inv = linalg.exact_inv(a)
+    want_inv = want.inv()
+    assert_fractions(inv.ravel())
+    assert [list(row) for row in inv] == [
+        [from_sympy(want_inv[i, j]) for j in range(3)] for i in range(3)]
+
+
+# exact_inv is 3x3 only, and the 200 matrices above hold few of that shape:
+# these hold every kind at 3x3, singular and invertible, numerators up to 1e20
+@pytest.mark.parametrize("seed", range(50))
+def test_exact_inv_matches_sympy(seed):
+    assert_inverse_matches_sympy(random_rational_matrix(seed, (3, 3)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (9, 9), (3, 2), (2, 3)])
+def test_exact_inv_refuses_a_matrix_not_3x3(shape):
+    with pytest.raises(ValueError, match="^matrix to invert must be 3x3$"):
+        linalg.exact_inv(np.full(shape, Fraction(1, 3), dtype=object))
 
 
 def test_oracle_matrices_cover_the_cases():
@@ -146,6 +166,9 @@ def test_oracle_matrices_cover_the_cases():
     assert any(all(x == 0 for x in a[:, j]) for a in mats for j in range(a.shape[1]))
     assert any(all(x == 0 for x in a[i]) for a in mats for i in range(a.shape[0]))
     assert max(abs(x.numerator) for a in mats for x in a.ravel()) > 10 ** 19
+    squares = [random_rational_matrix(seed, (3, 3)) for seed in range(50)]
+    ranks = [len(linalg.row_space_basis(a)) for a in squares]
+    assert 3 in ranks and min(ranks) < 3
 
 
 def random_kernel_matrix(seed):

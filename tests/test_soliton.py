@@ -182,8 +182,8 @@ def test_overflowed_residual_rejected():
     ric = np.zeros((3, 3))
     ric[0, 2] = ric[1, 2] = 1.5e308  # orthogonal to span{I} + Der(h3)
     der = derivation_algebra(make_family(Family("h3")))
-    with pytest.raises(ValueError, match="^soliton residual is not finite: "
-                                         "its norm overflows float64$"):
+    with pytest.raises(ValueError, match="^soliton split is not finite: "
+                                         "c, D or the residual overflows float64$"):
         soliton._split(ric.ravel().tolist(), der.scalar_frame, der.dim)
 
 
