@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -183,7 +184,8 @@ def _read_gram_file(path: str) -> np.ndarray:
                 raise ValueError(f"Gram matrix entries must be JSON numbers, found "
                                  f"{json.dumps(bad[0])}")
             return entries.astype(float)
-        except (ValueError, OverflowError) as exc:  # not JSON, or an int past float64
+        # not JSON, an int past float64, or arrays nested past the recursion limit
+        except (ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
@@ -297,7 +299,15 @@ def _parse_grid(text: str) -> tuple:
         raise ValueError(f"grid {text!r} needs a finite start, stop and stop - start")
     if count < 1:
         raise ValueError("grid count must be >= 1")
-    return tuple(float(x) for x in np.linspace(start, stop, count))
+    try:
+        # only the endpoint's (count - 1) * step can overflow, and linspace sets it to stop
+        with np.errstate(over="ignore"):
+            grid = np.linspace(start, stop, count)
+    except (MemoryError, ValueError):  # past the address space, or past numpy's size limit
+        raise ValueError(f"--grid {text!r} has more points than numpy can hold") from None
+    if not np.isfinite(grid).all():
+        raise ValueError(f"grid {text!r} has a point that is not finite")
+    return tuple(grid.tolist())
 
 
 def _cmd_verify(args):
@@ -316,59 +326,46 @@ def _cmd_verify(args):
     return verify_main_theorem(RunConfig(family=fam, grid=grid))
 
 
-def _add_common(p, gram: bool = False, lam: bool = False, family_required: bool = True):
-    p.add_argument("--family", required=family_required, help=_FAMILY_HELP)
-    if gram:
-        p.add_argument("--gram", type=float, nargs=9, metavar="X",
-                       help="Gram matrix as 9 numbers, row major")
-        p.add_argument("--gram-file", help="path to a JSON 3x3 array")
-    if lam:
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="lambda of the canonical representative")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="table", help="output format")
-    p.add_argument("--out", default=None, help="write output to this path")
+# name, help, handler, takes --gram/--gram-file, takes the float --lambda, --family required
+_COMMANDS = (
+    ("families", "list the classified families", _cmd_families, False, False, False),
+    ("ricci", "Ricci operator of a metric", _cmd_ricci, True, False, True),
+    ("der", "derivation algebra of a family", _cmd_der, False, True, True),
+    ("reduce", "canonical representative of a metric", _cmd_reduce, True, False, True),
+    ("soliton", "solvsoliton certificate", _cmd_soliton, True, True, True),
+    ("orbit", "mean curvature of the metric's orbit", _cmd_orbit, True, True, True),
+    ("verify", "soliton vs minimal-orbit sweep", _cmd_verify, False, False, True),
+)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once, on first use."""
     parser = argparse.ArgumentParser(
         prog="solvgeo",
         description="Curvature, solvsolitons, and orbit geometry of "
                     "left-invariant metrics on 3-dimensional solvable Lie groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("families", help="list the classified families")
-    _add_common(p, family_required=False)
-    p.set_defaults(fn=_cmd_families)
-
-    p = sub.add_parser("ricci", help="Ricci operator of a metric")
-    _add_common(p, gram=True)
-    p.set_defaults(fn=_cmd_ricci)
-
-    p = sub.add_parser("der", help="derivation algebra of a family")
-    _add_common(p, lam=True)
-    p.set_defaults(fn=_cmd_der)
-
-    p = sub.add_parser("reduce", help="canonical representative of a metric")
-    _add_common(p, gram=True)
-    p.set_defaults(fn=_cmd_reduce)
-
-    p = sub.add_parser("soliton", help="solvsoliton certificate")
-    _add_common(p, gram=True, lam=True)
-    p.set_defaults(fn=_cmd_soliton)
-
-    p = sub.add_parser("orbit", help="mean curvature of the metric's orbit")
-    _add_common(p, gram=True, lam=True)
-    p.set_defaults(fn=_cmd_orbit)
-
-    p = sub.add_parser("verify", help="soliton vs minimal-orbit sweep")
-    _add_common(p)
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="comma-separated lambda values")
-    p.add_argument("--grid", default=None,
-                   help="start:stop:count linear grid (default grid is "
-                        "family specific; log-spaced for r3)")
-    p.set_defaults(fn=_cmd_verify)
+    for name, summary, fn, gram, lam, family_required in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        p.add_argument("--family", required=family_required, help=_FAMILY_HELP)
+        if gram:
+            p.add_argument("--gram", type=float, nargs=9, metavar="X",
+                           help="Gram matrix as 9 numbers, row major")
+            p.add_argument("--gram-file", help="path to a JSON 3x3 array")
+        if lam:
+            p.add_argument("--lambda", dest="lam", type=float, default=None,
+                           help="lambda of the canonical representative")
+        p.add_argument("--format", choices=("json", "csv", "table"),
+                       default="table", help="output format")
+        p.add_argument("--out", default=None, help="write output to this path")
+    verify = sub.choices["verify"]
+    verify.add_argument("--lambda", dest="lam", default=None,
+                        help="comma-separated lambda values")
+    verify.add_argument("--grid", default=None,
+                        help="start:stop:count linear grid (default grid is "
+                             "family specific; log-spaced for r3)")
     # argparse takes -1e-05, -0.5,1 and -5:5:3 for options; no option here
     # begins with "-" and a digit or ".", so each such token is a value
     for p in (parser, *sub.choices.values()):
@@ -377,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, status = args.fn(args)
         text = emit_report(payload, args.format)

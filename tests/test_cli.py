@@ -133,8 +133,9 @@ def test_gram_file_wrong_shape(tmp_path, capsys):
 
 
 def test_gram_file_unreadable_as_floats(tmp_path, capsys):
-    # not JSON, a ragged list, and an integer past float64
-    for text in ("nope", "[[1, 0], [0]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1%s]]" % ("0" * 400)):
+    # not JSON, a ragged list, an integer past float64, and arrays nested past the recursion limit
+    for text in ("nope", "[[1, 0], [0]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1%s]]" % ("0" * 400),
+                 "[" * 100000 + "]" * 100000):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert cli.main(["soliton", "--family", "r3", "--gram-file", str(path)]) == 2
@@ -354,6 +355,11 @@ def test_invalid_configurations_exit_2(capsys, argv):
     (["verify", "--family", "r3a:a=0.5", "--lambda", lam],
      f"--lambda {lam!r} must be comma-separated numbers")
     for lam in ("1,x", ",1")
+] + [
+    # 8 PB of points, past the address space, and a count past numpy's size limit
+    (["verify", "--family", "r3", "--grid", grid],
+     f"--grid {grid!r} has more points than numpy can hold")
+    for grid in ("1:2:1000000000000000", "1:2:10000000000000000000000")
 ])
 def test_non_finite_input_named(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -524,14 +530,31 @@ def test_non_finite_ricci_rejected(capsys, argv):
     assert err.startswith("error: Ricci operator is not finite")
 
 
-def _run_fresh(argv):
-    """Run the CLI in a fresh interpreter, which prints any numpy
-    RuntimeWarning that pytest would hide."""
+def _python(*args):
+    """Run a fresh interpreter on this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    return subprocess.run([sys.executable, "-m", "solvgeo.cli"] + argv, env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _run_fresh(argv):
+    """Run the CLI in a fresh interpreter, which prints any numpy
+    RuntimeWarning that pytest would hide."""
+    return _python("-m", "solvgeo.cli", *argv)
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    # the benchmark imports the module without calling main, so its cold start pays no parser
+    proc = _python("-c", "import contextlib, io\n"
+                         "from solvgeo import cli\n"
+                         "print(cli.build_parser.cache_info().misses)\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    for _ in range(3): cli.main(['families'])\n"
+                         "print(cli.build_parser.cache_info().misses)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -566,12 +589,16 @@ def test_families_at_a_huge_parameter_warns_nothing():
 
 
 def test_overflowing_grid_writes_one_stderr_line():
-    # the span overflows float64: the grid is refused before numpy can warn
-    proc = _run_fresh(["verify", "--family", "r3a:a=0.5", "--grid", "-1e308:1e308:3"])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: grid '-1e308:1e308:3' needs a finite start, stop and stop - start"]
+    for grid, line in [
+        # the span overflows float64: the grid is refused before numpy can warn
+        ("-1e308:1e308:3", "grid '-1e308:1e308:3' needs a finite start, stop and stop - start"),
+        # only numpy's 3 * step for the endpoint overflows, and stop replaces it
+        ("1:1.7976931348623157e308:4", f"{_OVERFLOW} at lambda = 5.992310449541053e+307"),
+    ]:
+        proc = _run_fresh(["verify", "--family", "r3a:a=0.5", "--grid", grid])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {line}"]
 
 
 @pytest.mark.parametrize("argv,key,norm", [
