@@ -179,10 +179,10 @@ def _read_gram_file(path: str) -> np.ndarray:
     with open(path) as fh:
         try:
             entries = np.array(json.load(fh), dtype=object)
-            bad = [x for x in entries.ravel() if type(x) not in (int, float)]
-            if bad:  # null, a string, a boolean, an object, or a ragged list's row
+            bad = next((json.dumps(x) for x in entries.ravel() if type(x) not in (int, float)), "")
+            if bad:  # null, a string, a boolean, an object, or a ragged list's row, clipped
                 raise ValueError(f"Gram matrix entries must be JSON numbers, found "
-                                 f"{json.dumps(bad[0])}")
+                                 f"{bad if len(bad) <= 40 else bad[:36] + ' ...'}")
             return entries.astype(float)
         # not JSON, an int past float64, or arrays nested past the recursion limit
         except (ValueError, OverflowError, RecursionError) as exc:

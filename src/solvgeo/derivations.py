@@ -19,7 +19,6 @@ import numpy as np
 from . import linalg
 from .errors import SingularMatrixError
 from .lie_core import StructureConstants
-from .linalg import COND_LIMIT, ZERO_TOL
 
 
 def _normalize(stack) -> np.ndarray:
@@ -29,7 +28,7 @@ def _normalize(stack) -> np.ndarray:
     flat = np.reshape(np.asarray(stack, dtype=float), (len(stack), 9))
     # the batched row dot is the dot np.linalg.norm takes, bit for bit
     nrm = np.sqrt(flat[:, None, :] @ flat[:, :, None])[:, 0]
-    if (nrm <= ZERO_TOL).any():
+    if (nrm <= linalg.ZERO_TOL).any():
         raise ValueError("cannot normalize a zero matrix")
     return (linalg.lead_positive(flat / nrm) + 0.0).reshape(-1, 3, 3)
 
@@ -62,7 +61,7 @@ class MatrixSubspace:
         eye = np.eye(3).ravel()
         perp = eye - (frame @ eye) @ frame
         norm = np.linalg.norm(perp)
-        scalar = frame if norm <= ZERO_TOL else np.vstack([frame, perp / norm])
+        scalar = frame if norm <= linalg.ZERO_TOL else np.vstack([frame, perp / norm])
         for name, value in (("basis", basis), ("scalar_frame", scalar)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -216,16 +215,24 @@ def block_der_rows(sc: StructureConstants, block) -> tuple:
 def conjugate_subspace(subspace: MatrixSubspace, g: np.ndarray) -> MatrixSubspace:
     """The subspace g^-1 S g; the basis is re-normalized, dimension preserved.
 
-    Singularity is judged by the condition number against ``COND_LIMIT``:
-    g and s*g give the same subspace, so both pass or both fail.  A g that shrinks
-    a basis matrix to ``ZERO_TOL`` fails too.
-    """
+    g^-1 is ``linalg.exact_inv``'s, and each g^-1 B g is scaled by a power of two (exact)
+    before it is normalized, so g and 2^k g give the same bits and no small one is refused.
+    Refused by name: g not finite, and g^-1, g^-1 B g or their independence past float64."""
     g = np.asarray(g, dtype=float)
-    conjugated = linalg.inverse(g, "conjugating matrix") @ subspace.basis @ g
-    try:
-        return MatrixSubspace(conjugated)
-    except ValueError:  # a basis matrix shrank to ZERO_TOL
-        raise SingularMatrixError("conjugating matrix is singular") from None
+    if not np.isfinite(g).all():
+        raise SingularMatrixError("conjugating matrix is not finite")
+    try:  # det g = 0, or an entry of g^-1 past float64; g^-1 B g is checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            conjugated = linalg.exact_inv(g) @ subspace.basis @ g
+    except (SingularMatrixError, OverflowError):
+        raise SingularMatrixError("conjugating matrix has no inverse in float64") from None
+    if not np.isfinite(conjugated).all():
+        raise SingularMatrixError("conjugated basis is not finite")
+    exponent = np.frexp(np.abs(conjugated).max(axis=(1, 2), initial=0.0))[1]
+    try:  # a zero or dependent basis matrix
+        return MatrixSubspace(np.ldexp(conjugated, -exponent[:, None, None]))
+    except ValueError:
+        raise SingularMatrixError("conjugated basis is numerically dependent") from None
 
 
 def scalar_plus(subspace: MatrixSubspace) -> MatrixSubspace:

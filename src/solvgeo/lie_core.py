@@ -153,10 +153,10 @@ def make_family(family: Family, exact: bool = False) -> StructureConstants:
 def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
     """Structure constants on the new basis x_i = h e_i.
 
-    c'_ij^k = sum_r (h^-1)[k,r] * sum_pq h[p,i] h[q,j] c[p,q,r].  The result
-    is exact only when both the constants and h are exact; the exact lane
-    runs the same contraction on integer numerators (h^-1 through the
-    adjugate of h's), in Python ints, and divides once per entry.
+    c'_ij^k = sum_r (h^-1)[k,r] * sum_pq h[p,i] h[q,j] c[p,q,r].  The result is exact only
+    when both the constants and h are; the exact lane runs the contraction on integer
+    numerators (h^-1 through the adjugate of h's), in Python ints, and divides once per
+    entry, and the float lane takes h^-1 rounded once from ``linalg.exact_inv``.
     """
     h = np.asarray(h)
     if h.shape != (3, 3):
@@ -170,7 +170,12 @@ def change_basis(sc: StructureConstants, h: np.ndarray) -> StructureConstants:
         # c = C/dc, h = H/dh and h^-1 = dh adj(H)/det(H)
         return StructureConstants(linalg.ratios(_contract(c, h, adj), dc * dh * det))
     h = np.asarray(h, dtype=float)
-    hinv = linalg.inverse(h, "basis change matrix")
+    if not np.isfinite(h).all():
+        raise SingularMatrixError("basis change matrix is not finite")
+    try:  # det h = 0, or an entry of h^-1 past float64
+        hinv = linalg.exact_inv(h)
+    except (SingularMatrixError, OverflowError):
+        raise SingularMatrixError("basis change matrix has no inverse in float64") from None
     return StructureConstants(_contract(np.asarray(sc.c, dtype=float), h, hinv))
 
 

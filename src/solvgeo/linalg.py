@@ -1,15 +1,14 @@
 """Small dense linear algebra helpers.
 
-Everything here works on 3x3-ish arrays.  Its one exact format is
-``(N, d)``: an object array ``N`` of Python ints over one positive int
-``d``, standing for ``N / d``.  ``integer_numerators`` puts float64 or
-rational (``fractions.Fraction`` or int) arrays in that format exactly,
-since every float is a dyadic rational; there is one elimination, fraction
-free on those integers, behind ``row_space_basis`` and ``nullspace``, and one
-3x3 inverse, ``d adj(N) / det(N)``.  ``ratios`` is the one exit: a ``Fraction``
-per entry, or the correctly rounded float ``n / d``.  The RREF and the inverse
-are unique, so this gives the same rationals as ``Fraction`` arithmetic would,
-and no rank decision depends on a pivot threshold.
+Everything here works on 3x3-ish arrays.  Its one exact format is ``(N, d)``: an
+object array ``N`` of Python ints over one positive int ``d``, standing for ``N / d``.
+``integer_numerators`` puts float64 or rational (``fractions.Fraction`` or int) arrays
+in that format exactly, since every float is a dyadic rational; there is one
+elimination, fraction free on those integers, behind ``row_space_basis`` and
+``nullspace``, and one 3x3 inverse, ``exact_inv``, for both lanes.  ``ratios`` is the
+one exit: a ``Fraction`` per entry, or the correctly rounded float ``n / d``.  The RREF
+and the inverse are unique, so this gives the same rationals as ``Fraction`` arithmetic
+would, and no rank or inverse depends on a pivot threshold or a condition number.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .errors import SingularMatrixError
 ZERO_TOL = 1e-12
 # a singular value of unit-norm rows, or of rows over their largest one, at or below this is 0
 RANK_TOL = 1e-9
-# a float matrix whose largest singular value exceeds this times its smallest is singular
-COND_LIMIT = 1e12
 # |det g| below which lower_triangular_lq calls g singular; absolute until ROADMAP item 9
 LQ_DET_TOL = 1e-9
 
@@ -165,27 +162,16 @@ def adjugate(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def exact_inv(m: np.ndarray) -> np.ndarray:
-    """Inverse d adj(N) / det(N) of a 3x3 rational matrix m = N / d as an object
-    array of Fractions; a matrix of any other shape raises ValueError."""
-    if np.shape(m) != (3, 3):
+    """Inverse d adj(N) / det(N) of a finite 3x3 m = N / d: Fractions for an object array, else
+    correctly rounded floats (zeros +0.0; one past float64: OverflowError); det N = 0 raises
+    SingularMatrixError, any other shape ValueError."""
+    if m.shape != (3, 3):
         raise ValueError("matrix to invert must be 3x3")
-    nums, d = integer_numerators(np.asarray(m, dtype=object))
+    nums, d = integer_numerators(m)
     adj, det = adjugate(nums)
     if det == 0:
         raise SingularMatrixError("matrix of rationals is singular")
-    return ratios(adj * d, det)
-
-
-def inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """``np.linalg.inv(m)`` under the one conditioning policy: a
-    SingularMatrixError names the float matrix ``what`` unless it is finite
-    with 2-norm condition number at most ``COND_LIMIT``."""
-    if not np.isfinite(m).all():
-        raise SingularMatrixError(f"{what} is not finite")
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[-1] == 0 or s[0] > COND_LIMIT * s[-1]:
-        raise SingularMatrixError(f"{what} is singular")
-    return np.linalg.inv(m)
+    return ratios(adj * (d if det > 0 else -d), abs(det), exact=m.dtype == object)
 
 
 def lq(g: np.ndarray):

@@ -170,11 +170,13 @@ def reduce(family: Family, g: np.ndarray):
     steps = [("lq_orthogonal", k1)]
 
     if _transitive(family):
-        m = np.linalg.inv(lower)
+        try:  # L^-1 rounded once from the exact inverse: an entry past float64 overflows
+            m = linalg.exact_inv(lower)
+        except OverflowError:
+            raise ValueError(_OVERFLOW) from None
         steps.append(("triangular_inverse", m))
-        (m11, _, _), (_, m22, _), (_, _, m33) = m.tolist()
-        scalar = m11 * m22 / m33 if family.tag == "h3" else m11
         lam, left, orth = 1.0, m.ravel().tolist(), k1
+        scalar = left[0] * left[4] / left[8] if family.tag == "h3" else left[0]  # m11 m22 / m33
     else:
         l11, _, _, l21, l22, _, l31, l32, l33 = lower.ravel().tolist()
         # phi1, (a32, a33) of phi1 @ L and left = (next step) @ phi1 as numpy's matmul rounds

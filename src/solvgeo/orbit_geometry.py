@@ -181,13 +181,12 @@ def _mean_curvature(od: OrbitData) -> MeanCurvatureResult:
 def orbit_at(family: Family, g: np.ndarray) -> MeanCurvatureResult:
     """Mean curvature of the scaling-automorphism orbit through g's metric.
 
-    The orbit of R* x Aut through g's inner product is moved to the base
-    point by conjugation.  With g = L k^T (``linalg.lq``), u' = g^-1 (RI +
-    Der) g = k (L^-1 (RI + Der) L) k^T, with the rows of L^-1 (RI + Der) L
-    read off the brackets on the frame L e_i (``moduli.frame_algebra``, whose
-    guards on L are the only refusals: no conditioning policy applies).  Only
-    when a QR ran, each row R, N's stack rebuilt (``derivations.semidirect_frame``),
-    becomes k R k^T, an isometry of the trace form.
+    The orbit of R* x Aut through g's inner product is moved to the base point by
+    conjugation.  With g = L k^T (``linalg.lq``), u' = g^-1 (RI + Der) g = k (L^-1 (RI +
+    Der) L) k^T, with the rows of L^-1 (RI + Der) L read off the brackets on the frame
+    L e_i (``moduli.frame_algebra``, whose guards on L are the only refusals).  Only when
+    a QR ran, each row R, N's stack rebuilt (``derivations.semidirect_frame``), becomes
+    k R k^T, an isometry of the trace form.
     """
     lower, k = linalg.lq(g)
     rows = frame_algebra(family, lower)[1]

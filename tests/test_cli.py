@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from helpers import FAMILY_STRINGS, strict_json
-from solvgeo import cli, curvature, moduli, soliton
+from solvgeo import cli, curvature, derivations, linalg, moduli, soliton
 from solvgeo.curvature import ricci_closed_form
 from solvgeo.errors import NonSPDMetricError, SingularMatrixError
-from solvgeo.lie_core import Family, parse_family
+from solvgeo.lie_core import Family, make_family, parse_family
 from solvgeo.moduli import frame_constants, rep_matrix
 
 CSV_HEADER = "family,a,lambda,is_soliton,soliton_residual,H_norm,orbit_dim,agrees"
@@ -133,14 +133,18 @@ def test_gram_file_wrong_shape(tmp_path, capsys):
 
 
 def test_gram_file_unreadable_as_floats(tmp_path, capsys):
-    # not JSON, a ragged list, an integer past float64, and arrays nested past the recursion limit
+    # not JSON, a ragged list, an integer past float64, arrays nested past the recursion
+    # limit, and a ragged list whose first row is long and one nested 500 deep: the entry
+    # that is not a number is quoted clipped, so the one line stays short
     for text in ("nope", "[[1, 0], [0]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1%s]]" % ("0" * 400),
-                 "[" * 100000 + "]" * 100000):
+                 "[" * 100000 + "]" * 100000, "[[%s], [0], [0]]" % ", ".join(["0"] * 100001),
+                 "[" * 500 + "1" + "]" * 500):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert cli.main(["soliton", "--family", "r3", "--gram-file", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert len(err) <= 200 + len(str(path)), err[:300]
 
 
 def test_soliton_certificate(capsys):
@@ -390,19 +394,56 @@ _OVERFLOW = "Ricci operator is not finite: the curvature overflows float64 for t
     # a refused row writes no JSON document either
     (["soliton", "--family", "r3", "--lambda", "1e-320", "--format", "json"],
      "conjugating matrix is singular or not finite at lambda = 1e-320"),
-    (["der", "--family", "r3", "--lambda", "1e-300"],
-     "conjugating matrix is singular at lambda = 1e-300"),
-    (["der", "--family", "r3", "--lambda", "1e300"],
-     "conjugating matrix is singular at lambda = 1e+300"),
-    # cond(g) is exactly the limit, but a conjugated basis matrix falls to 1e-12
-    (["der", "--family", "r3", "--lambda", "1e-12"],
-     "conjugating matrix is singular at lambda = 1e-12"),
+    # 1 / lambda is inf: der refuses g_lambda
+    (["der", "--family", "r3", "--lambda", "1e-320"],
+     "conjugating matrix is not finite at lambda = 1e-320"),
+    # g_lambda has det 1, but its conjugated basis matrices agree to float64's precision
+    (["der", "--family", "r3a:a=0.5", "--lambda", "1e10"],
+     "conjugated basis is numerically dependent at lambda = 10000000000.0"),
+    (["der", "--family", "r3a:a=0.5", "--lambda", "-1e300"],
+     "conjugated basis is numerically dependent at lambda = -1e+300"),
 ])
 def test_singular_lambda_named(capsys, argv, message):
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _distance_to_span(rows: list, x: list) -> Fraction:
+    """|x - P x|^2 / |x|^2, P the orthogonal projector onto the span of the independent
+    Fraction vectors ``rows``: Gram-Schmidt, with no square root, in Fractions."""
+    done = []
+    for v in rows + [x]:
+        for u in done:
+            t = sum(map(Fraction.__mul__, v, u)) / sum(map(Fraction.__mul__, u, u))
+            v = [a - t * b for a, b in zip(v, u)]
+        done.append(v)
+    return sum(a * a for a in done[-1]) / sum(a * a for a in x)
+
+
+@pytest.mark.parametrize("family,lam", [
+    ("r3", "1e-300"), ("r3", "1e-12"), ("r3", "1e13"), ("r3", "1e300"),
+    ("r3pa:a=0.5", "1e13"), ("r3a:a=0.5", "2e6"), ("r3a:a=0.5", "-2e6"), ("r3a:a=0.5", "1e8"),
+])
+def test_der_lambda_answers_every_row_float64_holds(capsys, family, lam):
+    # g_lambda^-1 Der g_lambda at lambdas far from 1: the printed basis has the unconjugated
+    # dim, its rows are independent in exact arithmetic, and each lies within 1e-12 (as a
+    # unit vector) of the exact conjugate, in Fractions, of the exact kernel
+    code, out = run(capsys, ["der", "--family", family, "--lambda", lam, "--format", "json"])
+    assert code == 0
+    data = strict_json(out)
+    fam = parse_family(family)
+    assert data["dim"] == len(data["basis"]) == derivations.derivation_algebra(make_family(fam)).dim
+    printed = [[Fraction(x) for row in b for x in row] for b in data["basis"]]
+    assert len(linalg.row_space_basis(np.array(printed, dtype=object))) == data["dim"]
+    c = linalg.integer_numerators(make_family(fam, exact=True).c)[0]
+    kernel = linalg.ratios(*linalg.nullspace(derivations._derivation_system(c)))
+    g = rep_matrix(fam, float(lam), exact=True)
+    ginv = linalg.exact_inv(g)
+    rows = [list(ginv.dot(k.reshape(3, 3)).dot(g).ravel()) for k in kernel]
+    for x in printed:
+        assert _distance_to_span(rows, x) <= Fraction(1, 10 ** 24)
 
 
 def _orbit_json(capsys, argv):
@@ -427,8 +468,8 @@ def test_extreme_orbit_rows_answered(capsys, argv, h_norm):
 
 
 @pytest.mark.parametrize("family,gram", [
-    # lambda about 3e-13 and 7e6, and 1e13: g_lambda is past COND_LIMIT, which
-    # a float change_basis applies, and frame_algebra reads it in closed form
+    # lambda about 3e-13 and 7e6, and 1e13: g_lambda has condition number past 1e12,
+    # and frame_algebra reads its brackets in closed form
     ("r3", "1 0 0 0 1 0 0 0 1e-25"),
     ("r3a:a=0.5", "1 0 0 0 1 .99999999999999 0 .99999999999999 1"),
     ("r3pa:a=0.5", "1 0 0 0 1 0 0 0 1e-26"),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import DER_GRID, FAMILIES, abcd_constants, random_group_element, unit
 from oracles import (derivation_basis_sympy, derivation_residual, pattern_subspace,
@@ -146,32 +147,36 @@ def test_conjugation_preserves_dimension():
 
 
 def test_conjugate_singular_raises():
+    # only what float64 cannot hold: det g = 0, an entry of g^-1 past float64
+    # (1 / 5e-324), and a g that is not finite
     der = derivation_algebra(make_family(Family("r3")))
-    with pytest.raises(SingularMatrixError):
-        conjugate_subspace(der, np.zeros((3, 3)))
-    with pytest.raises(SingularMatrixError):
-        conjugate_subspace(der, np.diag([1.0, 1.0, 1e-13]))
-    # the boundary is on the condition number: s_max <= COND_LIMIT * s_min passes
-    limit = derivations.COND_LIMIT
-    for s in (np.nextafter(limit, 0.0), limit):
-        assert conjugate_subspace(der, np.diag([s, 1.0, 1.0])).dim == der.dim
-    with pytest.raises(SingularMatrixError, match="singular"):
-        conjugate_subspace(der, np.diag([np.nextafter(limit, np.inf), 1.0, 1.0]))
+    for g in (np.zeros((3, 3)), np.diag([1.0, 1.0, 5e-324])):
+        with pytest.raises(SingularMatrixError,
+                           match="^conjugating matrix has no inverse in float64$"):
+            conjugate_subspace(der, g)
     for bad in (np.nan, np.inf):
         g = np.eye(3)
         g[1, 2] = bad
-        with pytest.raises(SingularMatrixError, match="not finite"):
+        with pytest.raises(SingularMatrixError, match="^conjugating matrix is not finite$"):
             conjugate_subspace(der, g)
 
 
 def test_conjugate_collapsing_basis_is_singular():
-    # cond(g) is exactly COND_LIMIT, which passes, but g^-1 D g of a Der(r3)
-    # basis matrix has norm 1e-12, at ZERO_TOL
-    der = derivation_algebra(make_family(Family("r3")))
-    g = np.diag([1.0, 1.0, derivations.COND_LIMIT])
-    assert np.linalg.cond(g) == derivations.COND_LIMIT
-    with pytest.raises(SingularMatrixError, match="^conjugating matrix is singular$"):
-        conjugate_subspace(der, g)
+    # g_lambda of r3_a at lambda = 1e10 has det 1, but the conjugated Der(r3_a)
+    # matrices agree to float64's precision: the basis is refused as dependent
+    fam = Family("r3_a", 0.5)
+    der = derivation_algebra(make_family(fam))
+    with pytest.raises(SingularMatrixError, match="^conjugated basis is numerically dependent$"):
+        conjugate_subspace(der, moduli.rep_matrix(fam, 1e10))
+    # an entry t^3 of g^-1 E13 g past float64, for g unit lower triangular with t below
+    g = np.array([[1.0, 0.0, 0.0], [1e120, 1.0, 0.0], [0.0, 1e120, 1.0]])
+    with pytest.raises(SingularMatrixError, match="^conjugated basis is not finite$"):
+        conjugate_subspace(MatrixSubspace(unit(0, 2)[None]), g)
+    # a conjugated basis matrix that only shrinks (to norm about min(t, 1 / t) here) is
+    # scaled by a power of two before it is normalized, not refused
+    r3 = derivation_algebra(make_family(Family("r3")))
+    for t in (1e12, 1e13, 1e-12, 1e-13):
+        assert conjugate_subspace(r3, np.diag([1.0, 1.0, t])).dim == r3.dim
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
@@ -530,7 +535,7 @@ def _normalize_one(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     mat = mat / np.linalg.norm(mat)
     flat = mat.ravel()
-    lead = flat[np.abs(flat) > derivations.ZERO_TOL][0]
+    lead = flat[np.abs(flat) > linalg.ZERO_TOL][0]
     return (-mat if lead < 0 else mat) + 0.0
 
 
@@ -579,18 +584,32 @@ VERIFY_SWEEPS = ([Family("r3")] + [Family("r3_a", a) for a in (-1.0, -0.5, 0.0, 
                  + [Family("r3p_a", a) for a in (0.0, 1.0, 2.0)])
 
 
+VERIFY_ROWS = [(fam, lam) for fam in VERIFY_SWEEPS for lam in cli.default_grid(fam)]
+
+
 def test_conjugate_matches_per_matrix_loop_on_verify_rows():
-    rows = 0
-    for fam in VERIFY_SWEEPS:
+    # g^-1 is the exact inverse rounded once, and the power-of-two scaling
+    # before the normalization changes no bit
+    assert len(VERIFY_ROWS) == 377
+    for fam, lam in VERIFY_ROWS:
         der = derivation_algebra(make_family(fam))
-        for lam in cli.default_grid(fam):
-            g = moduli.rep_matrix(fam, lam)
-            ginv = np.linalg.inv(g)
-            for sub in (der, scalar_plus(der)):
-                want = np.array([_normalize_one(ginv @ b @ g) for b in sub.basis])
-                assert conjugate_subspace(sub, g).basis.tobytes() == want.tobytes(), (fam, lam)
-            rows += 1
-    assert rows == 377
+        g = moduli.rep_matrix(fam, lam)
+        ginv = np.array([[float(x) for x in row] for row in linalg.exact_inv(g.astype(object))])
+        for sub in (der, scalar_plus(der)):
+            want = np.array([_normalize_one(ginv @ b @ g) for b in sub.basis])
+            assert conjugate_subspace(sub, g).basis.tobytes() == want.tobytes(), (fam, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.sampled_from(VERIFY_ROWS), k=st.integers(-40, 40))
+def test_conjugate_is_invariant_under_powers_of_two(row, k):
+    # 2^k g has the inverse 2^-k g^-1, bit for bit, and the same conjugates
+    fam, lam = row
+    der = derivation_algebra(make_family(fam))
+    g = moduli.rep_matrix(fam, lam)
+    for sub in (der, scalar_plus(der)):
+        want = conjugate_subspace(sub, g).basis.tobytes()
+        assert conjugate_subspace(sub, np.ldexp(g, k)).basis.tobytes() == want
 
 
 def test_basis_is_one_read_only_stack():

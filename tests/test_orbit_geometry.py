@@ -732,8 +732,8 @@ def test_orbit_at_norm_does_not_depend_on_scale(fam):
 
 def test_orbit_at_reads_a_gram_matrix_at_the_condition_limit():
     # diag(1, 1, 1e-24) pulls back I by an automorphism of r3_a (reduce gives
-    # lambda = 0), and cond(g) = 1e12 is exactly COND_LIMIT; conjugate_subspace
-    # refuses this g, as a conjugated Der basis matrix shrinks to ZERO_TOL
+    # lambda = 0), and g = diag(1, 1, 1e12) has condition number 1e12: the orbit is
+    # read off g's frame in closed form
     fam = Family("r3_a", 0.5)
     r = orbit_at(fam, metric_to_group(np.diag([1.0, 1.0, 1e-24])))
     assert r.norm == 0.0 and (r.orbit_dim, r.stab_dim) == (5, 0)

@@ -117,7 +117,7 @@ def test_public_surface_is_the_verdict_path():
 
 def test_thresholds_are_the_named_few():
     # a float literal this small or large is a threshold: it must be the value
-    # of a module-level NAME = literal, and these four are all there are
+    # of a module-level NAME = literal, and these three are all there are
     found = set()
     for path in sorted((ROOT / "src" / "solvgeo").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -129,5 +129,18 @@ def test_thresholds_are_the_named_few():
                     and (0 < abs(node.value) <= 1e-6 or abs(node.value) >= 1e6)):
                 assert node in named, f"{path.name}:{node.lineno} {node.value!r}"
                 found.add(f"{path.stem}.{named[node]}")
-    assert found == {"linalg.ZERO_TOL", "linalg.RANK_TOL", "linalg.COND_LIMIT",
-                     "linalg.LQ_DET_TOL"}
+    assert found == {"linalg.ZERO_TOL", "linalg.RANK_TOL", "linalg.LQ_DET_TOL"}
+
+
+def test_one_inverse():
+    # linalg.exact_inv is the package's one 3x3 inverse: no module reaches numpy's
+    # inverse or condition number, as an attribute or by import
+    found = []
+    for path in sorted((ROOT / "src" / "solvgeo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([ast.unparse(node)] if isinstance(node, ast.Attribute) else
+                     [f"{node.module}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if re.search(r"linalg\.(inv|cond)$", name)]
+    assert found == []
